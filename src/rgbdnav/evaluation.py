@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fusion import voxel_keys
 from .types import GroundTruthInstance, ObjectCloud, SceneInstances
 
 MAP_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
@@ -53,23 +54,20 @@ class EvalReport:
     num_scenes: int = 1
 
 
-def _voxel_keys(points: np.ndarray, voxel_size: float) -> set[tuple[int, int, int]]:
-    keys = np.floor(np.asarray(points, dtype=np.float64).reshape(-1, 3) / voxel_size).astype(np.int64)
-    keys = np.unique(keys, axis=0)
-    return set(map(tuple, keys))
+def _voxel_set(points: np.ndarray, voxel_size: float) -> np.ndarray:
+    """Sorted keys of the voxels the points occupy."""
+    return np.unique(voxel_keys(points, voxel_size))
+
+
+def _voxel_iou(a: np.ndarray, b: np.ndarray) -> float:
+    """IoU of two sorted unique key arrays; ground truth is never empty, so the union is not."""
+    inter = np.intersect1d(a, b, assume_unique=True).size
+    return inter / (a.size + b.size - inter)
 
 
 def instance_iou(pred: ObjectCloud, gt: GroundTruthInstance, voxel_size: float = 0.02) -> float:
     """Point-level IoU: occupied-voxel overlap of the two point sets on one grid."""
-    if voxel_size <= 0:
-        raise ValueError(f"voxel_size must be positive, got {voxel_size}")
-    a = _voxel_keys(pred.points, voxel_size)
-    b = _voxel_keys(gt.points, voxel_size)
-    if not a and not b:
-        return 0.0
-    inter = len(a & b)
-    union = len(a) + len(b) - inter
-    return inter / union
+    return _voxel_iou(_voxel_set(pred.points, voxel_size), _voxel_set(gt.points, voxel_size))
 
 
 def _greedy_match(
@@ -106,10 +104,14 @@ def average_precision(
     """
     if num_gt <= 0:
         raise ValueError("average_precision needs at least one ground-truth instance")
-    n = len(scored_ious)
-    if n == 0:
+    if not scored_ious:
         return 0.0
-    tp = _greedy_match(scored_ious, num_gt, iou_threshold)
+    return _envelope_area(_greedy_match(scored_ious, num_gt, iou_threshold), num_gt)
+
+
+def _envelope_area(tp: np.ndarray, num_gt: int) -> float:
+    """Area under the precision envelope of true-positive flags in score order."""
+    n = len(tp)
     cum_tp = np.cumsum(tp)
     recall = cum_tp / num_gt
     precision = cum_tp / np.arange(1, n + 1)
@@ -135,27 +137,23 @@ def evaluate_scene(
     if not gt:
         raise ValueError("no ground-truth instances: nothing to evaluate")
     classes = sorted({g.label for g in gt})
+    gt_voxels = [_voxel_set(g.points, config.voxel_size) for g in gt]
+    thresholds = {0.25, 0.50, *config.map_thresholds}
     per_class: dict[str, ClassAP] = {}
     counts: dict[str, ClassCounts] = {}
     for cls in classes:
-        gts = [g for g in gt if g.label == cls]
-        preds = [(cloud, box) for cloud, box in pred.instances if cloud.label == cls]
-        scored = [
-            (cloud.score, np.array([instance_iou(cloud, g, config.voxel_size) for g in gts]))
-            for cloud, _ in preds
-        ]
-        ap50 = average_precision(scored, len(gts), 0.50) if scored else 0.0
-        ap25 = average_precision(scored, len(gts), 0.25) if scored else 0.0
-        if scored:
-            ap = float(np.mean([average_precision(scored, len(gts), t) for t in config.map_thresholds]))
-        else:
-            ap = 0.0
-        per_class[cls] = ClassAP(ap, ap50, ap25)
+        gts = [v for g, v in zip(gt, gt_voxels) if g.label == cls]
+        preds = [cloud for cloud, _ in pred.instances if cloud.label == cls]
+        scored = []
+        for cloud in preds:
+            voxels = _voxel_set(cloud.points, config.voxel_size)
+            scored.append((cloud.score, np.array([_voxel_iou(voxels, g) for g in gts])))
+        tp = {t: _greedy_match(scored, len(gts), t) for t in thresholds}
+        ap_at = {t: _envelope_area(flags, len(gts)) for t, flags in tp.items()}
+        ap = float(np.mean([ap_at[t] for t in config.map_thresholds]))
+        per_class[cls] = ClassAP(ap, ap_at[0.50], ap_at[0.25])
         counts[cls] = ClassCounts(
-            num_gt=len(gts),
-            num_pred=len(preds),
-            tp50=int(_greedy_match(scored, len(gts), 0.50).sum()) if scored else 0,
-            tp25=int(_greedy_match(scored, len(gts), 0.25).sum()) if scored else 0,
+            num_gt=len(gts), num_pred=len(preds), tp50=int(tp[0.50].sum()), tp25=int(tp[0.25].sum())
         )
     map_ = float(np.mean([c.ap for c in per_class.values()]))
     map50 = float(np.mean([c.ap50 for c in per_class.values()]))

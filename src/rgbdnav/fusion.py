@@ -23,34 +23,83 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     return inter / (va + vb - inter)
 
 
-def voxel_downsample(points: np.ndarray, voxel_size: float) -> np.ndarray:
-    """Keep the first point falling in each voxel, preserving input order."""
+# Bits per axis in a packed voxel key; three axes fill 63 bits of an int64.
+KEY_BITS = 21
+_KEY_OFFSET = 1 << (KEY_BITS - 1)
+
+
+def voxel_keys(points: np.ndarray, voxel_size: float) -> np.ndarray:
+    """One int64 per point naming its voxel ``floor(p / voxel_size)``.
+
+    The three cell indices are offset by 2^20 and packed at 21 bits each, so
+    equal keys mean equal voxels and sorted keys follow row order. A cell
+    index outside [-2^20, 2^20) cannot be packed and raises ValueError.
+    """
     if voxel_size <= 0:
         raise ValueError(f"voxel_size must be positive, got {voxel_size}")
+    # In place where possible: whole GT clouds pass through here, and every
+    # full-size temporary adds to the process's peak RSS.
+    cells = np.asarray(points, dtype=np.float64).reshape(-1, 3) / voxel_size
+    np.floor(cells, out=cells)
+    if cells.size and not (cells.min() >= -_KEY_OFFSET and cells.max() < _KEY_OFFSET):
+        raise ValueError(
+            f"voxel coordinates must lie within ±2^20 cells of the origin "
+            f"(±{_KEY_OFFSET * voxel_size:g} m at voxel_size {voxel_size:g})"
+        )
+    cells += _KEY_OFFSET  # exact: whole numbers far below 2^53
+    c = cells.astype(np.int64)
+    del cells
+    keys = c[:, 0] << (2 * KEY_BITS)
+    keys |= c[:, 1] << KEY_BITS
+    keys |= c[:, 2]
+    return keys
+
+
+def _first_per_voxel(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique keys and, in input order, the index of each key's first point."""
+    unique, first = np.unique(keys, return_index=True)
+    return unique, np.sort(first)
+
+
+def voxel_downsample(points: np.ndarray, voxel_size: float) -> np.ndarray:
+    """Keep the first point falling in each voxel, preserving input order."""
     p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if p.shape[0] == 0:
-        return p
-    keys = np.floor(p / voxel_size).astype(np.int64)
-    _, first = np.unique(keys, axis=0, return_index=True)
-    return p[np.sort(first)]
+    return p[_first_per_voxel(voxel_keys(p, voxel_size))[1]]
 
 
-def _merge_pair(
-    acc: tuple[ObjectCloud, Box3D], new: tuple[ObjectCloud, Box3D], voxel_size: float
-) -> tuple[ObjectCloud, Box3D]:
-    a, b = acc[0], new[0]
-    points = voxel_downsample(np.vstack([a.points, b.points]), voxel_size)
+# While folding, an instance is (cloud, box, keys): keys are the sorted unique
+# voxel keys of cloud.points once a merge has deduplicated them, else None.
+_Folded = tuple[ObjectCloud, Box3D, "np.ndarray | None"]
+
+
+def _merge_pair(acc: _Folded, new: _Folded, voxel_size: float) -> _Folded:
+    """``voxel_downsample(vstack([acc, new]))`` without re-sorting the union.
+
+    The accumulated cloud is deduplicated once; after that only the incoming
+    points whose voxel it lacks are appended, first point per voxel.
+    """
+    (a, _, keys), (b, _, _) = acc, new
+    points = a.points
+    if keys is None:
+        keys, first = _first_per_voxel(voxel_keys(points, voxel_size))
+        points = points[first]
+    incoming = voxel_keys(b.points, voxel_size)
+    pos = np.searchsorted(keys, incoming)
+    seen = pos < keys.size
+    seen[seen] = keys[pos[seen]] == incoming[seen]
+    fresh = np.flatnonzero(~seen)
+    added, first = _first_per_voxel(incoming[fresh])
+    points = np.vstack([points, b.points[fresh[first]]])
+    keys = np.insert(keys, np.searchsorted(keys, added), added)
     cloud = ObjectCloud(points, a.label, max(a.score, b.score), a.source_frames | b.source_frames)
-    return cloud, box_from_points(points)
+    return cloud, box_from_points(points), keys
 
 
-def _fold(
-    instances: list[tuple[ObjectCloud, Box3D]], merge_threshold: float, voxel_size: float
-) -> list[tuple[ObjectCloud, Box3D]]:
-    acc: list[tuple[ObjectCloud, Box3D]] = []
+def _fold(instances: list[_Folded], merge_threshold: float, voxel_size: float) -> list[_Folded]:
+    acc: list[_Folded] = []
     for inst in instances:
-        cloud, box = inst
-        for i, (other_cloud, other_box) in enumerate(acc):
+        cloud, box, _ = inst
+        for i, (other_cloud, other_box, _) in enumerate(acc):
             if other_cloud.label == cloud.label and iou_3d(other_box, box) > merge_threshold:
                 acc[i] = _merge_pair(acc[i], inst, voxel_size)
                 break
@@ -75,9 +124,9 @@ def merge_instances(
     """
     if not (0.0 < merge_threshold <= 1.0):
         raise ValueError(f"merge_threshold must be in (0, 1], got {merge_threshold}")
-    current = [inst for view in views for inst in view]
+    current = [(cloud, box, None) for view in views for cloud, box in view]
     while True:
         folded = _fold(current, merge_threshold, voxel_size)
         if len(folded) == len(current):
-            return SceneInstances(folded)
+            return SceneInstances([(cloud, box) for cloud, box, _ in folded])
         current = folded

@@ -58,13 +58,6 @@ def box_from_points(points: np.ndarray) -> Box3D:
     return Box3D(p.min(axis=0), p.max(axis=0))
 
 
-def box_from_cloud(cloud: ObjectCloud) -> Box3D:
-    """Axis-aligned box spanning the componentwise extremes of the cloud."""
-    if cloud.points.shape[0] == 0:
-        raise ValueError(f"cannot box empty cloud '{cloud.label}'")
-    return box_from_points(cloud.points)
-
-
 def reconstruct_object(
     frame: DepthFrame,
     detection: Detection2D,
@@ -92,4 +85,4 @@ def reconstruct_object(
     cam_points = back_project(filtered, frame.intrinsics)
     world_points = to_world(cam_points, frame.pose)
     cloud = ObjectCloud(world_points, detection.label, detection.score, frozenset({frame.frame_id}))
-    return cloud, box_from_cloud(cloud)
+    return cloud, box_from_points(cloud.points)

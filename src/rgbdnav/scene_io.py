@@ -14,12 +14,17 @@ Frames are ordered by <id> (zero-padded ids sort naturally). RGB images may
 sit next to the depth files but are never read here. Loading validates every
 invariant and never repairs data silently; a Scene is immutable after
 construction and may be shared across threads.
+
+Ground truth is not parsed by :func:`load_scene`: ``Scene.gt`` reads
+gt/instances on first access, so a malformed GT file raises its
+file-naming SceneValidationError there, not while loading the views.
 """
 from __future__ import annotations
 
+import functools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,10 +67,15 @@ class Scene:
     intrinsics: CameraIntrinsics
     depth_scale: float
     views: list[SceneView]
-    gt: list[GroundTruthInstance] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.views)
+
+    @functools.cached_property
+    def gt(self) -> list[GroundTruthInstance]:
+        """Ground-truth instances under gt/instances, parsed on first access; [] when absent."""
+        gt_dir = self.root / "gt" / "instances"
+        return load_gt_instances(gt_dir) if gt_dir.is_dir() else []
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +280,7 @@ def load_scene(scene_dir: Path) -> Scene:
                 f"frame {frame_id}: {len(stray)} mask files for {len(detections)} detections"
             )
         views.append(SceneView(frame, detections, masks))
-    gt_dir = root / "gt" / "instances"
-    gt = load_gt_instances(gt_dir) if gt_dir.is_dir() else []
-    return Scene(root, intr, depth_scale, views, gt)
+    return Scene(root, intr, depth_scale, views)
 
 
 # ---------------------------------------------------------------------------

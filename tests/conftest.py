@@ -2,6 +2,7 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from rgbdnav import oracle
 
@@ -66,6 +67,30 @@ def monte_carlo_iou(box_a, box_b, n: int, rng) -> float:
     if union == 0:
         return 0.0
     return int(np.count_nonzero(in_a & in_b)) / union
+
+
+VOXEL_SIZES = st.sampled_from([0.02, 0.05, 0.25, 1.0])
+# Offsets inside a cell, in cells: exactly on the lower boundary (twice as
+# likely), mid-cell, just below the upper boundary, just below the lower one.
+_CELL_OFFSETS = st.sampled_from([0.0, 0.0, 0.5, 0.999, -1e-9])
+
+
+@st.composite
+def voxel_pools(draw, voxel_size: float, span: int, max_points: int = 12) -> np.ndarray:
+    """Distinct-ish points at cells in [-span, span], many exactly on a voxel boundary."""
+    cells = st.integers(-span, span)
+    rows = draw(
+        st.lists(st.tuples(cells, cells, cells, _CELL_OFFSETS, _CELL_OFFSETS, _CELL_OFFSETS),
+                 min_size=1, max_size=max_points)
+    )
+    return np.array([[(c + f) * voxel_size for c, f in zip(r[:3], r[3:])] for r in rows])
+
+
+@st.composite
+def pool_clouds(draw, pool: np.ndarray, max_points: int = 30) -> np.ndarray:
+    """Rows drawn from ``pool`` with repetition, so duplicate points are common."""
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=max_points))
+    return pool[picks]
 
 
 def unicycle_arc(x: float, y: float, theta: float, v: float, omega: float, dt: float):

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -57,6 +58,18 @@ class TestDetect:
         code, _, err = run_cli(capsys, "detect", str(tmp_path / "nothing"), str(tmp_path / "p"))
         assert code == 1
         assert "nothing" in err
+
+    def test_malformed_gt_does_not_stop_detect(self, capsys, two_cube_scene, tmp_path):
+        scene_dir = tmp_path / "scene"
+        shutil.copytree(two_cube_scene, scene_dir)
+        bad = scene_dir / "gt" / "instances" / "0001.txt"
+        bad.write_text("bin\n0.1 0.2\n")
+        code, out, _ = run_cli(capsys, "detect", str(scene_dir), str(tmp_path / "p"))
+        assert code == 0
+        assert "instances out:  2" in out
+        scene = scene_io.load_scene(scene_dir)
+        with pytest.raises(scene_io.SceneValidationError, match="0001.txt"):
+            scene.gt
 
     def test_empty_detections_zero_instances_success(self, capsys, mutable_scene_dir, tmp_path):
         for f in (mutable_scene_dir / "frames").glob("*.detections.txt"):

@@ -3,8 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rgbdnav.evaluation import (
+    ClassAP,
+    ClassCounts,
+    EvalConfig,
+    EvalReport,
     average_precision,
     evaluate_scene,
     format_report,
@@ -12,6 +18,64 @@ from rgbdnav.evaluation import (
     macro_average,
 )
 from rgbdnav.types import GroundTruthInstance, ObjectCloud, SceneInstances
+
+from conftest import VOXEL_SIZES, pool_clouds, voxel_pools
+
+
+def instance_iou_sets(pred, gt, voxel_size):
+    """Reference: IoU of Python sets of (i, j, k) cell tuples from a row-wise unique."""
+    def cells(points):
+        keys = np.floor(np.asarray(points, dtype=np.float64).reshape(-1, 3) / voxel_size).astype(np.int64)
+        return set(map(tuple, np.unique(keys, axis=0)))
+
+    a, b = cells(pred.points), cells(gt.points)
+    if not a and not b:
+        return 0.0
+    inter = len(a & b)
+    return inter / (len(a) + len(b) - inter)
+
+
+def greedy_tp_count(scored_ious, num_gt, thr):
+    """Reference: true positives of the score-ordered greedy highest-IoU matching."""
+    taken = set()
+    for _, ious in sorted(scored_ious, key=lambda s: -s[0]):
+        free = [g for g in range(num_gt) if g not in taken and ious[g] >= thr]
+        if free:
+            taken.add(max(free, key=lambda g: ious[g]))
+    return len(taken)
+
+
+def evaluate_scene_reference(pred, gt, voxel_size, thresholds):
+    """Reference: per-(prediction, GT) pair set IoU; AP and TP counts per threshold call."""
+    per_class, counts = {}, {}
+    for cls in sorted({g.label for g in gt}):
+        gts = [g for g in gt if g.label == cls]
+        preds = [cloud for cloud, _ in pred.instances if cloud.label == cls]
+        scored = [(c.score, np.array([instance_iou_sets(c, g, voxel_size) for g in gts])) for c in preds]
+        ap = float(np.mean([average_precision(scored, len(gts), t) for t in thresholds])) if scored else 0.0
+        per_class[cls] = ClassAP(ap, average_precision(scored, len(gts), 0.50), average_precision(scored, len(gts), 0.25))
+        counts[cls] = ClassCounts(
+            len(gts), len(preds), greedy_tp_count(scored, len(gts), 0.50), greedy_tp_count(scored, len(gts), 0.25)
+        )
+    means = [float(np.mean([getattr(c, k) for c in per_class.values()])) for k in ("ap", "ap50", "ap25")]
+    return EvalReport(per_class, *means, counts)
+
+
+@st.composite
+def eval_inputs(draw):
+    """GT and predictions as overlapping clouds drawn from one shared point pool."""
+    voxel = draw(VOXEL_SIZES)
+    pool = draw(voxel_pools(voxel, span=draw(st.integers(1, 5)), max_points=16))
+    gt = [
+        GroundTruthInstance(draw(st.sampled_from(["a", "b"])), draw(pool_clouds(pool)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    preds = [
+        (ObjectCloud(draw(pool_clouds(pool)), draw(st.sampled_from(["a", "a", "b", "c"])),
+                     draw(st.sampled_from([0.5, 0.7, 1.0]))), None)
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    return SceneInstances(preds), gt, voxel
 
 
 def ap_orderings_oracle(scored_ious, num_gt, thr):
@@ -93,6 +157,13 @@ class TestInstanceIoU:
         cloud, gt = _grid_instance("chair", (0, 0, 0))
         with pytest.raises(ValueError):
             instance_iou(cloud, gt, 0.0)
+
+    @given(eval_inputs())
+    def test_matches_set_reference(self, inputs):
+        pred, gt, voxel = inputs
+        for cloud, _ in pred.instances:
+            for g in gt:
+                assert instance_iou(cloud, g, voxel) == instance_iou_sets(cloud, g, voxel)
 
 
 class TestAveragePrecision:
@@ -217,6 +288,14 @@ class TestEvaluateScene:
         combined = macro_average([perfect, empty])
         assert combined.map == pytest.approx(0.5)
         assert combined.num_scenes == 2
+
+    @given(eval_inputs())
+    def test_matches_pairwise_reference(self, inputs):
+        pred, gt, voxel = inputs
+        config = EvalConfig(voxel_size=voxel)
+        assert evaluate_scene(pred, gt, config) == evaluate_scene_reference(
+            pred, gt, voxel, config.map_thresholds
+        )
 
     def test_report_formatting(self):
         pairs = [_grid_instance("chair", (0, 0, 0))]

@@ -5,13 +5,69 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rgbdnav.fusion import iou_3d, merge_instances, voxel_downsample
+from rgbdnav.fusion import iou_3d, merge_instances, voxel_downsample, voxel_keys
 from rgbdnav.projection import box_from_points
 from rgbdnav.types import Box3D, ObjectCloud
 
-from conftest import monte_carlo_iou
+from conftest import VOXEL_SIZES, monte_carlo_iou, pool_clouds, voxel_pools
 
 corners = st.tuples(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))
+
+
+def voxel_downsample_rowwise(points, voxel_size):
+    """Reference: first point per voxel via a row-wise unique over integer cells."""
+    p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if p.shape[0] == 0:
+        return p
+    keys = np.floor(p / voxel_size).astype(np.int64)
+    _, first = np.unique(keys, axis=0, return_index=True)
+    return p[np.sort(first)]
+
+
+def merge_instances_reference(views, merge_threshold, voxel_size):
+    """Reference fold: every merge concatenates both clouds and re-downsamples the union."""
+
+    def fold(instances):
+        acc = []
+        for cloud, box in instances:
+            for i, (other, other_box) in enumerate(acc):
+                if other.label == cloud.label and iou_3d(other_box, box) > merge_threshold:
+                    points = voxel_downsample_rowwise(np.vstack([other.points, cloud.points]), voxel_size)
+                    merged = ObjectCloud(
+                        points, other.label, max(other.score, cloud.score),
+                        other.source_frames | cloud.source_frames,
+                    )
+                    acc[i] = (merged, box_from_points(points))
+                    break
+            else:
+                acc.append((cloud, box))
+        return acc
+
+    current = [inst for view in views for inst in view]
+    while True:
+        folded = fold(current)
+        if len(folded) == len(current):
+            return folded
+        current = folded
+
+
+@st.composite
+def fusion_inputs(draw):
+    """Views of same- and mixed-class instances drawn from one shared point pool,
+    shifted along x by whole cells so that boxes overlap partly."""
+    voxel = draw(VOXEL_SIZES)
+    span = draw(st.integers(1, 6))
+    pool = draw(voxel_pools(voxel, span=span, max_points=16))
+    views = []
+    for v in range(draw(st.integers(1, 5))):
+        row = []
+        for _ in range(draw(st.integers(0, 3))):
+            pts = draw(pool_clouds(pool)) + [draw(st.integers(0, 2 * span)) * voxel, 0.0, 0.0]
+            label = draw(st.sampled_from(["a", "a", "b"]))
+            cloud = ObjectCloud(pts, label, draw(st.sampled_from([0.3, 0.6, 1.0])), frozenset({f"f{v}"}))
+            row.append((cloud, box_from_points(pts)))
+        views.append(row)
+    return views, draw(st.sampled_from([0.05, 0.3, 0.8])), voxel
 
 
 def _box(lo, hi):
@@ -83,6 +139,26 @@ class TestVoxelDownsample:
     def test_negative_coordinates(self):
         pts = np.array([[-0.001, 0, 0], [0.001, 0, 0]])
         assert voxel_downsample(pts, 0.02).shape == (2, 3)  # straddles the 0 boundary
+
+    @given(st.data())
+    def test_matches_rowwise_reference(self, data):
+        voxel = data.draw(VOXEL_SIZES)
+        pool = data.draw(voxel_pools(voxel, span=data.draw(st.sampled_from([2, 50, 5000]))))
+        pts = data.draw(pool_clouds(pool, max_points=60))
+        assert np.array_equal(voxel_downsample(pts, voxel), voxel_downsample_rowwise(pts, voxel))
+        # packed keys sort in (x, y, z) row order of the integer cells
+        cells = np.floor(pts / voxel).astype(np.int64)
+        keys = voxel_keys(pts, voxel)
+        assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort(cells.T[::-1]))
+
+    def test_out_of_range_cell_raises(self):
+        inside = np.array([[-(2.0 ** 20), 2.0 ** 20 - 0.5, 0.0]])
+        assert voxel_keys(inside, 1.0).shape == (1,)
+        for bad in ([2.0 ** 20, 0.0, 0.0], [0.0, -(2.0 ** 20) - 0.5, 0.0], [0.0, 0.0, np.nan]):
+            with pytest.raises(ValueError, match=r"2\^20 cells"):
+                voxel_keys(np.array([bad]), 1.0)
+        with pytest.raises(ValueError, match=r"2\^20 cells"):
+            voxel_downsample(np.array([[0.0, 0.0, 2.0 ** 20 * 0.02]]), 0.02)
 
 
 class TestMergeInstances:
@@ -158,6 +234,38 @@ class TestMergeInstances:
         for cloud, _ in out.instances:
             for p in cloud.points:
                 assert (np.abs(all_inputs - p).sum(axis=1) < 1e-12).any()
+
+    @given(fusion_inputs())
+    def test_matches_concatenating_reference(self, inputs):
+        views, threshold, voxel = inputs
+        got = merge_instances(views, threshold, voxel).instances
+        want = merge_instances_reference(views, threshold, voxel)
+        assert len(got) == len(want)
+        for (cg, bg), (cw, bw) in zip(got, want):
+            assert np.array_equal(cg.points, cw.points)
+            assert (cg.label, cg.score, cg.source_frames) == (cw.label, cw.score, cw.source_frames)
+            assert np.array_equal(bg.min_corner, bw.min_corner)
+            assert np.array_equal(bg.max_corner, bw.max_corner)
+
+    def test_later_pass_merge_matches_reference(self):
+        # x and x + d are disjoint; their union bridges them, so in the order
+        # (x, x + d, union) the second pass merges an instance built by the first
+        rng = np.random.default_rng(11)
+        x = np.round(rng.uniform(-0.3, 0.1, size=(60, 3)), 2)  # many points on 0.02 boundaries
+        x = np.vstack([x, x[:20]])  # and duplicates
+        shifted = x + [np.ptp(x[:, 0]) + 0.04, 0.0, 0.0]
+        insts = [
+            (ObjectCloud(pts, "chair", 0.5 + 0.1 * k, frozenset({f"f{k}"})), box_from_points(pts))
+            for k, pts in enumerate([x, shifted, np.vstack([x, shifted])])
+        ]
+        assert iou_3d(insts[0][1], insts[1][1]) == 0.0
+        for order in itertools.permutations(insts):
+            views = [[inst] for inst in order]
+            got = merge_instances(views, 0.3, 0.02).instances
+            want = merge_instances_reference(views, 0.3, 0.02)
+            assert len(got) == len(want) == 1
+            assert np.array_equal(got[0][0].points, want[0][0].points)
+            assert got[0][0].source_frames == frozenset({"f0", "f1", "f2"})
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):

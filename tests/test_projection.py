@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rgbdnav.projection import (
     back_project,
     back_project_pixels,
-    box_from_cloud,
     box_from_points,
     project_to_pixels,
     reconstruct_object,
@@ -102,7 +101,7 @@ class TestToWorld:
 class TestBoxFromCloud:
     def test_two_points(self):
         cloud = ObjectCloud(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]), "thing", 1.0)
-        box = box_from_cloud(cloud)
+        box = box_from_points(cloud.points)
         assert np.array_equal(box.min_corner, [0.0, 0.0, 0.0])
         assert np.array_equal(box.max_corner, [1.0, 2.0, 3.0])
 
