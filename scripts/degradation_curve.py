@@ -5,23 +5,13 @@ import tempfile
 from pathlib import Path
 
 from rgbdnav import evaluation, fusion, oracle, scene_io
-from rgbdnav.projection import reconstruct_object
 from rgbdnav.types import PipelineConfig
 
 
 def run_once(scene_dir: Path, drop: float, seed: int) -> evaluation.EvalReport:
     oracle.populate_detections(scene_dir, oracle.PerturbationConfig(seed=seed, drop_prob=drop))
     scene = scene_io.load_scene(scene_dir)
-    config = PipelineConfig()
-    per_view = []
-    for view in scene.views:
-        produced = []
-        for det, mask in zip(view.detections, view.masks):
-            result = reconstruct_object(view.frame, det, mask, config)
-            if result is not None:
-                produced.append(result)
-        per_view.append(produced)
-    instances = fusion.merge_instances(per_view, config.merge_threshold, config.voxel_size)
+    instances, _ = fusion.run_scene(scene, PipelineConfig())
     return evaluation.evaluate_scene(instances, scene.gt)
 
 

@@ -1,7 +1,8 @@
-"""Wall-clock timing of the per-view geometry stage.
+"""Wall-clock timing of the scene-to-instances pipeline.
 
-Measures reconstruction only (erode/isolate/filter/back-project/transform/
-box): scenes are loaded up front so file I/O stays out of the clock, and
+Times :func:`fusion.run_scene` (erode/isolate/filter/back-project/transform/
+box for every detection, then cross-view fusion), single-threaded, once per
+repeat. Scenes are loaded up front so file I/O stays out of the clock, and
 there is no learned detector or segmenter in this artifact, so the figures
 are a geometry-only lower bound for any full pipeline built on top.
 """
@@ -10,49 +11,29 @@ from __future__ import annotations
 import os
 import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .projection import reconstruct_object
-from .scene_io import Scene, SceneView
+from .fusion import run_scene
+from .scene_io import Scene
 from .types import PipelineConfig
 
 
 @dataclass(frozen=True)
 class BenchRow:
-    secs_scene_single: float
-    secs_view_single: float
-    secs_scene_parallel: float
-    secs_view_parallel: float
+    secs_scene: float
+    secs_view: float
 
 
-def _process_view(view: SceneView, config: PipelineConfig) -> int:
-    produced = 0
-    for det, mask in zip(view.detections, view.masks):
-        if reconstruct_object(view.frame, det, mask, config) is not None:
-            produced += 1
-    return produced
-
-
-def time_scene(
-    scene: Scene, config: PipelineConfig = PipelineConfig(), repeats: int = 1, max_workers: int | None = None
-) -> list[BenchRow]:
-    """Time all views of a loaded scene, single-threaded and thread-parallel."""
+def time_scene(scene: Scene, config: PipelineConfig, repeats: int = 1) -> list[BenchRow]:
+    """Time reconstruct+fuse over all views of a loaded scene, one row per repeat."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    n_views = len(scene.views)
     rows = []
-    workers = max_workers or os.cpu_count() or 1
     for _ in range(repeats):
         t0 = time.perf_counter()
-        for view in scene.views:
-            _process_view(view, config)
-        single = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda v: _process_view(v, config), scene.views))
-        parallel = time.perf_counter() - t0
-        rows.append(BenchRow(single, single / n_views, parallel, parallel / n_views))
+        run_scene(scene, config)
+        secs = time.perf_counter() - t0
+        rows.append(BenchRow(secs, secs / len(scene.views)))
     return rows
 
 
@@ -63,21 +44,16 @@ def hardware_summary() -> str:
 
 def format_bench_table(rows: list[BenchRow], n_views: int) -> str:
     lines = [
-        f"# geometry-only timing over {n_views} view(s); file I/O and detector excluded",
+        f"# reconstruct+fuse timing over {n_views} view(s), single-threaded; file I/O and detector excluded",
         f"# hardware: {hardware_summary()}",
-        f"{'run':>4} {'secs/scene':>12} {'secs/view':>12} {'secs/scene (par)':>17} {'secs/view (par)':>16}",
+        f"{'run':>4} {'secs/scene':>12} {'secs/view':>12}",
     ]
     for i, r in enumerate(rows):
-        lines.append(
-            f"{i:>4d} {r.secs_scene_single:>12.4f} {r.secs_view_single:>12.5f}"
-            f" {r.secs_scene_parallel:>17.4f} {r.secs_view_parallel:>16.5f}"
-        )
+        lines.append(f"{i:>4d} {r.secs_scene:>12.4f} {r.secs_view:>12.5f}")
     if len(rows) > 1:
         n = len(rows)
         lines.append(
-            f"{'mean':>4} {sum(r.secs_scene_single for r in rows) / n:>12.4f}"
-            f" {sum(r.secs_view_single for r in rows) / n:>12.5f}"
-            f" {sum(r.secs_scene_parallel for r in rows) / n:>17.4f}"
-            f" {sum(r.secs_view_parallel for r in rows) / n:>16.5f}"
+            f"{'mean':>4} {sum(r.secs_scene for r in rows) / n:>12.4f}"
+            f" {sum(r.secs_view for r in rows) / n:>12.5f}"
         )
     return "\n".join(lines) + "\n"

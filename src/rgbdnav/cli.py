@@ -3,12 +3,13 @@
 Subcommands:
   detect  run the geometry pipeline on a scene, write clouds + boxes
   eval    score predicted instances against ground truth (mAP/mAP50/mAP25)
-  bench   time the per-view geometry stage
+  bench   time reconstruct+fuse of a scene, single-threaded, file I/O excluded
   synth   generate a synthetic scene with oracle detections
   navsim  run the potential-field navigation simulator
 
 Any flag can also come from a '--config FILE' of 'key = value' lines; flags
-given on the command line win.
+given on the command line win, and config values are validated like flags.
+The perturbation.txt that synth writes is a valid synth --config.
 """
 from __future__ import annotations
 
@@ -20,32 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, evaluation, fusion, navsim, oracle, scene_io
-from .projection import reconstruct_object
 from .types import Box3D, PipelineConfig
 
 logger = logging.getLogger(__name__)
-
-
-def _load_config(path: str) -> dict:
-    values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
-        for caster in (int, float):
-            try:
-                values[key] = caster(value)
-                break
-            except ValueError:
-                continue
-        else:
-            values[key] = value
-    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--voxel-size", type=float, default=0.02)
     p.add_argument("--out", help="report path (default: first PRED_DIR/eval_report.txt)")
 
-    p = sub.add_parser("bench", help="time the geometry stage of a scene")
+    p = sub.add_parser("bench", help="time reconstruct+fuse of a loaded scene")
     p.add_argument("scene_dir")
     p.add_argument("--config", help="key = value file supplying flag defaults")
     p.add_argument("--repeats", type=int, default=1)
@@ -105,7 +83,9 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> 
     # Two-phase parse so --config supplies defaults that explicit flags override.
     pre, _ = parser.parse_known_args(argv)
     if getattr(pre, "config", None):
-        values = _load_config(pre.config)
+        # Raw strings: argparse applies each flag's type= to a string default,
+        # so a bad config value gets the same usage error as a bad flag.
+        values = scene_io.read_key_values(pre.config)
         for action_parser in parser._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
             known = {a.dest for a in action_parser._actions}
             action_parser.set_defaults(**{k: v for k, v in values.items() if k in known})
@@ -128,24 +108,11 @@ def cmd_detect(args) -> int:
     except scene_io.SceneError as e:
         print(f"rgbdnav detect: {e}", file=sys.stderr)
         return 1
-    detections_in = 0
-    dropped = 0
-    per_view = []
-    for view in scene.views:
-        produced = []
-        for det, mask in zip(view.detections, view.masks):
-            detections_in += 1
-            result = reconstruct_object(view.frame, det, mask, config)
-            if result is None:
-                dropped += 1
-            else:
-                produced.append(result)
-        per_view.append(produced)
-    instances = fusion.merge_instances(per_view, config.merge_threshold, config.voxel_size)
+    instances, dropped = fusion.run_scene(scene, config)
     out_dir = Path(args.out_dir)
     scene_io.write_instances(instances, out_dir)
     print(f"views:          {len(scene.views)}")
-    print(f"detections in:  {detections_in}")
+    print(f"detections in:  {sum(len(view.detections) for view in scene.views)}")
     print(f"dropped:        {dropped}")
     print(f"instances out:  {len(instances)}")
     print(f"wrote {out_dir / 'boxes.json'} and {len(instances)} cloud file(s)")
@@ -193,11 +160,16 @@ def cmd_bench(args) -> int:
         print("rgbdnav bench: --repeats must be >= 1", file=sys.stderr)
         return 2
     try:
+        config = PipelineConfig(tau=args.tau)
+    except ValueError as e:
+        print(f"rgbdnav bench: invalid flag: {e}", file=sys.stderr)
+        return 2
+    try:
         scene = scene_io.load_scene(args.scene_dir)
     except scene_io.SceneError as e:
         print(f"rgbdnav bench: {e}", file=sys.stderr)
         return 1
-    rows = bench.time_scene(scene, PipelineConfig(tau=args.tau), repeats=args.repeats)
+    rows = bench.time_scene(scene, config, repeats=args.repeats)
     print(bench.format_bench_table(rows, len(scene.views)), end="")
     return 0
 

@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .projection import box_from_points
-from .types import Box3D, ObjectCloud, SceneInstances
+from .projection import box_from_points, reconstruct_object
+from .scene_io import Scene
+from .types import Box3D, ObjectCloud, PipelineConfig, SceneInstances
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
@@ -130,3 +131,24 @@ def merge_instances(
         if len(folded) == len(current):
             return SceneInstances([(cloud, box) for cloud, box, _ in folded])
         current = folded
+
+
+def run_scene(scene: Scene, config: PipelineConfig) -> tuple[SceneInstances, int]:
+    """Turn a loaded scene into fused instances: the whole detection pipeline.
+
+    Every (detection, mask) pair of every view is reconstructed, views in
+    order, and the per-view results are merged. Returns the instances and
+    the number of detections dropped because reconstruction left no cloud.
+    """
+    dropped = 0
+    per_view = []
+    for view in scene.views:
+        produced = []
+        for det, mask in zip(view.detections, view.masks):
+            result = reconstruct_object(view.frame, det, mask, config)
+            if result is None:
+                dropped += 1
+            else:
+                produced.append(result)
+        per_view.append(produced)
+    return merge_instances(per_view, config.merge_threshold, config.voxel_size), dropped

@@ -62,16 +62,11 @@ class PerturbationConfig:
     @classmethod
     def from_file(cls, path: Path) -> "PerturbationConfig":
         kwargs = {}
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.replace(":", "=").partition("=")
-            key = key.strip()
-            if key not in cls.__dataclass_fields__:
-                raise ValueError(f"{path}:{lineno}: unknown perturbation field {key!r}")
-            caster = int if key in ("seed", "box_jitter_px", "mask_erode_px") else float
-            kwargs[key] = caster(value.strip())
+        for key, value in scene_io.read_key_values(path).items():
+            field = cls.__dataclass_fields__.get(key)
+            if field is None:
+                raise ValueError(f"{path}: unknown perturbation field {key!r}")
+            kwargs[key] = type(field.default)(value)  # every default is an int or a float
         return cls(**kwargs)
 
     def to_file(self, path: Path) -> None:

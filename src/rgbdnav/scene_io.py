@@ -79,6 +79,29 @@ class Scene:
 
 
 # ---------------------------------------------------------------------------
+# key = value files
+# ---------------------------------------------------------------------------
+
+def read_key_values(path: Path) -> dict[str, str]:
+    """Parse 'key = value' lines into raw strings; the caller casts.
+
+    '#' starts a comment, blank lines are skipped, '-' in a key folds to '_'
+    and a later line wins over an earlier one with the same key. A line
+    without '=' raises ValueError naming the file and line.
+    """
+    values = {}
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        values[key.strip().replace("-", "_")] = value.strip()
+    return values
+
+
+# ---------------------------------------------------------------------------
 # PGM
 # ---------------------------------------------------------------------------
 
@@ -305,7 +328,10 @@ def load_gt_instances(path: Path) -> list[GroundTruthInstance]:
         label = text[:newline].strip()
         if not label:
             raise SceneValidationError(f"{f}: empty label line")
-        coords = np.array(text[newline + 1:].split(), dtype=np.float64)
+        try:
+            coords = np.array(text[newline + 1:].split(), dtype=np.float64)
+        except ValueError as e:
+            raise SceneValidationError(f"{f}: non-numeric coordinate: {e}") from e
         if coords.size == 0 or coords.size % 3:
             raise SceneValidationError(f"{f}: point rows must hold 3 coordinates each")
         instances.append(GroundTruthInstance(label, coords.reshape(-1, 3)))

@@ -41,15 +41,7 @@ def criterion(number: int, name: str):
 
 
 def _run_pipeline(scene, config=PipelineConfig()):
-    per_view = []
-    for view in scene.views:
-        produced = []
-        for det, mask in zip(view.detections, view.masks):
-            result = reconstruct_object(view.frame, det, mask, config)
-            if result is not None:
-                produced.append(result)
-        per_view.append(produced)
-    instances = fusion.merge_instances(per_view, config.merge_threshold, config.voxel_size)
+    instances, _ = fusion.run_scene(scene, config)
     return instances, evaluation.evaluate_scene(instances, scene.gt)
 
 

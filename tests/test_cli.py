@@ -178,6 +178,11 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", str(two_cube_scene), "--repeats", "0")
         assert code == 2
 
+    def test_bad_tau_usage_error(self, capsys, two_cube_scene):
+        code, _, err = run_cli(capsys, "bench", str(two_cube_scene), "--tau", "-1")
+        assert code == 2
+        assert "invalid flag" in err and "tau" in err
+
 
 class TestNavsim:
     def test_scenario_run_writes_trajectory(self, capsys, tmp_path):
@@ -233,6 +238,27 @@ class TestConfigFile:
             capsys, "detect", str(two_cube_scene), str(pred), "--config", str(cfg), "--tau", "2.0"
         )
         assert code == 0
+
+    def test_bad_config_value_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("views = 2.5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", str(tmp_path / "s"), "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "--views" in capsys.readouterr().err
+
+    def test_perturbation_file_is_synth_config(self, capsys, tmp_path):
+        from rgbdnav.oracle import PerturbationConfig
+
+        cfg = tmp_path / "p.txt"
+        PerturbationConfig(seed=9, box_jitter_px=2, mask_erode_px=-1, drop_prob=0.25, score_sigma=0.1).to_file(cfg)
+        out = tmp_path / "s"
+        code, _, _ = run_cli(
+            capsys, "synth", str(out), "--views", "1", "--width", "160", "--height", "120",
+            "--focal", "160", "--config", str(cfg),
+        )
+        assert code == 0
+        assert (out / "perturbation.txt").read_text() == cfg.read_text()
 
     def test_determinism_across_runs(self, capsys, two_cube_scene, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rgbdnav.fusion import iou_3d, merge_instances, voxel_downsample, voxel_keys
-from rgbdnav.projection import box_from_points
-from rgbdnav.types import Box3D, ObjectCloud
+from rgbdnav import scene_io
+from rgbdnav.fusion import iou_3d, merge_instances, run_scene, voxel_downsample, voxel_keys
+from rgbdnav.projection import box_from_points, reconstruct_object
+from rgbdnav.types import Box3D, ObjectCloud, PipelineConfig
 
 from conftest import VOXEL_SIZES, monte_carlo_iou, pool_clouds, voxel_pools
 
@@ -49,6 +50,22 @@ def merge_instances_reference(views, merge_threshold, voxel_size):
         if len(folded) == len(current):
             return folded
         current = folded
+
+
+def run_scene_reference(scene, config):
+    """Reference: the per-view reconstruct-then-merge loop written out inline."""
+    dropped = 0
+    per_view = []
+    for view in scene.views:
+        produced = []
+        for det, mask in zip(view.detections, view.masks):
+            result = reconstruct_object(view.frame, det, mask, config)
+            if result is None:
+                dropped += 1
+            else:
+                produced.append(result)
+        per_view.append(produced)
+    return merge_instances(per_view, config.merge_threshold, config.voxel_size), dropped
 
 
 @st.composite
@@ -270,3 +287,19 @@ class TestMergeInstances:
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             merge_instances([], 0.0, 0.02)
+
+
+class TestRunScene:
+    def test_matches_inline_reference(self, oracle_scene_dir):
+        # a tiny z-score threshold empties some filtered depths, so detections drop
+        scene = scene_io.load_scene(oracle_scene_dir)
+        config = PipelineConfig(tau=0.01)
+        got, got_dropped = run_scene(scene, config)
+        want, want_dropped = run_scene_reference(scene, config)
+        assert got_dropped == want_dropped > 0
+        assert len(got) == len(want) > 0
+        for (cg, bg), (cw, bw) in zip(got.instances, want.instances):
+            assert np.array_equal(cg.points, cw.points)
+            assert (cg.label, cg.score, cg.source_frames) == (cw.label, cw.score, cw.source_frames)
+            assert np.array_equal(bg.min_corner, bw.min_corner)
+            assert np.array_equal(bg.max_corner, bw.max_corner)

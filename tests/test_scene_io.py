@@ -234,3 +234,21 @@ class TestGroundTruth:
     def test_missing_gt(self, tmp_path):
         with pytest.raises(SceneLayoutError):
             load_gt_instances(tmp_path)
+
+    def test_non_numeric_token_names_file(self, tmp_path):
+        (tmp_path / "0000.txt").write_text("bin\n0.1 0.2 abc\n")
+        with pytest.raises(SceneValidationError, match="0000.txt"):
+            load_gt_instances(tmp_path)
+
+
+class TestKeyValues:
+    def test_raw_strings_comments_and_folding(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("# header\nvoxel-size = 0.04  # trailing\n\nlabel = mug on desk\ntau=2\n")
+        assert scene_io.read_key_values(path) == {"voxel_size": "0.04", "label": "mug on desk", "tau": "2"}
+
+    def test_line_without_equals_names_file_and_line(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("tau = 2\nseed: 3\n")
+        with pytest.raises(ValueError, match=r"c\.txt:2"):
+            scene_io.read_key_values(path)
