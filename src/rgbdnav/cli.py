@@ -7,8 +7,8 @@ Subcommands:
   synth   generate a synthetic scene with oracle detections
   navsim  run the potential-field navigation simulator
 
-Any flag can also come from a '--config FILE' of 'key = value' lines; flags
-given on the command line win, and config values are validated like flags.
+Any flag can also come from a '--config FILE' line 'key = value', the value as
+typed after the flag ('start = 1 2 3'); flags given on the command line win.
 The perturbation.txt that synth writes is a valid synth --config.
 """
 from __future__ import annotations
@@ -79,16 +79,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    # Two-phase parse so --config supplies defaults that explicit flags override.
+def _parse_with_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    # Each config line becomes the flag a user would type, placed right after
+    # the subcommand: flags given later win, and argparse validates the values.
     pre, _ = parser.parse_known_args(argv)
-    if getattr(pre, "config", None):
-        # Raw strings: argparse applies each flag's type= to a string default,
-        # so a bad config value gets the same usage error as a bad flag.
-        values = scene_io.read_key_values(pre.config)
-        for action_parser in parser._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
-            known = {a.dest for a in action_parser._actions}
-            action_parser.set_defaults(**{k: v for k, v in values.items() if k in known})
+    if pre.config:
+        sub = parser._subparsers._group_actions[0].choices[pre.command]  # type: ignore[union-attr]
+        try:
+            values = scene_io.read_key_values(pre.config)
+        except (OSError, ValueError) as e:
+            sub.error(f"cannot read --config file: {e}")
+        tokens = []
+        for action in sub._actions:
+            if action.dest in values and action.option_strings and action.nargs != 0:
+                flag, value = action.option_strings[0], values[action.dest]
+                tokens += [flag, *value.split()] if action.nargs else [f"{flag}={value}"]
+        at = argv.index(pre.command) + 1
+        argv = argv[:at] + tokens + argv[at:]
     return parser.parse_args(argv)
 
 
@@ -112,7 +119,7 @@ def cmd_detect(args) -> int:
     out_dir = Path(args.out_dir)
     scene_io.write_instances(instances, out_dir)
     print(f"views:          {len(scene.views)}")
-    print(f"detections in:  {sum(len(view.detections) for view in scene.views)}")
+    print(f"detections in:  {sum(len(view.masks) for view in scene.views)}")
     print(f"dropped:        {dropped}")
     print(f"instances out:  {len(instances)}")
     print(f"wrote {out_dir / 'boxes.json'} and {len(instances)} cloud file(s)")
@@ -250,7 +257,7 @@ def cmd_navsim(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = _apply_config_defaults(parser, list(sys.argv[1:] if argv is None else argv))
+    args = _parse_with_config(parser, list(sys.argv[1:] if argv is None else argv))
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
     handlers = {
         "detect": cmd_detect,

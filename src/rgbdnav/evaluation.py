@@ -22,7 +22,6 @@ MAP_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 @dataclass(frozen=True)
 class EvalConfig:
     voxel_size: float = 0.02
-    map_thresholds: tuple[float, ...] = MAP_THRESHOLDS
 
     def __post_init__(self):
         if self.voxel_size <= 0:
@@ -138,7 +137,7 @@ def evaluate_scene(
         raise ValueError("no ground-truth instances: nothing to evaluate")
     classes = sorted({g.label for g in gt})
     gt_voxels = [_voxel_set(g.points, config.voxel_size) for g in gt]
-    thresholds = {0.25, 0.50, *config.map_thresholds}
+    thresholds = {0.25, 0.50, *MAP_THRESHOLDS}
     per_class: dict[str, ClassAP] = {}
     counts: dict[str, ClassCounts] = {}
     for cls in classes:
@@ -150,7 +149,7 @@ def evaluate_scene(
             scored.append((cloud.score, np.array([_voxel_iou(voxels, g) for g in gts])))
         tp = {t: _greedy_match(scored, len(gts), t) for t in thresholds}
         ap_at = {t: _envelope_area(flags, len(gts)) for t, flags in tp.items()}
-        ap = float(np.mean([ap_at[t] for t in config.map_thresholds]))
+        ap = float(np.mean([ap_at[t] for t in MAP_THRESHOLDS]))
         per_class[cls] = ClassAP(ap, ap_at[0.50], ap_at[0.25])
         counts[cls] = ClassCounts(
             num_gt=len(gts), num_pred=len(preds), tp50=int(tp[0.50].sum()), tp25=int(tp[0.25].sum())

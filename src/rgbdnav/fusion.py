@@ -136,16 +136,16 @@ def merge_instances(
 def run_scene(scene: Scene, config: PipelineConfig) -> tuple[SceneInstances, int]:
     """Turn a loaded scene into fused instances: the whole detection pipeline.
 
-    Every (detection, mask) pair of every view is reconstructed, views in
-    order, and the per-view results are merged. Returns the instances and
-    the number of detections dropped because reconstruction left no cloud.
+    Every InstanceMask of every view is reconstructed, views in order, and
+    the per-view results are merged. Returns the instances and the number of
+    detections dropped because reconstruction left no cloud.
     """
     dropped = 0
     per_view = []
     for view in scene.views:
         produced = []
-        for det, mask in zip(view.detections, view.masks):
-            result = reconstruct_object(view.frame, det, mask, config)
+        for mask in view.masks:
+            result = reconstruct_object(view.frame, mask, config)
             if result is None:
                 dropped += 1
             else:

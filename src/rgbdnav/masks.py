@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import DepthFrame, Detection2D, InstanceMask
+from .types import DepthFrame, InstanceMask
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,6 @@ class IsolatedDepth:
     us: np.ndarray
     vs: np.ndarray
     depths: np.ndarray
-    source_detection: Detection2D
 
     def __len__(self) -> int:
         return int(self.depths.shape[0])
@@ -76,7 +75,7 @@ def isolate_depth(frame: DepthFrame, eroded: InstanceMask) -> IsolatedDepth:
     vs, us = np.nonzero(eroded.bitmap)
     d = frame.depth[vs, us]
     valid = d > 0
-    return IsolatedDepth(us[valid], vs[valid], d[valid].astype(np.float64), eroded.detection)
+    return IsolatedDepth(us[valid], vs[valid], d[valid].astype(np.float64))
 
 
 def zscore_filter(depths: IsolatedDepth, tau: float = 2.0) -> IsolatedDepth:
@@ -97,6 +96,4 @@ def zscore_filter(depths: IsolatedDepth, tau: float = 2.0) -> IsolatedDepth:
     if sigma == 0.0:
         return depths
     keep = np.abs(depths.depths - mu) / sigma < tau
-    return IsolatedDepth(
-        depths.us[keep], depths.vs[keep], depths.depths[keep], depths.source_detection
-    )
+    return IsolatedDepth(depths.us[keep], depths.vs[keep], depths.depths[keep])

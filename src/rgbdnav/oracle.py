@@ -200,14 +200,10 @@ def make_synthetic_scene(
 
 
 def _dilate_bitmap(bitmap: np.ndarray, selem: np.ndarray) -> np.ndarray:
-    h, w = bitmap.shape
-    ph, pw = selem.shape[0] // 2, selem.shape[1] // 2
-    padded = np.zeros((h + 2 * ph, w + 2 * pw), dtype=bool)
-    padded[ph:ph + h, pw:pw + w] = bitmap
-    out = np.zeros((h, w), dtype=bool)
-    for di, dj in np.argwhere(selem):
-        out |= padded[di:di + h, dj:dj + w]
-    return out
+    """Binary dilation: the complement of eroding the zero-padded bitmap's complement."""
+    (h, w), ph, pw = bitmap.shape, selem.shape[0] // 2, selem.shape[1] // 2
+    background = ~np.pad(bitmap, ((ph, ph), (pw, pw)))
+    return ~erode_bitmap(background, selem)[ph:ph + h, pw:pw + w]
 
 
 def render_gt_detections(
@@ -215,9 +211,10 @@ def render_gt_detections(
     gt: list[GroundTruthInstance],
     noise: PerturbationConfig = PerturbationConfig(),
     depth_scale: float = 0.001,
-) -> tuple[list[Detection2D], list[InstanceMask]]:
+) -> list[InstanceMask]:
     """Synthesize detector/mask outputs for one frame from ground-truth points.
 
+    Returns one InstanceMask, carrying its Detection2D, per detection in GT order.
     A GT point lands in the mask when it projects inside the image and its
     depth agrees with the frame's depth within 2 depth quanta (so occluded
     points stay out). Instances with no visible pixels are omitted; seeded
@@ -226,7 +223,6 @@ def render_gt_detections(
     rng = np.random.default_rng([noise.seed, zlib.crc32(frame.frame_id.encode())])
     intr = frame.intrinsics
     kernel = np.ones((3, 3), dtype=bool)
-    detections: list[Detection2D] = []
     masks: list[InstanceMask] = []
     for inst in gt:
         cam = to_camera(inst.points, frame.pose)
@@ -246,12 +242,9 @@ def render_gt_detections(
         bitmap[vi[visible], ui[visible]] = True
         if noise.drop_prob > 0 and rng.random() < noise.drop_prob:
             continue
-        if noise.mask_erode_px > 0:
-            for _ in range(noise.mask_erode_px):
-                bitmap = erode_bitmap(bitmap, kernel)
-        elif noise.mask_erode_px < 0:
-            for _ in range(-noise.mask_erode_px):
-                bitmap = _dilate_bitmap(bitmap, kernel)
+        morph = erode_bitmap if noise.mask_erode_px > 0 else _dilate_bitmap
+        for _ in range(abs(noise.mask_erode_px)):
+            bitmap = morph(bitmap, kernel)
         if not bitmap.any():
             continue
         ys, xs = np.nonzero(bitmap)
@@ -275,9 +268,8 @@ def render_gt_detections(
         if noise.score_sigma > 0:
             score = float(np.clip(1.0 - abs(rng.normal(0.0, noise.score_sigma)), 0.0, 1.0))
         det = Detection2D((float(x1), float(y1), float(x2), float(y2)), score, inst.label)
-        detections.append(det)
         masks.append(InstanceMask(bitmap, det))
-    return detections, masks
+    return masks
 
 
 def populate_detections(scene_dir: Path, noise: PerturbationConfig = PerturbationConfig()) -> int:
@@ -294,15 +286,15 @@ def populate_detections(scene_dir: Path, noise: PerturbationConfig = Perturbatio
         frame_id = view.frame.frame_id
         for old in frames_dir.glob(f"{frame_id}.mask.*.pgm"):
             old.unlink()
-        dets, det_masks = render_gt_detections(view.frame, scene.gt, noise, scene.depth_scale)
-        scene_io.write_detections(frames_dir / f"{frame_id}.detections.txt", dets)
-        for k, m in enumerate(det_masks):
+        masks = render_gt_detections(view.frame, scene.gt, noise, scene.depth_scale)
+        scene_io.write_detections(frames_dir / f"{frame_id}.detections.txt", [m.detection for m in masks])
+        for k, m in enumerate(masks):
             scene_io.write_pgm(
                 frames_dir / f"{frame_id}.mask.{k}.pgm",
                 m.bitmap.astype(np.uint16) * 255,
                 maxval=255,
             )
-        total += len(dets)
+        total += len(masks)
     return total
 
 

@@ -11,7 +11,7 @@ import logging
 import numpy as np
 
 from .masks import InstanceMask, IsolatedDepth, StructuringElement, erode_mask, isolate_depth, zscore_filter
-from .types import Box3D, CameraIntrinsics, CameraPose, DepthFrame, Detection2D, ObjectCloud, PipelineConfig
+from .types import Box3D, CameraIntrinsics, CameraPose, DepthFrame, ObjectCloud, PipelineConfig
 
 logger = logging.getLogger(__name__)
 
@@ -60,15 +60,16 @@ def box_from_points(points: np.ndarray) -> Box3D:
 
 def reconstruct_object(
     frame: DepthFrame,
-    detection: Detection2D,
     mask: InstanceMask,
     config: PipelineConfig = PipelineConfig(),
 ) -> tuple[ObjectCloud, Box3D] | None:
     """Run erode -> isolate -> z-filter -> back-project -> world -> box for one object.
 
-    Returns None (a drop, not an error) when any stage yields an empty set,
-    e.g. a mask that erodes away or lies entirely over invalid depth.
+    The cloud takes its label and score from ``mask.detection``. Returns None
+    (a drop, not an error) when any stage yields an empty set, e.g. a mask
+    that erodes away or lies entirely over invalid depth.
     """
+    detection = mask.detection
     kernel = StructuringElement.box(config.kernel_size)
     eroded = erode_mask(mask, kernel)
     if not eroded.bitmap.any():

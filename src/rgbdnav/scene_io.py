@@ -56,8 +56,9 @@ class SceneValidationError(SceneError):
 
 @dataclass(frozen=True)
 class SceneView:
+    """One frame and its detections, as InstanceMasks in detections-file order."""
+
     frame: DepthFrame
-    detections: list[Detection2D]
     masks: list[InstanceMask]
 
 
@@ -295,20 +296,29 @@ def load_scene(scene_dir: Path) -> Scene:
             _load_mask(frames_dir / f"{frame_id}.mask.{k}.pgm", frame_id, k, det, intr)
             for k, det in enumerate(detections)
         ]
-        stray = sorted(
-            p.name for p in frames_dir.glob(f"{frame_id}.mask.*.pgm")
-        )
-        if len(stray) != len(detections):
+        mask_files = len(list(frames_dir.glob(f"{frame_id}.mask.*.pgm")))
+        if mask_files != len(detections):
             raise SceneValidationError(
-                f"frame {frame_id}: {len(stray)} mask files for {len(detections)} detections"
+                f"frame {frame_id}: {mask_files} mask files for {len(detections)} detections"
             )
-        views.append(SceneView(frame, detections, masks))
+        views.append(SceneView(frame, masks))
     return Scene(root, intr, depth_scale, views)
 
 
 # ---------------------------------------------------------------------------
 # Ground-truth instance lists
 # ---------------------------------------------------------------------------
+
+def _parse_xyz(path: Path, tokens: list[str]) -> np.ndarray:
+    """``x y z`` tokens read from path as (N, 3) float64; a bad token or count names the file."""
+    try:
+        coords = np.array(tokens, dtype=np.float64)
+    except ValueError as e:
+        raise SceneValidationError(f"{path}: non-numeric coordinate: {e}") from e
+    if coords.size % 3:
+        raise SceneValidationError(f"{path}: point rows must hold 3 coordinates each")
+    return coords.reshape(-1, 3)
+
 
 def load_gt_instances(path: Path) -> list[GroundTruthInstance]:
     """Load ground-truth instances from a scene dir, a gt/ dir, or the instances dir itself."""
@@ -323,18 +333,11 @@ def load_gt_instances(path: Path) -> list[GroundTruthInstance]:
     for f in sorted(inst_dir.glob("*.txt")):
         text = f.read_text()
         newline = text.find("\n")
-        if newline < 0:
+        label = text[:newline].strip() if newline >= 0 else ""
+        points = _parse_xyz(f, text[newline + 1:].split() if label else [])
+        if not label or points.size == 0:
             raise SceneValidationError(f"{f}: expected a label line followed by points")
-        label = text[:newline].strip()
-        if not label:
-            raise SceneValidationError(f"{f}: empty label line")
-        try:
-            coords = np.array(text[newline + 1:].split(), dtype=np.float64)
-        except ValueError as e:
-            raise SceneValidationError(f"{f}: non-numeric coordinate: {e}") from e
-        if coords.size == 0 or coords.size % 3:
-            raise SceneValidationError(f"{f}: point rows must hold 3 coordinates each")
-        instances.append(GroundTruthInstance(label, coords.reshape(-1, 3)))
+        instances.append(GroundTruthInstance(label, points))
     return instances
 
 
@@ -391,30 +394,30 @@ def write_cloud_ply(cloud: ObjectCloud, path: Path) -> None:
 
 
 def read_cloud_ply(path: Path) -> np.ndarray:
-    """Read the vertices of an ASCII PLY written by :func:`write_cloud_ply`."""
+    """Read the vertices of an ASCII PLY written by :func:`write_cloud_ply`; errors name the file."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != "ply":
-        raise ValueError(f"{path}: not a PLY file")
+        raise SceneValidationError(f"{path}: not a PLY file")
     count = None
     props = []
     body_start = None
     for i, line in enumerate(lines[1:], start=1):
         tokens = line.split()
         if tokens[:2] == ["element", "vertex"]:
-            count = int(tokens[2])
+            count = tokens[2] if len(tokens) > 2 else ""
         elif tokens and tokens[0] == "property":
             props.append(tokens[-1])
         elif tokens == ["end_header"]:
             body_start = i + 1
             break
-    if count is None or body_start is None:
-        raise ValueError(f"{path}: malformed PLY header")
+    if count is None or body_start is None or not count.isdecimal():
+        raise SceneValidationError(f"{path}: malformed PLY header")
     if props != ["x", "y", "z"]:
-        raise ValueError(f"{path}: expected x/y/z vertex properties, got {props}")
-    values = np.array(" ".join(lines[body_start:]).split(), dtype=np.float64)
-    if values.size != 3 * count:
-        raise ValueError(f"{path}: header promises {count} vertices, body holds {values.size // 3}")
-    return values.reshape(-1, 3)
+        raise SceneValidationError(f"{path}: expected x/y/z vertex properties, got {props}")
+    points = _parse_xyz(path, " ".join(lines[body_start:]).split())
+    if len(points) != int(count):
+        raise SceneValidationError(f"{path}: header promises {count} vertices, body holds {len(points)}")
+    return points
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ class Detection2D:
 
 @dataclass(frozen=True)
 class InstanceMask:
-    """Binary pixel mask for one detection; bitmap has full image shape."""
+    """A Detection2D with its full-image pixel bitmap: the one record per detection."""
 
     bitmap: np.ndarray
     detection: Detection2D

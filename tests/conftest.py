@@ -3,6 +3,7 @@ import shutil
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rgbdnav import oracle
 
@@ -42,6 +43,31 @@ def erosion_oracle(bitmap: np.ndarray, selem: np.ndarray) -> np.ndarray:
                     break
             out[i, j] = ok
     return out
+
+
+def dilation_oracle(bitmap: np.ndarray, selem: np.ndarray) -> np.ndarray:
+    """Per-pixel double loop: a pixel is set when any set offset of selem lands on a set pixel."""
+    h, w = bitmap.shape
+    kh, kw = selem.shape
+    ph, pw = kh // 2, kw // 2
+    out = np.zeros((h, w), dtype=bool)
+    for i in range(h):
+        for j in range(w):
+            for di in range(kh):
+                for dj in range(kw):
+                    ii, jj = i + di - ph, j + dj - pw
+                    if selem[di, dj] and 0 <= ii < h and 0 <= jj < w and bitmap[ii, jj]:
+                        out[i, j] = True
+    return out
+
+
+@st.composite
+def odd_kernels(draw) -> np.ndarray:
+    """Structuring elements with odd sides up to 5 and the center set; often not symmetric."""
+    shape = (draw(st.sampled_from([1, 3, 5])), draw(st.sampled_from([1, 3, 5])))
+    selem = draw(arrays(bool, shape)).copy()
+    selem[shape[0] // 2, shape[1] // 2] = True
+    return selem
 
 
 def zscore_keep_oracle(values, tau: float) -> list[int]:

@@ -19,7 +19,6 @@ from rgbdnav.types import (
     Box3D,
     CameraIntrinsics,
     CameraPose,
-    Detection2D,
     GroundTruthInstance,
     ObjectCloud,
     PipelineConfig,
@@ -112,7 +111,6 @@ def test_criterion_4_zscore_contract():
     """1000 random depth sets reproduce the independent z-score oracle exactly."""
     with criterion(4, "z-score contract"):
         rng = np.random.default_rng(404)
-        det = Detection2D((0.0, 0.0, 64.0, 64.0), 1.0, "thing")
         degenerate_sigma = degenerate_small = 0
         for i in range(1000):
             kind = rng.random()
@@ -129,7 +127,7 @@ def test_criterion_4_zscore_contract():
                 values = rng.uniform(0.5, 5.0, n)
                 if rng.random() < 0.5:
                     values[: max(1, n // 10)] *= 10  # inject outliers
-            iso = IsolatedDepth(np.arange(len(values)), np.zeros(len(values), int), values, det)
+            iso = IsolatedDepth(np.arange(len(values)), np.zeros(len(values), int), values)
             kept = zscore_filter(iso, 2.0)
             assert list(kept.us) == zscore_keep_oracle(list(values), 2.0)
         assert degenerate_sigma > 50 and degenerate_small > 50
@@ -239,15 +237,15 @@ def test_criterion_8_timing(tmp_path):
         oracle.populate_detections(scene_dir)
         scene = scene_io.load_scene(scene_dir)
         view = scene.views[0]
-        assert len(view.detections) == 5
+        assert len(view.masks) == 5
         config = PipelineConfig()
-        for det, mask in zip(view.detections, view.masks):  # warm-up
-            reconstruct_object(view.frame, det, mask, config)
+        for mask in view.masks:  # warm-up
+            reconstruct_object(view.frame, mask, config)
         samples = []
         for _ in range(7):
             t0 = time.perf_counter()
-            for det, mask in zip(view.detections, view.masks):
-                reconstruct_object(view.frame, det, mask, config)
+            for mask in view.masks:
+                reconstruct_object(view.frame, mask, config)
             samples.append(time.perf_counter() - t0)
         t_view = sorted(samples)[len(samples) // 2]
         print(f"  view time {1000 * t_view:.1f} ms on {bench.hardware_summary()}", end=" ")

@@ -247,6 +247,33 @@ class TestConfigFile:
         assert exc.value.code == 2
         assert "--views" in capsys.readouterr().err
 
+    def test_line_without_equals_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("views 3\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", str(tmp_path / "s"), "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "cfg.txt:1" in capsys.readouterr().err
+
+    def test_missing_config_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "absent.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", str(tmp_path / "s"), "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "absent.txt" in capsys.readouterr().err
+
+    def test_multi_value_flag_from_config(self, tmp_path):
+        from rgbdnav.cli import _parse_with_config, build_parser
+
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("start = 1 -2 3\nmax_steps = 7\nlabel = not a navsim flag\n")
+        from_config = _parse_with_config(build_parser(), ["navsim", "t.csv", "--config", str(cfg)])
+        from_flags = build_parser().parse_args(
+            ["navsim", "t.csv", "--config", str(cfg), "--start", "1", "-2", "3", "--max-steps", "7"]
+        )
+        assert from_config == from_flags
+        assert from_config.start == [1.0, -2.0, 3.0]
+
     def test_perturbation_file_is_synth_config(self, capsys, tmp_path):
         from rgbdnav.oracle import PerturbationConfig
 

@@ -11,6 +11,7 @@ from rgbdnav.evaluation import (
     ClassCounts,
     EvalConfig,
     EvalReport,
+    MAP_THRESHOLDS,
     average_precision,
     evaluate_scene,
     format_report,
@@ -294,7 +295,7 @@ class TestEvaluateScene:
         pred, gt, voxel = inputs
         config = EvalConfig(voxel_size=voxel)
         assert evaluate_scene(pred, gt, config) == evaluate_scene_reference(
-            pred, gt, voxel, config.map_thresholds
+            pred, gt, voxel, MAP_THRESHOLDS
         )
 
     def test_report_formatting(self):

@@ -58,8 +58,8 @@ def run_scene_reference(scene, config):
     per_view = []
     for view in scene.views:
         produced = []
-        for det, mask in zip(view.detections, view.masks):
-            result = reconstruct_object(view.frame, det, mask, config)
+        for mask in view.masks:
+            result = reconstruct_object(view.frame, mask, config)
             if result is None:
                 dropped += 1
             else:

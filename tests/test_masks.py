@@ -135,8 +135,7 @@ class TestIsolateDepth:
 def _isolated(values):
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
-    det = Detection2D((0.0, 0.0, 8.0, 8.0), 1.0, "thing")
-    return IsolatedDepth(np.arange(n), np.zeros(n, dtype=int), values, det)
+    return IsolatedDepth(np.arange(n), np.zeros(n, dtype=int), values)
 
 
 class TestZScoreFilter:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rgbdnav import oracle, scene_io
 from rgbdnav.oracle import (
@@ -14,6 +17,8 @@ from rgbdnav.oracle import (
 )
 from rgbdnav.projection import project_to_pixels, to_camera
 from rgbdnav.types import Box3D, CameraPose
+
+from conftest import dilation_oracle, odd_kernels
 
 
 def _cube(label, center, side=1.0):
@@ -107,9 +112,9 @@ class TestRenderGtDetections:
         # projects there and z-buffers against the rendered depth
         scene = scene_io.load_scene(oracle_scene_dir)
         view = scene.views[3]
-        dets, masks = render_gt_detections(view.frame, scene.gt, PerturbationConfig(), scene.depth_scale)
-        assert len(dets) == 3
-        by_label = {d.label: m for d, m in zip(dets, masks)}
+        masks = render_gt_detections(view.frame, scene.gt, PerturbationConfig(), scene.depth_scale)
+        assert len(masks) == 3
+        by_label = {m.detection.label: m for m in masks}
         for inst in scene.gt:
             cam = to_camera(inst.points, view.frame.pose)
             cam = cam[cam[:, 2] > 0]
@@ -126,39 +131,48 @@ class TestRenderGtDetections:
     def test_boxes_are_tight(self, oracle_scene_dir):
         scene = scene_io.load_scene(oracle_scene_dir)
         view = scene.views[0]
-        dets, masks = render_gt_detections(view.frame, scene.gt, PerturbationConfig(), scene.depth_scale)
-        for det, mask in zip(dets, masks):
+        for mask in render_gt_detections(view.frame, scene.gt, PerturbationConfig(), scene.depth_scale):
+            det = mask.detection
             vs, us = np.nonzero(mask.bitmap)
             assert det.box == (float(us.min()), float(vs.min()), float(us.max() + 1), float(vs.max() + 1))
             assert det.score == 1.0
 
     def test_drop_prob_one_removes_everything(self, oracle_scene_dir):
         scene = scene_io.load_scene(oracle_scene_dir)
-        dets, masks = render_gt_detections(
+        masks = render_gt_detections(
             scene.views[0].frame, scene.gt, PerturbationConfig(seed=1, drop_prob=1.0), scene.depth_scale
         )
-        assert dets == [] and masks == []
+        assert masks == []
 
     def test_deterministic_given_seed(self, oracle_scene_dir):
         scene = scene_io.load_scene(oracle_scene_dir)
         noise = PerturbationConfig(seed=42, box_jitter_px=3, mask_erode_px=1, drop_prob=0.3, score_sigma=0.2)
         a = render_gt_detections(scene.views[1].frame, scene.gt, noise, scene.depth_scale)
         b = render_gt_detections(scene.views[1].frame, scene.gt, noise, scene.depth_scale)
-        assert [d.box for d in a[0]] == [d.box for d in b[0]]
-        assert [d.score for d in a[0]] == [d.score for d in b[0]]
-        for ma, mb in zip(a[1], b[1]):
+        assert [m.detection for m in a] == [m.detection for m in b]
+        for ma, mb in zip(a, b):
             assert np.array_equal(ma.bitmap, mb.bitmap)
 
     def test_jittered_masks_stay_inside_boxes(self, oracle_scene_dir):
         scene = scene_io.load_scene(oracle_scene_dir)
         noise = PerturbationConfig(seed=3, box_jitter_px=6, mask_erode_px=-2)
         for view in scene.views[:4]:
-            dets, masks = render_gt_detections(view.frame, scene.gt, noise, scene.depth_scale)
-            for det, mask in zip(dets, masks):
+            for mask in render_gt_detections(view.frame, scene.gt, noise, scene.depth_scale):
                 vs, us = np.nonzero(mask.bitmap)
-                x1, y1, x2, y2 = det.box
+                x1, y1, x2, y2 = mask.detection.box
                 assert us.min() >= x1 and us.max() < x2
                 assert vs.min() >= y1 and vs.max() < y2
+
+
+class TestDilation:
+    @settings(max_examples=300)
+    @given(arrays(bool, st.tuples(st.integers(1, 10), st.integers(1, 10))), odd_kernels())
+    @example(  # one pixel under an L-shaped kernel: the result is not symmetric either
+        np.eye(1, 25, 12, dtype=bool).reshape(5, 5),
+        np.array([[1, 1, 0], [0, 1, 0], [0, 0, 0]], dtype=bool),
+    )
+    def test_matches_brute_force_oracle(self, bitmap, selem):
+        assert np.array_equal(oracle._dilate_bitmap(bitmap, selem), dilation_oracle(bitmap, selem))
 
 
 class TestPopulateDetections:
@@ -176,7 +190,7 @@ class TestPopulateDetections:
     def test_stale_masks_removed(self, mutable_scene_dir):
         populate_detections(mutable_scene_dir, PerturbationConfig(seed=1, drop_prob=0.9))
         scene = scene_io.load_scene(mutable_scene_dir)  # would raise on stray masks
-        assert sum(len(v.detections) for v in scene.views) < 60
+        assert sum(len(v.masks) for v in scene.views) < 60
 
 
 class TestPerturbationConfig:

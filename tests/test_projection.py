@@ -29,8 +29,7 @@ from conftest import random_rotation
 
 
 def _isolated(us, vs, ds):
-    det = Detection2D((0.0, 0.0, 64.0, 64.0), 1.0, "thing")
-    return IsolatedDepth(np.asarray(us), np.asarray(vs), np.asarray(ds, dtype=np.float64), det)
+    return IsolatedDepth(np.asarray(us), np.asarray(vs), np.asarray(ds, dtype=np.float64))
 
 
 class TestBackProject:
@@ -138,7 +137,7 @@ def _flat_square_frame(size=16, mask_side=10, depth_val=2.0, pose=None):
     bitmap = depth > 0
     det = Detection2D((float(lo), float(lo), float(lo + mask_side), float(lo + mask_side)), 1.0, "slab")
     frame = DepthFrame("f0", depth, intr, pose or CameraPose.identity())
-    return frame, det, InstanceMask(bitmap, det)
+    return frame, InstanceMask(bitmap, det)
 
 
 class TestReconstructObject:
@@ -146,8 +145,8 @@ class TestReconstructObject:
         # 10x10 mask at constant depth centered on the principal point: after
         # one erosion the surviving pixels span the interior 8x8, so the box
         # extents follow directly from the back-projection formulas.
-        frame, det, mask = _flat_square_frame()
-        cloud, box = reconstruct_object(frame, det, mask, PipelineConfig())
+        frame, mask = _flat_square_frame()
+        cloud, box = reconstruct_object(frame, mask, PipelineConfig())
         d, f = 2.0, 40.0
         # surviving pixels run 4..11 of a 16-wide image with center 7.5
         expected_half = (7.5 - 4.0) * d / f
@@ -156,29 +155,29 @@ class TestReconstructObject:
         assert np.allclose(box.max_corner[:2], [expected_half, expected_half])
 
     def test_mask_over_invalid_depth_dropped(self):
-        frame, det, mask = _flat_square_frame()
+        frame, mask = _flat_square_frame()
         dead = DepthFrame(frame.frame_id, np.zeros_like(frame.depth), frame.intrinsics, frame.pose)
-        assert reconstruct_object(dead, det, mask, PipelineConfig()) is None
+        assert reconstruct_object(dead, mask, PipelineConfig()) is None
 
     def test_tiny_mask_erodes_away(self):
-        frame, det, mask = _flat_square_frame()
+        frame, mask = _flat_square_frame()
         bitmap = np.zeros_like(mask.bitmap)
         bitmap[8, 8] = True
-        assert reconstruct_object(frame, det, InstanceMask(bitmap, det), PipelineConfig()) is None
+        assert reconstruct_object(frame, InstanceMask(bitmap, mask.detection), PipelineConfig()) is None
 
     def test_pose_moves_box_with_cloud(self):
         rng = np.random.default_rng(3)
         pose = CameraPose(random_rotation(rng), rng.normal(size=3))
-        frame_id, det, mask = _flat_square_frame()
-        cloud_id, _ = reconstruct_object(frame_id, det, mask, PipelineConfig())
+        frame_id, mask = _flat_square_frame()
+        cloud_id, _ = reconstruct_object(frame_id, mask, PipelineConfig())
         frame_posed = DepthFrame("f1", frame_id.depth, frame_id.intrinsics, pose)
-        cloud_posed, box_posed = reconstruct_object(frame_posed, det, mask, PipelineConfig())
+        cloud_posed, box_posed = reconstruct_object(frame_posed, mask, PipelineConfig())
         expected = box_from_points(to_world(cloud_id.points, pose))
         assert np.allclose(box_posed.min_corner, expected.min_corner, atol=1e-12)
         assert np.allclose(box_posed.max_corner, expected.max_corner, atol=1e-12)
 
     def test_cloud_records_frame_and_label(self):
-        frame, det, mask = _flat_square_frame()
-        cloud, _ = reconstruct_object(frame, det, mask, PipelineConfig())
+        frame, mask = _flat_square_frame()
+        cloud, _ = reconstruct_object(frame, mask, PipelineConfig())
         assert cloud.label == "slab"
         assert cloud.source_frames == frozenset({"f0"})

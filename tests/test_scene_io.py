@@ -81,7 +81,7 @@ class TestLoadScene:
         assert len(scene.views) == 2
         assert [v.frame.frame_id for v in scene.views] == ["0000", "0001"]
         assert scene.views[0].frame.depth[0, 0] == pytest.approx(1.5)
-        assert len(scene.views[0].detections) == 1
+        assert len(scene.views[0].masks) == 1
         assert scene.views[0].masks[0].pixel_count() == 6
 
     def test_identity_pose_loads_as_identity(self, tmp_path):
@@ -143,12 +143,12 @@ class TestLoadScene:
         mask_rows[1][2] = 255
         root = make_fixture_scene(tmp_path / "s", detections="-3 -1 9 9 0.5 mug\n", mask_rows=mask_rows)
         scene = load_scene(root)
-        assert scene.views[0].detections[0].box == (0.0, 0.0, 6.0, 4.0)
+        assert scene.views[0].masks[0].detection.box == (0.0, 0.0, 6.0, 4.0)
 
     def test_empty_detections_allowed(self, tmp_path):
         root = make_fixture_scene(tmp_path / "s", detections="")
         scene = load_scene(root)
-        assert scene.views[0].detections == []
+        assert scene.views[0].masks == []
 
     def test_missing_dir(self, tmp_path):
         with pytest.raises(SceneLayoutError):
@@ -157,7 +157,7 @@ class TestLoadScene:
     def test_label_with_spaces(self, tmp_path):
         root = make_fixture_scene(tmp_path / "s", detections="1 1 4 3 0.9 coffee mug\n")
         scene = load_scene(root)
-        assert scene.views[0].detections[0].label == "coffee mug"
+        assert scene.views[0].masks[0].detection.label == "coffee mug"
 
 
 class TestPly:
@@ -176,6 +176,20 @@ class TestPly:
         back = read_cloud_ply(path)
         assert back.shape == pts.shape
         assert np.abs(back - pts).max() < 1e-5
+
+    def test_non_numeric_token_names_file(self, tmp_path):
+        path = tmp_path / "c.ply"
+        write_cloud_ply(ObjectCloud(np.array([[0.1, 0.2, 0.3]]), "chair", 1.0), path)
+        path.write_text(path.read_text().replace("0.300000", "abc"))
+        with pytest.raises(SceneValidationError, match=r"c\.ply: non-numeric"):
+            read_cloud_ply(path)
+
+    def test_non_integer_vertex_count_names_file(self, tmp_path):
+        path = tmp_path / "c.ply"
+        write_cloud_ply(ObjectCloud(np.array([[0.1, 0.2, 0.3]]), "chair", 1.0), path)
+        path.write_text(path.read_text().replace("element vertex 1", "element vertex x"))
+        with pytest.raises(SceneValidationError, match=r"c\.ply: malformed PLY header"):
+            read_cloud_ply(path)
 
     def test_empty_cloud_refused(self, tmp_path):
         with pytest.raises(ValueError):
@@ -233,6 +247,12 @@ class TestGroundTruth:
 
     def test_missing_gt(self, tmp_path):
         with pytest.raises(SceneLayoutError):
+            load_gt_instances(tmp_path)
+
+    @pytest.mark.parametrize("text", ["bin", "bin\n", "\n0.1 0.2 0.3\n", "bin\n0.1 0.2\n"])
+    def test_missing_label_or_points_names_file(self, tmp_path, text):
+        (tmp_path / "0000.txt").write_text(text)
+        with pytest.raises(SceneValidationError, match="0000.txt"):
             load_gt_instances(tmp_path)
 
     def test_non_numeric_token_names_file(self, tmp_path):
