@@ -192,9 +192,11 @@ def _parse_boxes_file(path: str) -> list[oracle.LabeledBox]:
             raise ValueError(
                 f"{path}:{lineno}: expected 'label xmin ymin zmin xmax ymax zmax'"
             )
-        lo = np.array([float(v) for v in parts[1:4]])
-        hi = np.array([float(v) for v in parts[4:7]])
-        boxes.append(oracle.LabeledBox(parts[0], Box3D(lo, hi)))
+        try:
+            box = Box3D(np.array([float(v) for v in parts[1:4]]), np.array([float(v) for v in parts[4:7]]))
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from e
+        boxes.append(oracle.LabeledBox(parts[0], box))
     return boxes
 
 

@@ -1,11 +1,11 @@
 """Ground-truth-driven stand-ins for the 2D detector and mask generator.
 
 The synthetic-scene generator renders analytic depth images of labeled
-axis-aligned boxes along a camera trajectory and records, per instance, the
-world-frame points of every visible (depth-quantized) surface pixel. The
-detection oracle projects those ground-truth points back into a frame,
-z-buffers them against the frame's depth, and emits a mask plus the tight
-box around it, with optional seeded perturbations for degradation studies.
+axis-aligned boxes along a camera trajectory and saves, next to each depth
+image, the instance-id image of the render: which box owns each pixel. The
+detection oracle reads a frame's mask for box k straight from that image
+(``ids == k + 1``) and emits it with the tight box around it, with optional
+seeded perturbations for degradation studies.
 """
 from __future__ import annotations
 
@@ -17,16 +17,7 @@ import numpy as np
 
 from . import scene_io
 from .masks import erode_bitmap
-from .projection import back_project_pixels, project_to_pixels, to_camera, to_world
-from .types import (
-    Box3D,
-    CameraIntrinsics,
-    CameraPose,
-    DepthFrame,
-    Detection2D,
-    GroundTruthInstance,
-    InstanceMask,
-)
+from .types import Box3D, CameraIntrinsics, CameraPose, DepthFrame, Detection2D, InstanceMask
 
 _NEAR = 1e-6
 
@@ -58,16 +49,6 @@ class PerturbationConfig:
             raise ValueError(f"drop_prob must be in [0, 1], got {self.drop_prob}")
         if self.score_sigma < 0:
             raise ValueError(f"score_sigma must be non-negative, got {self.score_sigma}")
-
-    @classmethod
-    def from_file(cls, path: Path) -> "PerturbationConfig":
-        kwargs = {}
-        for key, value in scene_io.read_key_values(path).items():
-            field = cls.__dataclass_fields__.get(key)
-            if field is None:
-                raise ValueError(f"{path}: unknown perturbation field {key!r}")
-            kwargs[key] = type(field.default)(value)  # every default is an int or a float
-        return cls(**kwargs)
 
     def to_file(self, path: Path) -> None:
         Path(path).write_text(
@@ -130,20 +111,22 @@ def render_depth(
     ).reshape(-1, 3)
     dirs_w = dirs_cam @ pose.rotation.T
     origin = pose.translation
-    hits = np.full((len(boxes), h * w), np.inf)
+    depth = np.full(h * w, np.inf)
+    owner = np.full(h * w, -1, dtype=np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs_w
+        inv = (1.0 / dirs_w).T.copy()  # one contiguous row per axis
         for i, lb in enumerate(boxes):
-            t1 = (lb.box.min_corner - origin) * inv
-            t2 = (lb.box.max_corner - origin) * inv
-            tmin = np.nanmax(np.minimum(t1, t2), axis=1)
-            tmax = np.nanmin(np.maximum(t1, t2), axis=1)
-            hit = (tmax >= tmin) & (tmin > _NEAR)
-            hits[i, hit] = tmin[hit]
-    owner = np.argmin(hits, axis=0).astype(np.int64)
-    depth = hits[owner, np.arange(h * w)]
-    owner[~np.isfinite(depth)] = -1
-    depth[~np.isfinite(depth)] = 0.0
+            t1 = (lb.box.min_corner - origin)[:, None] * inv
+            t2 = (lb.box.max_corner - origin)[:, None] * inv
+            lo, hi = np.minimum(t1, t2), np.maximum(t1, t2, out=t2)
+            # fmax/fmin skip NaN (0 * inf on a slab plane) and keep an all-NaN triple NaN.
+            tmin = np.fmax(np.fmax(lo[0], lo[1]), lo[2])
+            tmax = np.fmin(np.fmin(hi[0], hi[1]), hi[2])
+            # strictly nearer, so on a tie the earlier box keeps the pixel
+            nearer = (tmax >= tmin) & (tmin > _NEAR) & (tmin < depth)
+            depth[nearer] = tmin[nearer]
+            owner[nearer] = i
+    depth[owner < 0] = 0.0
     # The ray parameter equals the camera-frame z coordinate because the ray
     # direction has unit z in the camera frame.
     return depth.reshape(h, w), owner.reshape(h, w)
@@ -156,7 +139,7 @@ def make_synthetic_scene(
     scene_dir: Path,
     depth_scale: float = 0.001,
 ) -> Path:
-    """Write the full scene layout: depth renders, poses, intrinsics, ground truth.
+    """Write the full scene layout: depth renders, poses, intrinsics, ground-truth id images and labels.
 
     Detections files are created empty; use :func:`populate_detections` to
     synthesize detector outputs from the ground truth.
@@ -167,9 +150,11 @@ def make_synthetic_scene(
         raise ValueError("zero-length camera trajectory")
     scene_dir = Path(scene_dir)
     frames_dir = scene_dir / "frames"
-    frames_dir.mkdir(parents=True, exist_ok=True)
+    ids_dir = scene_dir / "gt" / "ids"
+    for d in (frames_dir, ids_dir):
+        d.mkdir(parents=True, exist_ok=True)
     scene_io.write_intrinsics(scene_dir / "intrinsics.txt", intrinsics, depth_scale)
-    gt_points: list[list[np.ndarray]] = [[] for _ in boxes]
+    pixels = np.zeros(len(boxes) + 1, dtype=np.int64)
     for i, pose in enumerate(trajectory):
         frame_id = f"{i:04d}"
         depth, owner = render_depth(boxes, pose, intrinsics)
@@ -183,19 +168,13 @@ def make_synthetic_scene(
         scene_io.write_pgm(frames_dir / f"{frame_id}.depth.pgm", quantized.astype(np.uint16))
         scene_io.write_pose(frames_dir / f"{frame_id}.pose.txt", pose)
         (frames_dir / f"{frame_id}.detections.txt").write_text("")
-        for k in range(len(boxes)):
-            vs, us = np.nonzero(owner == k)
-            if vs.size == 0:
-                continue
-            cam = back_project_pixels(us, vs, quantized[vs, us] * depth_scale, intrinsics)
-            gt_points[k].append(to_world(cam, pose))
-    unseen = [lb.label for lb, pts in zip(boxes, gt_points) if not pts]
+        ids = owner + 1
+        scene_io.write_pgm(ids_dir / f"{frame_id}.pgm", ids, maxval=255 if len(boxes) <= 255 else 65535)
+        pixels += np.bincount(ids.ravel(), minlength=len(boxes) + 1)
+    unseen = [lb.label for lb, n in zip(boxes, pixels[1:]) if n == 0]
     if unseen:
         raise ValueError(f"boxes outside every camera frustum: {unseen}")
-    gt = [
-        GroundTruthInstance(lb.label, np.vstack(pts)) for lb, pts in zip(boxes, gt_points)
-    ]
-    scene_io.write_gt_instances(gt, scene_dir / "gt" / "instances")
+    (scene_dir / "gt" / "labels.txt").write_text("".join(f"{lb.label}\n" for lb in boxes))
     return scene_dir
 
 
@@ -208,38 +187,25 @@ def _dilate_bitmap(bitmap: np.ndarray, selem: np.ndarray) -> np.ndarray:
 
 def render_gt_detections(
     frame: DepthFrame,
-    gt: list[GroundTruthInstance],
+    ids: np.ndarray,
+    labels: list[str],
     noise: PerturbationConfig = PerturbationConfig(),
-    depth_scale: float = 0.001,
 ) -> list[InstanceMask]:
-    """Synthesize detector/mask outputs for one frame from ground-truth points.
+    """Synthesize detector/mask outputs for one frame from its instance-id image.
 
-    Returns one InstanceMask, carrying its Detection2D, per detection in GT order.
-    A GT point lands in the mask when it projects inside the image and its
-    depth agrees with the frame's depth within 2 depth quanta (so occluded
-    points stay out). Instances with no visible pixels are omitted; seeded
-    perturbations may then drop, shrink, or jitter the survivors.
+    Returns one InstanceMask, carrying its Detection2D, per detection in label
+    order. The mask of label k is ``ids == k + 1``. Labels with no pixels in
+    the frame are omitted; seeded perturbations may then drop, shrink, or
+    jitter the survivors.
     """
     rng = np.random.default_rng([noise.seed, zlib.crc32(frame.frame_id.encode())])
     intr = frame.intrinsics
     kernel = np.ones((3, 3), dtype=bool)
     masks: list[InstanceMask] = []
-    for inst in gt:
-        cam = to_camera(inst.points, frame.pose)
-        front = cam[:, 2] > _NEAR
-        cam = cam[front]
-        if cam.shape[0] == 0:
+    for k, label in enumerate(labels):
+        bitmap = ids == k + 1
+        if not bitmap.any():
             continue
-        u, v = project_to_pixels(cam, intr)
-        ui = np.rint(u).astype(np.int64)
-        vi = np.rint(v).astype(np.int64)
-        inside = (ui >= 0) & (ui < intr.width) & (vi >= 0) & (vi < intr.height)
-        ui, vi, z = ui[inside], vi[inside], cam[inside, 2]
-        visible = np.abs(z - frame.depth[vi, ui]) <= 2.0 * depth_scale
-        if not visible.any():
-            continue
-        bitmap = np.zeros((intr.height, intr.width), dtype=bool)
-        bitmap[vi[visible], ui[visible]] = True
         if noise.drop_prob > 0 and rng.random() < noise.drop_prob:
             continue
         morph = erode_bitmap if noise.mask_erode_px > 0 else _dilate_bitmap
@@ -267,26 +233,26 @@ def render_gt_detections(
         score = 1.0
         if noise.score_sigma > 0:
             score = float(np.clip(1.0 - abs(rng.normal(0.0, noise.score_sigma)), 0.0, 1.0))
-        det = Detection2D((float(x1), float(y1), float(x2), float(y2)), score, inst.label)
+        det = Detection2D((float(x1), float(y1), float(x2), float(y2)), score, label)
         masks.append(InstanceMask(bitmap, det))
     return masks
 
 
 def populate_detections(scene_dir: Path, noise: PerturbationConfig = PerturbationConfig()) -> int:
-    """(Re)write detections and masks for every frame from the scene's ground truth.
+    """(Re)write detections and masks for every frame from the scene's instance-id images.
 
     Returns the total number of detections written.
     """
     scene = scene_io.load_scene(scene_dir)
-    if not scene.gt:
-        raise ValueError(f"scene {scene_dir} has no ground truth to synthesize detections from")
+    labels = scene_io.load_gt_labels(scene_dir)
     frames_dir = Path(scene_dir) / "frames"
     total = 0
     for view in scene.views:
         frame_id = view.frame.frame_id
         for old in frames_dir.glob(f"{frame_id}.mask.*.pgm"):
             old.unlink()
-        masks = render_gt_detections(view.frame, scene.gt, noise, scene.depth_scale)
+        ids = scene_io.load_gt_ids(scene_dir, frame_id, scene.intrinsics, len(labels))
+        masks = render_gt_detections(view.frame, ids, labels, noise)
         scene_io.write_detections(frames_dir / f"{frame_id}.detections.txt", [m.detection for m in masks])
         for k, m in enumerate(masks):
             scene_io.write_pgm(

@@ -8,16 +8,17 @@ On-disk scene layout::
       frames/<id>.pose.txt        4x4 row-major camera-to-world matrix
       frames/<id>.detections.txt  one detection per line: x1 y1 x2 y2 score label
       frames/<id>.mask.<k>.pgm    binary PGM (0/255) for detection k of that frame
-      gt/instances/<k>.txt        optional ground truth: label line, then x y z rows
+      gt/labels.txt               optional ground truth: one instance label per line, k order
+      gt/ids/<id>.pgm             instance-id PGM of frame <id>: 0 background, k+1 instance k
 
 Frames are ordered by <id> (zero-padded ids sort naturally). RGB images may
 sit next to the depth files but are never read here. Loading validates every
 invariant and never repairs data silently; a Scene is immutable after
 construction and may be shared across threads.
 
-Ground truth is not parsed by :func:`load_scene`: ``Scene.gt`` reads
-gt/instances on first access, so a malformed GT file raises its
-file-naming SceneValidationError there, not while loading the views.
+Ground truth is not read by :func:`load_scene`: ``Scene.gt`` derives its
+points from the id images on first access (:func:`load_gt_instances`), so
+malformed ground truth raises its file-naming SceneError there.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .projection import back_project_pixels, to_world
 from .types import (
     Box3D,
     CameraIntrinsics,
@@ -69,14 +71,10 @@ class Scene:
     depth_scale: float
     views: list[SceneView]
 
-    def __len__(self) -> int:
-        return len(self.views)
-
     @functools.cached_property
     def gt(self) -> list[GroundTruthInstance]:
-        """Ground-truth instances under gt/instances, parsed on first access; [] when absent."""
-        gt_dir = self.root / "gt" / "instances"
-        return load_gt_instances(gt_dir) if gt_dir.is_dir() else []
+        """Ground-truth instances derived from gt/ on first access; [] when there is no gt/."""
+        return load_gt_instances(self.root) if (self.root / "gt").is_dir() else []
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +140,10 @@ def read_pgm(path: Path) -> np.ndarray:
     if not (0 < maxval <= 65535):
         raise SceneValidationError(f"{path}: PGM maxval {maxval} outside (0, 65535]")
     if magic == "P2":
-        values = np.array(raw[pos:].split(), dtype=np.uint32)
+        try:
+            values = np.array(raw[pos:].split(), dtype=np.uint32)
+        except ValueError as e:
+            raise SceneValidationError(f"{path}: non-numeric PGM sample: {e}") from e
         if values.size != width * height:
             raise SceneValidationError(
                 f"{path}: expected {width * height} samples, found {values.size}"
@@ -197,6 +198,16 @@ def _load_intrinsics(path: Path) -> tuple[CameraIntrinsics, float]:
     except ValueError as e:
         raise SceneValidationError(f"{path}: {e}") from e
     return intr, depth_scale
+
+
+def _load_depth(path: Path, frame_id: str, intr: CameraIntrinsics, depth_scale: float) -> np.ndarray:
+    raw = read_pgm(path)
+    if raw.shape != (intr.height, intr.width):
+        raise SceneValidationError(
+            f"frame {frame_id}: depth shape {raw.shape} does not match "
+            f"intrinsics ({intr.height}, {intr.width})"
+        )
+    return raw.astype(np.float64) * depth_scale
 
 
 def _load_pose(path: Path, frame_id: str) -> CameraPose:
@@ -282,13 +293,7 @@ def load_scene(scene_dir: Path) -> Scene:
         raise SceneLayoutError(f"no '<id>.depth.pgm' files under {frames_dir}")
     views = []
     for frame_id in ids:
-        raw_depth = read_pgm(frames_dir / f"{frame_id}.depth.pgm")
-        if raw_depth.shape != (intr.height, intr.width):
-            raise SceneValidationError(
-                f"frame {frame_id}: depth shape {raw_depth.shape} does not match "
-                f"intrinsics ({intr.height}, {intr.width})"
-            )
-        depth = raw_depth.astype(np.float64) * depth_scale
+        depth = _load_depth(frames_dir / f"{frame_id}.depth.pgm", frame_id, intr, depth_scale)
         pose = _load_pose(frames_dir / f"{frame_id}.pose.txt", frame_id)
         frame = DepthFrame(frame_id, depth, intr, pose)
         detections = _load_detections(frames_dir / f"{frame_id}.detections.txt", frame_id, intr)
@@ -306,47 +311,63 @@ def load_scene(scene_dir: Path) -> Scene:
 
 
 # ---------------------------------------------------------------------------
-# Ground-truth instance lists
+# Ground truth: instance labels and per-frame instance-id images
 # ---------------------------------------------------------------------------
 
-def _parse_xyz(path: Path, tokens: list[str]) -> np.ndarray:
-    """``x y z`` tokens read from path as (N, 3) float64; a bad token or count names the file."""
-    try:
-        coords = np.array(tokens, dtype=np.float64)
-    except ValueError as e:
-        raise SceneValidationError(f"{path}: non-numeric coordinate: {e}") from e
-    if coords.size % 3:
-        raise SceneValidationError(f"{path}: point rows must hold 3 coordinates each")
-    return coords.reshape(-1, 3)
+def load_gt_labels(scene_dir: Path) -> list[str]:
+    """The instance labels of gt/labels.txt, instance k on line k + 1."""
+    path = Path(scene_dir) / "gt" / "labels.txt"
+    if not path.is_file():
+        raise SceneLayoutError(f"missing ground-truth label file {path}")
+    labels = [line.strip() for line in path.read_text().splitlines()]
+    if "" in labels:
+        raise SceneValidationError(f"{path}:{labels.index('') + 1}: empty label")
+    return labels
 
 
-def load_gt_instances(path: Path) -> list[GroundTruthInstance]:
-    """Load ground-truth instances from a scene dir, a gt/ dir, or the instances dir itself."""
-    path = Path(path)
-    for candidate in (path / "gt" / "instances", path / "instances", path):
-        if candidate.is_dir() and list(candidate.glob("*.txt")):
-            inst_dir = candidate
-            break
-    else:
-        raise SceneLayoutError(f"no ground-truth instance files under {path}")
-    instances = []
-    for f in sorted(inst_dir.glob("*.txt")):
-        text = f.read_text()
-        newline = text.find("\n")
-        label = text[:newline].strip() if newline >= 0 else ""
-        points = _parse_xyz(f, text[newline + 1:].split() if label else [])
-        if not label or points.size == 0:
-            raise SceneValidationError(f"{f}: expected a label line followed by points")
-        instances.append(GroundTruthInstance(label, points))
-    return instances
+def load_gt_ids(scene_dir: Path, frame_id: str, intr: CameraIntrinsics, num_labels: int) -> np.ndarray:
+    """The instance-id image gt/ids/<frame_id>.pgm, checked against the intrinsics and label count."""
+    path = Path(scene_dir) / "gt" / "ids" / f"{frame_id}.pgm"
+    ids = read_pgm(path)
+    if ids.shape != (intr.height, intr.width):
+        raise SceneValidationError(
+            f"frame {frame_id}: id image {path} shape {ids.shape} does not match "
+            f"intrinsics ({intr.height}, {intr.width})"
+        )
+    if ids.size and int(ids.max()) > num_labels:
+        raise SceneValidationError(
+            f"frame {frame_id}: id image {path} holds id {int(ids.max())}, "
+            f"but gt/labels.txt lists {num_labels} label(s)"
+        )
+    return ids
 
 
-def write_gt_instances(instances: list[GroundTruthInstance], out_dir: Path) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for k, inst in enumerate(instances):
-        rows = "\n".join("%.9g %.9g %.9g" % (p[0], p[1], p[2]) for p in inst.points)
-        (out_dir / f"{k:04d}.txt").write_text(f"{inst.label}\n{rows}\n")
+def load_gt_instances(scene_dir: Path) -> list[GroundTruthInstance]:
+    """Ground-truth instances of a scene, one per label, from its id images, depth and poses.
+
+    The points of instance k are the pixels with id k + 1 back-projected with
+    the frame's saved depth and pose: frames in id order, pixels in row-major
+    order within a frame.
+    """
+    root = Path(scene_dir)
+    labels = load_gt_labels(root)
+    intr, depth_scale = _load_intrinsics(root / "intrinsics.txt")
+    frame_ids = sorted(p.stem for p in (root / "gt" / "ids").glob("*.pgm"))
+    if not frame_ids:
+        raise SceneLayoutError(f"no '<id>.pgm' instance-id images under {root / 'gt' / 'ids'}")
+    points: list[list[np.ndarray]] = [[] for _ in labels]
+    for frame_id in frame_ids:
+        ids = load_gt_ids(root, frame_id, intr, len(labels))
+        depth = _load_depth(root / "frames" / f"{frame_id}.depth.pgm", frame_id, intr, depth_scale)
+        pose = _load_pose(root / "frames" / f"{frame_id}.pose.txt", frame_id)
+        for k in range(len(labels)):
+            vs, us = np.nonzero(ids == k + 1)
+            points[k].append(to_world(back_project_pixels(us, vs, depth[vs, us], intr), pose))
+    gt = [(label, np.vstack(pts)) for label, pts in zip(labels, points)]
+    unseen = [label for label, pts in gt if not len(pts)]
+    if unseen:
+        raise SceneValidationError(f"{root / 'gt'}: labels with no pixels in any id image: {unseen}")
+    return [GroundTruthInstance(label, pts) for label, pts in gt]
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +397,17 @@ def write_detections(path: Path, detections: list[Detection2D]) -> None:
 # ---------------------------------------------------------------------------
 # Point-cloud PLY
 # ---------------------------------------------------------------------------
+
+def _parse_xyz(path: Path, tokens: list[str]) -> np.ndarray:
+    """``x y z`` tokens read from path as (N, 3) float64; a bad token or count names the file."""
+    try:
+        coords = np.array(tokens, dtype=np.float64)
+    except ValueError as e:
+        raise SceneValidationError(f"{path}: non-numeric coordinate: {e}") from e
+    if coords.size % 3:
+        raise SceneValidationError(f"{path}: point rows must hold 3 coordinates each")
+    return coords.reshape(-1, 3)
+
 
 def write_cloud_ply(cloud: ObjectCloud, path: Path) -> None:
     """Write an ASCII PLY with one x/y/z vertex per point. Refuses empty clouds."""

@@ -107,9 +107,6 @@ class InstanceMask:
     bitmap: np.ndarray
     detection: Detection2D
 
-    def pixel_count(self) -> int:
-        return int(np.count_nonzero(self.bitmap))
-
 
 @dataclass(frozen=True)
 class ObjectCloud:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rgbdnav import oracle
+from rgbdnav.types import Box3D
 
 
 def random_rotation(rng) -> np.ndarray:
@@ -154,3 +155,34 @@ def mutable_scene_dir(oracle_scene_dir, tmp_path):
     dest = tmp_path / "scene"
     shutil.copytree(oracle_scene_dir, dest)
     return dest
+
+
+# The five-box layout of scripts/benchmark_timing.py, rendered at 640x480.
+BENCH_LAYOUT = [
+    oracle.LabeledBox("box_a", Box3D(np.array([-0.9, -0.6, 0.0]), np.array([-0.4, -0.15, 0.4]))),
+    oracle.LabeledBox("box_b", Box3D(np.array([0.3, -0.5, 0.0]), np.array([0.8, -0.05, 0.42]))),
+    oracle.LabeledBox("box_c", Box3D(np.array([-0.25, 0.45, 0.0]), np.array([0.25, 0.95, 0.38]))),
+    oracle.LabeledBox("box_d", Box3D(np.array([-0.15, -0.25, 0.0]), np.array([0.2, 0.1, 0.45]))),
+    oracle.LabeledBox("box_e", Box3D(np.array([-1.0, 0.35, 0.0]), np.array([-0.55, 0.8, 0.35]))),
+]
+
+
+class SynthScene:
+    """A synthesized scene directory together with the inputs that rendered it."""
+
+    def __init__(self, root, boxes, views, intrinsics):
+        self.boxes = boxes
+        self.trajectory = oracle.default_trajectory(views)
+        self.intrinsics = intrinsics
+        self.scene_dir = root / "scene"
+        oracle.make_synthetic_scene(boxes, self.trajectory, intrinsics, self.scene_dir)
+        oracle.populate_detections(self.scene_dir)
+
+
+@pytest.fixture(scope="session")
+def layout_scenes(tmp_path_factory):
+    """Noise-free scenes of the default layout at 8 views and of the bench layout at 20 views."""
+    return [
+        SynthScene(tmp_path_factory.mktemp("default8"), oracle.default_box_layout(), 8, oracle.default_intrinsics()),
+        SynthScene(tmp_path_factory.mktemp("bench"), BENCH_LAYOUT, 20, oracle.default_intrinsics(640, 480, 580.0)),
+    ]

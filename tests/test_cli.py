@@ -31,8 +31,18 @@ class TestSynth:
     def test_writes_layout(self, two_cube_scene):
         assert (two_cube_scene / "intrinsics.txt").is_file()
         assert len(list((two_cube_scene / "frames").glob("*.depth.pgm"))) == 8
-        assert (two_cube_scene / "gt" / "instances" / "0000.txt").is_file()
+        assert sorted(p.name for p in (two_cube_scene / "gt" / "ids").iterdir()) == [f"{i:04d}.pgm" for i in range(8)]
+        assert (two_cube_scene / "gt" / "labels.txt").read_text() == "crate\nbin\n"
+        ids = scene_io.read_pgm(two_cube_scene / "gt" / "ids" / "0000.pgm")
+        assert ids.shape == (312, 416) and set(np.unique(ids)) == {0, 1, 2}
         assert (two_cube_scene / "perturbation.txt").is_file()
+
+    def test_bad_boxes_token_names_file_and_line(self, capsys, tmp_path):
+        boxes = tmp_path / "boxes.txt"
+        boxes.write_text("# layout\nbox_a -0.9 -0.6 0.0 -0.4 x 0.4\n")
+        code, _, err = run_cli(capsys, "synth", str(tmp_path / "s"), "--views", "1", "--boxes", str(boxes))
+        assert code == 2
+        assert f"{boxes}:2: could not convert string to float: 'x'" in err
 
     def test_zero_views_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "synth", str(tmp_path / "s"), "--views", "0")
@@ -62,13 +72,13 @@ class TestDetect:
     def test_malformed_gt_does_not_stop_detect(self, capsys, two_cube_scene, tmp_path):
         scene_dir = tmp_path / "scene"
         shutil.copytree(two_cube_scene, scene_dir)
-        bad = scene_dir / "gt" / "instances" / "0001.txt"
-        bad.write_text("bin\n0.1 0.2\n")
+        bad = scene_dir / "gt" / "ids" / "0001.pgm"
+        scene_io.write_pgm(bad, np.full((312, 416), 7, dtype=np.uint16), maxval=255)  # 2 labels
         code, out, _ = run_cli(capsys, "detect", str(scene_dir), str(tmp_path / "p"))
         assert code == 0
         assert "instances out:  2" in out
         scene = scene_io.load_scene(scene_dir)
-        with pytest.raises(scene_io.SceneValidationError, match="0001.txt"):
+        with pytest.raises(scene_io.SceneValidationError, match=r"frame 0001: id image .*0001\.pgm holds id 7"):
             scene.gt
 
     def test_empty_detections_zero_instances_success(self, capsys, mutable_scene_dir, tmp_path):

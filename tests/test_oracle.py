@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,9 +18,75 @@ from rgbdnav.oracle import (
     render_gt_detections,
 )
 from rgbdnav.projection import project_to_pixels, to_camera
-from rgbdnav.types import Box3D, CameraPose
+from rgbdnav.types import Box3D, CameraIntrinsics, CameraPose
 
-from conftest import dilation_oracle, odd_kernels
+from conftest import dilation_oracle, odd_kernels, random_rotation
+
+
+def render_depth_reference(boxes, pose, intrinsics):
+    """The slab test with NaN-skipping row reductions over (N, 3) ray parameters."""
+    h, w = intrinsics.height, intrinsics.width
+    us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+    dirs_cam = np.stack(
+        [(us - intrinsics.cx) / intrinsics.fx, (vs - intrinsics.cy) / intrinsics.fy, np.ones_like(us)],
+        axis=-1,
+    ).reshape(-1, 3)
+    dirs_w = dirs_cam @ pose.rotation.T
+    origin = pose.translation
+    hits = np.full((len(boxes), h * w), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN rows
+        inv = 1.0 / dirs_w
+        for i, lb in enumerate(boxes):
+            t1 = (lb.box.min_corner - origin) * inv
+            t2 = (lb.box.max_corner - origin) * inv
+            tmin = np.nanmax(np.minimum(t1, t2), axis=1)
+            tmax = np.nanmin(np.maximum(t1, t2), axis=1)
+            hit = (tmax >= tmin) & (tmin > oracle._NEAR)
+            hits[i, hit] = tmin[hit]
+    owner = np.argmin(hits, axis=0).astype(np.int64)
+    depth = hits[owner, np.arange(h * w)]
+    owner[~np.isfinite(depth)] = -1
+    depth[~np.isfinite(depth)] = 0.0
+    return depth.reshape(h, w), owner.reshape(h, w)
+
+
+def reprojected_masks_reference(frame, gt, depth_scale):
+    """(label, bitmap) per GT instance seen in the frame: its points projected and z-buffered.
+
+    A GT point lands in the mask when it projects inside the image and its
+    depth agrees with the frame's depth within 2 depth quanta.
+    """
+    intr = frame.intrinsics
+    masks = []
+    for inst in gt:
+        cam = to_camera(inst.points, frame.pose)
+        cam = cam[cam[:, 2] > oracle._NEAR]
+        if cam.shape[0] == 0:
+            continue
+        u, v = project_to_pixels(cam, intr)
+        ui = np.rint(u).astype(np.int64)
+        vi = np.rint(v).astype(np.int64)
+        inside = (ui >= 0) & (ui < intr.width) & (vi >= 0) & (vi < intr.height)
+        ui, vi, z = ui[inside], vi[inside], cam[inside, 2]
+        visible = np.abs(z - frame.depth[vi, ui]) <= 2.0 * depth_scale
+        if not visible.any():
+            continue
+        bitmap = np.zeros((intr.height, intr.width), dtype=bool)
+        bitmap[vi[visible], ui[visible]] = True
+        masks.append((inst.label, bitmap))
+    return masks
+
+
+def _oracle_inputs(scene_dir):
+    """The loaded scene, its GT labels, and a function from a view to its instance-id image."""
+    scene = scene_io.load_scene(scene_dir)
+    labels = scene_io.load_gt_labels(scene_dir)
+
+    def ids(view):
+        return scene_io.load_gt_ids(scene_dir, view.frame.frame_id, scene.intrinsics, len(labels))
+
+    return scene, labels, ids
 
 
 def _cube(label, center, side=1.0):
@@ -47,6 +115,51 @@ class TestRenderDepth:
         depth, owner = render_depth([far, near], CameraPose.identity(), intr)
         assert owner[16, 16] == 1
         assert depth[16, 16] == pytest.approx(1.75)
+
+    @staticmethod
+    def _assert_matches_reference(boxes, pose, intr):
+        depth, owner = render_depth(boxes, pose, intr)
+        ref_depth, ref_owner = render_depth_reference(boxes, pose, intr)
+        assert np.array_equal(depth.view(np.int64), ref_depth.view(np.int64))
+        assert np.array_equal(owner, ref_owner)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.booleans())
+    def test_matches_row_reduction_reference(self, seed, n_boxes, axis_aligned):
+        # random boxes and poses; an axis-aligned camera with integer principal
+        # point and its origin on two face planes of the first box sends the
+        # centre row and column along those planes (0 * inf = NaN)
+        rng = np.random.default_rng(seed)
+        if axis_aligned:
+            intr = CameraIntrinsics(20.0, 20.0, 12.0, 8.0, 25, 17)
+            lows = rng.integers(-4, 5, size=(n_boxes, 3)) / 2.0
+            boxes = [LabeledBox(f"b{i}", Box3D(lo, lo + rng.integers(1, 4, 3) / 2.0)) for i, lo in enumerate(lows)]
+            pose = CameraPose(np.eye(3), lows[0] - [0.0, 0.0, rng.integers(1, 3)])
+        else:
+            intr = oracle.default_intrinsics(24, 18, 20.0)
+            corners = rng.uniform(-2, 2, (n_boxes, 2, 3))
+            boxes = [LabeledBox(f"b{i}", Box3D(c.min(axis=0), c.max(axis=0))) for i, c in enumerate(corners)]
+            pose = CameraPose(random_rotation(rng), rng.uniform(-3, 3, 3))
+        self._assert_matches_reference(boxes, pose, intr)
+
+    def test_matches_reference_with_origin_on_face_plane(self):
+        # identity rotation and integer cx/cy: the centre column and row have
+        # zero x/y ray components, and the origin lies on the x = 0 and y = 0
+        # planes of the box faces, so the slab test meets 0 * inf = NaN
+        intr = CameraIntrinsics(30.0, 30.0, 16.0, 10.0, 33, 21)
+        boxes = [
+            LabeledBox("a", Box3D(np.array([0.0, -0.5, 2.0]), np.array([1.0, 0.0, 3.0]))),
+            LabeledBox("b", Box3D(np.array([-1.0, 0.0, 1.5]), np.array([0.0, 1.0, 4.0]))),
+        ]
+        pose = CameraPose.identity()
+        _, owner = render_depth(boxes, pose, intr)
+        assert (owner[:, 16] >= 0).any() and (owner[10, :] >= 0).any()
+        self._assert_matches_reference(boxes, pose, intr)
+
+    def test_matches_reference_on_layouts(self, layout_scenes):
+        for s in layout_scenes:
+            for pose in s.trajectory[:3]:
+                self._assert_matches_reference(s.boxes, pose, s.intrinsics)
 
 
 class TestMakeSyntheticScene:
@@ -107,57 +220,62 @@ class TestMakeSyntheticScene:
 
 
 class TestRenderGtDetections:
-    def test_masks_match_forward_projection(self, oracle_scene_dir):
-        # with noise off, every mask pixel hosts at least one GT point that
-        # projects there and z-buffers against the rendered depth
-        scene = scene_io.load_scene(oracle_scene_dir)
-        view = scene.views[3]
-        masks = render_gt_detections(view.frame, scene.gt, PerturbationConfig(), scene.depth_scale)
-        assert len(masks) == 3
-        by_label = {m.detection.label: m for m in masks}
-        for inst in scene.gt:
-            cam = to_camera(inst.points, view.frame.pose)
-            cam = cam[cam[:, 2] > 0]
-            u, v = project_to_pixels(cam, view.frame.intrinsics)
-            ui = np.rint(u).astype(int)
-            vi = np.rint(v).astype(int)
-            ok = (ui >= 0) & (ui < view.frame.intrinsics.width) & (vi >= 0) & (vi < view.frame.intrinsics.height)
-            ui, vi, z = ui[ok], vi[ok], cam[ok, 2]
-            visible = np.abs(z - view.frame.depth[vi, ui]) <= 2 * scene.depth_scale
-            expected = np.zeros_like(by_label[inst.label].bitmap)
-            expected[vi[visible], ui[visible]] = True
-            assert np.array_equal(by_label[inst.label].bitmap, expected)
+    def test_masks_match_forward_projection(self, layout_scenes):
+        # with noise off, the mask of each instance seen in a frame equals the
+        # reference that reprojects the scene's GT points and z-buffers them
+        # against the frame's depth
+        for s in layout_scenes:
+            scene, labels, ids = _oracle_inputs(s.scene_dir)
+            for view in scene.views:
+                masks = render_gt_detections(view.frame, ids(view), labels)
+                expected = reprojected_masks_reference(view.frame, scene.gt, scene.depth_scale)
+                assert [m.detection.label for m in masks] == [label for label, _ in expected]
+                for m, (_, bitmap) in zip(masks, expected):
+                    assert np.array_equal(m.bitmap, bitmap)
 
     def test_boxes_are_tight(self, oracle_scene_dir):
-        scene = scene_io.load_scene(oracle_scene_dir)
+        scene, labels, ids = _oracle_inputs(oracle_scene_dir)
         view = scene.views[0]
-        for mask in render_gt_detections(view.frame, scene.gt, PerturbationConfig(), scene.depth_scale):
+        for mask in render_gt_detections(view.frame, ids(view), labels):
             det = mask.detection
             vs, us = np.nonzero(mask.bitmap)
             assert det.box == (float(us.min()), float(vs.min()), float(us.max() + 1), float(vs.max() + 1))
             assert det.score == 1.0
 
     def test_drop_prob_one_removes_everything(self, oracle_scene_dir):
-        scene = scene_io.load_scene(oracle_scene_dir)
-        masks = render_gt_detections(
-            scene.views[0].frame, scene.gt, PerturbationConfig(seed=1, drop_prob=1.0), scene.depth_scale
-        )
-        assert masks == []
+        scene, labels, ids = _oracle_inputs(oracle_scene_dir)
+        view = scene.views[0]
+        assert render_gt_detections(view.frame, ids(view), labels, PerturbationConfig(seed=1, drop_prob=1.0)) == []
 
     def test_deterministic_given_seed(self, oracle_scene_dir):
-        scene = scene_io.load_scene(oracle_scene_dir)
+        scene, labels, ids = _oracle_inputs(oracle_scene_dir)
+        view = scene.views[1]
         noise = PerturbationConfig(seed=42, box_jitter_px=3, mask_erode_px=1, drop_prob=0.3, score_sigma=0.2)
-        a = render_gt_detections(scene.views[1].frame, scene.gt, noise, scene.depth_scale)
-        b = render_gt_detections(scene.views[1].frame, scene.gt, noise, scene.depth_scale)
+        a = render_gt_detections(view.frame, ids(view), labels, noise)
+        b = render_gt_detections(view.frame, ids(view), labels, noise)
+        assert [m.detection for m in a] == [m.detection for m in b]
+        for ma, mb in zip(a, b):
+            assert np.array_equal(ma.bitmap, mb.bitmap)
+
+    def test_unseen_label_draws_no_noise(self, oracle_scene_dir):
+        # a label with no pixels is skipped before any draw, so the seeded
+        # noise of the labels that are seen does not change
+        scene, labels, ids = _oracle_inputs(oracle_scene_dir)
+        view = scene.views[2]
+        noise = PerturbationConfig(seed=7, box_jitter_px=2, mask_erode_px=1, drop_prob=0.3, score_sigma=0.2)
+        plain = ids(view)
+        shifted = np.where(plain > 0, plain + 1, 0)  # id 1 now names a label seen nowhere
+        a = render_gt_detections(view.frame, plain, labels, noise)
+        b = render_gt_detections(view.frame, shifted, ["ghost", *labels], noise)
         assert [m.detection for m in a] == [m.detection for m in b]
         for ma, mb in zip(a, b):
             assert np.array_equal(ma.bitmap, mb.bitmap)
 
     def test_jittered_masks_stay_inside_boxes(self, oracle_scene_dir):
-        scene = scene_io.load_scene(oracle_scene_dir)
+        scene, labels, ids = _oracle_inputs(oracle_scene_dir)
         noise = PerturbationConfig(seed=3, box_jitter_px=6, mask_erode_px=-2)
         for view in scene.views[:4]:
-            for mask in render_gt_detections(view.frame, scene.gt, noise, scene.depth_scale):
+            for mask in render_gt_detections(view.frame, ids(view), labels, noise):
                 vs, us = np.nonzero(mask.bitmap)
                 x1, y1, x2, y2 = mask.detection.box
                 assert us.min() >= x1 and us.max() < x2
@@ -195,14 +313,13 @@ class TestPopulateDetections:
 
 class TestPerturbationConfig:
     def test_file_round_trip(self, tmp_path):
+        # the file reads back through the one key = value parser, every field
+        # cast to the type of its value
         cfg = PerturbationConfig(seed=9, box_jitter_px=2, mask_erode_px=-1, drop_prob=0.25, score_sigma=0.1)
         cfg.to_file(tmp_path / "p.txt")
-        assert PerturbationConfig.from_file(tmp_path / "p.txt") == cfg
-
-    def test_unknown_field_rejected(self, tmp_path):
-        (tmp_path / "p.txt").write_text("wibble = 3\n")
-        with pytest.raises(ValueError, match="wibble"):
-            PerturbationConfig.from_file(tmp_path / "p.txt")
+        values = scene_io.read_key_values(tmp_path / "p.txt")
+        assert sorted(values) == sorted(cfg.__dataclass_fields__)
+        assert PerturbationConfig(**{k: type(getattr(cfg, k))(v) for k, v in values.items()}) == cfg
 
     def test_invalid_drop_prob(self):
         with pytest.raises(ValueError):

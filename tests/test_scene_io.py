@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rgbdnav import scene_io
+from rgbdnav import fusion, oracle, scene_io
+from rgbdnav.projection import back_project_pixels, to_world
 from rgbdnav.scene_io import (
     SceneLayoutError,
     SceneValidationError,
@@ -13,11 +14,10 @@ from rgbdnav.scene_io import (
     read_pgm,
     write_boxes,
     write_cloud_ply,
-    write_gt_instances,
     write_instances,
     write_pgm,
 )
-from rgbdnav.types import Box3D, GroundTruthInstance, ObjectCloud, SceneInstances
+from rgbdnav.types import Box3D, ObjectCloud, SceneInstances
 
 
 def _write_depth_p2(path, rows, maxval=65535):
@@ -82,7 +82,7 @@ class TestLoadScene:
         assert [v.frame.frame_id for v in scene.views] == ["0000", "0001"]
         assert scene.views[0].frame.depth[0, 0] == pytest.approx(1.5)
         assert len(scene.views[0].masks) == 1
-        assert scene.views[0].masks[0].pixel_count() == 6
+        assert np.count_nonzero(scene.views[0].masks[0].bitmap) == 6
 
     def test_identity_pose_loads_as_identity(self, tmp_path):
         scene = load_scene(make_fixture_scene(tmp_path / "s"))
@@ -234,31 +234,98 @@ class TestBoxesDocument:
             write_boxes(SceneInstances([]), tmp_path / "missing_dir" / "boxes.json")
 
 
+def gt_points_reference(boxes, trajectory, intr, depth_scale):
+    """Per box, the world points of its rendered pixels at quantized depth, recorded while rendering."""
+    points = [[] for _ in boxes]
+    for pose in trajectory:
+        depth, owner = oracle.render_depth(boxes, pose, intr)
+        quantized = np.round(depth / depth_scale).astype(np.int64)
+        for k in range(len(boxes)):
+            vs, us = np.nonzero(owner == k)
+            if vs.size:
+                points[k].append(to_world(back_project_pixels(us, vs, quantized[vs, us] * depth_scale, intr), pose))
+    return [np.vstack(p) for p in points]
+
+
+def add_fixture_gt(root, labels="mug\n"):
+    """Instance-id images for make_fixture_scene: id 1 under its mask, 0 elsewhere."""
+    (root / "gt" / "ids").mkdir(parents=True)
+    (root / "gt" / "labels.txt").write_text(labels)
+    ids = np.zeros((4, 6), dtype=np.uint16)
+    ids[1:3, 1:4] = 1
+    for fid in ("0000", "0001"):
+        write_pgm(root / "gt" / "ids" / f"{fid}.pgm", ids, maxval=255)
+    return root
+
+
+def _wrong_shape(root):
+    write_pgm(root / "gt" / "ids" / "0001.pgm", np.zeros((4, 5), dtype=np.uint16), maxval=255)
+
+
+def _id_above_labels(root):
+    write_pgm(root / "gt" / "ids" / "0001.pgm", np.full((4, 6), 2, dtype=np.uint16), maxval=255)
+
+
 class TestGroundTruth:
-    def test_round_trip(self, tmp_path):
-        instances = [
-            GroundTruthInstance("chair", np.array([[0.0, 0.5, 1.0], [1.0, 1.5, 2.0]])),
-            GroundTruthInstance("mug on desk", np.array([[9.0, 9.0, 9.0]])),
-        ]
-        write_gt_instances(instances, tmp_path / "gt" / "instances")
-        back = load_gt_instances(tmp_path)
-        assert [g.label for g in back] == ["chair", "mug on desk"]
-        assert np.abs(back[0].points - instances[0].points).max() < 1e-8
+    def test_round_trip(self, layout_scenes):
+        # the points derived from the saved id images, depth and poses are the
+        # points recorded while rendering, bit for bit; the point text of the
+        # earlier layout (%.9g) held them to within 5e-9 m, which leaves each
+        # instance's 0.02 m voxel set as it is (a point on a box face that lies
+        # on a voxel boundary, x = -0.4000000000000001 against -0.4, may
+        # change voxel while a neighbour keeps the old one occupied)
+        for n, s in enumerate(layout_scenes):
+            gt = load_gt_instances(s.scene_dir)
+            expected = gt_points_reference(s.boxes, s.trajectory, s.intrinsics, 0.001)
+            assert [g.label for g in gt] == [lb.label for lb in s.boxes]
+            for g, pts in zip(gt, expected):
+                assert np.array_equal(g.points, pts)
+                if n == 0:  # the text round trip takes seconds on the bench layout
+                    text = np.char.mod("%.9g", pts).astype(np.float64)
+                    assert np.abs(text - pts).max() <= 5e-9
+                    assert np.array_equal(np.unique(fusion.voxel_keys(text, 0.02)), np.unique(fusion.voxel_keys(pts, 0.02)))
+
+    def test_points_back_project_id_pixels(self, tmp_path):
+        # fx = fy = 10, cx = 2.5, cy = 1.5, depth 1.5 m, identity pose: pixel
+        # (u, v) lands at ((u - 2.5) * 0.15, (v - 1.5) * 0.15, 1.5); frames in
+        # id order, pixels in row-major order
+        root = add_fixture_gt(make_fixture_scene(tmp_path / "s"))
+        (gt,) = load_gt_instances(root)
+        assert gt.label == "mug"
+        pixels = [(u, v) for v in (1, 2) for u in (1, 2, 3)] * 2
+        expected = [((u - 2.5) * 0.15, (v - 1.5) * 0.15, 1.5) for u, v in pixels]
+        assert np.allclose(gt.points, expected, rtol=0, atol=1e-12)
 
     def test_missing_gt(self, tmp_path):
         with pytest.raises(SceneLayoutError):
             load_gt_instances(tmp_path)
 
-    @pytest.mark.parametrize("text", ["bin", "bin\n", "\n0.1 0.2 0.3\n", "bin\n0.1 0.2\n"])
-    def test_missing_label_or_points_names_file(self, tmp_path, text):
-        (tmp_path / "0000.txt").write_text(text)
-        with pytest.raises(SceneValidationError, match="0000.txt"):
-            load_gt_instances(tmp_path)
+    @pytest.mark.parametrize(
+        "breakage, error, match",
+        [
+            pytest.param(_wrong_shape, SceneValidationError, r"frame 0001: id image .*0001\.pgm shape", id="shape"),
+            pytest.param(_id_above_labels, SceneValidationError, r"frame 0001: id image .*0001\.pgm holds id 2", id="id_above_labels"),
+            pytest.param(lambda r: (r / "gt" / "labels.txt").unlink(), SceneLayoutError, r"gt/labels\.txt", id="missing_labels"),
+            pytest.param(lambda r: (r / "frames" / "0001.depth.pgm").unlink(), SceneLayoutError, r"0001\.depth\.pgm", id="missing_depth"),
+            pytest.param(lambda r: (r / "frames" / "0001.pose.txt").unlink(), SceneLayoutError, r"0001\.pose\.txt", id="missing_pose"),
+        ],
+    )
+    def test_malformed_gt_names_file_and_frame(self, tmp_path, breakage, error, match):
+        root = add_fixture_gt(make_fixture_scene(tmp_path / "s"))
+        breakage(root)
+        with pytest.raises(error, match=match):
+            load_gt_instances(root)
+
+    def test_label_seen_nowhere_names_it(self, tmp_path):
+        root = add_fixture_gt(make_fixture_scene(tmp_path / "s"), labels="mug\nbowl\n")
+        with pytest.raises(SceneValidationError, match="bowl"):
+            load_gt_instances(root)
 
     def test_non_numeric_token_names_file(self, tmp_path):
-        (tmp_path / "0000.txt").write_text("bin\n0.1 0.2 abc\n")
-        with pytest.raises(SceneValidationError, match="0000.txt"):
-            load_gt_instances(tmp_path)
+        root = add_fixture_gt(make_fixture_scene(tmp_path / "s"))
+        _write_mask_p2(root / "gt" / "ids" / "0001.pgm", [[0, 1, 1, 0, 0, 0], [0, 1, "x", 0, 0, 0]] + [[0] * 6] * 2)
+        with pytest.raises(SceneValidationError, match=r"0001\.pgm: non-numeric"):
+            load_gt_instances(root)
 
 
 class TestKeyValues:
