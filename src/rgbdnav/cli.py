@@ -87,8 +87,8 @@ def _parse_with_config(parser: argparse.ArgumentParser, argv: list[str]) -> argp
         sub = parser._subparsers._group_actions[0].choices[pre.command]  # type: ignore[union-attr]
         try:
             values = scene_io.read_key_values(pre.config)
-        except (OSError, ValueError) as e:
-            sub.error(f"cannot read --config file: {e}")
+        except scene_io.SceneError as e:
+            sub.error(f"--config: {e}")
         tokens = []
         for action in sub._actions:
             if action.dest in values and action.option_strings and action.nargs != 0:
@@ -181,23 +181,12 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _parse_boxes_file(path: str) -> list[oracle.LabeledBox]:
-    boxes = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 7:
-            raise ValueError(
-                f"{path}:{lineno}: expected 'label xmin ymin zmin xmax ymax zmax'"
-            )
-        try:
-            box = Box3D(np.array([float(v) for v in parts[1:4]]), np.array([float(v) for v in parts[4:7]]))
-        except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from e
-        boxes.append(oracle.LabeledBox(parts[0], box))
-    return boxes
+def _labeled_box(line: str) -> oracle.LabeledBox:
+    label, *coords = line.split()
+    if len(coords) != 6:
+        raise ValueError("expected 'label xmin ymin zmin xmax ymax zmax'")
+    values = [float(v) for v in coords]
+    return oracle.LabeledBox(label, Box3D(np.array(values[:3]), np.array(values[3:])))
 
 
 def cmd_synth(args) -> int:
@@ -205,7 +194,7 @@ def cmd_synth(args) -> int:
         print("rgbdnav synth: --views must be >= 1", file=sys.stderr)
         return 2
     try:
-        boxes = _parse_boxes_file(args.boxes) if args.boxes else oracle.default_box_layout()
+        boxes = scene_io.read_records(args.boxes, _labeled_box) if args.boxes else oracle.default_box_layout()
         noise = oracle.PerturbationConfig(
             seed=args.seed,
             box_jitter_px=args.box_jitter_px,
@@ -213,7 +202,7 @@ def cmd_synth(args) -> int:
             drop_prob=args.drop_prob,
             score_sigma=args.score_sigma,
         )
-    except (OSError, ValueError) as e:
+    except (scene_io.SceneError, ValueError) as e:
         print(f"rgbdnav synth: {e}", file=sys.stderr)
         return 2
     intr = oracle.default_intrinsics(args.width, args.height, args.focal)
@@ -237,7 +226,7 @@ def cmd_navsim(args) -> int:
     if args.world:
         try:
             world = navsim.load_world(args.world)
-        except ValueError as e:
+        except (scene_io.SceneError, ValueError) as e:
             print(f"rgbdnav navsim: {e}", file=sys.stderr)
             return 1
         x, y, theta = args.start

@@ -120,8 +120,9 @@ def merge_instances(
     first existing same-class instance whose box IoU exceeds the threshold
     (clouds concatenated and voxel-deduplicated, box recomputed, score =
     max), otherwise it is appended. Folding repeats until a pass merges
-    nothing, so transitive overlap chains collapse regardless of input
-    order and no surviving same-class pair exceeds the threshold.
+    nothing, so no surviving same-class pair exceeds the threshold. The
+    result depends on view order: on the bench scene, views in file order
+    give 6 instances and reversed views give 5 (ROADMAP.md, item 1).
     """
     if not (0.0 < merge_threshold <= 1.0):
         raise ValueError(f"merge_threshold must be in (0, 1], got {merge_threshold}")

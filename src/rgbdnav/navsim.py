@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import scene_io
 from .types import Box3D
 
 _TWO_PI = 2.0 * math.pi
@@ -355,32 +356,28 @@ def save_world(world: WorldModel2D, path: Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _world_entry(line: str) -> tuple[str, object]:
+    kind, *vals = line.split()
+    nums = [float(v) for v in vals]
+    if kind == "target" and len(nums) == 2:
+        return kind, np.array(nums)
+    if kind == "goal_radius" and len(nums) == 1:
+        return kind, nums[0]
+    if kind == "circle" and len(nums) == 3:
+        return kind, Circle(np.array(nums[:2]), nums[2])
+    if kind == "segment" and len(nums) == 4:
+        return kind, Segment(np.array(nums[:2]), np.array(nums[2:]))
+    raise ValueError(f"unrecognized world entry {line!r}")
+
+
 def load_world(path: Path) -> WorldModel2D:
-    target = None
-    goal_radius = 0.3
-    obstacles: list[Obstacle] = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        kind, *vals = line.split()
-        try:
-            nums = [float(v) for v in vals]
-        except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from e
-        if kind == "target" and len(nums) == 2:
-            target = np.array(nums)
-        elif kind == "goal_radius" and len(nums) == 1:
-            goal_radius = nums[0]
-        elif kind == "circle" and len(nums) == 3:
-            obstacles.append(Circle(np.array(nums[:2]), nums[2]))
-        elif kind == "segment" and len(nums) == 4:
-            obstacles.append(Segment(np.array(nums[:2]), np.array(nums[2:])))
-        else:
-            raise ValueError(f"{path}:{lineno}: unrecognized world entry {line!r}")
-    if target is None:
+    """Read a :func:`save_world` file: the last target and goal_radius win, obstacles keep order."""
+    entries = scene_io.read_records(path, _world_entry)
+    last = dict(entries)
+    if "target" not in last:
         raise ValueError(f"{path}: world file declares no target")
-    return WorldModel2D(obstacles, target, goal_radius)
+    obstacles = [value for kind, value in entries if kind in ("circle", "segment")]
+    return WorldModel2D(obstacles, last["target"], last.get("goal_radius", 0.3))
 
 
 def save_trajectory(traj: Trajectory, path: Path) -> None:

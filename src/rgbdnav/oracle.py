@@ -17,7 +17,7 @@ import numpy as np
 
 from . import scene_io
 from .masks import erode_bitmap
-from .types import Box3D, CameraIntrinsics, CameraPose, DepthFrame, Detection2D, InstanceMask
+from .types import Box3D, CameraIntrinsics, CameraPose, Detection2D, InstanceMask
 
 _NEAR = 1e-6
 
@@ -186,7 +186,7 @@ def _dilate_bitmap(bitmap: np.ndarray, selem: np.ndarray) -> np.ndarray:
 
 
 def render_gt_detections(
-    frame: DepthFrame,
+    frame_id: str,
     ids: np.ndarray,
     labels: list[str],
     noise: PerturbationConfig = PerturbationConfig(),
@@ -195,11 +195,11 @@ def render_gt_detections(
 
     Returns one InstanceMask, carrying its Detection2D, per detection in label
     order. The mask of label k is ``ids == k + 1``. Labels with no pixels in
-    the frame are omitted; seeded perturbations may then drop, shrink, or
-    jitter the survivors.
+    the frame are omitted; perturbations seeded by ``noise.seed`` and
+    ``frame_id`` may then drop, shrink, or jitter the survivors.
     """
-    rng = np.random.default_rng([noise.seed, zlib.crc32(frame.frame_id.encode())])
-    intr = frame.intrinsics
+    rng = np.random.default_rng([noise.seed, zlib.crc32(frame_id.encode())])
+    height, width = ids.shape
     kernel = np.ones((3, 3), dtype=bool)
     masks: list[InstanceMask] = []
     for k, label in enumerate(labels):
@@ -221,8 +221,8 @@ def render_gt_detections(
             dx1, dy1, dx2, dy2 = rng.integers(-j, j + 1, size=4)
             x1 = max(0, x1 + int(dx1))
             y1 = max(0, y1 + int(dy1))
-            x2 = min(intr.width, x2 + int(dx2))
-            y2 = min(intr.height, y2 + int(dy2))
+            x2 = min(width, x2 + int(dx2))
+            y2 = min(height, y2 + int(dy2))
             if x1 >= x2 or y1 >= y2:
                 continue
             clipped = np.zeros_like(bitmap)
@@ -241,18 +241,18 @@ def render_gt_detections(
 def populate_detections(scene_dir: Path, noise: PerturbationConfig = PerturbationConfig()) -> int:
     """(Re)write detections and masks for every frame from the scene's instance-id images.
 
-    Returns the total number of detections written.
+    Every frame with a depth image is rewritten, its depth unread. Returns the
+    total number of detections written.
     """
-    scene = scene_io.load_scene(scene_dir)
     labels = scene_io.load_gt_labels(scene_dir)
+    intr, _ = scene_io.load_intrinsics(Path(scene_dir) / "intrinsics.txt")
     frames_dir = Path(scene_dir) / "frames"
     total = 0
-    for view in scene.views:
-        frame_id = view.frame.frame_id
+    for frame_id in scene_io.frame_ids(scene_dir):
         for old in frames_dir.glob(f"{frame_id}.mask.*.pgm"):
             old.unlink()
-        ids = scene_io.load_gt_ids(scene_dir, frame_id, scene.intrinsics, len(labels))
-        masks = render_gt_detections(view.frame, ids, labels, noise)
+        ids = scene_io.load_gt_ids(scene_dir, frame_id, intr, len(labels))
+        masks = render_gt_detections(frame_id, ids, labels, noise)
         scene_io.write_detections(frames_dir / f"{frame_id}.detections.txt", [m.detection for m in masks])
         for k, m in enumerate(masks):
             scene_io.write_pgm(

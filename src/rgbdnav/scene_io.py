@@ -6,7 +6,7 @@ On-disk scene layout::
       intrinsics.txt              one line: fx fy cx cy width height depth_scale
       frames/<id>.depth.pgm       16-bit grayscale PGM; meters = value * depth_scale
       frames/<id>.pose.txt        4x4 row-major camera-to-world matrix
-      frames/<id>.detections.txt  one detection per line: x1 y1 x2 y2 score label
+      frames/<id>.detections.txt  one detection per line: x1 y1 x2 y2 score label; '#' comments
       frames/<id>.mask.<k>.pgm    binary PGM (0/255) for detection k of that frame
       gt/labels.txt               optional ground truth: one instance label per line, k order
       gt/ids/<id>.pgm             instance-id PGM of frame <id>: 0 background, k+1 instance k
@@ -27,6 +27,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -52,8 +53,11 @@ class SceneLayoutError(SceneError):
     """A required file or directory is missing or unreadable."""
 
 
-class SceneValidationError(SceneError):
+class SceneValidationError(SceneError, ValueError):
     """Loaded data violates a documented invariant."""
+
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -78,26 +82,45 @@ class Scene:
 
 
 # ---------------------------------------------------------------------------
-# key = value files
+# Line-record text files: detections, key = value, synth --boxes, navsim worlds
 # ---------------------------------------------------------------------------
 
-def read_key_values(path: Path) -> dict[str, str]:
-    """Parse 'key = value' lines into raw strings; the caller casts.
+def read_records(path: Path, parse: Callable[[str], T]) -> list[T]:
+    """``parse`` applied to each record line of a text file, in file order.
 
-    '#' starts a comment, blank lines are skipped, '-' in a key folds to '_'
-    and a later line wins over an earlier one with the same key. A line
-    without '=' raises ValueError naming the file and line.
+    '#' starts a comment that runs to the end of the line and blank lines are
+    skipped; ``parse`` gets each other line stripped. An unreadable file
+    raises SceneLayoutError; a ValueError from ``parse`` is raised again as
+    SceneValidationError("path:lineno: reason").
     """
-    values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise SceneLayoutError(f"cannot read {path}: {e}") from e
+    records = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
+        if line:
+            try:
+                records.append(parse(line))
+            except ValueError as e:
+                raise SceneValidationError(f"{path}:{lineno}: {e}") from e
+    return records
+
+
+def _key_value(line: str) -> tuple[str, str]:
+    key, sep, value = line.partition("=")
+    if not sep:
+        raise ValueError(f"expected 'key = value', got {line!r}")
+    return key.strip().replace("-", "_"), value.strip()
+
+
+def read_key_values(path: Path) -> dict[str, str]:
+    """Parse 'key = value' lines (see :func:`read_records`) into raw strings; the caller casts.
+
+    '-' in a key folds to '_' and a later line wins over an earlier one with the same key.
+    """
+    return dict(read_records(path, _key_value))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +200,8 @@ def write_pgm(path: Path, image: np.ndarray, maxval: int = 65535) -> None:
 # Scene loading
 # ---------------------------------------------------------------------------
 
-def _load_intrinsics(path: Path) -> tuple[CameraIntrinsics, float]:
+def load_intrinsics(path: Path) -> tuple[CameraIntrinsics, float]:
+    """The camera intrinsics and depth scale of an intrinsics.txt."""
     if not path.is_file():
         raise SceneLayoutError(f"missing intrinsics file {path}")
     fields = path.read_text().split()
@@ -228,31 +252,15 @@ def _clamp_box(box: tuple[float, float, float, float], intr: CameraIntrinsics):
     return (max(x1, 0.0), max(y1, 0.0), min(x2, float(intr.width)), min(y2, float(intr.height)))
 
 
-def _load_detections(path: Path, frame_id: str, intr: CameraIntrinsics) -> list[Detection2D]:
-    if not path.is_file():
-        raise SceneLayoutError(f"missing detections file {path}")
-    detections = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+def _load_detections(path: Path, intr: CameraIntrinsics) -> list[Detection2D]:
+    def detection(line: str) -> Detection2D:
         parts = line.split(maxsplit=5)
         if len(parts) != 6:
-            raise SceneValidationError(
-                f"frame {frame_id}: detections line {lineno} needs 'x1 y1 x2 y2 score label'"
-            )
-        try:
-            box = tuple(float(v) for v in parts[:4])
-            score = float(parts[4])
-        except ValueError as e:
-            raise SceneValidationError(f"frame {frame_id}: detections line {lineno}: {e}") from e
-        try:
-            detections.append(Detection2D(_clamp_box(box, intr), score, parts[5]))
-        except ValueError as e:
-            raise SceneValidationError(
-                f"frame {frame_id}: detection {len(detections)}: {e}"
-            ) from e
-    return detections
+            raise ValueError("expected 'x1 y1 x2 y2 score label'")
+        x1, y1, x2, y2, score = (float(v) for v in parts[:5])
+        return Detection2D(_clamp_box((x1, y1, x2, y2), intr), score, parts[5])
+
+    return read_records(path, detection)
 
 
 def _load_mask(path: Path, frame_id: str, k: int, det: Detection2D, intr: CameraIntrinsics) -> InstanceMask:
@@ -279,24 +287,28 @@ def _load_mask(path: Path, frame_id: str, k: int, det: Detection2D, intr: Camera
     return InstanceMask(bitmap, det)
 
 
+def frame_ids(scene_dir: Path) -> list[str]:
+    """The sorted ids of a scene's frames, from its frames/<id>.depth.pgm names; never empty."""
+    frames_dir = Path(scene_dir) / "frames"
+    ids = sorted(p.name[: -len(".depth.pgm")] for p in frames_dir.glob("*.depth.pgm"))
+    if not ids:
+        raise SceneLayoutError(f"no '<id>.depth.pgm' files under {frames_dir}")
+    return ids
+
+
 def load_scene(scene_dir: Path) -> Scene:
     """Load and validate a scene directory; raises SceneError subclasses on problems."""
     root = Path(scene_dir)
     if not root.is_dir():
         raise SceneLayoutError(f"scene directory {root} does not exist")
-    intr, depth_scale = _load_intrinsics(root / "intrinsics.txt")
+    intr, depth_scale = load_intrinsics(root / "intrinsics.txt")
     frames_dir = root / "frames"
-    if not frames_dir.is_dir():
-        raise SceneLayoutError(f"missing frames directory {frames_dir}")
-    ids = sorted(p.name[: -len(".depth.pgm")] for p in frames_dir.glob("*.depth.pgm"))
-    if not ids:
-        raise SceneLayoutError(f"no '<id>.depth.pgm' files under {frames_dir}")
     views = []
-    for frame_id in ids:
+    for frame_id in frame_ids(root):
         depth = _load_depth(frames_dir / f"{frame_id}.depth.pgm", frame_id, intr, depth_scale)
         pose = _load_pose(frames_dir / f"{frame_id}.pose.txt", frame_id)
         frame = DepthFrame(frame_id, depth, intr, pose)
-        detections = _load_detections(frames_dir / f"{frame_id}.detections.txt", frame_id, intr)
+        detections = _load_detections(frames_dir / f"{frame_id}.detections.txt", intr)
         masks = [
             _load_mask(frames_dir / f"{frame_id}.mask.{k}.pgm", frame_id, k, det, intr)
             for k, det in enumerate(detections)
@@ -351,12 +363,12 @@ def load_gt_instances(scene_dir: Path) -> list[GroundTruthInstance]:
     """
     root = Path(scene_dir)
     labels = load_gt_labels(root)
-    intr, depth_scale = _load_intrinsics(root / "intrinsics.txt")
-    frame_ids = sorted(p.stem for p in (root / "gt" / "ids").glob("*.pgm"))
-    if not frame_ids:
+    intr, depth_scale = load_intrinsics(root / "intrinsics.txt")
+    gt_frame_ids = sorted(p.stem for p in (root / "gt" / "ids").glob("*.pgm"))
+    if not gt_frame_ids:
         raise SceneLayoutError(f"no '<id>.pgm' instance-id images under {root / 'gt' / 'ids'}")
     points: list[list[np.ndarray]] = [[] for _ in labels]
-    for frame_id in frame_ids:
+    for frame_id in gt_frame_ids:
         ids = load_gt_ids(root, frame_id, intr, len(labels))
         depth = _load_depth(root / "frames" / f"{frame_id}.depth.pgm", frame_id, intr, depth_scale)
         pose = _load_pose(root / "frames" / f"{frame_id}.pose.txt", frame_id)

@@ -44,6 +44,25 @@ class TestSynth:
         assert code == 2
         assert f"{boxes}:2: could not convert string to float: 'x'" in err
 
+    def test_missing_boxes_file_one_line_error(self, capsys, tmp_path):
+        boxes = tmp_path / "absent.txt"
+        code, _, err = run_cli(capsys, "synth", str(tmp_path / "s"), "--views", "1", "--boxes", str(boxes))
+        assert code == 2
+        assert err.startswith(f"rgbdnav synth: cannot read {boxes}")
+        assert err.count("\n") == 1
+
+    def test_second_synth_into_same_dir(self, capsys, tmp_path):
+        # the first run's masks are stale for the second; populating must
+        # replace them rather than trip over them
+        out = tmp_path / "s"
+        argv = ["synth", str(out), "--views", "2", "--width", "160", "--height", "120", "--focal", "145"]
+        assert run_cli(capsys, *argv)[0] == 0
+        first = {p.name: p.read_bytes() for p in (out / "frames").iterdir()}
+        assert any(".mask." in name for name in first)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert {p.name: p.read_bytes() for p in (out / "frames").iterdir()} == first
+
     def test_zero_views_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "synth", str(tmp_path / "s"), "--views", "0")
         assert code == 2
@@ -209,6 +228,13 @@ class TestNavsim:
         code, stdout, _ = run_cli(capsys, "navsim", str(out), "--world", str(world))
         assert code == 0
         assert "outcome: reached" in stdout
+
+    def test_missing_world_file_one_line_error(self, capsys, tmp_path):
+        world = tmp_path / "absent.txt"
+        code, _, err = run_cli(capsys, "navsim", str(tmp_path / "t.csv"), "--world", str(world))
+        assert code == 1
+        assert err.startswith(f"rgbdnav navsim: cannot read {world}")
+        assert err.count("\n") == 1
 
     def test_conflicting_flags_usage_error(self, capsys, tmp_path):
         world = tmp_path / "w.txt"

@@ -227,7 +227,7 @@ class TestRenderGtDetections:
         for s in layout_scenes:
             scene, labels, ids = _oracle_inputs(s.scene_dir)
             for view in scene.views:
-                masks = render_gt_detections(view.frame, ids(view), labels)
+                masks = render_gt_detections(view.frame.frame_id, ids(view), labels)
                 expected = reprojected_masks_reference(view.frame, scene.gt, scene.depth_scale)
                 assert [m.detection.label for m in masks] == [label for label, _ in expected]
                 for m, (_, bitmap) in zip(masks, expected):
@@ -236,7 +236,7 @@ class TestRenderGtDetections:
     def test_boxes_are_tight(self, oracle_scene_dir):
         scene, labels, ids = _oracle_inputs(oracle_scene_dir)
         view = scene.views[0]
-        for mask in render_gt_detections(view.frame, ids(view), labels):
+        for mask in render_gt_detections(view.frame.frame_id, ids(view), labels):
             det = mask.detection
             vs, us = np.nonzero(mask.bitmap)
             assert det.box == (float(us.min()), float(vs.min()), float(us.max() + 1), float(vs.max() + 1))
@@ -245,14 +245,14 @@ class TestRenderGtDetections:
     def test_drop_prob_one_removes_everything(self, oracle_scene_dir):
         scene, labels, ids = _oracle_inputs(oracle_scene_dir)
         view = scene.views[0]
-        assert render_gt_detections(view.frame, ids(view), labels, PerturbationConfig(seed=1, drop_prob=1.0)) == []
+        assert render_gt_detections(view.frame.frame_id, ids(view), labels, PerturbationConfig(seed=1, drop_prob=1.0)) == []
 
     def test_deterministic_given_seed(self, oracle_scene_dir):
         scene, labels, ids = _oracle_inputs(oracle_scene_dir)
         view = scene.views[1]
         noise = PerturbationConfig(seed=42, box_jitter_px=3, mask_erode_px=1, drop_prob=0.3, score_sigma=0.2)
-        a = render_gt_detections(view.frame, ids(view), labels, noise)
-        b = render_gt_detections(view.frame, ids(view), labels, noise)
+        a = render_gt_detections(view.frame.frame_id, ids(view), labels, noise)
+        b = render_gt_detections(view.frame.frame_id, ids(view), labels, noise)
         assert [m.detection for m in a] == [m.detection for m in b]
         for ma, mb in zip(a, b):
             assert np.array_equal(ma.bitmap, mb.bitmap)
@@ -265,8 +265,8 @@ class TestRenderGtDetections:
         noise = PerturbationConfig(seed=7, box_jitter_px=2, mask_erode_px=1, drop_prob=0.3, score_sigma=0.2)
         plain = ids(view)
         shifted = np.where(plain > 0, plain + 1, 0)  # id 1 now names a label seen nowhere
-        a = render_gt_detections(view.frame, plain, labels, noise)
-        b = render_gt_detections(view.frame, shifted, ["ghost", *labels], noise)
+        a = render_gt_detections(view.frame.frame_id, plain, labels, noise)
+        b = render_gt_detections(view.frame.frame_id, shifted, ["ghost", *labels], noise)
         assert [m.detection for m in a] == [m.detection for m in b]
         for ma, mb in zip(a, b):
             assert np.array_equal(ma.bitmap, mb.bitmap)
@@ -275,7 +275,7 @@ class TestRenderGtDetections:
         scene, labels, ids = _oracle_inputs(oracle_scene_dir)
         noise = PerturbationConfig(seed=3, box_jitter_px=6, mask_erode_px=-2)
         for view in scene.views[:4]:
-            for mask in render_gt_detections(view.frame, ids(view), labels, noise):
+            for mask in render_gt_detections(view.frame.frame_id, ids(view), labels, noise):
                 vs, us = np.nonzero(mask.bitmap)
                 x1, y1, x2, y2 = mask.detection.box
                 assert us.min() >= x1 and us.max() < x2

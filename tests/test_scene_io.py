@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from rgbdnav import fusion, oracle, scene_io
+from rgbdnav import cli, fusion, navsim, oracle, scene_io
 from rgbdnav.projection import back_project_pixels, to_world
 from rgbdnav.scene_io import (
     SceneLayoutError,
@@ -17,7 +19,7 @@ from rgbdnav.scene_io import (
     write_instances,
     write_pgm,
 )
-from rgbdnav.types import Box3D, ObjectCloud, SceneInstances
+from rgbdnav.types import Box3D, CameraIntrinsics, ObjectCloud, SceneInstances
 
 
 def _write_depth_p2(path, rows, maxval=65535):
@@ -339,3 +341,49 @@ class TestKeyValues:
         path.write_text("tau = 2\nseed: 3\n")
         with pytest.raises(ValueError, match=r"c\.txt:2"):
             scene_io.read_key_values(path)
+
+
+_INTR = CameraIntrinsics(10.0, 10.0, 2.5, 1.5, 6, 4)
+
+# Each line-record text format: the reader the program uses, a good record,
+# what the reader makes of it, and a malformed record.
+TEXT_FORMATS = {
+    "config": (scene_io.read_key_values, "voxel-size = 0.04", {"voxel_size": "0.04"}, "seed: 3"),
+    "boxes": (
+        lambda path: [
+            (b.label, *b.box.min_corner, *b.box.max_corner)
+            for b in scene_io.read_records(path, cli._labeled_box)
+        ],
+        "mug 0 0 0 1 1 1",
+        [("mug", 0, 0, 0, 1, 1, 1)],
+        "mug 0 0 0 1 x 1",
+    ),
+    "world": (lambda path: list(navsim.load_world(path).target), "target 2 0", [2.0, 0.0], "circle 1 1"),
+    "detections": (
+        lambda path: [(d.box, d.score, d.label) for d in scene_io._load_detections(path, _INTR)],
+        "1 1 4 3 0.9 mug on desk",
+        [((1.0, 1.0, 4.0, 3.0), 0.9, "mug on desk")],
+        "1 1 4 3 mug",
+    ),
+}
+
+
+class TestReadRecords:
+    @pytest.mark.parametrize("fmt", sorted(TEXT_FORMATS))
+    def test_comments_skipped_and_bad_line_named(self, tmp_path, fmt):
+        read, good, expected, bad = TEXT_FORMATS[fmt]
+        path = tmp_path / f"{fmt}.txt"
+        path.write_text(f"# {fmt}\n\n   \n{good}  # trailing comment\n")
+        assert read(path) == expected
+        path.write_text(f"# {fmt}\n\n{good}\n{bad}\n")
+        with pytest.raises(SceneValidationError, match=rf"^{re.escape(str(path))}:4: "):
+            read(path)
+
+    def test_missing_file_is_layout_error(self, tmp_path):
+        with pytest.raises(SceneLayoutError, match=r"cannot read .*absent\.txt"):
+            scene_io.read_records(tmp_path / "absent.txt", str.split)
+
+    def test_hash_in_detection_label_starts_comment(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("1 1 4 3 0.9 mug#2 on desk\n")
+        assert [d.label for d in scene_io._load_detections(path, _INTR)] == ["mug"]
