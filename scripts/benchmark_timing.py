@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Generate a 640x480 five-object scene and time the geometry stage."""
+"""Generate a 640x480 five-object scene and time it with `rgbdnav bench`."""
 import argparse
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from rgbdnav import bench, oracle, scene_io
-from rgbdnav.types import Box3D, PipelineConfig
+from rgbdnav import cli, oracle
+from rgbdnav.types import Box3D
 
 FIVE_BOXES = [
     oracle.LabeledBox("box_a", Box3D(np.array([-0.9, -0.6, 0.0]), np.array([-0.4, -0.15, 0.4]))),
@@ -38,10 +38,7 @@ def main() -> int:
         )
         oracle.populate_detections(scene_dir)
 
-    scene = scene_io.load_scene(scene_dir)
-    rows = bench.time_scene(scene, PipelineConfig(), repeats=args.repeats)
-    print(bench.format_bench_table(rows, len(scene.views)), end="")
-    return 0
+    return cli.main(["bench", str(scene_dir), "--repeats", str(args.repeats)])
 
 
 if __name__ == "__main__":

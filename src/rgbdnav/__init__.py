@@ -10,7 +10,6 @@ from .types import (
     InstanceMask,
     ObjectCloud,
     PipelineConfig,
-    SceneInstances,
 )
 
 __version__ = "0.1.0"
@@ -25,6 +24,5 @@ __all__ = [
     "InstanceMask",
     "ObjectCloud",
     "PipelineConfig",
-    "SceneInstances",
     "__version__",
 ]

@@ -141,7 +141,7 @@ def cmd_eval(args) -> int:
             print(f"rgbdnav eval: {e}", file=sys.stderr)
             return 1
         vocabulary = {g.label for g in gt}
-        unknown = sorted({c.label for c, _ in pred.instances} - vocabulary)
+        unknown = sorted({c.label for c in pred} - vocabulary)
         if unknown:
             print(
                 f"rgbdnav eval: predictions in {pred_dir} use labels outside the "

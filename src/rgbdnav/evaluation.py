@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fusion import voxel_keys
-from .types import GroundTruthInstance, ObjectCloud, SceneInstances
+from .types import GroundTruthInstance, ObjectCloud
 
 MAP_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
@@ -124,7 +124,7 @@ def _envelope_area(tp: np.ndarray, num_gt: int) -> float:
 
 
 def evaluate_scene(
-    pred: SceneInstances, gt: list[GroundTruthInstance], config: EvalConfig = EvalConfig()
+    pred: list[ObjectCloud], gt: list[GroundTruthInstance], config: EvalConfig = EvalConfig()
 ) -> EvalReport:
     """Score predictions against ground truth for one scene.
 
@@ -142,7 +142,7 @@ def evaluate_scene(
     counts: dict[str, ClassCounts] = {}
     for cls in classes:
         gts = [v for g, v in zip(gt, gt_voxels) if g.label == cls]
-        preds = [cloud for cloud, _ in pred.instances if cloud.label == cls]
+        preds = [cloud for cloud in pred if cloud.label == cls]
         scored = []
         for cloud in preds:
             voxels = _voxel_set(cloud.points, config.voxel_size)

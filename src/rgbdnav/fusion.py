@@ -3,9 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .projection import box_from_points, reconstruct_object
+from .projection import reconstruct_object
 from .scene_io import Scene
-from .types import Box3D, ObjectCloud, PipelineConfig, SceneInstances
+from .types import Box3D, ObjectCloud, PipelineConfig
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
@@ -68,9 +68,9 @@ def voxel_downsample(points: np.ndarray, voxel_size: float) -> np.ndarray:
     return p[_first_per_voxel(voxel_keys(p, voxel_size))[1]]
 
 
-# While folding, an instance is (cloud, box, keys): keys are the sorted unique
+# While folding, an instance is (cloud, keys): keys are the sorted unique
 # voxel keys of cloud.points once a merge has deduplicated them, else None.
-_Folded = tuple[ObjectCloud, Box3D, "np.ndarray | None"]
+_Folded = tuple[ObjectCloud, "np.ndarray | None"]
 
 
 def _merge_pair(acc: _Folded, new: _Folded, voxel_size: float) -> _Folded:
@@ -79,7 +79,7 @@ def _merge_pair(acc: _Folded, new: _Folded, voxel_size: float) -> _Folded:
     The accumulated cloud is deduplicated once; after that only the incoming
     points whose voxel it lacks are appended, first point per voxel.
     """
-    (a, _, keys), (b, _, _) = acc, new
+    (a, keys), (b, _) = acc, new
     points = a.points
     if keys is None:
         keys, first = _first_per_voxel(voxel_keys(points, voxel_size))
@@ -92,16 +92,15 @@ def _merge_pair(acc: _Folded, new: _Folded, voxel_size: float) -> _Folded:
     added, first = _first_per_voxel(incoming[fresh])
     points = np.vstack([points, b.points[fresh[first]]])
     keys = np.insert(keys, np.searchsorted(keys, added), added)
-    cloud = ObjectCloud(points, a.label, max(a.score, b.score), a.source_frames | b.source_frames)
-    return cloud, box_from_points(points), keys
+    return ObjectCloud(points, a.label, max(a.score, b.score), a.source_frames | b.source_frames), keys
 
 
 def _fold(instances: list[_Folded], merge_threshold: float, voxel_size: float) -> list[_Folded]:
     acc: list[_Folded] = []
     for inst in instances:
-        cloud, box, _ = inst
-        for i, (other_cloud, other_box, _) in enumerate(acc):
-            if other_cloud.label == cloud.label and iou_3d(other_box, box) > merge_threshold:
+        cloud = inst[0]
+        for i, (other, _) in enumerate(acc):
+            if other.label == cloud.label and iou_3d(other.box, cloud.box) > merge_threshold:
                 acc[i] = _merge_pair(acc[i], inst, voxel_size)
                 break
         else:
@@ -110,10 +109,10 @@ def _fold(instances: list[_Folded], merge_threshold: float, voxel_size: float) -
 
 
 def merge_instances(
-    views: list[list[tuple[ObjectCloud, Box3D]]],
+    views: list[list[ObjectCloud]],
     merge_threshold: float = 0.8,
     voxel_size: float = 0.02,
-) -> SceneInstances:
+) -> list[ObjectCloud]:
     """Greedy agglomeration of per-view instances into scene instances.
 
     Views are folded in input order; an incoming instance merges into the
@@ -126,15 +125,15 @@ def merge_instances(
     """
     if not (0.0 < merge_threshold <= 1.0):
         raise ValueError(f"merge_threshold must be in (0, 1], got {merge_threshold}")
-    current = [(cloud, box, None) for view in views for cloud, box in view]
+    current = [(cloud, None) for view in views for cloud in view]
     while True:
         folded = _fold(current, merge_threshold, voxel_size)
         if len(folded) == len(current):
-            return SceneInstances([(cloud, box) for cloud, box, _ in folded])
+            return [cloud for cloud, _ in folded]
         current = folded
 
 
-def run_scene(scene: Scene, config: PipelineConfig) -> tuple[SceneInstances, int]:
+def run_scene(scene: Scene, config: PipelineConfig) -> tuple[list[ObjectCloud], int]:
     """Turn a loaded scene into fused instances: the whole detection pipeline.
 
     Every InstanceMask of every view is reconstructed, views in order, and
@@ -146,10 +145,10 @@ def run_scene(scene: Scene, config: PipelineConfig) -> tuple[SceneInstances, int
     for view in scene.views:
         produced = []
         for mask in view.masks:
-            result = reconstruct_object(view.frame, mask, config)
-            if result is None:
+            cloud = reconstruct_object(view.frame, mask, config)
+            if cloud is None:
                 dropped += 1
             else:
-                produced.append(result)
+                produced.append(cloud)
         per_view.append(produced)
     return merge_instances(per_view, config.merge_threshold, config.voxel_size), dropped

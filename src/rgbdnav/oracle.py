@@ -9,6 +9,7 @@ seeded perturbations for degradation studies.
 """
 from __future__ import annotations
 
+import glob
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,7 +143,8 @@ def make_synthetic_scene(
     """Write the full scene layout: depth renders, poses, intrinsics, ground-truth id images and labels.
 
     Detections files are created empty; use :func:`populate_detections` to
-    synthesize detector outputs from the ground truth.
+    synthesize detector outputs from the ground truth. The frame files of any
+    other frame id already in ``scene_dir`` are removed.
     """
     if not boxes:
         raise ValueError("empty box list: nothing to render")
@@ -153,6 +155,12 @@ def make_synthetic_scene(
     ids_dir = scene_dir / "gt" / "ids"
     for d in (frames_dir, ids_dir):
         d.mkdir(parents=True, exist_ok=True)
+    written = {f"{i:04d}" for i in range(len(trajectory))}
+    earlier = {p.name[: -len(".depth.pgm")] for p in frames_dir.glob("*.depth.pgm")}
+    earlier |= {p.stem for p in ids_dir.glob("*.pgm")}
+    for stale in earlier - written:
+        for old in [*frames_dir.glob(f"{glob.escape(stale)}.*"), ids_dir / f"{stale}.pgm"]:
+            old.unlink(missing_ok=True)
     scene_io.write_intrinsics(scene_dir / "intrinsics.txt", intrinsics, depth_scale)
     pixels = np.zeros(len(boxes) + 1, dtype=np.int64)
     for i, pose in enumerate(trajectory):

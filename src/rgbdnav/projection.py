@@ -1,4 +1,4 @@
-"""Back-projection of per-object depths into world-frame clouds and boxes.
+"""Back-projection of per-object depths into world-frame clouds.
 
 Pinhole model: a pixel (u, v) with depth d maps to the camera-frame point
 (X, Y, Z) = ((u - cx) * d / fx, (v - cy) * d / fy, d), which the camera pose
@@ -11,7 +11,7 @@ import logging
 import numpy as np
 
 from .masks import InstanceMask, IsolatedDepth, StructuringElement, erode_mask, isolate_depth, zscore_filter
-from .types import Box3D, CameraIntrinsics, CameraPose, DepthFrame, ObjectCloud, PipelineConfig
+from .types import CameraIntrinsics, CameraPose, DepthFrame, ObjectCloud, PipelineConfig
 
 logger = logging.getLogger(__name__)
 
@@ -51,19 +51,12 @@ def to_camera(points: np.ndarray, pose: CameraPose) -> np.ndarray:
     return (p - pose.translation) @ pose.rotation
 
 
-def box_from_points(points: np.ndarray) -> Box3D:
-    p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if p.shape[0] == 0:
-        raise ValueError("cannot box an empty point set")
-    return Box3D(p.min(axis=0), p.max(axis=0))
-
-
 def reconstruct_object(
     frame: DepthFrame,
     mask: InstanceMask,
     config: PipelineConfig = PipelineConfig(),
-) -> tuple[ObjectCloud, Box3D] | None:
-    """Run erode -> isolate -> z-filter -> back-project -> world -> box for one object.
+) -> ObjectCloud | None:
+    """Run erode -> isolate -> z-filter -> back-project -> world for one object.
 
     The cloud takes its label and score from ``mask.detection``. Returns None
     (a drop, not an error) when any stage yields an empty set, e.g. a mask
@@ -85,5 +78,4 @@ def reconstruct_object(
         return None
     cam_points = back_project(filtered, frame.intrinsics)
     world_points = to_world(cam_points, frame.pose)
-    cloud = ObjectCloud(world_points, detection.label, detection.score, frozenset({frame.frame_id}))
-    return cloud, box_from_points(cloud.points)
+    return ObjectCloud(world_points, detection.label, detection.score, frozenset({frame.frame_id}))

@@ -33,7 +33,6 @@ import numpy as np
 
 from .projection import back_project_pixels, to_world
 from .types import (
-    Box3D,
     CameraIntrinsics,
     CameraPose,
     DepthFrame,
@@ -41,7 +40,6 @@ from .types import (
     GroundTruthInstance,
     InstanceMask,
     ObjectCloud,
-    SceneInstances,
 )
 
 
@@ -422,15 +420,12 @@ def _parse_xyz(path: Path, tokens: list[str]) -> np.ndarray:
 
 
 def write_cloud_ply(cloud: ObjectCloud, path: Path) -> None:
-    """Write an ASCII PLY with one x/y/z vertex per point. Refuses empty clouds."""
-    n = cloud.points.shape[0]
-    if n == 0:
-        raise ValueError(f"refusing to write empty cloud '{cloud.label}' to {path}")
+    """Write an ASCII PLY with one x/y/z vertex per point, each coordinate rounded to 1e-6 m."""
     header = (
         "ply\nformat ascii 1.0\n"
         f"comment label {cloud.label}\n"
         f"comment score {cloud.score:.9g}\n"
-        f"element vertex {n}\n"
+        f"element vertex {cloud.points.shape[0]}\n"
         "property float x\nproperty float y\nproperty float z\nend_header\n"
     )
     body = "\n".join("%.6f %.6f %.6f" % (p[0], p[1], p[2]) for p in cloud.points)
@@ -456,6 +451,8 @@ def read_cloud_ply(path: Path) -> np.ndarray:
             break
     if count is None or body_start is None or not count.isdecimal():
         raise SceneValidationError(f"{path}: malformed PLY header")
+    if int(count) == 0:
+        raise SceneValidationError(f"{path}: PLY holds no vertices")
     if props != ["x", "y", "z"]:
         raise SceneValidationError(f"{path}: expected x/y/z vertex properties, got {props}")
     points = _parse_xyz(path, " ".join(lines[body_start:]).split())
@@ -468,72 +465,68 @@ def read_cloud_ply(path: Path) -> np.ndarray:
 # Instance-set documents
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoxRecord:
-    label: str
-    score: float
-    min_corner: np.ndarray
-    max_corner: np.ndarray
-    num_points: int
-
-
-def write_boxes(instances: SceneInstances, path: Path) -> None:
-    """Write one machine-readable record per instance (JSON)."""
+def write_boxes(instances: list[ObjectCloud], path: Path) -> None:
+    """Write one machine-readable record per instance (JSON); each box is its cloud's point extremes."""
     records = [
         {
             "label": cloud.label,
             "score": cloud.score,
-            "min_corner": list(box.min_corner),
-            "max_corner": list(box.max_corner),
+            "min_corner": list(cloud.box.min_corner),
+            "max_corner": list(cloud.box.max_corner),
             "num_points": int(cloud.points.shape[0]),
         }
-        for cloud, box in instances.instances
+        for cloud in instances
     ]
     Path(path).write_text(json.dumps({"instances": records}, indent=2) + "\n")
-
-
-def load_boxes(path: Path) -> list[BoxRecord]:
-    doc = json.loads(Path(path).read_text())
-    return [
-        BoxRecord(
-            r["label"],
-            float(r["score"]),
-            np.array(r["min_corner"], dtype=np.float64),
-            np.array(r["max_corner"], dtype=np.float64),
-            int(r["num_points"]),
-        )
-        for r in doc["instances"]
-    ]
 
 
 def _slug(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "_", label).strip("_") or "object"
 
 
-def write_instances(instances: SceneInstances, out_dir: Path) -> None:
-    """Export a fused instance set: boxes.json plus one PLY cloud per instance."""
+def write_instances(instances: list[ObjectCloud], out_dir: Path) -> None:
+    """Export a fused instance set: boxes.json plus one PLY cloud per instance.
+
+    Cloud files of an earlier export into the same directory are removed first.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for old in out_dir.glob("cloud_*.ply"):
+        old.unlink()
     write_boxes(instances, out_dir / "boxes.json")
-    for k, (cloud, _) in enumerate(instances.instances):
+    for k, cloud in enumerate(instances):
         write_cloud_ply(cloud, out_dir / f"cloud_{k:04d}_{_slug(cloud.label)}.ply")
 
 
-def load_instances(pred_dir: Path) -> SceneInstances:
-    """Load an instance set written by :func:`write_instances`."""
+def load_instances(pred_dir: Path) -> list[ObjectCloud]:
+    """Load an instance set written by :func:`write_instances`.
+
+    Label and score come from boxes.json, the points from each PLY; each box
+    is recomputed from the points, not read from the JSON corners.
+    """
     pred_dir = Path(pred_dir)
     boxes_path = pred_dir / "boxes.json"
     if not boxes_path.is_file():
         raise SceneLayoutError(f"missing instance document {boxes_path}")
-    records = load_boxes(boxes_path)
-    instances = []
+    try:
+        doc = json.loads(boxes_path.read_text())
+    except json.JSONDecodeError as e:
+        raise SceneValidationError(f"{boxes_path}: not JSON: {e}") from e
+    records = doc.get("instances") if isinstance(doc, dict) else None
+    if not isinstance(records, list):
+        raise SceneValidationError(f"{boxes_path}: no 'instances' list")
+    clouds = []
     for k, rec in enumerate(records):
+        try:
+            label, score = rec["label"], float(rec["score"])
+            if not 0.0 <= score <= 1.0:
+                raise ValueError(f"score {score} outside [0, 1]")
+        except (KeyError, TypeError, ValueError) as e:
+            raise SceneValidationError(f"{boxes_path}: instance {k} needs a 'label' and a 'score' in [0, 1]") from e
         matches = sorted(pred_dir.glob(f"cloud_{k:04d}_*.ply"))
         if len(matches) != 1:
             raise SceneLayoutError(
                 f"expected exactly one cloud file for instance {k} in {pred_dir}, found {len(matches)}"
             )
-        points = read_cloud_ply(matches[0])
-        cloud = ObjectCloud(points, rec.label, rec.score)
-        instances.append((cloud, Box3D(rec.min_corner, rec.max_corner)))
-    return SceneInstances(instances)
+        clouds.append(ObjectCloud(read_cloud_ply(matches[0]), label, score))
+    return clouds

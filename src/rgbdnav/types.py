@@ -8,7 +8,8 @@ y1 <= v < y2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,23 +110,6 @@ class InstanceMask:
 
 
 @dataclass(frozen=True)
-class ObjectCloud:
-    """World-frame points for one object instance."""
-
-    points: np.ndarray
-    label: str
-    score: float
-    source_frames: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        if pts.size and not np.all(np.isfinite(pts)):
-            raise ValueError(f"non-finite coordinates in cloud '{self.label}'")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "source_frames", frozenset(self.source_frames))
-
-
-@dataclass(frozen=True)
 class Box3D:
     """Axis-aligned world-frame box given by componentwise min/max corners."""
 
@@ -149,14 +133,31 @@ class Box3D:
         return float(np.prod(self.max_corner - self.min_corner))
 
 
-@dataclass
-class SceneInstances:
-    """Scene-level fused instances: (cloud, box) pairs carrying label and score."""
+@dataclass(frozen=True)
+class ObjectCloud:
+    """World-frame points for one object instance: the one record per instance.
 
-    instances: list[tuple[ObjectCloud, Box3D]] = field(default_factory=list)
+    The points are never empty, so the instance's 3D box is always defined.
+    """
 
-    def __len__(self) -> int:
-        return len(self.instances)
+    points: np.ndarray
+    label: str
+    score: float
+    source_frames: frozenset[str] = frozenset()
+
+    def __post_init__(self):
+        pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        if pts.shape[0] == 0:
+            raise ValueError(f"cloud '{self.label}' has no points")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError(f"non-finite coordinates in cloud '{self.label}'")
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "source_frames", frozenset(self.source_frames))
+
+    @functools.cached_property
+    def box(self) -> Box3D:
+        """The axis-aligned box of the points: their componentwise min and max."""
+        return Box3D(self.points.min(axis=0), self.points.max(axis=0))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from rgbdnav.types import (
     GroundTruthInstance,
     ObjectCloud,
     PipelineConfig,
-    SceneInstances,
 )
 
 from conftest import erosion_oracle, monte_carlo_iou, random_rotation, unicycle_arc, zscore_keep_oracle
@@ -52,7 +51,7 @@ def test_criterion_1_oracle_end_to_end(oracle_scene_dir):
         instances, report = _run_pipeline(scene)
         elapsed = time.perf_counter() - t0
         assert len(instances) == 3
-        for cloud, _ in instances.instances:
+        for cloud in instances:
             gt = next(g for g in scene.gt if g.label == cloud.label)
             iou = evaluation.instance_iou(cloud, gt, 0.02)
             assert iou >= 0.95, f"{cloud.label}: voxel IoU {iou:.3f} < 0.95"
@@ -162,8 +161,8 @@ def test_criterion_5_iou_and_ap_oracles():
                 pts = rng.uniform(0, 0.4, (200, 3)) + base
                 gts.append(GroundTruthInstance(f"c{k}", pts))
                 jitter = rng.normal(0, rng.uniform(0.0, 0.1), pts.shape)
-                preds.append((ObjectCloud(pts + jitter, f"c{k}", float(rng.random())), None))
-            report = evaluation.evaluate_scene(SceneInstances(preds), gts)
+                preds.append(ObjectCloud(pts + jitter, f"c{k}", float(rng.random())))
+            report = evaluation.evaluate_scene(preds, gts)
             assert report.map25 >= report.map50 >= report.map
 
 
@@ -179,9 +178,7 @@ def test_criterion_6_fusion_fixpoint():
             r = np.random.default_rng(seed)
             pts = r.uniform(lo, lo + 1.0, (50, 3))
             pts[0], pts[1] = lo, lo + 1.0
-            from rgbdnav.projection import box_from_points
-
-            return ObjectCloud(pts, label, 1.0), box_from_points(pts)
+            return ObjectCloud(pts, label, 1.0)
 
         chain = [instance([0.03 * k, 0, 0], seed=k) for k in range(3)]
         for order in itertools.permutations(chain):
@@ -193,13 +190,13 @@ def test_criterion_6_fusion_fixpoint():
                  for _ in range(3)]
             )
         merged = fusion.merge_instances(views, 0.8, 0.02)
-        again = fusion.merge_instances([merged.instances], 0.8, 0.02)
+        again = fusion.merge_instances([merged], 0.8, 0.02)
         assert len(again) == len(merged)
-        for (ca, _), (cb, _) in zip(merged.instances, again.instances):
+        for ca, cb in zip(merged, again):
             assert np.array_equal(ca.points, cb.points)
-        for (ca, ba), (cb, bb) in itertools.combinations(merged.instances, 2):
+        for ca, cb in itertools.combinations(merged, 2):
             if ca.label == cb.label:
-                assert fusion.iou_3d(ba, bb) <= 0.8
+                assert fusion.iou_3d(ca.box, cb.box) <= 0.8
 
 
 def test_criterion_7_noise_monotonicity(oracle_scene_dir, tmp_path):

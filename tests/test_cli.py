@@ -63,6 +63,22 @@ class TestSynth:
         assert code == 0, err
         assert {p.name: p.read_bytes() for p in (out / "frames").iterdir()} == first
 
+    def test_shorter_synth_replaces_longer_scene(self, capsys, tmp_path):
+        # the frames of the first, four-view run must not outlive the second
+        out = tmp_path / "s"
+        small = ["--width", "160", "--height", "120", "--focal", "145"]
+        assert run_cli(capsys, "synth", str(out), "--views", "4", *small)[0] == 0
+        code, printed, err = run_cli(capsys, "synth", str(out), "--views", "2", *small)
+        assert code == 0, err
+        frame_ids = {p.name.split(".", 1)[0] for p in (out / "frames").iterdir()}
+        assert frame_ids == {"0000", "0001"}
+        assert sorted(p.name for p in (out / "gt" / "ids").iterdir()) == ["0000.pgm", "0001.pgm"]
+        written = int(printed.split(" detection(s)")[0].rsplit(" ", 1)[1])
+        assert written == sum(len(v.masks) for v in scene_io.load_scene(out).views) <= 2 * 3
+        code, printed, _ = run_cli(capsys, "detect", str(out), str(tmp_path / "p"))
+        assert code == 0
+        assert "views:          2" in printed
+
     def test_zero_views_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "synth", str(tmp_path / "s"), "--views", "0")
         assert code == 2
@@ -75,8 +91,8 @@ class TestDetect:
         code, out, _ = run_cli(capsys, "detect", str(two_cube_scene), str(out_dir))
         assert code == 0
         assert "instances out:  2" in out
-        records = scene_io.load_boxes(out_dir / "boxes.json")
-        assert sorted(r.label for r in records) == ["bin", "crate"]
+        clouds = scene_io.load_instances(out_dir)
+        assert sorted(c.label for c in clouds) == ["bin", "crate"]
 
     def test_bad_tau_usage_error(self, capsys, two_cube_scene, tmp_path):
         code, _, err = run_cli(capsys, "detect", str(two_cube_scene), str(tmp_path / "p"), "--tau", "-1")
@@ -100,6 +116,25 @@ class TestDetect:
         with pytest.raises(scene_io.SceneValidationError, match=r"frame 0001: id image .*0001\.pgm holds id 7"):
             scene.gt
 
+    def test_second_detect_into_same_dir(self, capsys, two_cube_scene, tmp_path):
+        # a one-object scene detected over a two-object output: the first
+        # run's cloud files must not be read back as the second run's
+        urn_scene = tmp_path / "urn"
+        boxes = tmp_path / "urn.txt"
+        boxes.write_text("urn -0.3 -0.3 0 0.3 0.3 0.5\n")
+        small = ["--views", "1", "--width", "160", "--height", "120", "--focal", "145"]
+        assert run_cli(capsys, "synth", str(urn_scene), *small, "--boxes", str(boxes))[0] == 0
+        pred = tmp_path / "pred"
+        assert run_cli(capsys, "detect", str(two_cube_scene), str(pred))[0] == 0
+        code, out, _ = run_cli(capsys, "detect", str(urn_scene), str(pred))
+        assert code == 0
+        assert "instances out:  1" in out
+        assert [p.name for p in pred.glob("cloud_*.ply")] == ["cloud_0000_urn.ply"]
+        code, out, err = run_cli(capsys, "eval", str(pred), str(urn_scene))
+        assert code == 0, err
+        (urn_row,) = [l.split() for l in out.splitlines() if l.startswith("urn")]
+        assert urn_row[4:] == ["1", "1", "1", "1"]  # gt, pred, tp50, tp25
+
     def test_empty_detections_zero_instances_success(self, capsys, mutable_scene_dir, tmp_path):
         for f in (mutable_scene_dir / "frames").glob("*.detections.txt"):
             f.write_text("")
@@ -114,13 +149,10 @@ class TestEval:
     @pytest.fixture()
     def perfect_pred_dir(self, two_cube_scene, tmp_path):
         # predictions copied from the ground truth itself
-        from rgbdnav.projection import box_from_points
-        from rgbdnav.types import ObjectCloud, SceneInstances
+        from rgbdnav.types import ObjectCloud
 
         gt = scene_io.load_gt_instances(two_cube_scene)
-        instances = SceneInstances(
-            [(ObjectCloud(g.points, g.label, 1.0), box_from_points(g.points)) for g in gt]
-        )
+        instances = [ObjectCloud(g.points, g.label, 1.0) for g in gt]
         pred = tmp_path / "pred"
         scene_io.write_instances(instances, pred)
         return pred
@@ -142,32 +174,50 @@ class TestEval:
         assert float(m25) >= float(m50) >= float(m)
 
     def test_disjoint_predictions_score_zero(self, capsys, two_cube_scene, tmp_path):
-        from rgbdnav.projection import box_from_points
-        from rgbdnav.types import ObjectCloud, SceneInstances
+        from rgbdnav.types import ObjectCloud
 
         gt = scene_io.load_gt_instances(two_cube_scene)
-        far = [
-            (ObjectCloud(g.points + 50.0, g.label, 1.0), box_from_points(g.points + 50.0))
-            for g in gt
-        ]
+        far = [ObjectCloud(g.points + 50.0, g.label, 1.0) for g in gt]
         pred = tmp_path / "pred"
-        scene_io.write_instances(SceneInstances(far), pred)
+        scene_io.write_instances(far, pred)
         code, out, _ = run_cli(capsys, "eval", str(pred), str(two_cube_scene))
         assert code == 0
         all_row = [l for l in out.splitlines() if l.startswith("all")][0]
         assert all_row.split()[1:] == ["0.0", "0.0", "0.0"]
 
     def test_unknown_label_vocabulary_error(self, capsys, two_cube_scene, tmp_path):
-        from rgbdnav.projection import box_from_points
-        from rgbdnav.types import ObjectCloud, SceneInstances
+        from rgbdnav.types import ObjectCloud
 
         pts = np.random.default_rng(0).uniform(0, 1, (20, 3))
-        instances = SceneInstances([(ObjectCloud(pts, "unicorn", 1.0), box_from_points(pts))])
+        instances = [ObjectCloud(pts, "unicorn", 1.0)]
         pred = tmp_path / "pred"
         scene_io.write_instances(instances, pred)
         code, _, err = run_cli(capsys, "eval", str(pred), str(two_cube_scene))
         assert code == 1
         assert "unicorn" in err
+
+    @pytest.mark.parametrize(
+        "corrupt, reason",
+        [
+            (lambda doc: "not json", "not JSON"),
+            (lambda doc: json.dumps({"boxes": doc["instances"]}), "no 'instances' list"),
+            (lambda doc: json.dumps({"instances": [{k: v for k, v in r.items() if k != "score"}
+                                                   for r in doc["instances"]]}),
+             "instance 0 needs a 'label' and a 'score' in [0, 1]"),
+            (lambda doc: json.dumps({"instances": [{**r, "score": "high"} for r in doc["instances"]]}),
+             "instance 0 needs a 'label' and a 'score' in [0, 1]"),
+            (lambda doc: json.dumps({"instances": [{**r, "score": float("nan")} for r in doc["instances"]]}),
+             "instance 0 needs a 'label' and a 'score' in [0, 1]"),
+        ],
+        ids=["not_json", "no_instances", "no_score", "text_score", "nan_score"],
+    )
+    def test_malformed_boxes_json_names_file(self, capsys, two_cube_scene, perfect_pred_dir, corrupt, reason):
+        path = perfect_pred_dir / "boxes.json"
+        path.write_text(corrupt(json.loads(path.read_text())))
+        code, _, err = run_cli(capsys, "eval", str(perfect_pred_dir), str(two_cube_scene))
+        assert code == 1
+        assert err.startswith(f"rgbdnav eval: {path}: {reason}")
+        assert err.count("\n") == 1
 
     def test_odd_directory_count_usage_error(self, capsys, two_cube_scene):
         code, _, err = run_cli(capsys, "eval", str(two_cube_scene))

@@ -18,7 +18,7 @@ from rgbdnav.evaluation import (
     instance_iou,
     macro_average,
 )
-from rgbdnav.types import GroundTruthInstance, ObjectCloud, SceneInstances
+from rgbdnav.types import GroundTruthInstance, ObjectCloud
 
 from conftest import VOXEL_SIZES, pool_clouds, voxel_pools
 
@@ -51,7 +51,7 @@ def evaluate_scene_reference(pred, gt, voxel_size, thresholds):
     per_class, counts = {}, {}
     for cls in sorted({g.label for g in gt}):
         gts = [g for g in gt if g.label == cls]
-        preds = [cloud for cloud, _ in pred.instances if cloud.label == cls]
+        preds = [cloud for cloud in pred if cloud.label == cls]
         scored = [(c.score, np.array([instance_iou_sets(c, g, voxel_size) for g in gts])) for c in preds]
         ap = float(np.mean([average_precision(scored, len(gts), t) for t in thresholds])) if scored else 0.0
         per_class[cls] = ClassAP(ap, average_precision(scored, len(gts), 0.50), average_precision(scored, len(gts), 0.25))
@@ -72,11 +72,11 @@ def eval_inputs(draw):
         for _ in range(draw(st.integers(1, 4)))
     ]
     preds = [
-        (ObjectCloud(draw(pool_clouds(pool)), draw(st.sampled_from(["a", "a", "b", "c"])),
-                     draw(st.sampled_from([0.5, 0.7, 1.0]))), None)
+        ObjectCloud(draw(pool_clouds(pool)), draw(st.sampled_from(["a", "a", "b", "c"])),
+                    draw(st.sampled_from([0.5, 0.7, 1.0])))
         for _ in range(draw(st.integers(0, 6)))
     ]
-    return SceneInstances(preds), gt, voxel
+    return preds, gt, voxel
 
 
 def ap_orderings_oracle(scored_ious, num_gt, thr):
@@ -162,7 +162,7 @@ class TestInstanceIoU:
     @given(eval_inputs())
     def test_matches_set_reference(self, inputs):
         pred, gt, voxel = inputs
-        for cloud, _ in pred.instances:
+        for cloud in pred:
             for g in gt:
                 assert instance_iou(cloud, g, voxel) == instance_iou_sets(cloud, g, voxel)
 
@@ -242,7 +242,7 @@ class TestAveragePrecision:
 class TestEvaluateScene:
     def test_perfect_predictions_score_one(self):
         pairs = [_grid_instance("chair", (0, 0, 0)), _grid_instance("table", (5, 0, 0))]
-        pred = SceneInstances([(c, None) for c, _ in pairs])
+        pred = [c for c, _ in pairs]
         gt = [g for _, g in pairs]
         report = evaluate_scene(pred, gt)
         assert report.map == report.map50 == report.map25 == 1.0
@@ -250,7 +250,7 @@ class TestEvaluateScene:
     def test_all_wrong_class_scores_zero(self):
         cloud, _ = _grid_instance("chair", (0, 0, 0))
         _, gt = _grid_instance("table", (0, 0, 0))
-        report = evaluate_scene(SceneInstances([(cloud, None)]), [gt])
+        report = evaluate_scene([cloud], [gt])
         assert report.map == report.map50 == report.map25 == 0.0
 
     def test_midband_iou_counts_at_25_not_50(self):
@@ -260,7 +260,7 @@ class TestEvaluateScene:
         shifted = ObjectCloud(cloud.points + np.array([8 * 0.02, 0, 0]), "chair", 1.0)
         iou = instance_iou(shifted, gt, 0.02)
         assert 0.25 <= iou < 0.5
-        report = evaluate_scene(SceneInstances([(shifted, None)]), [gt])
+        report = evaluate_scene([shifted], [gt])
         chair = report.per_class_ap["chair"]
         assert chair.ap25 == 1.0
         assert chair.ap50 == 0.0
@@ -268,7 +268,7 @@ class TestEvaluateScene:
     def test_empty_gt_rejected(self):
         cloud, _ = _grid_instance("chair", (0, 0, 0))
         with pytest.raises(ValueError):
-            evaluate_scene(SceneInstances([(cloud, None)]), [])
+            evaluate_scene([cloud], [])
 
     def test_monotone_thresholds_reported(self):
         rng = np.random.default_rng(31)
@@ -276,16 +276,16 @@ class TestEvaluateScene:
         preds = []
         for cloud, _ in gt_pairs:
             jitter = rng.normal(0, 0.02, size=cloud.points.shape)
-            preds.append((ObjectCloud(cloud.points + jitter, cloud.label, float(rng.random())), None))
-        report = evaluate_scene(SceneInstances(preds), [g for _, g in gt_pairs])
+            preds.append(ObjectCloud(cloud.points + jitter, cloud.label, float(rng.random())))
+        report = evaluate_scene(preds, [g for _, g in gt_pairs])
         assert report.map25 >= report.map50 >= report.map
 
     def test_macro_average_two_scenes(self):
         pairs = [_grid_instance("chair", (0, 0, 0))]
-        pred = SceneInstances([(pairs[0][0], None)])
+        pred = [pairs[0][0]]
         gt = [pairs[0][1]]
         perfect = evaluate_scene(pred, gt)
-        empty = evaluate_scene(SceneInstances([]), gt)
+        empty = evaluate_scene([], gt)
         combined = macro_average([perfect, empty])
         assert combined.map == pytest.approx(0.5)
         assert combined.num_scenes == 2
@@ -300,7 +300,7 @@ class TestEvaluateScene:
 
     def test_report_formatting(self):
         pairs = [_grid_instance("chair", (0, 0, 0))]
-        report = evaluate_scene(SceneInstances([(pairs[0][0], None)]), [pairs[0][1]])
+        report = evaluate_scene([pairs[0][0]], [pairs[0][1]])
         text = format_report(report)
         assert "chair" in text
         assert "100.0" in text

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rgbdnav import scene_io
 from rgbdnav.fusion import iou_3d, merge_instances, run_scene, voxel_downsample, voxel_keys
-from rgbdnav.projection import box_from_points, reconstruct_object
+from rgbdnav.projection import reconstruct_object
 from rgbdnav.types import Box3D, ObjectCloud, PipelineConfig
 
 from conftest import VOXEL_SIZES, monte_carlo_iou, pool_clouds, voxel_pools
@@ -30,18 +30,17 @@ def merge_instances_reference(views, merge_threshold, voxel_size):
 
     def fold(instances):
         acc = []
-        for cloud, box in instances:
-            for i, (other, other_box) in enumerate(acc):
-                if other.label == cloud.label and iou_3d(other_box, box) > merge_threshold:
+        for cloud in instances:
+            for i, other in enumerate(acc):
+                if other.label == cloud.label and iou_3d(other.box, cloud.box) > merge_threshold:
                     points = voxel_downsample_rowwise(np.vstack([other.points, cloud.points]), voxel_size)
-                    merged = ObjectCloud(
+                    acc[i] = ObjectCloud(
                         points, other.label, max(other.score, cloud.score),
                         other.source_frames | cloud.source_frames,
                     )
-                    acc[i] = (merged, box_from_points(points))
                     break
             else:
-                acc.append((cloud, box))
+                acc.append(cloud)
         return acc
 
     current = [inst for view in views for inst in view]
@@ -59,11 +58,11 @@ def run_scene_reference(scene, config):
     for view in scene.views:
         produced = []
         for mask in view.masks:
-            result = reconstruct_object(view.frame, mask, config)
-            if result is None:
+            cloud = reconstruct_object(view.frame, mask, config)
+            if cloud is None:
                 dropped += 1
             else:
-                produced.append(result)
+                produced.append(cloud)
         per_view.append(produced)
     return merge_instances(per_view, config.merge_threshold, config.voxel_size), dropped
 
@@ -81,8 +80,7 @@ def fusion_inputs(draw):
         for _ in range(draw(st.integers(0, 3))):
             pts = draw(pool_clouds(pool)) + [draw(st.integers(0, 2 * span)) * voxel, 0.0, 0.0]
             label = draw(st.sampled_from(["a", "a", "b"]))
-            cloud = ObjectCloud(pts, label, draw(st.sampled_from([0.3, 0.6, 1.0])), frozenset({f"f{v}"}))
-            row.append((cloud, box_from_points(pts)))
+            row.append(ObjectCloud(pts, label, draw(st.sampled_from([0.3, 0.6, 1.0])), frozenset({f"f{v}"})))
         views.append(row)
     return views, draw(st.sampled_from([0.05, 0.3, 0.8])), voxel
 
@@ -97,8 +95,7 @@ def _instance(lo, hi, label="chair", score=1.0, n=40, seed=0):
     # pin the extremes so the box of the points spans exactly [lo, hi]
     pts[0] = lo
     pts[1] = hi
-    cloud = ObjectCloud(pts, label, score)
-    return cloud, box_from_points(pts)
+    return ObjectCloud(pts, label, score)
 
 
 class TestIoU3D:
@@ -191,11 +188,11 @@ class TestMergeInstances:
 
     def test_score_is_max_and_frames_union(self):
         a = _instance([0, 0, 0], [1, 1, 1], score=0.4, seed=1)
-        a = (ObjectCloud(a[0].points, "chair", 0.4, frozenset({"f0"})), a[1])
+        a = ObjectCloud(a.points, "chair", 0.4, frozenset({"f0"}))
         b = _instance([0, 0, 0], [1, 1, 1], score=0.9, seed=2)
-        b = (ObjectCloud(b[0].points, "chair", 0.9, frozenset({"f1"})), b[1])
+        b = ObjectCloud(b.points, "chair", 0.9, frozenset({"f1"}))
         out = merge_instances([[a], [b]], 0.8, 0.02)
-        cloud, _ = out.instances[0]
+        cloud = out[0]
         assert cloud.score == 0.9
         assert cloud.source_frames == frozenset({"f0", "f1"})
 
@@ -205,7 +202,7 @@ class TestMergeInstances:
         specs = [([0, 0, 0], [1, 1, 1]), ([0.02, 0, 0], [1.02, 1, 1]), ([0.04, 0, 0], [1.04, 1, 1])]
         insts = [_instance(lo, hi, seed=i) for i, (lo, hi) in enumerate(specs)]
         for pair in itertools.combinations(insts, 2):
-            assert iou_3d(pair[0][1], pair[1][1]) > 0.9
+            assert iou_3d(pair[0].box, pair[1].box) > 0.9
         for order in itertools.permutations(insts):
             out = merge_instances([list(order)], 0.8, 0.02)
             assert len(out) == 1
@@ -220,12 +217,12 @@ class TestMergeInstances:
                 row.append(_instance(lo, lo + rng.uniform(0.4, 1.0, 3), label=f"c{k}", seed=10 * v + k))
             views.append(row)
         once = merge_instances(views, 0.8, 0.02)
-        twice = merge_instances([once.instances], 0.8, 0.02)
+        twice = merge_instances([once], 0.8, 0.02)
         assert len(twice) == len(once)
-        for (ca, ba), (cb, bb) in zip(once.instances, twice.instances):
+        for ca, cb in zip(once, twice):
             assert ca.label == cb.label
             assert np.array_equal(ca.points, cb.points)
-            assert np.array_equal(ba.min_corner, bb.min_corner)
+            assert np.array_equal(ca.box.min_corner, cb.box.min_corner)
 
     def test_no_same_class_pair_above_threshold_after_merge(self):
         rng = np.random.default_rng(8)
@@ -237,9 +234,9 @@ class TestMergeInstances:
                 row.append(_instance(lo, lo + rng.uniform(0.3, 1.2, 3), label="chair", seed=int(rng.integers(1e6))))
             views.append(row)
         out = merge_instances(views, 0.8, 0.02)
-        for (ca, ba), (cb, bb) in itertools.combinations(out.instances, 2):
+        for ca, cb in itertools.combinations(out, 2):
             if ca.label == cb.label:
-                assert iou_3d(ba, bb) <= 0.8
+                assert iou_3d(ca.box, cb.box) <= 0.8
 
     def test_count_never_increases_and_points_preserved(self):
         rng = np.random.default_rng(9)
@@ -247,22 +244,22 @@ class TestMergeInstances:
         n_in = sum(len(v) for v in views)
         out = merge_instances(views, 0.8, 0.02)
         assert len(out) <= n_in
-        all_inputs = np.vstack([c.points for view in views for c, _ in view])
-        for cloud, _ in out.instances:
+        all_inputs = np.vstack([c.points for view in views for c in view])
+        for cloud in out:
             for p in cloud.points:
                 assert (np.abs(all_inputs - p).sum(axis=1) < 1e-12).any()
 
     @given(fusion_inputs())
     def test_matches_concatenating_reference(self, inputs):
         views, threshold, voxel = inputs
-        got = merge_instances(views, threshold, voxel).instances
+        got = merge_instances(views, threshold, voxel)
         want = merge_instances_reference(views, threshold, voxel)
         assert len(got) == len(want)
-        for (cg, bg), (cw, bw) in zip(got, want):
+        for cg, cw in zip(got, want):
             assert np.array_equal(cg.points, cw.points)
             assert (cg.label, cg.score, cg.source_frames) == (cw.label, cw.score, cw.source_frames)
-            assert np.array_equal(bg.min_corner, bw.min_corner)
-            assert np.array_equal(bg.max_corner, bw.max_corner)
+            assert np.array_equal(cg.box.min_corner, cw.box.min_corner)
+            assert np.array_equal(cg.box.max_corner, cw.box.max_corner)
 
     def test_later_pass_merge_matches_reference(self):
         # x and x + d are disjoint; their union bridges them, so in the order
@@ -272,17 +269,17 @@ class TestMergeInstances:
         x = np.vstack([x, x[:20]])  # and duplicates
         shifted = x + [np.ptp(x[:, 0]) + 0.04, 0.0, 0.0]
         insts = [
-            (ObjectCloud(pts, "chair", 0.5 + 0.1 * k, frozenset({f"f{k}"})), box_from_points(pts))
+            ObjectCloud(pts, "chair", 0.5 + 0.1 * k, frozenset({f"f{k}"}))
             for k, pts in enumerate([x, shifted, np.vstack([x, shifted])])
         ]
-        assert iou_3d(insts[0][1], insts[1][1]) == 0.0
+        assert iou_3d(insts[0].box, insts[1].box) == 0.0
         for order in itertools.permutations(insts):
             views = [[inst] for inst in order]
-            got = merge_instances(views, 0.3, 0.02).instances
+            got = merge_instances(views, 0.3, 0.02)
             want = merge_instances_reference(views, 0.3, 0.02)
             assert len(got) == len(want) == 1
-            assert np.array_equal(got[0][0].points, want[0][0].points)
-            assert got[0][0].source_frames == frozenset({"f0", "f1", "f2"})
+            assert np.array_equal(got[0].points, want[0].points)
+            assert got[0].source_frames == frozenset({"f0", "f1", "f2"})
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
@@ -298,8 +295,8 @@ class TestRunScene:
         want, want_dropped = run_scene_reference(scene, config)
         assert got_dropped == want_dropped > 0
         assert len(got) == len(want) > 0
-        for (cg, bg), (cw, bw) in zip(got.instances, want.instances):
+        for cg, cw in zip(got, want):
             assert np.array_equal(cg.points, cw.points)
             assert (cg.label, cg.score, cg.source_frames) == (cw.label, cw.score, cw.source_frames)
-            assert np.array_equal(bg.min_corner, bw.min_corner)
-            assert np.array_equal(bg.max_corner, bw.max_corner)
+            assert np.array_equal(cg.box.min_corner, cw.box.min_corner)
+            assert np.array_equal(cg.box.max_corner, cw.box.max_corner)

@@ -18,7 +18,7 @@ from rgbdnav.oracle import (
     render_gt_detections,
 )
 from rgbdnav.projection import project_to_pixels, to_camera
-from rgbdnav.types import Box3D, CameraIntrinsics, CameraPose
+from rgbdnav.types import Box3D, CameraIntrinsics, CameraPose, ObjectCloud
 
 from conftest import dilation_oracle, odd_kernels, random_rotation
 
@@ -197,7 +197,7 @@ class TestMakeSyntheticScene:
         # with a perfect mask and exact synthetic depth, the reconstructed box
         # corners sit within one depth quantization step of the analytic
         # surface extremes (quantization error scaled by |u-cx|/fx < 1)
-        from rgbdnav.projection import back_project_pixels, box_from_points, to_world
+        from rgbdnav.projection import back_project_pixels, to_world
 
         intr = oracle.default_intrinsics(96, 96, 90.0)
         pose = look_at((2.0, -1.5, 1.8), (0.0, 0.0, 0.3))
@@ -208,8 +208,8 @@ class TestMakeSyntheticScene:
         analytic = to_world(back_project_pixels(us, vs, depth[vs, us], intr), pose)
         quantized = np.round(depth[vs, us] / scale) * scale
         recovered = to_world(back_project_pixels(us, vs, quantized, intr), pose)
-        box_a = box_from_points(analytic)
-        box_r = box_from_points(recovered)
+        box_a = ObjectCloud(analytic, "cube", 1.0).box
+        box_r = ObjectCloud(recovered, "cube", 1.0).box
         assert np.abs(box_r.min_corner - box_a.min_corner).max() <= scale + 1e-6
         assert np.abs(box_r.max_corner - box_a.max_corner).max() <= scale + 1e-6
 

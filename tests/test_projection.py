@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rgbdnav.projection import (
     back_project,
     back_project_pixels,
-    box_from_points,
     project_to_pixels,
     reconstruct_object,
     to_camera,
@@ -100,18 +99,18 @@ class TestToWorld:
 class TestBoxFromCloud:
     def test_two_points(self):
         cloud = ObjectCloud(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]), "thing", 1.0)
-        box = box_from_points(cloud.points)
+        box = cloud.box
         assert np.array_equal(box.min_corner, [0.0, 0.0, 0.0])
         assert np.array_equal(box.max_corner, [1.0, 2.0, 3.0])
 
     def test_single_point_degenerate(self):
-        box = box_from_points(np.array([[1.0, -2.0, 0.5]]))
+        box = ObjectCloud(np.array([[1.0, -2.0, 0.5]]), "thing", 1.0).box
         assert np.array_equal(box.min_corner, box.max_corner)
 
     def test_random_cloud_matches_scan_oracle(self):
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(100, 3))
-        box = box_from_points(pts)
+        box = ObjectCloud(pts, "thing", 1.0).box
         lo = np.array([min(p[i] for p in pts) for i in range(3)])
         hi = np.array([max(p[i] for p in pts) for i in range(3)])
         assert np.array_equal(box.min_corner, lo)
@@ -119,12 +118,12 @@ class TestBoxFromCloud:
 
     def test_empty_cloud_rejected(self):
         with pytest.raises(ValueError):
-            box_from_points(np.zeros((0, 3)))
+            ObjectCloud(np.zeros((0, 3)), "thing", 1.0).box
 
     @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50)), min_size=1, max_size=40))
     def test_box_contains_every_point(self, pts):
         pts = np.array(pts)
-        box = box_from_points(pts)
+        box = ObjectCloud(pts, "thing", 1.0).box
         assert np.all(pts >= box.min_corner - 1e-12)
         assert np.all(pts <= box.max_corner + 1e-12)
 
@@ -146,7 +145,7 @@ class TestReconstructObject:
         # one erosion the surviving pixels span the interior 8x8, so the box
         # extents follow directly from the back-projection formulas.
         frame, mask = _flat_square_frame()
-        cloud, box = reconstruct_object(frame, mask, PipelineConfig())
+        box = reconstruct_object(frame, mask, PipelineConfig()).box
         d, f = 2.0, 40.0
         # surviving pixels run 4..11 of a 16-wide image with center 7.5
         expected_half = (7.5 - 4.0) * d / f
@@ -169,15 +168,15 @@ class TestReconstructObject:
         rng = np.random.default_rng(3)
         pose = CameraPose(random_rotation(rng), rng.normal(size=3))
         frame_id, mask = _flat_square_frame()
-        cloud_id, _ = reconstruct_object(frame_id, mask, PipelineConfig())
+        cloud_id = reconstruct_object(frame_id, mask, PipelineConfig())
         frame_posed = DepthFrame("f1", frame_id.depth, frame_id.intrinsics, pose)
-        cloud_posed, box_posed = reconstruct_object(frame_posed, mask, PipelineConfig())
-        expected = box_from_points(to_world(cloud_id.points, pose))
+        box_posed = reconstruct_object(frame_posed, mask, PipelineConfig()).box
+        expected = ObjectCloud(to_world(cloud_id.points, pose), "slab", 1.0).box
         assert np.allclose(box_posed.min_corner, expected.min_corner, atol=1e-12)
         assert np.allclose(box_posed.max_corner, expected.max_corner, atol=1e-12)
 
     def test_cloud_records_frame_and_label(self):
         frame, mask = _flat_square_frame()
-        cloud, _ = reconstruct_object(frame, mask, PipelineConfig())
+        cloud = reconstruct_object(frame, mask, PipelineConfig())
         assert cloud.label == "slab"
         assert cloud.source_frames == frozenset({"f0"})

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -8,7 +9,6 @@ from rgbdnav.projection import back_project_pixels, to_world
 from rgbdnav.scene_io import (
     SceneLayoutError,
     SceneValidationError,
-    load_boxes,
     load_gt_instances,
     load_instances,
     load_scene,
@@ -19,7 +19,7 @@ from rgbdnav.scene_io import (
     write_instances,
     write_pgm,
 )
-from rgbdnav.types import Box3D, CameraIntrinsics, ObjectCloud, SceneInstances
+from rgbdnav.types import CameraIntrinsics, ObjectCloud
 
 
 def _write_depth_p2(path, rows, maxval=65535):
@@ -200,40 +200,65 @@ class TestPly:
 
 class TestBoxesDocument:
     def _instances(self):
-        cloud = ObjectCloud(np.array([[0.0, 0, 0], [1, 1, 1]]), "chair", 0.75)
-        return SceneInstances([(cloud, Box3D(np.zeros(3), np.ones(3)))])
+        return [ObjectCloud(np.array([[0.0, 0, 0], [1, 1, 1]]), "chair", 0.75)]
 
     def test_empty_set(self, tmp_path):
         path = tmp_path / "boxes.json"
-        write_boxes(SceneInstances([]), path)
-        assert load_boxes(path) == []
+        write_boxes([], path)
+        assert json.loads(path.read_text())["instances"] == []
 
     def test_single_record_echo(self, tmp_path):
         path = tmp_path / "boxes.json"
         write_boxes(self._instances(), path)
-        (rec,) = load_boxes(path)
-        assert rec.label == "chair"
-        assert rec.score == 0.75
-        assert np.array_equal(rec.min_corner, np.zeros(3))
-        assert np.array_equal(rec.max_corner, np.ones(3))
-        assert rec.num_points == 2
+        (rec,) = json.loads(path.read_text())["instances"]
+        assert rec["label"] == "chair"
+        assert rec["score"] == 0.75
+        assert np.array_equal(rec["min_corner"], np.zeros(3))
+        assert np.array_equal(rec["max_corner"], np.ones(3))
+        assert rec["num_points"] == 2
 
     def test_instance_set_round_trip(self, tmp_path):
         instances = self._instances()
         write_instances(instances, tmp_path / "out")
         back = load_instances(tmp_path / "out")
         assert len(back) == 1
-        cloud, box = back.instances[0]
-        src_cloud, src_box = instances.instances[0]
+        cloud, src_cloud = back[0], instances[0]
         assert cloud.label == src_cloud.label
         assert cloud.score == src_cloud.score
-        assert np.array_equal(box.min_corner, src_box.min_corner)
-        assert np.array_equal(box.max_corner, src_box.max_corner)
+        assert np.array_equal(cloud.box.min_corner, src_cloud.box.min_corner)
+        assert np.array_equal(cloud.box.max_corner, src_cloud.box.max_corner)
         assert np.abs(cloud.points - src_cloud.points).max() < 1e-5
 
     def test_unwritable_path_raises(self, tmp_path):
         with pytest.raises(OSError):
-            write_boxes(SceneInstances([]), tmp_path / "missing_dir" / "boxes.json")
+            write_boxes([], tmp_path / "missing_dir" / "boxes.json")
+
+    def test_load_instances_matches_boxes_json(self, tmp_path):
+        # labels, scores and point counts come back as boxes.json holds them,
+        # and each box recomputed from its PLY lies within the PLY's 1e-6 m
+        # rounding of the JSON corners
+        rng = np.random.default_rng(12)
+        instances = [
+            ObjectCloud(rng.uniform(-3, 3, 3) + rng.normal(0, 0.2, (n, 3)), label, score)
+            for n, label, score in [(40, "chair", 0.9), (1, "lamp", 0.123456789), (300, "chair", 1.0)]
+        ]
+        write_instances(instances, tmp_path / "out")
+        records = json.loads((tmp_path / "out" / "boxes.json").read_text())["instances"]
+        back = load_instances(tmp_path / "out")
+        assert [(c.label, c.score, len(c.points)) for c in back] == [
+            (r["label"], r["score"], r["num_points"]) for r in records
+        ]
+        for cloud, rec in zip(back, records):
+            assert np.abs(cloud.box.min_corner - rec["min_corner"]).max() <= 1e-6
+            assert np.abs(cloud.box.max_corner - rec["max_corner"]).max() <= 1e-6
+
+    def test_ply_without_vertices_names_file(self, tmp_path):
+        write_instances(self._instances(), tmp_path / "out")
+        (ply,) = (tmp_path / "out").glob("cloud_*.ply")
+        header = ply.read_text().split("end_header\n")[0].replace("element vertex 2", "element vertex 0")
+        ply.write_text(header + "end_header\n")
+        with pytest.raises(SceneValidationError, match=re.escape(f"{ply}: PLY holds no vertices")):
+            load_instances(tmp_path / "out")
 
 
 def gt_points_reference(boxes, trajectory, intr, depth_scale):
