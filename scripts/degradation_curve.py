@@ -5,14 +5,13 @@ import tempfile
 from pathlib import Path
 
 from rgbdnav import evaluation, fusion, oracle, scene_io
-from rgbdnav.types import PipelineConfig
+from rgbdnav.types import ObjectCloud, PipelineConfig
 
 
-def run_once(scene_dir: Path, drop: float, seed: int) -> evaluation.EvalReport:
+def run_once(scene_dir: Path, gt: list[ObjectCloud], drop: float, seed: int) -> evaluation.EvalReport:
     oracle.populate_detections(scene_dir, oracle.PerturbationConfig(seed=seed, drop_prob=drop))
-    scene = scene_io.load_scene(scene_dir)
-    instances, _ = fusion.run_scene(scene, PipelineConfig())
-    return evaluation.evaluate_scene(instances, scene.gt)
+    instances, _ = fusion.run_scene(scene_io.load_scene(scene_dir), PipelineConfig())
+    return evaluation.evaluate_scene(instances, gt)
 
 
 def main() -> int:
@@ -35,9 +34,10 @@ def main() -> int:
             scene_dir,
         )
 
+    gt = scene_io.load_gt_instances(scene_dir)  # detections change with the drop rate; GT does not
     print(f"{'drop_prob':>10} {'mAP':>8} {'mAP50':>8} {'mAP25':>8}")
     for drop in args.drops:
-        report = run_once(scene_dir, drop, args.seed)
+        report = run_once(scene_dir, gt, drop, args.seed)
         print(f"{drop:>10.2f} {100 * report.map:>8.1f} {100 * report.map50:>8.1f} {100 * report.map25:>8.1f}")
     return 0
 

@@ -6,7 +6,6 @@ from .types import (
     CameraPose,
     DepthFrame,
     Detection2D,
-    GroundTruthInstance,
     InstanceMask,
     ObjectCloud,
     PipelineConfig,
@@ -20,7 +19,6 @@ __all__ = [
     "CameraPose",
     "DepthFrame",
     "Detection2D",
-    "GroundTruthInstance",
     "InstanceMask",
     "ObjectCloud",
     "PipelineConfig",

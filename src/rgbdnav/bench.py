@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .fusion import run_scene
-from .scene_io import Scene
+from .scene_io import SceneView
 from .types import PipelineConfig
 
 
@@ -24,16 +24,16 @@ class BenchRow:
     secs_view: float
 
 
-def time_scene(scene: Scene, config: PipelineConfig, repeats: int = 1) -> list[BenchRow]:
-    """Time reconstruct+fuse over all views of a loaded scene, one row per repeat."""
+def time_scene(views: list[SceneView], config: PipelineConfig, repeats: int = 1) -> list[BenchRow]:
+    """Time reconstruct+fuse over all loaded views of a scene, one row per repeat."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     rows = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        run_scene(scene, config)
+        run_scene(views, config)
         secs = time.perf_counter() - t0
-        rows.append(BenchRow(secs, secs / len(scene.views)))
+        rows.append(BenchRow(secs, secs / len(views)))
     return rows
 
 

@@ -111,15 +111,15 @@ def cmd_detect(args) -> int:
         print(f"rgbdnav detect: invalid flag: {e}", file=sys.stderr)
         return 2
     try:
-        scene = scene_io.load_scene(args.scene_dir)
-    except scene_io.SceneError as e:
+        views = scene_io.load_scene(args.scene_dir)
+        instances, dropped = fusion.run_scene(views, config)
+    except (scene_io.SceneError, ValueError) as e:
         print(f"rgbdnav detect: {e}", file=sys.stderr)
         return 1
-    instances, dropped = fusion.run_scene(scene, config)
     out_dir = Path(args.out_dir)
     scene_io.write_instances(instances, out_dir)
-    print(f"views:          {len(scene.views)}")
-    print(f"detections in:  {sum(len(view.masks) for view in scene.views)}")
+    print(f"views:          {len(views)}")
+    print(f"detections in:  {sum(len(view.masks) for view in views)}")
     print(f"dropped:        {dropped}")
     print(f"instances out:  {len(instances)}")
     print(f"wrote {out_dir / 'boxes.json'} and {len(instances)} cloud file(s)")
@@ -130,8 +130,11 @@ def cmd_eval(args) -> int:
     if len(args.dirs) % 2:
         print("rgbdnav eval: directories must come in PRED_DIR GT_DIR pairs", file=sys.stderr)
         return 2
+    if not args.voxel_size > 0:
+        print(f"rgbdnav eval: invalid flag: voxel_size must be positive, got {args.voxel_size}",
+              file=sys.stderr)
+        return 2
     pairs = [(args.dirs[i], args.dirs[i + 1]) for i in range(0, len(args.dirs), 2)]
-    config = evaluation.EvalConfig(voxel_size=args.voxel_size)
     reports = []
     for pred_dir, gt_dir in pairs:
         try:
@@ -152,9 +155,13 @@ def cmd_eval(args) -> int:
         if not gt:
             print(f"rgbdnav eval: {gt_dir} holds no ground-truth instances", file=sys.stderr)
             return 1
-        reports.append(evaluation.evaluate_scene(pred, gt, config))
+        try:
+            reports.append(evaluation.evaluate_scene(pred, gt, args.voxel_size))
+        except ValueError as e:  # a voxel grid too fine for the scene's extent
+            print(f"rgbdnav eval: {e}", file=sys.stderr)
+            return 1
     report = evaluation.macro_average(reports)
-    text = evaluation.format_report(report, config.voxel_size)
+    text = evaluation.format_report(report, args.voxel_size)
     print(text, end="")
     out = Path(args.out) if args.out else Path(pairs[0][0]) / "eval_report.txt"
     out.write_text(text)
@@ -172,12 +179,12 @@ def cmd_bench(args) -> int:
         print(f"rgbdnav bench: invalid flag: {e}", file=sys.stderr)
         return 2
     try:
-        scene = scene_io.load_scene(args.scene_dir)
+        views = scene_io.load_scene(args.scene_dir)
     except scene_io.SceneError as e:
         print(f"rgbdnav bench: {e}", file=sys.stderr)
         return 1
-    rows = bench.time_scene(scene, config, repeats=args.repeats)
-    print(bench.format_bench_table(rows, len(scene.views)), end="")
+    rows = bench.time_scene(views, config, repeats=args.repeats)
+    print(bench.format_bench_table(rows, len(views)), end="")
     return 0
 
 

@@ -9,34 +9,23 @@ at or above the IoU threshold, and AP is the area under the monotone
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fusion import voxel_keys
-from .types import GroundTruthInstance, ObjectCloud
+from .types import ObjectCloud
 
 MAP_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
 
 @dataclass(frozen=True)
-class EvalConfig:
-    voxel_size: float = 0.02
+class ClassRow:
+    """One class's scores and match counts; the counts are at IoU 0.50 and 0.25."""
 
-    def __post_init__(self):
-        if self.voxel_size <= 0:
-            raise ValueError(f"voxel_size must be positive, got {self.voxel_size}")
-
-
-@dataclass(frozen=True)
-class ClassAP:
     ap: float
     ap50: float
     ap25: float
-
-
-@dataclass(frozen=True)
-class ClassCounts:
     num_gt: int
     num_pred: int
     tp50: int
@@ -45,11 +34,10 @@ class ClassCounts:
 
 @dataclass
 class EvalReport:
-    per_class_ap: dict[str, ClassAP]
+    per_class: dict[str, ClassRow]
     map: float
     map50: float
     map25: float
-    matched_counts: dict[str, ClassCounts] = field(default_factory=dict)
     num_scenes: int = 1
 
 
@@ -64,7 +52,7 @@ def _voxel_iou(a: np.ndarray, b: np.ndarray) -> float:
     return inter / (a.size + b.size - inter)
 
 
-def instance_iou(pred: ObjectCloud, gt: GroundTruthInstance, voxel_size: float = 0.02) -> float:
+def instance_iou(pred: ObjectCloud, gt: ObjectCloud, voxel_size: float = 0.02) -> float:
     """Point-level IoU: occupied-voxel overlap of the two point sets on one grid."""
     return _voxel_iou(_voxel_set(pred.points, voxel_size), _voxel_set(gt.points, voxel_size))
 
@@ -124,74 +112,71 @@ def _envelope_area(tp: np.ndarray, num_gt: int) -> float:
 
 
 def evaluate_scene(
-    pred: list[ObjectCloud], gt: list[GroundTruthInstance], config: EvalConfig = EvalConfig()
+    pred: list[ObjectCloud], gt: list[ObjectCloud], voxel_size: float = 0.02
 ) -> EvalReport:
     """Score predictions against ground truth for one scene.
 
     AP is reported at IoU 0.25 and 0.50, and averaged over the 0.50:0.05:0.95
     threshold ladder for the headline number. The class mean runs over classes
     with at least one GT instance; predictions for classes absent from the GT
-    do not contribute.
+    do not contribute. Ground-truth scores are not read.
     """
     if not gt:
         raise ValueError("no ground-truth instances: nothing to evaluate")
     classes = sorted({g.label for g in gt})
-    gt_voxels = [_voxel_set(g.points, config.voxel_size) for g in gt]
+    gt_voxels = [_voxel_set(g.points, voxel_size) for g in gt]
     thresholds = {0.25, 0.50, *MAP_THRESHOLDS}
-    per_class: dict[str, ClassAP] = {}
-    counts: dict[str, ClassCounts] = {}
+    per_class: dict[str, ClassRow] = {}
     for cls in classes:
         gts = [v for g, v in zip(gt, gt_voxels) if g.label == cls]
         preds = [cloud for cloud in pred if cloud.label == cls]
         scored = []
         for cloud in preds:
-            voxels = _voxel_set(cloud.points, config.voxel_size)
+            voxels = _voxel_set(cloud.points, voxel_size)
             scored.append((cloud.score, np.array([_voxel_iou(voxels, g) for g in gts])))
         tp = {t: _greedy_match(scored, len(gts), t) for t in thresholds}
         ap_at = {t: _envelope_area(flags, len(gts)) for t, flags in tp.items()}
-        ap = float(np.mean([ap_at[t] for t in MAP_THRESHOLDS]))
-        per_class[cls] = ClassAP(ap, ap_at[0.50], ap_at[0.25])
-        counts[cls] = ClassCounts(
-            num_gt=len(gts), num_pred=len(preds), tp50=int(tp[0.50].sum()), tp25=int(tp[0.25].sum())
+        per_class[cls] = ClassRow(
+            ap=float(np.mean([ap_at[t] for t in MAP_THRESHOLDS])),
+            ap50=ap_at[0.50],
+            ap25=ap_at[0.25],
+            num_gt=len(gts),
+            num_pred=len(preds),
+            tp50=int(tp[0.50].sum()),
+            tp25=int(tp[0.25].sum()),
         )
-    map_ = float(np.mean([c.ap for c in per_class.values()]))
-    map50 = float(np.mean([c.ap50 for c in per_class.values()]))
-    map25 = float(np.mean([c.ap25 for c in per_class.values()]))
-    # Sanity: a stricter threshold can only lose matches.
-    if not (map25 >= map50 - 1e-12 and map50 >= map_ - 1e-12):
-        raise AssertionError(f"threshold monotonicity violated: {map25} {map50} {map_}")
-    return EvalReport(per_class, map_, map50, map25, counts)
+    return EvalReport(
+        per_class,
+        float(np.mean([c.ap for c in per_class.values()])),
+        float(np.mean([c.ap50 for c in per_class.values()])),
+        float(np.mean([c.ap25 for c in per_class.values()])),
+    )
 
 
 def macro_average(reports: list[EvalReport]) -> EvalReport:
-    """Macro-average scene reports: scalar means over scenes, per-class means over the scenes containing the class."""
+    """Macro-average scene reports: scalar means over scenes; per class, AP means
+    over the scenes containing the class and count sums."""
     if not reports:
         raise ValueError("no reports to average")
     if len(reports) == 1:
         return reports[0]
-    classes = sorted({c for r in reports for c in r.per_class_ap})
     per_class = {}
-    counts: dict[str, ClassCounts] = {}
-    for cls in classes:
-        rows = [r.per_class_ap[cls] for r in reports if cls in r.per_class_ap]
-        per_class[cls] = ClassAP(
-            float(np.mean([x.ap for x in rows])),
-            float(np.mean([x.ap50 for x in rows])),
-            float(np.mean([x.ap25 for x in rows])),
-        )
-        crows = [r.matched_counts[cls] for r in reports if cls in r.matched_counts]
-        counts[cls] = ClassCounts(
-            sum(c.num_gt for c in crows),
-            sum(c.num_pred for c in crows),
-            sum(c.tp50 for c in crows),
-            sum(c.tp25 for c in crows),
+    for cls in sorted({c for r in reports for c in r.per_class}):
+        rows = [r.per_class[cls] for r in reports if cls in r.per_class]
+        per_class[cls] = ClassRow(
+            ap=float(np.mean([x.ap for x in rows])),
+            ap50=float(np.mean([x.ap50 for x in rows])),
+            ap25=float(np.mean([x.ap25 for x in rows])),
+            num_gt=sum(x.num_gt for x in rows),
+            num_pred=sum(x.num_pred for x in rows),
+            tp50=sum(x.tp50 for x in rows),
+            tp25=sum(x.tp25 for x in rows),
         )
     return EvalReport(
         per_class,
         float(np.mean([r.map for r in reports])),
         float(np.mean([r.map50 for r in reports])),
         float(np.mean([r.map25 for r in reports])),
-        counts,
         num_scenes=len(reports),
     )
 
@@ -203,12 +188,10 @@ def format_report(report: EvalReport, voxel_size: float = 0.02) -> str:
         f"# point-level IoU on a {voxel_size:g} m voxel grid",
         f"{'class':<20} {'mAP':>7} {'mAP50':>7} {'mAP25':>7} {'gt':>5} {'pred':>5} {'tp50':>5} {'tp25':>5}",
     ]
-    for cls in sorted(report.per_class_ap):
-        c = report.per_class_ap[cls]
-        m = report.matched_counts.get(cls, ClassCounts(0, 0, 0, 0))
+    for cls, c in sorted(report.per_class.items()):
         lines.append(
             f"{cls:<20} {100 * c.ap:>7.1f} {100 * c.ap50:>7.1f} {100 * c.ap25:>7.1f}"
-            f" {m.num_gt:>5d} {m.num_pred:>5d} {m.tp50:>5d} {m.tp25:>5d}"
+            f" {c.num_gt:>5d} {c.num_pred:>5d} {c.tp50:>5d} {c.tp25:>5d}"
         )
     lines.append(
         f"{'all':<20} {100 * report.map:>7.1f} {100 * report.map50:>7.1f} {100 * report.map25:>7.1f}"

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from .projection import reconstruct_object
-from .scene_io import Scene
+from .scene_io import SceneView
 from .types import Box3D, ObjectCloud, PipelineConfig
 
 
@@ -36,7 +36,7 @@ def voxel_keys(points: np.ndarray, voxel_size: float) -> np.ndarray:
     equal keys mean equal voxels and sorted keys follow row order. A cell
     index outside [-2^20, 2^20) cannot be packed and raises ValueError.
     """
-    if voxel_size <= 0:
+    if not voxel_size > 0:
         raise ValueError(f"voxel_size must be positive, got {voxel_size}")
     # In place where possible: whole GT clouds pass through here, and every
     # full-size temporary adds to the process's peak RSS.
@@ -133,8 +133,8 @@ def merge_instances(
         current = folded
 
 
-def run_scene(scene: Scene, config: PipelineConfig) -> tuple[list[ObjectCloud], int]:
-    """Turn a loaded scene into fused instances: the whole detection pipeline.
+def run_scene(views: list[SceneView], config: PipelineConfig) -> tuple[list[ObjectCloud], int]:
+    """Turn a scene's views into fused instances: the whole detection pipeline.
 
     Every InstanceMask of every view is reconstructed, views in order, and
     the per-view results are merged. Returns the instances and the number of
@@ -142,7 +142,7 @@ def run_scene(scene: Scene, config: PipelineConfig) -> tuple[list[ObjectCloud], 
     """
     dropped = 0
     per_view = []
-    for view in scene.views:
+    for view in views:
         produced = []
         for mask in view.masks:
             cloud = reconstruct_object(view.frame, mask, config)

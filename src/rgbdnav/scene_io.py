@@ -13,16 +13,15 @@ On-disk scene layout::
 
 Frames are ordered by <id> (zero-padded ids sort naturally). RGB images may
 sit next to the depth files but are never read here. Loading validates every
-invariant and never repairs data silently; a Scene is immutable after
-construction and may be shared across threads.
+invariant and never repairs data silently; a file that cannot be read or
+decoded raises SceneLayoutError naming it.
 
-Ground truth is not read by :func:`load_scene`: ``Scene.gt`` derives its
-points from the id images on first access (:func:`load_gt_instances`), so
-malformed ground truth raises its file-naming SceneError there.
+Ground truth is not read by :func:`load_scene`: :func:`load_gt_instances`
+derives it from the id images, as ObjectClouds with score 1.0, so malformed
+ground truth raises its file-naming SceneError only where it is read.
 """
 from __future__ import annotations
 
-import functools
 import json
 import re
 from dataclasses import dataclass
@@ -32,15 +31,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .projection import back_project_pixels, to_world
-from .types import (
-    CameraIntrinsics,
-    CameraPose,
-    DepthFrame,
-    Detection2D,
-    GroundTruthInstance,
-    InstanceMask,
-    ObjectCloud,
-)
+from .types import CameraIntrinsics, CameraPose, DepthFrame, Detection2D, InstanceMask, ObjectCloud
 
 
 class SceneError(Exception):
@@ -66,37 +57,28 @@ class SceneView:
     masks: list[InstanceMask]
 
 
-@dataclass(frozen=True)
-class Scene:
-    root: Path
-    intrinsics: CameraIntrinsics
-    depth_scale: float
-    views: list[SceneView]
-
-    @functools.cached_property
-    def gt(self) -> list[GroundTruthInstance]:
-        """Ground-truth instances derived from gt/ on first access; [] when there is no gt/."""
-        return load_gt_instances(self.root) if (self.root / "gt").is_dir() else []
-
-
 # ---------------------------------------------------------------------------
-# Line-record text files: detections, key = value, synth --boxes, navsim worlds
+# Text files: one opener; line records (detections, key = value, synth --boxes, worlds)
 # ---------------------------------------------------------------------------
+
+def _read_text(path: Path) -> str:
+    """The text of a file; a missing, unreadable or non-UTF-8 file raises SceneLayoutError naming it."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise SceneLayoutError(f"cannot read {path}: {e}") from e
+
 
 def read_records(path: Path, parse: Callable[[str], T]) -> list[T]:
     """``parse`` applied to each record line of a text file, in file order.
 
     '#' starts a comment that runs to the end of the line and blank lines are
     skipped; ``parse`` gets each other line stripped. An unreadable file
-    raises SceneLayoutError; a ValueError from ``parse`` is raised again as
-    SceneValidationError("path:lineno: reason").
+    raises SceneLayoutError (:func:`_read_text`); a ValueError from ``parse``
+    is raised again as SceneValidationError("path:lineno: reason").
     """
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as e:
-        raise SceneLayoutError(f"cannot read {path}: {e}") from e
     records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if line:
             try:
@@ -200,9 +182,7 @@ def write_pgm(path: Path, image: np.ndarray, maxval: int = 65535) -> None:
 
 def load_intrinsics(path: Path) -> tuple[CameraIntrinsics, float]:
     """The camera intrinsics and depth scale of an intrinsics.txt."""
-    if not path.is_file():
-        raise SceneLayoutError(f"missing intrinsics file {path}")
-    fields = path.read_text().split()
+    fields = _read_text(path).split()
     if len(fields) != 7:
         raise SceneValidationError(
             f"{path}: expected 7 fields (fx fy cx cy width height depth_scale), got {len(fields)}"
@@ -213,7 +193,7 @@ def load_intrinsics(path: Path) -> tuple[CameraIntrinsics, float]:
         depth_scale = float(fields[6])
     except ValueError as e:
         raise SceneValidationError(f"{path}: non-numeric intrinsics field: {e}") from e
-    if depth_scale <= 0:
+    if not depth_scale > 0:
         raise SceneValidationError(f"{path}: depth_scale must be positive, got {depth_scale}")
     try:
         intr = CameraIntrinsics(fx, fy, cx, cy, width, height)
@@ -233,9 +213,7 @@ def _load_depth(path: Path, frame_id: str, intr: CameraIntrinsics, depth_scale: 
 
 
 def _load_pose(path: Path, frame_id: str) -> CameraPose:
-    if not path.is_file():
-        raise SceneLayoutError(f"missing pose file {path}")
-    values = path.read_text().split()
+    values = _read_text(path).split()
     if len(values) != 16:
         raise SceneValidationError(f"frame {frame_id}: pose file must hold 16 numbers, got {len(values)}")
     try:
@@ -262,8 +240,6 @@ def _load_detections(path: Path, intr: CameraIntrinsics) -> list[Detection2D]:
 
 
 def _load_mask(path: Path, frame_id: str, k: int, det: Detection2D, intr: CameraIntrinsics) -> InstanceMask:
-    if not path.is_file():
-        raise SceneLayoutError(f"missing mask file {path}")
     raw = read_pgm(path)
     if raw.shape != (intr.height, intr.width):
         raise SceneValidationError(
@@ -294,8 +270,11 @@ def frame_ids(scene_dir: Path) -> list[str]:
     return ids
 
 
-def load_scene(scene_dir: Path) -> Scene:
-    """Load and validate a scene directory; raises SceneError subclasses on problems."""
+def load_scene(scene_dir: Path) -> list[SceneView]:
+    """The views of a scene directory in frame-id order, validated; raises SceneError subclasses.
+
+    Ground truth is not read (see :func:`load_gt_instances`).
+    """
     root = Path(scene_dir)
     if not root.is_dir():
         raise SceneLayoutError(f"scene directory {root} does not exist")
@@ -317,7 +296,7 @@ def load_scene(scene_dir: Path) -> Scene:
                 f"frame {frame_id}: {mask_files} mask files for {len(detections)} detections"
             )
         views.append(SceneView(frame, masks))
-    return Scene(root, intr, depth_scale, views)
+    return views
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +306,7 @@ def load_scene(scene_dir: Path) -> Scene:
 def load_gt_labels(scene_dir: Path) -> list[str]:
     """The instance labels of gt/labels.txt, instance k on line k + 1."""
     path = Path(scene_dir) / "gt" / "labels.txt"
-    if not path.is_file():
-        raise SceneLayoutError(f"missing ground-truth label file {path}")
-    labels = [line.strip() for line in path.read_text().splitlines()]
+    labels = [line.strip() for line in _read_text(path).splitlines()]
     if "" in labels:
         raise SceneValidationError(f"{path}:{labels.index('') + 1}: empty label")
     return labels
@@ -352,11 +329,12 @@ def load_gt_ids(scene_dir: Path, frame_id: str, intr: CameraIntrinsics, num_labe
     return ids
 
 
-def load_gt_instances(scene_dir: Path) -> list[GroundTruthInstance]:
+def load_gt_instances(scene_dir: Path) -> list[ObjectCloud]:
     """Ground-truth instances of a scene, one per label, from its id images, depth and poses.
 
-    The points of instance k are the pixels with id k + 1 back-projected with
-    the frame's saved depth and pose: frames in id order, pixels in row-major
+    Each is an ObjectCloud with score 1.0, so its 3D box is defined. The
+    points of instance k are the pixels with id k + 1 back-projected with the
+    frame's saved depth and pose: frames in id order, pixels in row-major
     order within a frame.
     """
     root = Path(scene_dir)
@@ -377,7 +355,7 @@ def load_gt_instances(scene_dir: Path) -> list[GroundTruthInstance]:
     unseen = [label for label, pts in gt if not len(pts)]
     if unseen:
         raise SceneValidationError(f"{root / 'gt'}: labels with no pixels in any id image: {unseen}")
-    return [GroundTruthInstance(label, pts) for label, pts in gt]
+    return [ObjectCloud(pts, label, 1.0) for label, pts in gt]
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +412,7 @@ def write_cloud_ply(cloud: ObjectCloud, path: Path) -> None:
 
 def read_cloud_ply(path: Path) -> np.ndarray:
     """Read the vertices of an ASCII PLY written by :func:`write_cloud_ply`; errors name the file."""
-    lines = Path(path).read_text().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != "ply":
         raise SceneValidationError(f"{path}: not a PLY file")
     count = None
@@ -506,10 +484,8 @@ def load_instances(pred_dir: Path) -> list[ObjectCloud]:
     """
     pred_dir = Path(pred_dir)
     boxes_path = pred_dir / "boxes.json"
-    if not boxes_path.is_file():
-        raise SceneLayoutError(f"missing instance document {boxes_path}")
     try:
-        doc = json.loads(boxes_path.read_text())
+        doc = json.loads(_read_text(boxes_path))
     except json.JSONDecodeError as e:
         raise SceneValidationError(f"{boxes_path}: not JSON: {e}") from e
     records = doc.get("instances") if isinstance(doc, dict) else None
@@ -523,6 +499,8 @@ def load_instances(pred_dir: Path) -> list[ObjectCloud]:
                 raise ValueError(f"score {score} outside [0, 1]")
         except (KeyError, TypeError, ValueError) as e:
             raise SceneValidationError(f"{boxes_path}: instance {k} needs a 'label' and a 'score' in [0, 1]") from e
+        if not isinstance(label, str) or not label:
+            raise SceneValidationError(f"{boxes_path}: instance {k}: 'label' must be a non-empty string, got {label!r}")
         matches = sorted(pred_dir.glob(f"cloud_{k:04d}_*.ply"))
         if len(matches) != 1:
             raise SceneLayoutError(

@@ -137,6 +137,7 @@ class Box3D:
 class ObjectCloud:
     """World-frame points for one object instance: the one record per instance.
 
+    Predicted and ground-truth instances alike; ground truth has score 1.0.
     The points are never empty, so the instance's 3D box is always defined.
     """
 
@@ -161,20 +162,6 @@ class ObjectCloud:
 
 
 @dataclass(frozen=True)
-class GroundTruthInstance:
-    """Reference object instance: label plus world-frame points."""
-
-    label: str
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        if pts.shape[0] == 0:
-            raise ValueError(f"ground-truth instance '{self.label}' has no points")
-        object.__setattr__(self, "points", pts)
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     """Knobs for per-view reconstruction and cross-view fusion."""
 
@@ -184,11 +171,11 @@ class PipelineConfig:
     voxel_size: float = 0.02
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ValueError(f"kernel_size must be odd and >= 1, got {self.kernel_size}")
         if not (0.0 < self.merge_threshold <= 1.0):
             raise ValueError(f"merge_threshold must be in (0, 1], got {self.merge_threshold}")
-        if self.voxel_size <= 0:
+        if not self.voxel_size > 0:
             raise ValueError(f"voxel_size must be positive, got {self.voxel_size}")

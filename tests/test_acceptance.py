@@ -19,7 +19,6 @@ from rgbdnav.types import (
     Box3D,
     CameraIntrinsics,
     CameraPose,
-    GroundTruthInstance,
     ObjectCloud,
     PipelineConfig,
 )
@@ -38,22 +37,23 @@ def criterion(number: int, name: str):
     print(f"[acceptance] criterion {number} ({name}): PASS")
 
 
-def _run_pipeline(scene, config=PipelineConfig()):
-    instances, _ = fusion.run_scene(scene, config)
-    return instances, evaluation.evaluate_scene(instances, scene.gt)
+def _run_pipeline(views, gt, config=PipelineConfig()):
+    instances, _ = fusion.run_scene(views, config)
+    return instances, evaluation.evaluate_scene(instances, gt)
 
 
 def test_criterion_1_oracle_end_to_end(oracle_scene_dir):
     """Noise-free oracle scene: perfect mAP at every threshold, under 10 s."""
     with criterion(1, "oracle end-to-end"):
         t0 = time.perf_counter()
-        scene = scene_io.load_scene(oracle_scene_dir)
-        instances, report = _run_pipeline(scene)
+        views = scene_io.load_scene(oracle_scene_dir)
+        gt = scene_io.load_gt_instances(oracle_scene_dir)
+        instances, report = _run_pipeline(views, gt)
         elapsed = time.perf_counter() - t0
         assert len(instances) == 3
         for cloud in instances:
-            gt = next(g for g in scene.gt if g.label == cloud.label)
-            iou = evaluation.instance_iou(cloud, gt, 0.02)
+            ref = next(g for g in gt if g.label == cloud.label)
+            iou = evaluation.instance_iou(cloud, ref, 0.02)
             assert iou >= 0.95, f"{cloud.label}: voxel IoU {iou:.3f} < 0.95"
         assert report.map == report.map50 == report.map25 == 1.0
         assert elapsed < 10.0, f"pipeline+fusion+eval took {elapsed:.1f} s"
@@ -159,7 +159,7 @@ def test_criterion_5_iou_and_ap_oracles():
             for k in range(3):
                 base = np.array([3.0 * k, 0.0, 0.0])
                 pts = rng.uniform(0, 0.4, (200, 3)) + base
-                gts.append(GroundTruthInstance(f"c{k}", pts))
+                gts.append(ObjectCloud(pts, f"c{k}", 1.0))
                 jitter = rng.normal(0, rng.uniform(0.0, 0.1), pts.shape)
                 preds.append(ObjectCloud(pts + jitter, f"c{k}", float(rng.random())))
             report = evaluation.evaluate_scene(preds, gts)
@@ -207,10 +207,10 @@ def test_criterion_7_noise_monotonicity(oracle_scene_dir, tmp_path):
         work = tmp_path / "scene"
         shutil.copytree(oracle_scene_dir, work)
         map25s = []
+        gt = scene_io.load_gt_instances(work)
         for drop in (0.0, 0.25, 0.5):
             oracle.populate_detections(work, oracle.PerturbationConfig(seed=7, drop_prob=drop))
-            scene = scene_io.load_scene(work)
-            _, report = _run_pipeline(scene)
+            _, report = _run_pipeline(scene_io.load_scene(work), gt)
             map25s.append(report.map25)
         assert all(a >= b - 1e-12 for a, b in zip(map25s, map25s[1:])), map25s
         print(f"  mAP25 over drop 0/0.25/0.5: {[round(m, 3) for m in map25s]}", end=" ")
@@ -232,8 +232,7 @@ def test_criterion_8_timing(tmp_path):
         scene_dir = tmp_path / "bench"
         oracle.make_synthetic_scene(boxes, oracle.default_trajectory(2), oracle.default_intrinsics(640, 480, 580.0), scene_dir)
         oracle.populate_detections(scene_dir)
-        scene = scene_io.load_scene(scene_dir)
-        view = scene.views[0]
+        view = scene_io.load_scene(scene_dir)[0]
         assert len(view.masks) == 5
         config = PipelineConfig()
         for mask in view.masks:  # warm-up

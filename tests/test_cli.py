@@ -74,7 +74,7 @@ class TestSynth:
         assert frame_ids == {"0000", "0001"}
         assert sorted(p.name for p in (out / "gt" / "ids").iterdir()) == ["0000.pgm", "0001.pgm"]
         written = int(printed.split(" detection(s)")[0].rsplit(" ", 1)[1])
-        assert written == sum(len(v.masks) for v in scene_io.load_scene(out).views) <= 2 * 3
+        assert written == sum(len(v.masks) for v in scene_io.load_scene(out)) <= 2 * 3
         code, printed, _ = run_cli(capsys, "detect", str(out), str(tmp_path / "p"))
         assert code == 0
         assert "views:          2" in printed
@@ -99,6 +99,13 @@ class TestDetect:
         assert code == 2
         assert "tau" in err
 
+    @pytest.mark.parametrize("flag, name", [("--tau", "tau"), ("--voxel-size", "voxel_size")])
+    def test_nan_flag_usage_error(self, capsys, two_cube_scene, tmp_path, flag, name):
+        # NaN is not positive: with --tau nan the z-score filter would drop every detection
+        code, _, err = run_cli(capsys, "detect", str(two_cube_scene), str(tmp_path / "p"), flag, "nan")
+        assert code == 2
+        assert err.startswith(f"rgbdnav detect: invalid flag: {name} must be positive, got nan")
+
     def test_invalid_scene_fails_with_message(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "detect", str(tmp_path / "nothing"), str(tmp_path / "p"))
         assert code == 1
@@ -112,9 +119,8 @@ class TestDetect:
         code, out, _ = run_cli(capsys, "detect", str(scene_dir), str(tmp_path / "p"))
         assert code == 0
         assert "instances out:  2" in out
-        scene = scene_io.load_scene(scene_dir)
         with pytest.raises(scene_io.SceneValidationError, match=r"frame 0001: id image .*0001\.pgm holds id 7"):
-            scene.gt
+            scene_io.load_gt_instances(scene_dir)
 
     def test_second_detect_into_same_dir(self, capsys, two_cube_scene, tmp_path):
         # a one-object scene detected over a two-object output: the first
@@ -208,8 +214,15 @@ class TestEval:
              "instance 0 needs a 'label' and a 'score' in [0, 1]"),
             (lambda doc: json.dumps({"instances": [{**r, "score": float("nan")} for r in doc["instances"]]}),
              "instance 0 needs a 'label' and a 'score' in [0, 1]"),
+            (lambda doc: json.dumps({"instances": [{**r, "label": 5} for r in doc["instances"]]}),
+             "instance 0: 'label' must be a non-empty string, got 5"),
+            (lambda doc: json.dumps({"instances": [{**r, "label": None} for r in doc["instances"]]}),
+             "instance 0: 'label' must be a non-empty string, got None"),
+            (lambda doc: json.dumps({"instances": [{**r, "label": ""} for r in doc["instances"]]}),
+             "instance 0: 'label' must be a non-empty string, got ''"),
         ],
-        ids=["not_json", "no_instances", "no_score", "text_score", "nan_score"],
+        ids=["not_json", "no_instances", "no_score", "text_score", "nan_score", "int_label", "null_label",
+             "empty_label"],
     )
     def test_malformed_boxes_json_names_file(self, capsys, two_cube_scene, perfect_pred_dir, corrupt, reason):
         path = perfect_pred_dir / "boxes.json"
@@ -217,6 +230,22 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", str(perfect_pred_dir), str(two_cube_scene))
         assert code == 1
         assert err.startswith(f"rgbdnav eval: {path}: {reason}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["0", "-0.02", "nan"])
+    def test_non_positive_voxel_size_usage_error(self, capsys, two_cube_scene, perfect_pred_dir, value):
+        code, _, err = run_cli(capsys, "eval", str(perfect_pred_dir), str(two_cube_scene), "--voxel-size", value)
+        assert code == 2
+        assert err.startswith("rgbdnav eval: invalid flag: voxel_size must be positive")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["detect", "eval"])
+    def test_voxel_grid_out_of_range_one_line(self, capsys, two_cube_scene, perfect_pred_dir, tmp_path, command):
+        # at 1e-9 m a voxel index passes 2^20 a millimetre from the origin
+        dirs = [two_cube_scene, tmp_path / "p"] if command == "detect" else [perfect_pred_dir, two_cube_scene]
+        code, _, err = run_cli(capsys, command, *map(str, dirs), "--voxel-size", "1e-9")
+        assert code == 1
+        assert err.startswith(f"rgbdnav {command}: voxel coordinates must lie within ±2^20 cells")
         assert err.count("\n") == 1
 
     def test_odd_directory_count_usage_error(self, capsys, two_cube_scene):
@@ -233,6 +262,31 @@ class TestEval:
         )
         assert code == 0
         assert "2 scene(s)" in out
+
+
+@pytest.mark.parametrize(
+    "command, relpath",
+    [
+        ("detect", "scene/intrinsics.txt"),
+        ("detect", "scene/frames/0003.pose.txt"),
+        ("eval", "scene/gt/labels.txt"),
+        ("eval", "pred/boxes.json"),
+        ("eval", "pred/cloud_0000_*.ply"),
+    ],
+    ids=["intrinsics", "pose", "gt_labels", "boxes_json", "cloud_ply"],
+)
+def test_undecodable_text_file_named(capsys, two_cube_scene, tmp_path, command, relpath):
+    # a byte that is not UTF-8 ends the run with one line naming the file
+    scene, pred = tmp_path / "scene", tmp_path / "pred"
+    shutil.copytree(two_cube_scene, scene)
+    assert run_cli(capsys, "detect", str(scene), str(pred))[0] == 0
+    (path,) = tmp_path.glob(relpath)
+    path.write_bytes(b"\xff" + path.read_bytes())
+    dirs = [scene, tmp_path / "again"] if command == "detect" else [pred, scene]
+    code, _, err = run_cli(capsys, command, *map(str, dirs))
+    assert code == 1
+    assert err.startswith(f"rgbdnav {command}: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
 
 
 class TestBench:

@@ -7,9 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rgbdnav.evaluation import (
-    ClassAP,
-    ClassCounts,
-    EvalConfig,
+    ClassRow,
     EvalReport,
     MAP_THRESHOLDS,
     average_precision,
@@ -18,7 +16,7 @@ from rgbdnav.evaluation import (
     instance_iou,
     macro_average,
 )
-from rgbdnav.types import GroundTruthInstance, ObjectCloud
+from rgbdnav.types import ObjectCloud
 
 from conftest import VOXEL_SIZES, pool_clouds, voxel_pools
 
@@ -48,18 +46,18 @@ def greedy_tp_count(scored_ious, num_gt, thr):
 
 def evaluate_scene_reference(pred, gt, voxel_size, thresholds):
     """Reference: per-(prediction, GT) pair set IoU; AP and TP counts per threshold call."""
-    per_class, counts = {}, {}
+    per_class = {}
     for cls in sorted({g.label for g in gt}):
         gts = [g for g in gt if g.label == cls]
         preds = [cloud for cloud in pred if cloud.label == cls]
         scored = [(c.score, np.array([instance_iou_sets(c, g, voxel_size) for g in gts])) for c in preds]
         ap = float(np.mean([average_precision(scored, len(gts), t) for t in thresholds])) if scored else 0.0
-        per_class[cls] = ClassAP(ap, average_precision(scored, len(gts), 0.50), average_precision(scored, len(gts), 0.25))
-        counts[cls] = ClassCounts(
+        per_class[cls] = ClassRow(
+            ap, average_precision(scored, len(gts), 0.50), average_precision(scored, len(gts), 0.25),
             len(gts), len(preds), greedy_tp_count(scored, len(gts), 0.50), greedy_tp_count(scored, len(gts), 0.25)
         )
     means = [float(np.mean([getattr(c, k) for c in per_class.values()])) for k in ("ap", "ap50", "ap25")]
-    return EvalReport(per_class, *means, counts)
+    return EvalReport(per_class, *means)
 
 
 @st.composite
@@ -68,7 +66,7 @@ def eval_inputs(draw):
     voxel = draw(VOXEL_SIZES)
     pool = draw(voxel_pools(voxel, span=draw(st.integers(1, 5)), max_points=16))
     gt = [
-        GroundTruthInstance(draw(st.sampled_from(["a", "b"])), draw(pool_clouds(pool)))
+        ObjectCloud(draw(pool_clouds(pool)), draw(st.sampled_from(["a", "b"])), 1.0)
         for _ in range(draw(st.integers(1, 4)))
     ]
     preds = [
@@ -124,7 +122,7 @@ def ap_orderings_oracle(scored_ious, num_gt, thr):
 def _grid_instance(label, origin, n=(10, 10, 5), step=0.02, score=1.0):
     xs, ys, zs = np.meshgrid(*[np.arange(k) * step for k in n], indexing="ij")
     pts = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()]) + np.asarray(origin)
-    return ObjectCloud(pts, label, score), GroundTruthInstance(label, pts)
+    return ObjectCloud(pts, label, score), ObjectCloud(pts, label, 1.0)
 
 
 class TestInstanceIoU:
@@ -139,7 +137,7 @@ class TestInstanceIoU:
 
     def test_half_segment_near_half(self):
         pts = np.column_stack([np.arange(100) * 0.02, np.zeros(100), np.zeros(100)])
-        gt = GroundTruthInstance("seg", pts)
+        gt = ObjectCloud(pts, "seg", 1.0)
         pred = ObjectCloud(pts[:50], "seg", 1.0)
         votes = {
             (math.floor(x / 0.02), math.floor(y / 0.02), math.floor(z / 0.02))
@@ -261,7 +259,7 @@ class TestEvaluateScene:
         iou = instance_iou(shifted, gt, 0.02)
         assert 0.25 <= iou < 0.5
         report = evaluate_scene([shifted], [gt])
-        chair = report.per_class_ap["chair"]
+        chair = report.per_class["chair"]
         assert chair.ap25 == 1.0
         assert chair.ap50 == 0.0
 
@@ -290,11 +288,28 @@ class TestEvaluateScene:
         assert combined.map == pytest.approx(0.5)
         assert combined.num_scenes == 2
 
+    def test_macro_average_per_class_rows(self):
+        # chair is in both scenes, table only in the second: each class's AP
+        # is the mean over the scenes that hold it, its counts are the sums
+        chair, chair_gt = _grid_instance("chair", (0, 0, 0))
+        table, table_gt = _grid_instance("table", (5, 0, 0))
+        missed = ObjectCloud(chair.points + 10.0, "chair", 0.5)
+        first = evaluate_scene([chair], [chair_gt])
+        second = evaluate_scene([table, missed], [chair_gt, table_gt])
+        combined = macro_average([first, second])
+        assert combined.per_class["chair"] == ClassRow(0.5, 0.5, 0.5, 2, 2, 1, 1)
+        assert combined.per_class["table"] == ClassRow(1.0, 1.0, 1.0, 1, 1, 1, 1)
+        assert combined.map == pytest.approx(0.75)
+        rows = {line.split()[0]: line.split()[1:] for line in format_report(combined).splitlines()
+                if not line.startswith("#")}
+        assert rows["chair"] == ["50.0", "50.0", "50.0", "2", "2", "1", "1"]
+        assert rows["table"] == ["100.0", "100.0", "100.0", "1", "1", "1", "1"]
+        assert rows["all"] == ["75.0", "75.0", "75.0"]
+
     @given(eval_inputs())
     def test_matches_pairwise_reference(self, inputs):
         pred, gt, voxel = inputs
-        config = EvalConfig(voxel_size=voxel)
-        assert evaluate_scene(pred, gt, config) == evaluate_scene_reference(
+        assert evaluate_scene(pred, gt, voxel) == evaluate_scene_reference(
             pred, gt, voxel, MAP_THRESHOLDS
         )
 

@@ -51,11 +51,11 @@ def merge_instances_reference(views, merge_threshold, voxel_size):
         current = folded
 
 
-def run_scene_reference(scene, config):
+def run_scene_reference(views, config):
     """Reference: the per-view reconstruct-then-merge loop written out inline."""
     dropped = 0
     per_view = []
-    for view in scene.views:
+    for view in views:
         produced = []
         for mask in view.masks:
             cloud = reconstruct_object(view.frame, mask, config)
@@ -289,10 +289,10 @@ class TestMergeInstances:
 class TestRunScene:
     def test_matches_inline_reference(self, oracle_scene_dir):
         # a tiny z-score threshold empties some filtered depths, so detections drop
-        scene = scene_io.load_scene(oracle_scene_dir)
+        views = scene_io.load_scene(oracle_scene_dir)
         config = PipelineConfig(tau=0.01)
-        got, got_dropped = run_scene(scene, config)
-        want, want_dropped = run_scene_reference(scene, config)
+        got, got_dropped = run_scene(views, config)
+        want, want_dropped = run_scene_reference(views, config)
         assert got_dropped == want_dropped > 0
         assert len(got) == len(want) > 0
         for cg, cw in zip(got, want):

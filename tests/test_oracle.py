@@ -79,14 +79,14 @@ def reprojected_masks_reference(frame, gt, depth_scale):
 
 
 def _oracle_inputs(scene_dir):
-    """The loaded scene, its GT labels, and a function from a view to its instance-id image."""
-    scene = scene_io.load_scene(scene_dir)
+    """The loaded views, the GT labels, and a function from a view to its instance-id image."""
+    views = scene_io.load_scene(scene_dir)
     labels = scene_io.load_gt_labels(scene_dir)
 
     def ids(view):
-        return scene_io.load_gt_ids(scene_dir, view.frame.frame_id, scene.intrinsics, len(labels))
+        return scene_io.load_gt_ids(scene_dir, view.frame.frame_id, view.frame.intrinsics, len(labels))
 
-    return scene, labels, ids
+    return views, labels, ids
 
 
 def _cube(label, center, side=1.0):
@@ -214,9 +214,8 @@ class TestMakeSyntheticScene:
         assert np.abs(box_r.max_corner - box_a.max_corner).max() <= scale + 1e-6
 
     def test_layout_is_loadable(self, oracle_scene_dir):
-        scene = scene_io.load_scene(oracle_scene_dir)
-        assert len(scene.views) == 20
-        assert {g.label for g in scene.gt} == {"chair", "table", "plant"}
+        assert len(scene_io.load_scene(oracle_scene_dir)) == 20
+        assert {g.label for g in scene_io.load_gt_instances(oracle_scene_dir)} == {"chair", "table", "plant"}
 
 
 class TestRenderGtDetections:
@@ -225,17 +224,19 @@ class TestRenderGtDetections:
         # reference that reprojects the scene's GT points and z-buffers them
         # against the frame's depth
         for s in layout_scenes:
-            scene, labels, ids = _oracle_inputs(s.scene_dir)
-            for view in scene.views:
+            views, labels, ids = _oracle_inputs(s.scene_dir)
+            gt = scene_io.load_gt_instances(s.scene_dir)
+            _, depth_scale = scene_io.load_intrinsics(s.scene_dir / "intrinsics.txt")
+            for view in views:
                 masks = render_gt_detections(view.frame.frame_id, ids(view), labels)
-                expected = reprojected_masks_reference(view.frame, scene.gt, scene.depth_scale)
+                expected = reprojected_masks_reference(view.frame, gt, depth_scale)
                 assert [m.detection.label for m in masks] == [label for label, _ in expected]
                 for m, (_, bitmap) in zip(masks, expected):
                     assert np.array_equal(m.bitmap, bitmap)
 
     def test_boxes_are_tight(self, oracle_scene_dir):
-        scene, labels, ids = _oracle_inputs(oracle_scene_dir)
-        view = scene.views[0]
+        views, labels, ids = _oracle_inputs(oracle_scene_dir)
+        view = views[0]
         for mask in render_gt_detections(view.frame.frame_id, ids(view), labels):
             det = mask.detection
             vs, us = np.nonzero(mask.bitmap)
@@ -243,13 +244,13 @@ class TestRenderGtDetections:
             assert det.score == 1.0
 
     def test_drop_prob_one_removes_everything(self, oracle_scene_dir):
-        scene, labels, ids = _oracle_inputs(oracle_scene_dir)
-        view = scene.views[0]
+        views, labels, ids = _oracle_inputs(oracle_scene_dir)
+        view = views[0]
         assert render_gt_detections(view.frame.frame_id, ids(view), labels, PerturbationConfig(seed=1, drop_prob=1.0)) == []
 
     def test_deterministic_given_seed(self, oracle_scene_dir):
-        scene, labels, ids = _oracle_inputs(oracle_scene_dir)
-        view = scene.views[1]
+        views, labels, ids = _oracle_inputs(oracle_scene_dir)
+        view = views[1]
         noise = PerturbationConfig(seed=42, box_jitter_px=3, mask_erode_px=1, drop_prob=0.3, score_sigma=0.2)
         a = render_gt_detections(view.frame.frame_id, ids(view), labels, noise)
         b = render_gt_detections(view.frame.frame_id, ids(view), labels, noise)
@@ -260,8 +261,8 @@ class TestRenderGtDetections:
     def test_unseen_label_draws_no_noise(self, oracle_scene_dir):
         # a label with no pixels is skipped before any draw, so the seeded
         # noise of the labels that are seen does not change
-        scene, labels, ids = _oracle_inputs(oracle_scene_dir)
-        view = scene.views[2]
+        views, labels, ids = _oracle_inputs(oracle_scene_dir)
+        view = views[2]
         noise = PerturbationConfig(seed=7, box_jitter_px=2, mask_erode_px=1, drop_prob=0.3, score_sigma=0.2)
         plain = ids(view)
         shifted = np.where(plain > 0, plain + 1, 0)  # id 1 now names a label seen nowhere
@@ -272,9 +273,9 @@ class TestRenderGtDetections:
             assert np.array_equal(ma.bitmap, mb.bitmap)
 
     def test_jittered_masks_stay_inside_boxes(self, oracle_scene_dir):
-        scene, labels, ids = _oracle_inputs(oracle_scene_dir)
+        views, labels, ids = _oracle_inputs(oracle_scene_dir)
         noise = PerturbationConfig(seed=3, box_jitter_px=6, mask_erode_px=-2)
-        for view in scene.views[:4]:
+        for view in views[:4]:
             for mask in render_gt_detections(view.frame.frame_id, ids(view), labels, noise):
                 vs, us = np.nonzero(mask.bitmap)
                 x1, y1, x2, y2 = mask.detection.box
@@ -307,8 +308,8 @@ class TestPopulateDetections:
 
     def test_stale_masks_removed(self, mutable_scene_dir):
         populate_detections(mutable_scene_dir, PerturbationConfig(seed=1, drop_prob=0.9))
-        scene = scene_io.load_scene(mutable_scene_dir)  # would raise on stray masks
-        assert sum(len(v.masks) for v in scene.views) < 60
+        views = scene_io.load_scene(mutable_scene_dir)  # would raise on stray masks
+        assert sum(len(v.masks) for v in views) < 60
 
 
 class TestPerturbationConfig:

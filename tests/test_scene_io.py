@@ -79,22 +79,28 @@ class TestPgm:
 
 class TestLoadScene:
     def test_well_formed_two_frames(self, tmp_path):
-        scene = load_scene(make_fixture_scene(tmp_path / "s"))
-        assert len(scene.views) == 2
-        assert [v.frame.frame_id for v in scene.views] == ["0000", "0001"]
-        assert scene.views[0].frame.depth[0, 0] == pytest.approx(1.5)
-        assert len(scene.views[0].masks) == 1
-        assert np.count_nonzero(scene.views[0].masks[0].bitmap) == 6
+        views = load_scene(make_fixture_scene(tmp_path / "s"))
+        assert len(views) == 2
+        assert [v.frame.frame_id for v in views] == ["0000", "0001"]
+        assert views[0].frame.depth[0, 0] == pytest.approx(1.5)
+        assert len(views[0].masks) == 1
+        assert np.count_nonzero(views[0].masks[0].bitmap) == 6
 
     def test_identity_pose_loads_as_identity(self, tmp_path):
-        scene = load_scene(make_fixture_scene(tmp_path / "s"))
-        pose = scene.views[0].frame.pose
+        views = load_scene(make_fixture_scene(tmp_path / "s"))
+        pose = views[0].frame.pose
         assert np.array_equal(pose.rotation, np.eye(3))
         assert np.array_equal(pose.translation, np.zeros(3))
 
     def test_depth_width_mismatch_rejected(self, tmp_path):
         root = make_fixture_scene(tmp_path / "s", intrinsics="10 10 2.5 1.5 7 4 0.001\n")
         with pytest.raises(SceneValidationError, match="depth shape"):
+            load_scene(root)
+
+    def test_nan_depth_scale_rejected(self, tmp_path):
+        # every depth would read as NaN and every detection drop
+        root = make_fixture_scene(tmp_path / "s", intrinsics="10 10 2.5 1.5 6 4 nan\n")
+        with pytest.raises(SceneValidationError, match=r"intrinsics\.txt: depth_scale must be positive, got nan"):
             load_scene(root)
 
     def test_non_orthonormal_rotation_rejected(self, tmp_path):
@@ -144,13 +150,13 @@ class TestLoadScene:
         mask_rows = [[0] * 6 for _ in range(4)]
         mask_rows[1][2] = 255
         root = make_fixture_scene(tmp_path / "s", detections="-3 -1 9 9 0.5 mug\n", mask_rows=mask_rows)
-        scene = load_scene(root)
-        assert scene.views[0].masks[0].detection.box == (0.0, 0.0, 6.0, 4.0)
+        views = load_scene(root)
+        assert views[0].masks[0].detection.box == (0.0, 0.0, 6.0, 4.0)
 
     def test_empty_detections_allowed(self, tmp_path):
         root = make_fixture_scene(tmp_path / "s", detections="")
-        scene = load_scene(root)
-        assert scene.views[0].masks == []
+        views = load_scene(root)
+        assert views[0].masks == []
 
     def test_missing_dir(self, tmp_path):
         with pytest.raises(SceneLayoutError):
@@ -158,8 +164,8 @@ class TestLoadScene:
 
     def test_label_with_spaces(self, tmp_path):
         root = make_fixture_scene(tmp_path / "s", detections="1 1 4 3 0.9 coffee mug\n")
-        scene = load_scene(root)
-        assert scene.views[0].masks[0].detection.label == "coffee mug"
+        views = load_scene(root)
+        assert views[0].masks[0].detection.label == "coffee mug"
 
 
 class TestPly:
