@@ -233,11 +233,11 @@ def cmd_navsim(args) -> int:
     if args.world:
         try:
             world = navsim.load_world(args.world)
+            x, y, theta = args.start
+            start = navsim.RobotState(np.array([x, y]), theta)
         except (scene_io.SceneError, ValueError) as e:
             print(f"rgbdnav navsim: {e}", file=sys.stderr)
             return 1
-        x, y, theta = args.start
-        start = navsim.RobotState(np.array([x, y]), theta)
     else:
         scenario = args.scenario or "open"
         world, start = navsim.SCENARIOS[scenario]()

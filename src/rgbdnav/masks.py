@@ -60,19 +60,31 @@ def erode_bitmap(bitmap: np.ndarray, selem: np.ndarray) -> np.ndarray:
 
 
 def erode_mask(mask: InstanceMask, kernel: StructuringElement | None = None) -> InstanceMask:
-    """Erode an instance mask; the result is a subset of the input (may be empty)."""
+    """Erode an instance mask; the result is a subset of the input (may be empty).
+
+    Eroding the box window alone is exact: pixels outside the box are unset.
+    """
     if kernel is None:
         kernel = StructuringElement.box(3)
     return InstanceMask(erode_bitmap(mask.bitmap, kernel.bitmap), mask.detection)
 
 
 def isolate_depth(frame: DepthFrame, eroded: InstanceMask) -> IsolatedDepth:
-    """Collect the valid (> 0) depths under the mask as a sparse pixel map."""
-    if eroded.bitmap.shape != frame.depth.shape:
+    """Collect the valid (> 0) depths under the mask as a sparse pixel map.
+
+    Pixels come in row-major image order; the mask's window must lie inside
+    the depth image.
+    """
+    rows, cols = eroded.detection.window
+    h, w = frame.depth.shape
+    if not (0 <= rows.start and rows.stop <= h and 0 <= cols.start and cols.stop <= w):
         raise ValueError(
-            f"mask shape {eroded.bitmap.shape} does not match depth shape {frame.depth.shape}"
+            f"mask window rows {rows.start}..{rows.stop}, columns {cols.start}..{cols.stop} "
+            f"outside depth shape {frame.depth.shape}"
         )
     vs, us = np.nonzero(eroded.bitmap)
+    vs += rows.start
+    us += cols.start
     d = frame.depth[vs, us]
     valid = d > 0
     return IsolatedDepth(us[valid], vs[valid], d[valid].astype(np.float64))

@@ -21,14 +21,22 @@ from .types import Box3D
 _TWO_PI = 2.0 * math.pi
 
 
+def _finite_point(xy, name: str) -> np.ndarray:
+    """A ground-plane point as a float64 2-vector; a NaN or infinite coordinate raises ValueError."""
+    p = np.asarray(xy, dtype=np.float64).reshape(2)
+    if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+        raise ValueError(f"{name} must be finite, got ({p[0]}, {p[1]})")
+    return p
+
+
 @dataclass(frozen=True)
 class Circle:
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64).reshape(2))
-        if self.radius <= 0:
+        object.__setattr__(self, "center", _finite_point(self.center, "circle centre"))
+        if not self.radius > 0:
             raise ValueError(f"circle radius must be positive, got {self.radius}")
 
 
@@ -38,8 +46,8 @@ class Segment:
     b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=np.float64).reshape(2))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64).reshape(2))
+        object.__setattr__(self, "a", _finite_point(self.a, "segment end"))
+        object.__setattr__(self, "b", _finite_point(self.b, "segment end"))
 
 
 Obstacle = Circle | Segment
@@ -56,8 +64,10 @@ class RobotState:
     tick_per_rev: int = 4096
 
     def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=np.float64).reshape(2))
-        if self.wheel_radius <= 0 or self.wheel_base <= 0 or self.tick_per_rev <= 0:
+        object.__setattr__(self, "position", _finite_point(self.position, "robot position"))
+        if not math.isfinite(self.heading):
+            raise ValueError(f"robot heading must be finite, got {self.heading}")
+        if not (self.wheel_radius > 0 and self.wheel_base > 0 and self.tick_per_rev > 0):
             raise ValueError("wheel_radius, wheel_base and tick_per_rev must be positive")
 
 
@@ -70,8 +80,8 @@ class WorldModel2D:
     goal_radius: float = 0.3
 
     def __post_init__(self):
-        object.__setattr__(self, "target", np.asarray(self.target, dtype=np.float64).reshape(2))
-        if self.goal_radius <= 0:
+        object.__setattr__(self, "target", _finite_point(self.target, "target"))
+        if not self.goal_radius > 0:
             raise ValueError(f"goal_radius must be positive, got {self.goal_radius}")
         if clearance(self, self.target) <= 0.0:
             raise ValueError("target lies inside an obstacle")
@@ -91,8 +101,8 @@ class ApfConfig:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -105,9 +115,9 @@ class ScanConfig:
     max_range: float = 4.0
 
     def __post_init__(self):
-        if self.n_rays < 1:
+        if not self.n_rays >= 1:
             raise ValueError("n_rays must be >= 1")
-        if not (0 < self.fov <= _TWO_PI) or self.max_range <= 0:
+        if not (0 < self.fov <= _TWO_PI and self.max_range > 0):
             raise ValueError("fov must be in (0, 2*pi] and max_range positive")
 
 
@@ -303,7 +313,7 @@ def run_navigation(
     exact arc model, so the simulated platform and the odometry share one
     forward model.
     """
-    if max_steps <= 0:
+    if not max_steps > 0:
         raise ValueError(f"max_steps must be positive, got {max_steps}")
     state = start
     times = [0.0]
@@ -377,7 +387,10 @@ def load_world(path: Path) -> WorldModel2D:
     if "target" not in last:
         raise ValueError(f"{path}: world file declares no target")
     obstacles = [value for kind, value in entries if kind in ("circle", "segment")]
-    return WorldModel2D(obstacles, last["target"], last.get("goal_radius", 0.3))
+    try:
+        return WorldModel2D(obstacles, last["target"], last.get("goal_radius", 0.3))
+    except ValueError as e:
+        raise scene_io.SceneValidationError(f"{path}: {e}") from e
 
 
 def save_trajectory(traj: Trajectory, path: Path) -> None:

@@ -4,12 +4,14 @@ The synthetic-scene generator renders analytic depth images of labeled
 axis-aligned boxes along a camera trajectory and saves, next to each depth
 image, the instance-id image of the render: which box owns each pixel. The
 detection oracle reads a frame's mask for box k straight from that image
-(``ids == k + 1``) and emits it with the tight box around it, with optional
-seeded perturbations for degradation studies.
+(``ids == k + 1``) and emits it with the tight box around it, as a bitmap
+over that box's window, with optional seeded perturbations for degradation
+studies.
 """
 from __future__ import annotations
 
 import glob
+import itertools
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +20,7 @@ import numpy as np
 
 from . import scene_io
 from .masks import erode_bitmap
+from .projection import project_to_pixels, to_camera
 from .types import Box3D, CameraIntrinsics, CameraPose, Detection2D, InstanceMask
 
 _NEAR = 1e-6
@@ -94,10 +97,33 @@ def orbit_trajectory(
     return poses
 
 
+def _footprint(box: Box3D, pose: CameraPose, intrinsics: CameraIntrinsics) -> tuple[slice, slice]:
+    """Rows and columns of the pixels whose rays can hit the box.
+
+    The bounding rectangle of the 8 projected corners, widened by 1 px and
+    clipped to the image; the whole image when a corner is not in front of
+    the camera (z <= _NEAR), where the projection does not bound the box.
+    """
+    corners = np.array(list(itertools.product(*zip(box.min_corner, box.max_corner))))
+    cam = to_camera(corners, pose)
+    if (cam[:, 2] <= _NEAR).any():
+        return slice(0, intrinsics.height), slice(0, intrinsics.width)
+    u, v = project_to_pixels(cam, intrinsics)
+    rows = slice(max(int(np.floor(v.min())) - 1, 0), min(int(np.ceil(v.max())) + 2, intrinsics.height))
+    cols = slice(max(int(np.floor(u.min())) - 1, 0), min(int(np.ceil(u.max())) + 2, intrinsics.width))
+    return rows, cols
+
+
 def render_depth(
     boxes: list[LabeledBox], pose: CameraPose, intrinsics: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-surface z-depth per pixel plus the index of the owning box (-1 = none)."""
+    """Nearest-surface z-depth per pixel plus the index of the owning box (-1 = none).
+
+    Each box is ray-tested only over its footprint: the bounding rectangle of
+    its projected corners widened by 1 px and clipped to the image, or the
+    whole image when a corner lies at or behind the camera plane. A box whose
+    footprint misses the image is skipped.
+    """
     if not boxes:
         raise ValueError("render_depth needs at least one box")
     h, w = intrinsics.height, intrinsics.width
@@ -112,25 +138,30 @@ def render_depth(
     ).reshape(-1, 3)
     dirs_w = dirs_cam @ pose.rotation.T
     origin = pose.translation
-    depth = np.full(h * w, np.inf)
-    owner = np.full(h * w, -1, dtype=np.int64)
+    depth = np.full((h, w), np.inf)
+    owner = np.full((h, w), -1, dtype=np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = (1.0 / dirs_w).T.copy()  # one contiguous row per axis
+        inv = (1.0 / dirs_w).T.copy().reshape(3, h, w)  # one contiguous image per axis
         for i, lb in enumerate(boxes):
-            t1 = (lb.box.min_corner - origin)[:, None] * inv
-            t2 = (lb.box.max_corner - origin)[:, None] * inv
+            rows, cols = _footprint(lb.box, pose, intrinsics)
+            if rows.start >= rows.stop or cols.start >= cols.stop:
+                continue
+            window = inv[:, rows, cols]
+            t1 = (lb.box.min_corner - origin)[:, None, None] * window
+            t2 = (lb.box.max_corner - origin)[:, None, None] * window
             lo, hi = np.minimum(t1, t2), np.maximum(t1, t2, out=t2)
             # fmax/fmin skip NaN (0 * inf on a slab plane) and keep an all-NaN triple NaN.
             tmin = np.fmax(np.fmax(lo[0], lo[1]), lo[2])
             tmax = np.fmin(np.fmin(hi[0], hi[1]), hi[2])
             # strictly nearer, so on a tie the earlier box keeps the pixel
-            nearer = (tmax >= tmin) & (tmin > _NEAR) & (tmin < depth)
-            depth[nearer] = tmin[nearer]
-            owner[nearer] = i
+            d, o = depth[rows, cols], owner[rows, cols]
+            nearer = (tmax >= tmin) & (tmin > _NEAR) & (tmin < d)
+            d[nearer] = tmin[nearer]
+            o[nearer] = i
     depth[owner < 0] = 0.0
     # The ray parameter equals the camera-frame z coordinate because the ray
     # direction has unit z in the camera frame.
-    return depth.reshape(h, w), owner.reshape(h, w)
+    return depth, owner
 
 
 def make_synthetic_scene(
@@ -202,28 +233,37 @@ def render_gt_detections(
     """Synthesize detector/mask outputs for one frame from its instance-id image.
 
     Returns one InstanceMask, carrying its Detection2D, per detection in label
-    order. The mask of label k is ``ids == k + 1``. Labels with no pixels in
-    the frame are omitted; perturbations seeded by ``noise.seed`` and
-    ``frame_id`` may then drop, shrink, or jitter the survivors.
+    order. The mask of label k is ``ids == k + 1`` within its box. Labels with
+    no pixels in the frame are omitted; perturbations seeded by ``noise.seed``
+    and ``frame_id`` may then drop, shrink, or jitter the survivors. Each
+    label's morphology runs on its bounding rectangle, widened by the pixels
+    dilation and jitter can add, so the final box always lies inside it.
     """
     rng = np.random.default_rng([noise.seed, zlib.crc32(frame_id.encode())])
     height, width = ids.shape
     kernel = np.ones((3, 3), dtype=bool)
+    grow = max(-noise.mask_erode_px, 0) + max(noise.box_jitter_px, 0)
+    vs, us = np.nonzero(ids)
+    owners = ids[vs, us]
     masks: list[InstanceMask] = []
     for k, label in enumerate(labels):
-        bitmap = ids == k + 1
-        if not bitmap.any():
+        mine = owners == k + 1
+        if not mine.any():
             continue
         if noise.drop_prob > 0 and rng.random() < noise.drop_prob:
             continue
+        kv, ku = vs[mine], us[mine]
+        top, bottom = max(int(kv.min()) - grow, 0), min(int(kv.max()) + 1 + grow, height)
+        left, right = max(int(ku.min()) - grow, 0), min(int(ku.max()) + 1 + grow, width)
+        bitmap = ids[top:bottom, left:right] == k + 1
         morph = erode_bitmap if noise.mask_erode_px > 0 else _dilate_bitmap
         for _ in range(abs(noise.mask_erode_px)):
             bitmap = morph(bitmap, kernel)
         if not bitmap.any():
             continue
         ys, xs = np.nonzero(bitmap)
-        x1, y1 = int(xs.min()), int(ys.min())
-        x2, y2 = int(xs.max()) + 1, int(ys.max()) + 1
+        x1, y1 = left + int(xs.min()), top + int(ys.min())
+        x2, y2 = left + int(xs.max()) + 1, top + int(ys.max()) + 1
         if noise.box_jitter_px > 0:
             j = noise.box_jitter_px
             dx1, dy1, dx2, dy2 = rng.integers(-j, j + 1, size=4)
@@ -233,11 +273,9 @@ def render_gt_detections(
             y2 = min(height, y2 + int(dy2))
             if x1 >= x2 or y1 >= y2:
                 continue
-            clipped = np.zeros_like(bitmap)
-            clipped[y1:y2, x1:x2] = bitmap[y1:y2, x1:x2]
-            bitmap = clipped
-            if not bitmap.any():
-                continue
+        bitmap = bitmap[y1 - top:y2 - top, x1 - left:x2 - left]
+        if not bitmap.any():
+            continue
         score = 1.0
         if noise.score_sigma > 0:
             score = float(np.clip(1.0 - abs(rng.normal(0.0, noise.score_sigma)), 0.0, 1.0))
@@ -249,8 +287,8 @@ def render_gt_detections(
 def populate_detections(scene_dir: Path, noise: PerturbationConfig = PerturbationConfig()) -> int:
     """(Re)write detections and masks for every frame from the scene's instance-id images.
 
-    Every frame with a depth image is rewritten, its depth unread. Returns the
-    total number of detections written.
+    Every frame with a depth image is rewritten, its depth unread. Mask files
+    are written full-image. Returns the total number of detections written.
     """
     labels = scene_io.load_gt_labels(scene_dir)
     intr, _ = scene_io.load_intrinsics(Path(scene_dir) / "intrinsics.txt")
@@ -263,11 +301,9 @@ def populate_detections(scene_dir: Path, noise: PerturbationConfig = Perturbatio
         masks = render_gt_detections(frame_id, ids, labels, noise)
         scene_io.write_detections(frames_dir / f"{frame_id}.detections.txt", [m.detection for m in masks])
         for k, m in enumerate(masks):
-            scene_io.write_pgm(
-                frames_dir / f"{frame_id}.mask.{k}.pgm",
-                m.bitmap.astype(np.uint16) * 255,
-                maxval=255,
-            )
+            image = np.zeros((intr.height, intr.width), dtype=np.uint8)
+            image[m.detection.window] = m.bitmap * np.uint8(255)
+            scene_io.write_pgm(frames_dir / f"{frame_id}.mask.{k}.pgm", image, maxval=255)
         total += len(masks)
     return total
 

@@ -7,14 +7,15 @@ On-disk scene layout::
       frames/<id>.depth.pgm       16-bit grayscale PGM; meters = value * depth_scale
       frames/<id>.pose.txt        4x4 row-major camera-to-world matrix
       frames/<id>.detections.txt  one detection per line: x1 y1 x2 y2 score label; '#' comments
-      frames/<id>.mask.<k>.pgm    binary PGM (0/255) for detection k of that frame
+      frames/<id>.mask.<k>.pgm    full-image binary PGM (0/255) for detection k of that frame
       gt/labels.txt               optional ground truth: one instance label per line, k order
       gt/ids/<id>.pgm             instance-id PGM of frame <id>: 0 background, k+1 instance k
 
-Frames are ordered by <id> (zero-padded ids sort naturally). RGB images may
-sit next to the depth files but are never read here. Loading validates every
-invariant and never repairs data silently; a file that cannot be read or
-decoded raises SceneLayoutError naming it.
+Frames are ordered by <id> (zero-padded ids sort naturally). Mask files stay
+full-image on disk; loading keeps only the detection box's window of each.
+RGB images may sit next to the depth files but are never read here. Loading
+validates every invariant and never repairs data silently; a file that
+cannot be read or decoded raises SceneLayoutError naming it.
 
 Ground truth is not read by :func:`load_scene`: :func:`load_gt_instances`
 derives it from the id images, as ObjectClouds with score 1.0, so malformed
@@ -246,19 +247,17 @@ def _load_mask(path: Path, frame_id: str, k: int, det: Detection2D, intr: Camera
             f"frame {frame_id}: mask {k} shape {raw.shape} does not match image "
             f"({intr.height}, {intr.width})"
         )
-    bad = ~np.isin(raw, (0, 255))
-    if bad.any():
+    crop = raw[det.window]
+    outside = np.count_nonzero(crop) != np.count_nonzero(raw)
+    # with every set pixel in the box, only the box window can hold a bad value
+    checked = raw if outside else crop
+    if not ((checked == 0) | (checked == 255)).all():
         raise SceneValidationError(f"frame {frame_id}: mask {k} has values other than 0/255")
-    bitmap = raw == 255
-    vs, us = np.nonzero(bitmap)
-    x1, y1, x2, y2 = det.box
-    if vs.size and not (
-        (us >= x1).all() and (us < x2).all() and (vs >= y1).all() and (vs < y2).all()
-    ):
+    if outside:
         raise SceneValidationError(
             f"frame {frame_id}: mask {k} has pixels outside its detection box {det.box}"
         )
-    return InstanceMask(bitmap, det)
+    return InstanceMask(crop == 255, det)
 
 
 def frame_ids(scene_dir: Path) -> list[str]:
@@ -343,19 +342,28 @@ def load_gt_instances(scene_dir: Path) -> list[ObjectCloud]:
     gt_frame_ids = sorted(p.stem for p in (root / "gt" / "ids").glob("*.pgm"))
     if not gt_frame_ids:
         raise SceneLayoutError(f"no '<id>.pgm' instance-id images under {root / 'gt' / 'ids'}")
-    points: list[list[np.ndarray]] = [[] for _ in labels]
-    for frame_id in gt_frame_ids:
-        ids = load_gt_ids(root, frame_id, intr, len(labels))
+    # sized from the id images first, so each instance's points are held once
+    id_images = [
+        load_gt_ids(root, frame_id, intr, len(labels)).astype(np.min_scalar_type(len(labels)))
+        for frame_id in gt_frame_ids
+    ]
+    sizes = sum(np.bincount(ids.ravel(), minlength=len(labels) + 1) for ids in id_images)[1:]
+    points = [np.empty((n, 3)) for n in sizes]
+    filled = [0] * len(labels)
+    for frame_id, ids in zip(gt_frame_ids, id_images):
         depth = _load_depth(root / "frames" / f"{frame_id}.depth.pgm", frame_id, intr, depth_scale)
         pose = _load_pose(root / "frames" / f"{frame_id}.pose.txt", frame_id)
+        vs, us = np.nonzero(ids)
+        owner = ids[vs, us]
         for k in range(len(labels)):
-            vs, us = np.nonzero(ids == k + 1)
-            points[k].append(to_world(back_project_pixels(us, vs, depth[vs, us], intr), pose))
-    gt = [(label, np.vstack(pts)) for label, pts in zip(labels, points)]
-    unseen = [label for label, pts in gt if not len(pts)]
+            mine = owner == k + 1
+            ku, kv = us[mine], vs[mine]
+            start, filled[k] = filled[k], filled[k] + len(ku)
+            points[k][start:filled[k]] = to_world(back_project_pixels(ku, kv, depth[kv, ku], intr), pose)
+    unseen = [label for label, n in zip(labels, sizes) if not n]
     if unseen:
         raise SceneValidationError(f"{root / 'gt'}: labels with no pixels in any id image: {unseen}")
-    return [ObjectCloud(pts, label, 1.0) for label, pts in gt]
+    return [ObjectCloud(pts, label, 1.0) for label, pts in zip(labels, points)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@ World frame is right-handed with z up (ground plane = xy). Camera frame is
 x right, y down, z forward; depth values are the camera-frame z coordinate
 in meters, 0 marking invalid pixels. 2D boxes are half-open pixel rectangles
 [x1, x2) x [y1, y2): an integer pixel (u, v) is inside iff x1 <= u < x2 and
-y1 <= v < y2.
+y1 <= v < y2. Those pixels form the box's window, rows ceil(y1)..ceil(y2)
+and columns ceil(x1)..ceil(x2); an instance mask's bitmap covers exactly the
+window of its detection box, not the whole image.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,13 +103,33 @@ class Detection2D:
         if not (0.0 <= self.score <= 1.0):
             raise ValueError(f"score {self.score} outside [0, 1]")
 
+    @property
+    def window(self) -> tuple[slice, slice]:
+        """Row and column slices of the pixels inside the box: ceil(y1)..ceil(y2), ceil(x1)..ceil(x2)."""
+        x1, y1, x2, y2 = (math.ceil(c) for c in self.box)
+        return slice(y1, y2), slice(x1, x2)
+
 
 @dataclass(frozen=True)
 class InstanceMask:
-    """A Detection2D with its full-image pixel bitmap: the one record per detection."""
+    """A Detection2D with its pixel bitmap: the one record per detection.
+
+    The bitmap covers the detection box's window (:attr:`Detection2D.window`):
+    ``bitmap[0, 0]`` is image pixel (ceil(x1), ceil(y1)), and every pixel
+    outside the box is unset by construction.
+    """
 
     bitmap: np.ndarray
     detection: Detection2D
+
+    def __post_init__(self):
+        rows, cols = self.detection.window
+        window = (rows.stop - rows.start, cols.stop - cols.start)
+        if np.shape(self.bitmap) != window:
+            raise ValueError(
+                f"mask bitmap shape {np.shape(self.bitmap)} does not match the {window} window "
+                f"of detection box {self.detection.box}"
+            )
 
 
 @dataclass(frozen=True)
@@ -119,6 +142,8 @@ class Box3D:
     def __post_init__(self):
         lo = np.asarray(self.min_corner, dtype=np.float64).reshape(3)
         hi = np.asarray(self.max_corner, dtype=np.float64).reshape(3)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError(f"box corners must be finite, got {lo} and {hi}")
         if np.any(lo > hi):
             raise ValueError(f"min corner {lo} exceeds max corner {hi}")
         object.__setattr__(self, "min_corner", lo)

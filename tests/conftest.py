@@ -62,6 +62,13 @@ def dilation_oracle(bitmap: np.ndarray, selem: np.ndarray) -> np.ndarray:
     return out
 
 
+def full_image_bitmap(mask, shape) -> np.ndarray:
+    """An instance mask's box-window bitmap pasted into an all-unset image of the given shape."""
+    out = np.zeros(shape, dtype=bool)
+    out[mask.detection.window] = mask.bitmap
+    return out
+
+
 @st.composite
 def odd_kernels(draw) -> np.ndarray:
     """Structuring elements with odd sides up to 5 and the center set; often not symmetric."""

@@ -44,6 +44,13 @@ class TestSynth:
         assert code == 2
         assert f"{boxes}:2: could not convert string to float: 'x'" in err
 
+    def test_non_finite_box_names_file_and_line(self, capsys, tmp_path):
+        boxes = tmp_path / "boxes.txt"
+        boxes.write_text("box_a -0.9 -0.6 0.0 -0.4 -0.15 0.4\nbox_b nan 0 0 1 1 1\n")
+        code, _, err = run_cli(capsys, "synth", str(tmp_path / "s"), "--views", "1", "--boxes", str(boxes))
+        assert code == 2
+        assert f"{boxes}:2: box corners must be finite" in err
+
     def test_missing_boxes_file_one_line_error(self, capsys, tmp_path):
         boxes = tmp_path / "absent.txt"
         code, _, err = run_cli(capsys, "synth", str(tmp_path / "s"), "--views", "1", "--boxes", str(boxes))
@@ -339,6 +346,28 @@ class TestNavsim:
         assert code == 1
         assert err.startswith(f"rgbdnav navsim: cannot read {world}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [("circle 1.0 0.6 nan", ":3: circle radius must be positive, got nan"),
+         ("goal_radius nan", ": goal_radius must be positive, got nan"),
+         ("target 2 nan", ": target must be finite, got (2.0, nan)")],
+        ids=["circle_radius", "goal_radius", "target"],
+    )
+    def test_nan_world_entry_one_line_error(self, capsys, tmp_path, line, reason):
+        world = tmp_path / "w.txt"
+        world.write_text(f"target 2 0\ngoal_radius 0.3\n{line}\n")
+        code, _, err = run_cli(capsys, "navsim", str(tmp_path / "t.csv"), "--world", str(world))
+        assert code == 1
+        assert err == f"rgbdnav navsim: {world}{reason}\n"
+
+    def test_nan_start_one_line_error(self, capsys, tmp_path):
+        world = tmp_path / "w.txt"
+        world.write_text("target 2 0\n")
+        code, _, err = run_cli(capsys, "navsim", str(tmp_path / "t.csv"), "--world", str(world),
+                               "--start", "nan", "0", "0")
+        assert code == 1
+        assert err == "rgbdnav navsim: robot position must be finite, got (nan, 0.0)\n"
 
     def test_conflicting_flags_usage_error(self, capsys, tmp_path):
         world = tmp_path / "w.txt"

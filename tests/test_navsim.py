@@ -233,6 +233,43 @@ class TestRunNavigation:
             run_navigation(world, _state(), max_steps=0)
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestNonFiniteRejected:
+    # every positivity check is written "not x > 0", so NaN fails it too
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Circle((1.0, 0.6), NAN),
+            lambda: Circle((1.0, 0.6), 0.0),
+            lambda: Circle((NAN, 0.6), 0.3),
+            lambda: Circle((INF, 0.6), 0.3),
+            lambda: Segment((0.0, 0.0), (NAN, 1.0)),
+            lambda: RobotState(np.array([0.0, 0.0]), 0.0, wheel_radius=NAN),
+            lambda: RobotState(np.array([0.0, 0.0]), 0.0, wheel_base=NAN),
+            lambda: RobotState(np.array([NAN, 0.0]), 0.0),
+            lambda: RobotState(np.array([0.0, 0.0]), NAN),
+            lambda: WorldModel2D([], np.array([1.0, 0.0]), goal_radius=NAN),
+            lambda: WorldModel2D([], np.array([1.0, INF])),
+            lambda: ApfConfig(dt=NAN),
+            lambda: ApfConfig(v_max=NAN),
+            lambda: ScanConfig(max_range=NAN),
+            lambda: ScanConfig(fov=NAN),
+            lambda: run_navigation(WorldModel2D([], np.array([1.0, 0.0])), _state(), max_steps=NAN),
+        ],
+        ids=[
+            "circle_radius_nan", "circle_radius_zero", "circle_centre_nan", "circle_centre_inf", "segment_nan",
+            "wheel_radius_nan", "wheel_base_nan", "start_nan", "heading_nan", "goal_radius_nan", "target_inf",
+            "apf_dt_nan", "apf_v_max_nan", "scan_max_range_nan", "scan_fov_nan", "max_steps_nan",
+        ],
+    )
+    def test_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+
 class TestWorldFiles:
     def test_round_trip(self, tmp_path):
         world = WorldModel2D(

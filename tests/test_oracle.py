@@ -1,4 +1,5 @@
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -17,10 +18,11 @@ from rgbdnav.oracle import (
     render_depth,
     render_gt_detections,
 )
+from rgbdnav.masks import erode_bitmap
 from rgbdnav.projection import project_to_pixels, to_camera
-from rgbdnav.types import Box3D, CameraIntrinsics, CameraPose, ObjectCloud
+from rgbdnav.types import Box3D, CameraIntrinsics, CameraPose, Detection2D, ObjectCloud
 
-from conftest import dilation_oracle, odd_kernels, random_rotation
+from conftest import dilation_oracle, full_image_bitmap, odd_kernels, random_rotation
 
 
 def render_depth_reference(boxes, pose, intrinsics):
@@ -76,6 +78,44 @@ def reprojected_masks_reference(frame, gt, depth_scale):
         bitmap[vi[visible], ui[visible]] = True
         masks.append((inst.label, bitmap))
     return masks
+
+
+def render_gt_detections_reference(frame_id, ids, labels, noise):
+    """(detection, full-image bitmap) pairs from morphology and box clipping on the whole image."""
+    rng = np.random.default_rng([noise.seed, zlib.crc32(frame_id.encode())])
+    height, width = ids.shape
+    kernel = np.ones((3, 3), dtype=bool)
+    out = []
+    for k, label in enumerate(labels):
+        bitmap = ids == k + 1
+        if not bitmap.any():
+            continue
+        if noise.drop_prob > 0 and rng.random() < noise.drop_prob:
+            continue
+        morph = erode_bitmap if noise.mask_erode_px > 0 else oracle._dilate_bitmap
+        for _ in range(abs(noise.mask_erode_px)):
+            bitmap = morph(bitmap, kernel)
+        if not bitmap.any():
+            continue
+        ys, xs = np.nonzero(bitmap)
+        x1, y1, x2, y2 = int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1
+        if noise.box_jitter_px > 0:
+            j = noise.box_jitter_px
+            dx1, dy1, dx2, dy2 = rng.integers(-j, j + 1, size=4)
+            x1, y1 = max(0, x1 + int(dx1)), max(0, y1 + int(dy1))
+            x2, y2 = min(width, x2 + int(dx2)), min(height, y2 + int(dy2))
+            if x1 >= x2 or y1 >= y2:
+                continue
+            clipped = np.zeros_like(bitmap)
+            clipped[y1:y2, x1:x2] = bitmap[y1:y2, x1:x2]
+            bitmap = clipped
+            if not bitmap.any():
+                continue
+        score = 1.0
+        if noise.score_sigma > 0:
+            score = float(np.clip(1.0 - abs(rng.normal(0.0, noise.score_sigma)), 0.0, 1.0))
+        out.append((Detection2D((float(x1), float(y1), float(x2), float(y2)), score, label), bitmap))
+    return out
 
 
 def _oracle_inputs(scene_dir):
@@ -156,6 +196,53 @@ class TestRenderDepth:
         assert (owner[:, 16] >= 0).any() and (owner[10, :] >= 0).any()
         self._assert_matches_reference(boxes, pose, intr)
 
+    def test_corner_behind_camera_tests_whole_image(self):
+        # the box reaches behind the camera, so its projected corners do not
+        # bound it and every pixel is ray-tested
+        intr = CameraIntrinsics(20.0, 20.0, 12.0, 8.0, 25, 17)
+        boxes = [LabeledBox("a", Box3D(np.array([-3.0, -0.5, -1.0]), np.array([-0.5, 0.5, 3.0])))]
+        pose = CameraPose.identity()
+        assert oracle._footprint(boxes[0].box, pose, intr) == (slice(0, 17), slice(0, 25))
+        _, owner = render_depth(boxes, pose, intr)
+        assert (owner[:, 0] == 0).all() and (owner == -1).any()
+        self._assert_matches_reference(boxes, pose, intr)
+
+    def test_footprint_off_image_is_skipped(self):
+        intr = CameraIntrinsics(20.0, 20.0, 12.0, 8.0, 25, 17)
+        boxes = [
+            LabeledBox("seen", Box3D(np.array([-0.5, -0.5, 2.0]), np.array([0.5, 0.5, 3.0]))),
+            LabeledBox("aside", Box3D(np.array([5.0, -0.5, 2.0]), np.array([6.0, 0.5, 3.0]))),
+        ]
+        pose = CameraPose.identity()
+        rows, cols = oracle._footprint(boxes[1].box, pose, intr)
+        assert cols.start >= cols.stop
+        _, owner = render_depth(boxes, pose, intr)
+        assert (owner == 0).any() and not (owner == 1).any()
+        self._assert_matches_reference(boxes, pose, intr)
+
+    def test_box_partly_off_image_edge(self):
+        # the box straddles the left and top edges: its footprint is clipped
+        intr = CameraIntrinsics(20.0, 20.0, 12.0, 8.0, 25, 17)
+        boxes = [LabeledBox("a", Box3D(np.array([-2.0, -1.5, 2.0]), np.array([-0.2, 0.3, 2.5])))]
+        pose = CameraPose.identity()
+        rows, cols = oracle._footprint(boxes[0].box, pose, intr)
+        assert rows.start == 0 and cols.start == 0 and rows.stop < 17 and cols.stop < 25
+        _, owner = render_depth(boxes, pose, intr)
+        assert owner[0, 0] == 0
+        self._assert_matches_reference(boxes, pose, intr)
+
+    def test_grazing_ray_at_footprint_edge(self):
+        # the near face's x = 0.5 edge projects exactly onto pixel column 17
+        # (0.5 * 20 / 2 + 12), so that column's rays graze the box
+        intr = CameraIntrinsics(20.0, 20.0, 12.0, 8.0, 25, 17)
+        boxes = [LabeledBox("a", Box3D(np.array([-0.5, -0.5, 2.0]), np.array([0.5, 0.5, 3.0])))]
+        pose = CameraPose.identity()
+        rows, cols = oracle._footprint(boxes[0].box, pose, intr)
+        assert cols.stop - 1 == 18  # the grazing column plus the 1 px margin
+        _, owner = render_depth(boxes, pose, intr)
+        assert owner[8, 17] == 0 and (owner[:, 18] == -1).all()
+        self._assert_matches_reference(boxes, pose, intr)
+
     def test_matches_reference_on_layouts(self, layout_scenes):
         for s in layout_scenes:
             for pose in s.trajectory[:3]:
@@ -232,14 +319,14 @@ class TestRenderGtDetections:
                 expected = reprojected_masks_reference(view.frame, gt, depth_scale)
                 assert [m.detection.label for m in masks] == [label for label, _ in expected]
                 for m, (_, bitmap) in zip(masks, expected):
-                    assert np.array_equal(m.bitmap, bitmap)
+                    assert np.array_equal(full_image_bitmap(m, bitmap.shape), bitmap)
 
     def test_boxes_are_tight(self, oracle_scene_dir):
         views, labels, ids = _oracle_inputs(oracle_scene_dir)
         view = views[0]
         for mask in render_gt_detections(view.frame.frame_id, ids(view), labels):
             det = mask.detection
-            vs, us = np.nonzero(mask.bitmap)
+            vs, us = np.nonzero(full_image_bitmap(mask, view.frame.depth.shape))
             assert det.box == (float(us.min()), float(vs.min()), float(us.max() + 1), float(vs.max() + 1))
             assert det.score == 1.0
 
@@ -272,12 +359,31 @@ class TestRenderGtDetections:
         for ma, mb in zip(a, b):
             assert np.array_equal(ma.bitmap, mb.bitmap)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**16), st.integers(0, 19), st.integers(-3, 3), st.integers(-2, 12),
+        st.sampled_from([0.0, 0.3]), st.sampled_from([0.0, 0.2]),
+    )
+    def test_matches_full_image_reference(self, oracle_scene_dir, seed, frame, erode, jitter, drop, sigma):
+        # box-local morphology and clipping give the detections and masks of
+        # the full-image path, bit for bit, under every kind of noise
+        labels = scene_io.load_gt_labels(oracle_scene_dir)
+        intr, _ = scene_io.load_intrinsics(oracle_scene_dir / "intrinsics.txt")
+        frame_id = scene_io.frame_ids(oracle_scene_dir)[frame]
+        ids = scene_io.load_gt_ids(oracle_scene_dir, frame_id, intr, len(labels))
+        noise = PerturbationConfig(seed, jitter, erode, drop, sigma)
+        masks = render_gt_detections(frame_id, ids, labels, noise)
+        expected = render_gt_detections_reference(frame_id, ids, labels, noise)
+        assert [m.detection for m in masks] == [det for det, _ in expected]
+        for m, (_, bitmap) in zip(masks, expected):
+            assert np.array_equal(full_image_bitmap(m, bitmap.shape), bitmap)
+
     def test_jittered_masks_stay_inside_boxes(self, oracle_scene_dir):
         views, labels, ids = _oracle_inputs(oracle_scene_dir)
         noise = PerturbationConfig(seed=3, box_jitter_px=6, mask_erode_px=-2)
         for view in views[:4]:
             for mask in render_gt_detections(view.frame.frame_id, ids(view), labels, noise):
-                vs, us = np.nonzero(mask.bitmap)
+                vs, us = np.nonzero(full_image_bitmap(mask, view.frame.depth.shape))
                 x1, y1, x2, y2 = mask.detection.box
                 assert us.min() >= x1 and us.max() < x2
                 assert vs.min() >= y1 and vs.max() < y2

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rgbdnav.projection import (
     back_project,
@@ -13,7 +14,7 @@ from rgbdnav.projection import (
     to_camera,
     to_world,
 )
-from rgbdnav.masks import IsolatedDepth
+from rgbdnav.masks import IsolatedDepth, StructuringElement, erode_bitmap, zscore_filter
 from rgbdnav.types import (
     CameraIntrinsics,
     CameraPose,
@@ -133,7 +134,7 @@ def _flat_square_frame(size=16, mask_side=10, depth_val=2.0, pose=None):
     depth = np.zeros((size, size))
     lo = (size - mask_side) // 2
     depth[lo:lo + mask_side, lo:lo + mask_side] = depth_val
-    bitmap = depth > 0
+    bitmap = depth[lo:lo + mask_side, lo:lo + mask_side] > 0
     det = Detection2D((float(lo), float(lo), float(lo + mask_side), float(lo + mask_side)), 1.0, "slab")
     frame = DepthFrame("f0", depth, intr, pose or CameraPose.identity())
     return frame, InstanceMask(bitmap, det)
@@ -180,3 +181,65 @@ class TestReconstructObject:
         cloud = reconstruct_object(frame, mask, PipelineConfig())
         assert cloud.label == "slab"
         assert cloud.source_frames == frozenset({"f0"})
+
+
+def reconstruct_full_image_reference(frame, bitmap, config):
+    """World points of the full-image path: erode the whole image's bitmap, gather every set pixel's depth.
+
+    None where that path drops the detection.
+    """
+    eroded = erode_bitmap(bitmap, StructuringElement.box(config.kernel_size).bitmap)
+    vs, us = np.nonzero(eroded)
+    d = frame.depth[vs, us]
+    valid = d > 0
+    filtered = zscore_filter(IsolatedDepth(us[valid], vs[valid], d[valid]), config.tau)
+    if len(filtered) == 0:
+        return None
+    return to_world(back_project(filtered, frame.intrinsics), frame.pose)
+
+
+@st.composite
+def boxed_masks(draw):
+    """(frame, full-image bitmap, detection, config): a random mask inside a box on half-pixel edges.
+
+    Small images make boxes that touch the image border common.
+    """
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    x1 = draw(st.integers(0, 2 * w - 1)) / 2
+    x2 = draw(st.integers(int(2 * x1) + 1, 2 * w)) / 2
+    y1 = draw(st.integers(0, 2 * h - 1)) / 2
+    y2 = draw(st.integers(int(2 * y1) + 1, 2 * h)) / 2
+    us, vs = np.meshgrid(np.arange(w), np.arange(h))
+    inside = (us >= x1) & (us < x2) & (vs >= y1) & (vs < y2)
+    bitmap = draw(arrays(bool, (h, w))) & inside
+    depth = draw(arrays(np.float64, (h, w), elements=st.sampled_from([0.0, 1.0, 1.25, 1.5, 2.0, 9.0])))
+    intr = CameraIntrinsics(30.0, 25.0, (w - 1) / 2.0, (h - 1) / 2.0, w, h)
+    pose = CameraPose(random_rotation(np.random.default_rng(draw(st.integers(0, 2**32 - 1)))), [0.5, -1.0, 2.0])
+    config = PipelineConfig(tau=draw(st.sampled_from([0.5, 1.0, 2.0])), kernel_size=draw(st.sampled_from([1, 3, 5])))
+    return DepthFrame("f0", depth, intr, pose), bitmap, Detection2D((x1, y1, x2, y2), 0.5, "thing"), config
+
+
+class TestBoxLocalMask:
+    @settings(max_examples=300, deadline=None)
+    @given(boxed_masks())
+    @example(  # the box is the whole image
+        (DepthFrame("f0", np.full((4, 5), 2.0), CameraIntrinsics(30.0, 25.0, 2.0, 1.5, 5, 4), CameraPose.identity()),
+         np.ones((4, 5), dtype=bool), Detection2D((0.0, 0.0, 5.0, 4.0), 0.5, "thing"), PipelineConfig(kernel_size=1)),
+    )
+    def test_matches_full_image_path(self, case):
+        # cropping the mask to its box window changes no point, bit for bit
+        frame, bitmap, det, config = case
+        cloud = reconstruct_object(frame, InstanceMask(bitmap[det.window], det), config)
+        expected = reconstruct_full_image_reference(frame, bitmap, config)
+        if expected is None:
+            assert cloud is None
+        else:
+            assert cloud.points.shape == expected.shape
+            assert cloud.points.tobytes() == expected.tobytes()
+
+    def test_window_shape_enforced(self):
+        det = Detection2D((0.5, 1.0, 3.5, 3.0), 1.0, "thing")  # rows 1..3, columns 1..4
+        assert det.window == (slice(1, 3), slice(1, 4))
+        InstanceMask(np.ones((2, 3), dtype=bool), det)
+        with pytest.raises(ValueError, match="window"):
+            InstanceMask(np.ones((4, 6), dtype=bool), det)

@@ -136,6 +136,39 @@ class TestLoadScene:
         with pytest.raises(SceneValidationError, match="0/255"):
             load_scene(root)
 
+    @pytest.mark.parametrize(
+        "pixels, message",
+        [
+            ({(0, 5): 255}, "frame 0000: mask 0 has pixels outside its detection box (1.0, 1.0, 4.0, 3.0)"),
+            ({(1, 2): 7}, "frame 0000: mask 0 has values other than 0/255"),
+            ({(1, 2): 7, (0, 5): 255}, "frame 0000: mask 0 has values other than 0/255"),
+            ({(1, 2): 255, (0, 5): 7}, "frame 0000: mask 0 has values other than 0/255"),
+        ],
+        ids=["outside_box", "seven_inside", "seven_and_outside", "seven_outside"],
+    )
+    def test_bad_mask_message(self, tmp_path, pixels, message):
+        # the value error comes first when a mask breaks both rules
+        mask_rows = [[0] * 6 for _ in range(4)]
+        for (v, u), value in pixels.items():
+            mask_rows[v][u] = value
+        root = make_fixture_scene(tmp_path / "s", mask_rows=mask_rows)
+        with pytest.raises(SceneValidationError) as err:
+            load_scene(root)
+        assert str(err.value) == message
+
+    def test_fractional_box_keeps_its_window(self, tmp_path):
+        # x1 = 0.5, x2 = 3.5: columns 1..3 are inside, column 4 is not
+        mask_rows = [[0] * 6 for _ in range(4)]
+        mask_rows[1][1] = mask_rows[2][3] = 255
+        root = make_fixture_scene(tmp_path / "s", detections="0.5 1 3.5 3 0.9 mug\n", mask_rows=mask_rows)
+        mask = load_scene(root)[0].masks[0]
+        assert mask.bitmap.shape == (2, 3)
+        assert np.array_equal(np.argwhere(mask.bitmap), [[0, 0], [1, 2]])
+        mask_rows[1][4] = 255
+        root = make_fixture_scene(tmp_path / "t", detections="0.5 1 3.5 3 0.9 mug\n", mask_rows=mask_rows)
+        with pytest.raises(SceneValidationError, match="outside its detection box"):
+            load_scene(root)
+
     def test_degenerate_detection_rejected(self, tmp_path):
         root = make_fixture_scene(tmp_path / "s", detections="4 1 1 3 0.9 mug\n")
         with pytest.raises(SceneValidationError):
