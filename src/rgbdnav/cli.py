@@ -209,10 +209,10 @@ def cmd_synth(args) -> int:
             drop_prob=args.drop_prob,
             score_sigma=args.score_sigma,
         )
+        intr = oracle.default_intrinsics(args.width, args.height, args.focal)
     except (scene_io.SceneError, ValueError) as e:
         print(f"rgbdnav synth: {e}", file=sys.stderr)
         return 2
-    intr = oracle.default_intrinsics(args.width, args.height, args.focal)
     trajectory = oracle.default_trajectory(args.views)
     try:
         oracle.make_synthetic_scene(boxes, trajectory, intr, args.out_dir)
@@ -241,9 +241,11 @@ def cmd_navsim(args) -> int:
     else:
         scenario = args.scenario or "open"
         world, start = navsim.SCENARIOS[scenario]()
-    traj = navsim.run_navigation(
-        world, start, max_steps=args.max_steps, robot_radius=args.robot_radius
-    )
+    try:
+        traj = navsim.run_navigation(world, start, max_steps=args.max_steps, robot_radius=args.robot_radius)
+    except ValueError as e:  # the step limit or robot radius, checked before the first step
+        print(f"rgbdnav navsim: invalid flag: {e}", file=sys.stderr)
+        return 2
     navsim.save_trajectory(traj, args.out_traj)
     print(
         f"outcome: {traj.outcome} after {len(traj.times) - 1} step(s), "

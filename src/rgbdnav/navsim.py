@@ -315,6 +315,8 @@ def run_navigation(
     """
     if not max_steps > 0:
         raise ValueError(f"max_steps must be positive, got {max_steps}")
+    if not robot_radius > 0:
+        raise ValueError(f"robot_radius must be positive, got {robot_radius}")
     state = start
     times = [0.0]
     poses = [(state.position[0], state.position[1], state.heading)]

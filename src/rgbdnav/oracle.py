@@ -102,10 +102,14 @@ def _footprint(box: Box3D, pose: CameraPose, intrinsics: CameraIntrinsics) -> tu
 
     The bounding rectangle of the 8 projected corners, widened by 1 px and
     clipped to the image; the whole image when a corner is not in front of
-    the camera (z <= _NEAR), where the projection does not bound the box.
+    the camera (z <= _NEAR), where the projection does not bound the box;
+    empty when every corner is at or behind the camera plane (z <= 0), where
+    no point of the box has the positive depth a hit needs.
     """
     corners = np.array(list(itertools.product(*zip(box.min_corner, box.max_corner))))
     cam = to_camera(corners, pose)
+    if (cam[:, 2] <= 0.0).all():
+        return slice(0, 0), slice(0, 0)
     if (cam[:, 2] <= _NEAR).any():
         return slice(0, intrinsics.height), slice(0, intrinsics.width)
     u, v = project_to_pixels(cam, intrinsics)
@@ -121,34 +125,31 @@ def render_depth(
 
     Each box is ray-tested only over its footprint: the bounding rectangle of
     its projected corners widened by 1 px and clipped to the image, or the
-    whole image when a corner lies at or behind the camera plane. A box whose
-    footprint misses the image is skipped.
+    whole image when a corner lies at or behind the camera plane. The rays
+    are built over that window alone. A box whose footprint misses the image,
+    or that lies wholly behind the camera, is skipped.
     """
     if not boxes:
         raise ValueError("render_depth needs at least one box")
     h, w = intrinsics.height, intrinsics.width
-    us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    dirs_cam = np.stack(
-        [
-            (us - intrinsics.cx) / intrinsics.fx,
-            (vs - intrinsics.cy) / intrinsics.fy,
-            np.ones_like(us),
-        ],
-        axis=-1,
-    ).reshape(-1, 3)
-    dirs_w = dirs_cam @ pose.rotation.T
     origin = pose.translation
     depth = np.full((h, w), np.inf)
     owner = np.full((h, w), -1, dtype=np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = (1.0 / dirs_w).T.copy().reshape(3, h, w)  # one contiguous image per axis
         for i, lb in enumerate(boxes):
             rows, cols = _footprint(lb.box, pose, intrinsics)
             if rows.start >= rows.stop or cols.start >= cols.stop:
                 continue
-            window = inv[:, rows, cols]
-            t1 = (lb.box.min_corner - origin)[:, None, None] * window
-            t2 = (lb.box.max_corner - origin)[:, None, None] * window
+            us = np.arange(cols.start, cols.stop, dtype=np.float64)
+            vs = np.arange(rows.start, rows.stop, dtype=np.float64)
+            dirs_cam = np.ones((len(vs), len(us), 3))
+            dirs_cam[..., 0] = (us - intrinsics.cx) / intrinsics.fx
+            dirs_cam[..., 1] = ((vs - intrinsics.cy) / intrinsics.fy)[:, None]
+            dirs_w = dirs_cam.reshape(-1, 3) @ pose.rotation.T
+            # one contiguous window per axis
+            inv = np.divide(1.0, dirs_w.T.reshape(3, len(vs), len(us)), order="C")
+            t1 = (lb.box.min_corner - origin)[:, None, None] * inv
+            t2 = (lb.box.max_corner - origin)[:, None, None] * inv
             lo, hi = np.minimum(t1, t2), np.maximum(t1, t2, out=t2)
             # fmax/fmin skip NaN (0 * inf on a slab plane) and keep an all-NaN triple NaN.
             tmin = np.fmax(np.fmax(lo[0], lo[1]), lo[2])
@@ -193,24 +194,32 @@ def make_synthetic_scene(
         for old in [*frames_dir.glob(f"{glob.escape(stale)}.*"), ids_dir / f"{stale}.pgm"]:
             old.unlink(missing_ok=True)
     scene_io.write_intrinsics(scene_dir / "intrinsics.txt", intrinsics, depth_scale)
-    pixels = np.zeros(len(boxes) + 1, dtype=np.int64)
+    pixels = np.zeros(len(boxes), dtype=np.int64)
+    # write_pgm range-checks the ids, so only the one-byte case is narrowed here
+    maxval, ids_dtype = (255, np.uint8) if len(boxes) <= 255 else (65535, np.int64)
     for i, pose in enumerate(trajectory):
         frame_id = f"{i:04d}"
         depth, owner = render_depth(boxes, pose, intrinsics)
-        quantized = np.round(depth / depth_scale).astype(np.int64)
-        if quantized.max() > 65535:
+        # unowned pixels are 0 in both images, so only the owned ones are converted
+        owned = owner >= 0
+        quantized = np.round(depth[owned] / depth_scale)
+        if (quantized > 65535).any():
             raise ValueError(
                 f"frame {frame_id}: depth {depth.max():.3f} m overflows 16 bits at scale {depth_scale}"
             )
-        if np.any((quantized == 0) & (owner >= 0)):
+        if (quantized == 0).any():
             raise ValueError(f"frame {frame_id}: surface closer than one depth quantum to the camera")
-        scene_io.write_pgm(frames_dir / f"{frame_id}.depth.pgm", quantized.astype(np.uint16))
+        image = np.zeros(owner.shape, dtype=np.uint16)
+        image[owned] = quantized
+        scene_io.write_pgm(frames_dir / f"{frame_id}.depth.pgm", image)
         scene_io.write_pose(frames_dir / f"{frame_id}.pose.txt", pose)
         (frames_dir / f"{frame_id}.detections.txt").write_text("")
-        ids = owner + 1
-        scene_io.write_pgm(ids_dir / f"{frame_id}.pgm", ids, maxval=255 if len(boxes) <= 255 else 65535)
-        pixels += np.bincount(ids.ravel(), minlength=len(boxes) + 1)
-    unseen = [lb.label for lb, n in zip(boxes, pixels[1:]) if n == 0]
+        seen = owner[owned]
+        ids = np.zeros(owner.shape, dtype=ids_dtype)
+        ids[owned] = seen + 1
+        scene_io.write_pgm(ids_dir / f"{frame_id}.pgm", ids, maxval=maxval)
+        pixels += np.bincount(seen, minlength=len(boxes))
+    unseen = [lb.label for lb, n in zip(boxes, pixels) if n == 0]
     if unseen:
         raise ValueError(f"boxes outside every camera frustum: {unseen}")
     (scene_dir / "gt" / "labels.txt").write_text("".join(f"{lb.label}\n" for lb in boxes))

@@ -31,8 +31,10 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError(f"focal lengths must be positive, got fx={self.fx} fy={self.fy}")
+        if not (self.width > 0 and self.height > 0):
+            raise ValueError(f"image size must be positive, got width={self.width} height={self.height}")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValueError(f"focal lengths must be positive and finite, got fx={self.fx} fy={self.fy}")
         if not (0 <= self.cx < self.width):
             raise ValueError(f"principal point cx={self.cx} outside [0, {self.width})")
         if not (0 <= self.cy < self.height):

@@ -91,6 +91,21 @@ class TestSynth:
         assert code == 2
         assert "views" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--width", "0", "image size must be positive, got width=0 height=312"),
+            ("--height", "-3", "image size must be positive, got width=416 height=-3"),
+            ("--focal", "0", "focal lengths must be positive and finite, got fx=0.0 fy=0.0"),
+            ("--focal", "nan", "focal lengths must be positive and finite, got fx=nan fy=nan"),
+        ],
+    )
+    def test_bad_intrinsics_flag_usage_error(self, capsys, tmp_path, flag, value, message):
+        code, _, err = run_cli(capsys, "synth", str(tmp_path / "s"), "--views", "1", flag, value)
+        assert code == 2
+        assert err == f"rgbdnav synth: {message}\n"
+        assert not (tmp_path / "s").exists()
+
 
 class TestDetect:
     def test_two_cubes_two_instances(self, capsys, two_cube_scene, tmp_path):
@@ -376,6 +391,22 @@ class TestNavsim:
             capsys, "navsim", str(tmp_path / "t.csv"), "--world", str(world), "--scenario", "open"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-steps", "0", "max_steps must be positive, got 0"),
+            ("--max-steps", "-5", "max_steps must be positive, got -5"),
+            ("--robot-radius", "nan", "robot_radius must be positive, got nan"),
+            ("--robot-radius", "-1", "robot_radius must be positive, got -1.0"),
+        ],
+    )
+    def test_bad_run_flag_usage_error(self, capsys, tmp_path, flag, value, message):
+        out = tmp_path / "t.csv"
+        code, _, err = run_cli(capsys, "navsim", str(out), "--scenario", "open", flag, value)
+        assert code == 2
+        assert err == f"rgbdnav navsim: invalid flag: {message}\n"
+        assert not out.exists()
 
 
 class TestDefaults:

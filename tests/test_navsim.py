@@ -232,6 +232,13 @@ class TestRunNavigation:
         with pytest.raises(ValueError):
             run_navigation(world, _state(), max_steps=0)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_invalid_robot_radius(self, radius):
+        # clearance is never negative, so a radius <= 0 could never report a collision
+        world = WorldModel2D([], np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="robot_radius must be positive"):
+            run_navigation(world, _state(), robot_radius=radius)
+
 
 NAN = float("nan")
 INF = float("inf")
@@ -258,11 +265,13 @@ class TestNonFiniteRejected:
             lambda: ScanConfig(max_range=NAN),
             lambda: ScanConfig(fov=NAN),
             lambda: run_navigation(WorldModel2D([], np.array([1.0, 0.0])), _state(), max_steps=NAN),
+            lambda: run_navigation(WorldModel2D([], np.array([1.0, 0.0])), _state(), robot_radius=NAN),
         ],
         ids=[
             "circle_radius_nan", "circle_radius_zero", "circle_centre_nan", "circle_centre_inf", "segment_nan",
             "wheel_radius_nan", "wheel_base_nan", "start_nan", "heading_nan", "goal_radius_nan", "target_inf",
             "apf_dt_nan", "apf_v_max_nan", "scan_max_range_nan", "scan_fov_nan", "max_steps_nan",
+            "robot_radius_nan",
         ],
     )
     def test_rejected(self, build):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 import zlib
 
@@ -22,7 +23,7 @@ from rgbdnav.masks import erode_bitmap
 from rgbdnav.projection import project_to_pixels, to_camera
 from rgbdnav.types import Box3D, CameraIntrinsics, CameraPose, Detection2D, ObjectCloud
 
-from conftest import dilation_oracle, full_image_bitmap, odd_kernels, random_rotation
+from conftest import BENCH_LAYOUT, dilation_oracle, full_image_bitmap, odd_kernels, random_rotation
 
 
 def render_depth_reference(boxes, pose, intrinsics):
@@ -207,6 +208,21 @@ class TestRenderDepth:
         assert (owner[:, 0] == 0).all() and (owner == -1).any()
         self._assert_matches_reference(boxes, pose, intr)
 
+    def test_box_behind_camera_is_skipped(self):
+        # every corner at or behind the camera plane, one face on it (z = 0):
+        # no point of the box has the positive depth a hit needs
+        intr = CameraIntrinsics(20.0, 20.0, 12.0, 8.0, 25, 17)
+        boxes = [
+            LabeledBox("seen", Box3D(np.array([-0.5, -0.5, 2.0]), np.array([0.5, 0.5, 3.0]))),
+            LabeledBox("behind", Box3D(np.array([-2.0, -1.0, -1.5]), np.array([2.0, 1.0, 0.0]))),
+        ]
+        pose = CameraPose.identity()
+        rows, cols = oracle._footprint(boxes[1].box, pose, intr)
+        assert rows.start >= rows.stop and cols.start >= cols.stop
+        _, owner = render_depth(boxes, pose, intr)
+        assert (owner == 0).any() and not (owner == 1).any()
+        self._assert_matches_reference(boxes, pose, intr)
+
     def test_footprint_off_image_is_skipped(self):
         intr = CameraIntrinsics(20.0, 20.0, 12.0, 8.0, 25, 17)
         boxes = [
@@ -248,6 +264,27 @@ class TestRenderDepth:
             for pose in s.trajectory[:3]:
                 self._assert_matches_reference(s.boxes, pose, s.intrinsics)
 
+    @pytest.mark.parametrize("view", [5, 11, 17])
+    def test_matches_reference_at_bench_resolution(self, view):
+        # 640x480 footprint windows from across the bench orbit, beyond the
+        # first views that test_matches_reference_on_layouts covers
+        pose = oracle.default_trajectory(20)[view]
+        self._assert_matches_reference(BENCH_LAYOUT, pose, oracle.default_intrinsics(640, 480, 580.0))
+
+    def test_memory_scales_with_footprints(self):
+        # rays are built per footprint window: a full-image ray setup would
+        # peak at about 8x the depth and owner images it returns
+        intr = oracle.default_intrinsics(640, 480, 580.0)
+        peaks = []
+        for pose in oracle.default_trajectory(20):
+            tracemalloc.start()
+            try:
+                depth, owner = render_depth(BENCH_LAYOUT, pose, intr)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 3 * (depth.nbytes + owner.nbytes)
+
 
 class TestMakeSyntheticScene:
     def test_empty_spec_rejected(self, tmp_path):
@@ -262,6 +299,28 @@ class TestMakeSyntheticScene:
         behind = _cube("ghost", (0.0, 0.0, -5.0))
         with pytest.raises(ValueError, match="ghost"):
             make_synthetic_scene([behind], [CameraPose.identity()], oracle.default_intrinsics(64, 64, 60.0), tmp_path / "s")
+
+    @pytest.mark.parametrize(
+        "center, side, message",
+        [((0.0, 0.0, 100.0), 20.0, "overflows 16 bits"), ((0.0, 0.0, 0.5004), 1.0, "closer than one depth quantum")],
+    )
+    def test_depth_out_of_16_bit_range_rejected(self, tmp_path, center, side, message):
+        # a near face at 90 m is 90,000 quanta of 1 mm; one at 0.4 mm rounds to 0
+        intr = oracle.default_intrinsics(16, 16, 15.0)
+        with pytest.raises(ValueError, match=message):
+            make_synthetic_scene([_cube("c", center, side)], [CameraPose.identity()], intr, tmp_path / "s")
+
+    def test_more_than_255_boxes_write_16_bit_ids(self, tmp_path):
+        # a 16 x 16 grid of small cubes, one per pixel block of a 64 x 64 image
+        intr = oracle.default_intrinsics(64, 64, 64.0)
+        boxes = [_cube(f"b{k}", ((k % 16 - 7.5) / 8.0, (k // 16 - 7.5) / 8.0, 4.0), side=0.1) for k in range(256)]
+        pose = CameraPose.identity()
+        make_synthetic_scene(boxes, [pose], intr, tmp_path / "s")
+        _, owner = render_depth(boxes, pose, intr)
+        assert owner.max() == 255
+        ids = scene_io.load_gt_ids(tmp_path / "s", "0000", intr, len(boxes))
+        assert np.array_equal(ids, owner + 1)
+        assert (tmp_path / "s" / "gt" / "ids" / "0000.pgm").read_bytes().startswith(b"P5\n64 64\n65535\n")
 
     def test_translated_poses_share_world_gt(self, tmp_path):
         # two cameras related by a pure translation record the same world

@@ -243,3 +243,19 @@ class TestBoxLocalMask:
         InstanceMask(np.ones((2, 3), dtype=bool), det)
         with pytest.raises(ValueError, match="window"):
             InstanceMask(np.ones((4, 6), dtype=bool), det)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((100.0, 100.0, 0.0, 0.0, 0, 10), "image size must be positive, got width=0 height=10"),
+        ((100.0, 100.0, 0.0, 0.0, 10, -3), "image size must be positive, got width=10 height=-3"),
+        ((0.0, 100.0, 4.5, 4.5, 10, 10), "focal lengths must be positive and finite"),
+        ((100.0, math.nan, 4.5, 4.5, 10, 10), "focal lengths must be positive and finite"),
+        ((math.inf, 100.0, 4.5, 4.5, 10, 10), "focal lengths must be positive and finite"),
+        ((100.0, 100.0, 10.0, 4.5, 10, 10), r"principal point cx=10.0 outside \[0, 10\)"),
+    ],
+)
+def test_invalid_intrinsics_rejected(fields, message):
+    with pytest.raises(ValueError, match=message):
+        CameraIntrinsics(*fields)
