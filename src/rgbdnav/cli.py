@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, evaluation, fusion, navsim, oracle, scene_io
-from .types import Box3D, PipelineConfig
+from .types import Box3D, PipelineConfig, check_voxel_size
 
 logger = logging.getLogger(__name__)
 
@@ -130,9 +130,10 @@ def cmd_eval(args) -> int:
     if len(args.dirs) % 2:
         print("rgbdnav eval: directories must come in PRED_DIR GT_DIR pairs", file=sys.stderr)
         return 2
-    if not args.voxel_size > 0:
-        print(f"rgbdnav eval: invalid flag: voxel_size must be positive, got {args.voxel_size}",
-              file=sys.stderr)
+    try:
+        check_voxel_size(args.voxel_size)
+    except ValueError as e:
+        print(f"rgbdnav eval: invalid flag: {e}", file=sys.stderr)
         return 2
     pairs = [(args.dirs[i], args.dirs[i + 1]) for i in range(0, len(args.dirs), 2)]
     reports = []

@@ -5,7 +5,7 @@ import numpy as np
 
 from .projection import reconstruct_object
 from .scene_io import SceneView
-from .types import Box3D, ObjectCloud, PipelineConfig
+from .types import Box3D, ObjectCloud, PipelineConfig, check_voxel_size
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
@@ -36,8 +36,7 @@ def voxel_keys(points: np.ndarray, voxel_size: float) -> np.ndarray:
     equal keys mean equal voxels and sorted keys follow row order. A cell
     index outside [-2^20, 2^20) cannot be packed and raises ValueError.
     """
-    if not voxel_size > 0:
-        raise ValueError(f"voxel_size must be positive, got {voxel_size}")
+    check_voxel_size(voxel_size)
     # In place where possible: whole GT clouds pass through here, and every
     # full-size temporary adds to the process's peak RSS.
     cells = np.asarray(points, dtype=np.float64).reshape(-1, 3) / voxel_size

@@ -9,9 +9,11 @@ and gates to zero when the force points more than 90 degrees off heading.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,10 +24,13 @@ _TWO_PI = 2.0 * math.pi
 
 
 def _finite_point(xy, name: str) -> np.ndarray:
-    """A ground-plane point as a float64 2-vector; a NaN or infinite coordinate raises ValueError."""
-    p = np.asarray(xy, dtype=np.float64).reshape(2)
-    if not (math.isfinite(p[0]) and math.isfinite(p[1])):
-        raise ValueError(f"{name} must be finite, got ({p[0]}, {p[1]})")
+    """A ground-plane point as a read-only float64 2-vector copy; a NaN or
+    infinite coordinate raises ValueError."""
+    p = np.array(xy, dtype=np.float64).reshape(2)
+    x, y = p.tolist()
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"{name} must be finite, got ({x}, {y})")
+    p.setflags(write=False)
     return p
 
 
@@ -71,20 +76,54 @@ class RobotState:
             raise ValueError("wheel_radius, wheel_base and tick_per_rev must be positive")
 
 
+class ObstacleArrays(NamedTuple):
+    """A world's obstacles as arrays, circles first, then segments.
+
+    Row i of ``starts``/``edges``/``radii`` is the set of points within
+    ``radii[i]`` of the segment ``starts[i] + [0, 1] * edges[i]``: a circle
+    is a zero-length edge, a segment has radius 0.
+    """
+
+    starts: np.ndarray  # (n, 2) circle centres, then segment starts
+    edges: np.ndarray  # (n, 2) zero for circles, b - a for segments
+    inv_len2: np.ndarray  # (n,) 1 / |edge|^2, 0 for a zero-length edge
+    radii: np.ndarray  # (n,) circle radius, 0 for segments
+    n_circles: int
+
+
 @dataclass(frozen=True)
 class WorldModel2D:
-    """Obstacles plus a single navigation target on the ground plane."""
+    """Obstacles plus a single navigation target on the ground plane.
 
-    obstacles: list[Obstacle]
+    The obstacles are kept as a tuple of frozen records with read-only
+    coordinates, so :attr:`geometry`, built on first use, never goes stale.
+    """
+
+    obstacles: tuple[Obstacle, ...]
     target: np.ndarray
     goal_radius: float = 0.3
 
     def __post_init__(self):
+        object.__setattr__(self, "obstacles", tuple(self.obstacles))
         object.__setattr__(self, "target", _finite_point(self.target, "target"))
         if not self.goal_radius > 0:
             raise ValueError(f"goal_radius must be positive, got {self.goal_radius}")
         if clearance(self, self.target) <= 0.0:
             raise ValueError("target lies inside an obstacle")
+
+    @functools.cached_property
+    def geometry(self) -> ObstacleArrays:
+        """The obstacles as arrays, built once per world."""
+        circles = [o for o in self.obstacles if isinstance(o, Circle)]
+        segments = [o for o in self.obstacles if isinstance(o, Segment)]
+        starts = np.array([c.center for c in circles] + [seg.a for seg in segments]).reshape(-1, 2)
+        edges = np.array([np.zeros(2) for _ in circles] + [seg.b - seg.a for seg in segments]).reshape(-1, 2)
+        len2 = (edges * edges).sum(axis=1)
+        inv_len2 = np.divide(1.0, len2, out=np.zeros_like(len2), where=len2 > 0)
+        radii = np.array([c.radius for c in circles] + [0.0] * len(segments))
+        for a in (starts, edges, inv_len2, radii):
+            a.setflags(write=False)
+        return ObstacleArrays(starts, edges, inv_len2, radii, len(circles))
 
 
 @dataclass(frozen=True)
@@ -164,15 +203,15 @@ def odometry_update(state: RobotState, dticks_left: float, dticks_right: float) 
     dtheta = (s_r - s_l) / state.wheel_base
     s = 0.5 * (s_l + s_r)
     theta = state.heading
+    x, y = state.position.tolist()
     if dtheta == 0.0:
-        delta = np.array([s * math.cos(theta), s * math.sin(theta)])
+        x += s * math.cos(theta)
+        y += s * math.sin(theta)
     else:
         rc = s / dtheta
-        delta = np.array(
-            [rc * (math.sin(theta + dtheta) - math.sin(theta)),
-             rc * (math.cos(theta) - math.cos(theta + dtheta))]
-        )
-    return replace(state, position=state.position + delta, heading=theta + dtheta)
+        x += rc * (math.sin(theta + dtheta) - math.sin(theta))
+        y += rc * (math.cos(theta) - math.cos(theta + dtheta))
+    return RobotState((x, y), theta + dtheta, state.wheel_radius, state.wheel_base, state.tick_per_rev)
 
 
 def ticks_for_motion(state: RobotState, v: float, omega: float, dt: float) -> tuple[float, float]:
@@ -194,52 +233,61 @@ def ray_offsets(fov: float, n_rays: int) -> np.ndarray:
     return np.linspace(-fov / 2.0, fov / 2.0, n_rays)
 
 
-def _ray_circle(origin: np.ndarray, dirs: np.ndarray, c: Circle) -> np.ndarray:
-    """Nearest positive ray parameter per direction, inf when missed."""
-    oc = c.center - origin
-    b = dirs @ oc  # projection of center onto each ray
-    disc = b * b - (oc @ oc - c.radius * c.radius)
-    out = np.full(dirs.shape[0], np.inf)
-    ok = disc >= 0
-    root = np.sqrt(np.maximum(disc, 0.0))
-    t_near = b - root
-    t_far = b + root
-    t = np.where(t_near > 0, t_near, t_far)
-    hit = ok & (t > 0)
-    out[hit] = t[hit]
-    return out
+@functools.lru_cache(maxsize=16)
+def _fan(fov: float, n_rays: int) -> np.ndarray:
+    """Unit ray directions in the robot frame, shape (2, n_rays): rows cos, sin."""
+    offsets = ray_offsets(fov, n_rays)
+    fan = np.stack([np.cos(offsets), np.sin(offsets)])
+    fan.setflags(write=False)
+    return fan
 
 
-def _ray_segment(origin: np.ndarray, dirs: np.ndarray, seg: Segment) -> np.ndarray:
-    e = seg.b - seg.a
-    ao = seg.a - origin
-    denom = dirs[:, 0] * e[1] - dirs[:, 1] * e[0]
-    out = np.full(dirs.shape[0], np.inf)
-    ok = np.abs(denom) > 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (ao[0] * e[1] - ao[1] * e[0]) / denom
-        s = (ao[0] * dirs[:, 1] - ao[1] * dirs[:, 0]) / denom
-    hit = ok & (t > 0) & (s >= 0.0) & (s <= 1.0)
-    out[hit] = t[hit]
-    return out
+# v @ _CROSS @ fan[:, k] is the 2D cross product of ray direction k with v.
+_CROSS = np.array(((0.0, -1.0), (1.0, 0.0)))
 
 
 def rangefinder_scan(
     state: RobotState, world: WorldModel2D, fov: float, n_rays: int, max_range: float
 ) -> np.ndarray:
-    """Nearest obstacle distance along each ray of the fan, capped at max_range."""
+    """Nearest obstacle distance along each ray of the fan, capped at max_range.
+
+    The obstacles (``world.geometry``, built once per world) are rotated into
+    the robot frame, where the fan's directions are fixed, and every circle,
+    then every segment, is ray-tested against the whole fan in one
+    broadcast. A hit distance does not change under rotation; against a
+    per-obstacle test in the world frame the ranges agree to rounding
+    (within 1e-9 m), except on rays that graze an obstacle exactly.
+    """
     if n_rays < 1:
         raise ValueError("n_rays must be >= 1")
-    angles = state.heading + ray_offsets(fov, n_rays)
-    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    g = world.geometry
+    n = g.n_circles
+    fan = _fan(fov, n_rays)
+    c, s = math.cos(state.heading), math.sin(state.heading)
+    rot = np.array(((c, -s), (s, c)))  # v @ rot: world-frame row vector v in the robot frame
     ranges = np.full(n_rays, max_range)
-    for obs in world.obstacles:
-        if isinstance(obs, Circle):
-            t = _ray_circle(state.position, dirs, obs)
-        else:
-            t = _ray_segment(state.position, dirs, obs)
-        ranges = np.minimum(ranges, t)
-    return np.minimum(ranges, max_range)
+    if n:
+        oc = g.starts[:n] - state.position
+        b = oc @ rot @ fan  # (circle, ray): the centre's projection on the ray
+        q = (oc * oc).sum(axis=1) - g.radii[:n] ** 2
+        disc = b * b - q[:, None]
+        root = np.sqrt(np.maximum(disc, 0.0))
+        t_near = b - root
+        t = np.where(t_near > 0, t_near, b + root)  # from inside, the far crossing
+        np.minimum.reduce(t, axis=0, out=ranges, where=(disc >= 0) & (t > 0), initial=max_range)
+    if len(g.radii) > n:
+        ao = g.starts[n:] - state.position
+        e = g.edges[n:]
+        # (segment, ray) cross products d x e, ao x e and ao x d
+        d_x_e = e @ rot @ _CROSS @ fan
+        ao_x_e = (e @ _CROSS * ao).sum(axis=1)[:, None]
+        ao_x_d = -(ao @ rot @ _CROSS @ fan)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = ao_x_e / d_x_e
+            u = ao_x_d / d_x_e
+        hit = (np.abs(d_x_e) > 1e-12) & (t > 0) & (u >= 0.0) & (u <= 1.0)
+        np.minimum(ranges, np.minimum.reduce(t, axis=0, where=hit, initial=max_range), out=ranges)
+    return ranges
 
 
 def point_obstacle_distance(point: np.ndarray, obs: Obstacle) -> float:
@@ -254,10 +302,18 @@ def point_obstacle_distance(point: np.ndarray, obs: Obstacle) -> float:
 
 
 def clearance(world: WorldModel2D, point: np.ndarray) -> float:
-    """Distance from a point to the nearest obstacle boundary (inf when empty)."""
-    if not world.obstacles:
+    """Distance from a point to the nearest obstacle boundary (inf when empty).
+
+    One vectorized pass over ``world.geometry``: the distance to each
+    obstacle's edge (a point for a circle) minus its radius.
+    """
+    g = world.geometry
+    if not len(g.radii):
         return math.inf
-    return min(point_obstacle_distance(point, o) for o in world.obstacles)
+    d = np.asarray(point, dtype=np.float64) - g.starts
+    t = (d * g.edges).sum(axis=1) * g.inv_len2
+    d -= np.minimum(np.maximum(t, 0.0), 1.0)[:, None] * g.edges
+    return float(np.minimum.reduce(np.hypot(d[:, 0], d[:, 1]) - g.radii))
 
 
 # ---------------------------------------------------------------------------
@@ -275,28 +331,34 @@ def apf_step(
 
     The force sums a unit attraction toward the target with repulsions of
     magnitude repulse_gain * max(0, 1/r - 1/repulse_range) pointing back
-    along each in-range ray. omega is proportional to the force bearing in
-    the robot frame; v saturates at v_max, scales with the nearest scan
-    range inside d_safe, and is zero while the bearing exceeds 90 degrees.
+    along each in-range ray. It is summed in the robot frame, over the same
+    fan as :func:`rangefinder_scan`; against a world-frame sum only the
+    rounding differs (episodes keep their outcome and step count, final
+    poses agree within 1e-8 m). omega is proportional to the force bearing;
+    v saturates at v_max, scales with the nearest scan range inside d_safe,
+    and is zero while the bearing exceeds 90 degrees.
     """
-    to_target = world.target - state.position
-    dist = float(np.linalg.norm(to_target))
-    force = np.zeros(2) if dist == 0 else cfg.attract_gain * to_target / dist
-    angles = state.heading + ray_offsets(scan_cfg.fov, len(scan))
-    near = scan < cfg.repulse_range
-    if near.any():
-        mag = cfg.repulse_gain * (1.0 / scan[near] - 1.0 / cfg.repulse_range)
-        force -= np.array(
-            [np.sum(mag * np.cos(angles[near])), np.sum(mag * np.sin(angles[near]))]
-        )
-    if force[0] == 0.0 and force[1] == 0.0:
-        err = 0.0  # balanced field: hold heading
-    else:
-        err = wrap_angle(math.atan2(force[1], force[0]) - state.heading)
+    x, y = state.position.tolist()
+    tx, ty = world.target.tolist()
+    dx, dy = tx - x, ty - y
+    dist = math.hypot(dx, dy)
+    c, s = math.cos(state.heading), math.sin(state.heading)
+    ax, ay = (0.0, 0.0) if dist == 0 else (cfg.attract_gain * dx / dist, cfg.attract_gain * dy / dist)
+    mag = np.maximum(1.0 / scan - 1.0 / cfg.repulse_range, 0.0) * cfg.repulse_gain
+    rx, ry = (_fan(scan_cfg.fov, len(scan)) @ mag).tolist()
+    fx = c * ax + s * ay - rx
+    fy = c * ay - s * ax - ry
+    err = 0.0 if fx == 0.0 and fy == 0.0 else wrap_angle(math.atan2(fy, fx))  # balanced: hold heading
     omega = cfg.omega_gain * err
-    d_min = float(np.min(scan))
+    d_min = float(scan.min())
     v = 0.0 if abs(err) > math.pi / 2 else cfg.v_max * min(1.0, d_min / cfg.d_safe)
     return v, omega
+
+
+def _goal_reached(world: WorldModel2D, state: RobotState) -> bool:
+    x, y = state.position.tolist()
+    tx, ty = world.target.tolist()
+    return math.hypot(tx - x, ty - y) <= world.goal_radius
 
 
 def run_navigation(
@@ -319,13 +381,13 @@ def run_navigation(
         raise ValueError(f"robot_radius must be positive, got {robot_radius}")
     state = start
     times = [0.0]
-    poses = [(state.position[0], state.position[1], state.heading)]
+    poses = [(*state.position.tolist(), state.heading)]
     commands = [(0.0, 0.0)]
     d_mins = [clearance(world, state.position)]
     min_clear = d_mins[0]
     outcome = "timeout"
     for step in range(1, max_steps + 1):
-        if float(np.linalg.norm(world.target - state.position)) <= world.goal_radius:
+        if _goal_reached(world, state):
             outcome = "reached"
             break
         scan = rangefinder_scan(state, world, scan_cfg.fov, scan_cfg.n_rays, scan_cfg.max_range)
@@ -335,14 +397,14 @@ def run_navigation(
         clear = clearance(world, state.position)
         min_clear = min(min_clear, clear)
         times.append(step * cfg.dt)
-        poses.append((state.position[0], state.position[1], state.heading))
+        poses.append((*state.position.tolist(), state.heading))
         commands.append((v, omega))
-        d_mins.append(float(np.min(scan)))
+        d_mins.append(float(scan.min()))
         if clear < robot_radius:
             outcome = "collision"
             break
     else:
-        if float(np.linalg.norm(world.target - state.position)) <= world.goal_radius:
+        if _goal_reached(world, state):
             outcome = "reached"
     return Trajectory(
         np.array(times), np.array(poses), np.array(commands), np.array(d_mins), outcome, min_clear
@@ -401,12 +463,9 @@ def save_trajectory(traj: Trajectory, path: Path) -> None:
         f"# outcome={traj.outcome} min_clearance={traj.min_clearance:.6g}",
         "t,x,y,theta,v,omega,d_min",
     ]
-    for i in range(len(traj.times)):
-        x, y, theta = traj.poses[i]
-        v, omega = traj.commands[i]
-        lines.append(
-            f"{traj.times[i]:.6g},{x:.6g},{y:.6g},{theta:.6g},{v:.6g},{omega:.6g},{traj.d_min[i]:.6g}"
-        )
+    rows = zip(traj.times.tolist(), traj.poses.tolist(), traj.commands.tolist(), traj.d_min.tolist())
+    for t, (x, y, theta), (v, omega), d_min in rows:
+        lines.append(f"{t:.6g},{x:.6g},{y:.6g},{theta:.6g},{v:.6g},{omega:.6g},{d_min:.6g}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -486,5 +545,5 @@ def sample_clear_world(
         ):
             continue
         circles.append(cand)
-    world = WorldModel2D(list(circles), target)
+    world = WorldModel2D(circles, target)
     return world, RobotState(start, 0.0)

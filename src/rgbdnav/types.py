@@ -188,6 +188,14 @@ class ObjectCloud:
         return Box3D(self.points.min(axis=0), self.points.max(axis=0))
 
 
+def check_voxel_size(voxel_size: float) -> None:
+    """Raise ValueError unless the voxel edge length is positive and finite."""
+    if not voxel_size > 0:
+        raise ValueError(f"voxel_size must be positive, got {voxel_size}")
+    if not math.isfinite(voxel_size):
+        raise ValueError(f"voxel_size must be finite, got {voxel_size}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Knobs for per-view reconstruction and cross-view fusion."""
@@ -204,5 +212,4 @@ class PipelineConfig:
             raise ValueError(f"kernel_size must be odd and >= 1, got {self.kernel_size}")
         if not (0.0 < self.merge_threshold <= 1.0):
             raise ValueError(f"merge_threshold must be in (0, 1], got {self.merge_threshold}")
-        if not self.voxel_size > 0:
-            raise ValueError(f"voxel_size must be positive, got {self.voxel_size}")
+        check_voxel_size(self.voxel_size)

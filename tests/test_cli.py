@@ -262,6 +262,15 @@ class TestEval:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["detect", "eval"])
+    def test_infinite_voxel_size_usage_error(self, capsys, two_cube_scene, perfect_pred_dir, tmp_path, command):
+        # an infinite voxel collapses every instance to one point: zero-volume boxes
+        dirs = [two_cube_scene, tmp_path / "p"] if command == "detect" else [perfect_pred_dir, two_cube_scene]
+        code, _, err = run_cli(capsys, command, *map(str, dirs), "--voxel-size", "inf")
+        assert code == 2
+        assert err == f"rgbdnav {command}: invalid flag: voxel_size must be finite, got inf\n"
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("command", ["detect", "eval"])
     def test_voxel_grid_out_of_range_one_line(self, capsys, two_cube_scene, perfect_pred_dir, tmp_path, command):
         # at 1e-9 m a voxel index passes 2^20 a millimetre from the origin
         dirs = [two_cube_scene, tmp_path / "p"] if command == "detect" else [perfect_pred_dir, two_cube_scene]

@@ -174,6 +174,13 @@ class TestVoxelDownsample:
         with pytest.raises(ValueError, match=r"2\^20 cells"):
             voxel_downsample(np.array([[0.0, 0.0, 2.0 ** 20 * 0.02]]), 0.02)
 
+    @pytest.mark.parametrize("voxel", [0.0, -0.02, np.nan, np.inf])
+    def test_voxel_size_must_be_positive_and_finite(self, voxel):
+        with pytest.raises(ValueError, match="voxel_size must be"):
+            voxel_keys(np.zeros((1, 3)), voxel)
+        with pytest.raises(ValueError, match="voxel_size must be"):
+            PipelineConfig(voxel_size=voxel)
+
 
 class TestMergeInstances:
     def test_identical_boxes_merge(self):

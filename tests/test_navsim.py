@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from rgbdnav.navsim import (
     clearance,
     load_world,
     odometry_update,
+    point_obstacle_distance,
     rangefinder_scan,
     run_navigation,
     sample_clear_world,
@@ -33,6 +35,85 @@ from conftest import unicycle_arc
 
 def _state(x=0.0, y=0.0, heading=0.0):
     return RobotState(np.array([x, y]), heading)
+
+
+# ---------------------------------------------------------------------------
+# Reference scan and clearance: one obstacle at a time, in the world frame
+# ---------------------------------------------------------------------------
+
+def _ray_circle(origin, dirs, c):
+    """Nearest positive ray parameter per direction, inf when missed."""
+    oc = c.center - origin
+    b = dirs @ oc  # projection of center onto each ray
+    disc = b * b - (oc @ oc - c.radius * c.radius)
+    out = np.full(dirs.shape[0], np.inf)
+    ok = disc >= 0
+    root = np.sqrt(np.maximum(disc, 0.0))
+    t_near = b - root
+    t_far = b + root
+    t = np.where(t_near > 0, t_near, t_far)
+    hit = ok & (t > 0)
+    out[hit] = t[hit]
+    return out
+
+
+def _ray_segment(origin, dirs, seg):
+    e = seg.b - seg.a
+    ao = seg.a - origin
+    denom = dirs[:, 0] * e[1] - dirs[:, 1] * e[0]
+    out = np.full(dirs.shape[0], np.inf)
+    ok = np.abs(denom) > 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (ao[0] * e[1] - ao[1] * e[0]) / denom
+        s = (ao[0] * dirs[:, 1] - ao[1] * dirs[:, 0]) / denom
+    hit = ok & (t > 0) & (s >= 0.0) & (s <= 1.0)
+    out[hit] = t[hit]
+    return out
+
+
+def rangefinder_scan_reference(state, world, fov, n_rays, max_range):
+    angles = state.heading + navsim.ray_offsets(fov, n_rays)
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    ranges = np.full(n_rays, max_range)
+    for obs in world.obstacles:
+        if isinstance(obs, Circle):
+            t = _ray_circle(state.position, dirs, obs)
+        else:
+            t = _ray_segment(state.position, dirs, obs)
+        ranges = np.minimum(ranges, t)
+    return np.minimum(ranges, max_range)
+
+
+def clearance_reference(world, point):
+    if not world.obstacles:
+        return math.inf
+    return min(point_obstacle_distance(point, o) for o in world.obstacles)
+
+
+@st.composite
+def scan_cases(draw):
+    """A random world, pose and fan. The structure comes from Hypothesis; the
+    coordinates come from a seeded generator, so no ray grazes an obstacle
+    exactly (where a hit flips to a miss under a rounding difference)."""
+    kind = draw(st.sampled_from(["circles", "segments", "both", "empty"]))
+    n_circles = draw(st.integers(1, 4)) if kind in ("circles", "both") else 0
+    n_segments = draw(st.integers(1, 4)) if kind in ("segments", "both") else 0
+    zero_length = n_segments > 0 and draw(st.booleans())
+    near_circle = n_circles > 0 and draw(st.booleans())
+    n_rays = draw(st.one_of(st.just(1), st.integers(2, 91)))
+    fov = draw(st.floats(0.05, 2 * math.pi))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    obstacles = [Circle(rng.uniform(-4, 4, 2), float(rng.uniform(0.1, 1.0))) for _ in range(n_circles)]
+    for k in range(n_segments):
+        a = rng.uniform(-4, 4, 2)
+        obstacles.append(Segment(a, a if zero_length and k == 0 else rng.uniform(-4, 4, 2)))
+    order = rng.permutation(len(obstacles))
+    world = WorldModel2D([obstacles[i] for i in order], np.array([50.0, 50.0]))
+    xy = rng.uniform(-4, 4, 2)
+    if near_circle:  # within 1.5 radii of a circle's centre, so often inside it
+        xy = obstacles[0].center + obstacles[0].radius * rng.uniform(-1.5, 1.5, 2)
+    state = _state(*xy, float(rng.uniform(-10, 10)))
+    return world, state, fov, n_rays, float(rng.uniform(0.5, 10.0))
 
 
 class TestOdometry:
@@ -138,6 +219,30 @@ class TestRangefinder:
                     assert clearance(world, state.position + t * direction) > -1e-9
 
 
+class TestAgainstReference:
+    @given(scan_cases())
+    def test_scan_matches_per_obstacle_reference(self, case):
+        world, state, fov, n_rays, max_range = case
+        scan = rangefinder_scan(state, world, fov, n_rays, max_range)
+        want = rangefinder_scan_reference(state, world, fov, n_rays, max_range)
+        assert scan.shape == want.shape == (n_rays,)
+        assert np.max(np.abs(scan - want)) <= 1e-9
+
+    @given(scan_cases())
+    def test_clearance_matches_per_obstacle_reference(self, case):
+        world, state, *_ = case
+        segment_ends = [o.a for o in world.obstacles if isinstance(o, Segment)]
+        for point in (state.position, world.target, *segment_ends):
+            got, want = clearance(world, point), clearance_reference(world, point)
+            assert got == want == math.inf or abs(got - want) <= 1e-9
+
+    def test_zero_length_segment_is_a_point(self):
+        world = WorldModel2D([Segment((1.0, 0.0), (1.0, 0.0))], np.array([5.0, 5.0]))
+        assert clearance(world, np.array([1.0, 2.0])) == pytest.approx(2.0, abs=1e-12)
+        scan = rangefinder_scan(_state(), world, math.pi, 9, 4.0)
+        assert np.array_equal(scan, rangefinder_scan_reference(_state(), world, math.pi, 9, 4.0))
+
+
 class TestApfStep:
     def test_target_ahead_empty_world(self):
         world = WorldModel2D([], np.array([3.0, 0.0]))
@@ -190,6 +295,44 @@ class TestApfStep:
         assert speeds == sorted(speeds)
 
 
+# (fixture name or sample_clear_world seed, outcome, steps, final pose), 1e-10 resolution
+GOLDEN_EPISODES = [
+    ("column", "reached", 250, (2.2828460777, 0.1517070018, -0.7235239095)),
+    ("offset", "reached", 212, (2.2152511670, -1.5146063087, 0.0433461925)),
+    ("open", "reached", 109, (2.7250000000, 0.0000000000, 0.0000000000)),
+    (0, "reached", 295, (7.3478595858, -0.4157272949, -0.1522142115)),
+    (1, "reached", 291, (7.2216059693, 0.8607526285, 0.1375553795)),
+    (2, "reached", 291, (6.9807628914, -0.3958032110, -0.0124970445)),
+    (3, "reached", 317, (6.8145419492, -0.6141593578, 0.3123570607)),
+    (4, "reached", 307, (7.6566050608, 0.0133670366, 0.0328296358)),
+    (5, "reached", 303, (7.5206750858, 0.5852784062, 0.1012378900)),
+    (6, "reached", 325, (7.2663651242, -0.2439416603, -0.2573448131)),
+    (7, "reached", 296, (7.3389627662, 0.7579389691, 0.1287879926)),
+    (8, "reached", 296, (7.0444743268, 0.8757623664, 0.3381507567)),
+    (9, "reached", 305, (7.5765556231, -0.4099293447, -0.0497608751)),
+    (10, "reached", 311, (7.6869834092, -0.4895513082, -0.3281335912)),
+    (11, "reached", 275, (6.8525830268, -0.0305840125, 0.1040602768)),
+    (12, "reached", 283, (6.9825122959, 0.7950300045, 0.3402178274)),
+    (13, "reached", 315, (7.5866376755, 0.6938064136, 0.0642401824)),
+    (14, "reached", 302, (7.5393003386, -0.2739857444, -0.0145446255)),
+    (15, "reached", 297, (7.3981753957, 0.5991935673, 0.1096386772)),
+    (16, "reached", 292, (7.2751861116, -0.0930888757, -0.1506962858)),
+    (17, "reached", 345, (7.5940845932, -0.5551262757, -0.4549665001)),
+    (18, "reached", 286, (7.1147054162, 0.3669863279, 0.2226719714)),
+    (19, "reached", 288, (7.1295158269, 0.7931103303, 0.1988430519)),
+    (20, "reached", 288, (6.9999657370, -0.0781825383, -0.0093362137)),
+    (21, "reached", 300, (7.4970656423, 0.2051246543, 0.0232022282)),
+    (22, "reached", 290, (7.0988483727, -0.5181674293, -0.2987333322)),
+    (23, "reached", 297, (7.4167355138, 0.2879909458, -0.0140649494)),
+    (24, "reached", 331, (7.0777124558, -0.3200427807, 0.4736409275)),
+    (25, "reached", 281, (6.8765508206, -0.9072881201, -0.3129784481)),
+    (26, "reached", 295, (7.1960341601, -0.5701636099, 0.1301389863)),
+    (27, "reached", 297, (7.4161911730, -0.3573614118, -0.0531276226)),
+    (28, "reached", 306, (7.5674115480, 0.7118986982, 0.2007584158)),
+    (29, "reached", 273, (6.7646687291, 0.0640712099, -0.1758941294)),
+]
+
+
 class TestRunNavigation:
     def test_open_world_path_close_to_straight_line(self):
         world = WorldModel2D([], np.array([3.0, 0.0]), goal_radius=0.1)
@@ -226,6 +369,16 @@ class TestRunNavigation:
             traj = run_navigation(world, start)
             assert traj.outcome == "reached"
             assert traj.min_clearance > 0.4
+
+    @pytest.mark.parametrize("key, outcome, steps, pose", GOLDEN_EPISODES, ids=lambda v: str(v))
+    def test_golden_episode(self, key, outcome, steps, pose):
+        # outcome, step count and final (x, y, heading) recorded from the
+        # per-obstacle world-frame implementation this one replaced
+        world, start = navsim.SCENARIOS[key]() if isinstance(key, str) else sample_clear_world(key)
+        traj = run_navigation(world, start)
+        assert traj.outcome == outcome
+        assert len(traj.times) - 1 == steps
+        assert np.max(np.abs(traj.poses[-1] - pose)) <= 1e-8
 
     def test_invalid_max_steps(self):
         world = WorldModel2D([], np.array([1.0, 0.0]))
@@ -292,6 +445,29 @@ class TestWorldFiles:
         assert np.array_equal(back.target, world.target)
         assert isinstance(back.obstacles[0], Circle)
         assert isinstance(back.obstacles[1], Segment)
+
+    def test_obstacles_cannot_change_after_construction(self):
+        given_list = [Circle((1.0, 2.0), 0.5), Segment((0.0, 0.0), (3.0, 0.0))]
+        world = WorldModel2D(given_list, np.array([4.0, 4.0]))
+        before = world.geometry
+        given_list.append(Circle((4.0, 4.0), 1.0))  # the caller's list is not the world's
+        assert isinstance(world.obstacles, tuple) and len(world.obstacles) == 2
+        with pytest.raises(AttributeError):
+            world.obstacles.append(Circle((4.0, 4.0), 1.0))
+        with pytest.raises(TypeError):
+            world.obstacles[0] = Circle((4.0, 4.0), 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            world.obstacles = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            world.obstacles[0].radius = 3.0
+        with pytest.raises(ValueError, match="read-only"):
+            world.obstacles[0].center[0] = 4.0
+        with pytest.raises(ValueError, match="read-only"):
+            world.obstacles[1].b[0] = 9.0
+        with pytest.raises(ValueError, match="read-only"):
+            world.geometry.starts[0, 0] = 4.0
+        assert world.geometry is before
+        assert clearance(world, np.array([4.0, 4.0])) == pytest.approx(math.hypot(3.0, 2.0) - 0.5)
 
     def test_target_inside_obstacle_rejected(self):
         with pytest.raises(ValueError, match="inside"):
