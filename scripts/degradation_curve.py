@@ -10,7 +10,7 @@ from rgbdnav.types import ObjectCloud, PipelineConfig
 
 def run_once(scene_dir: Path, gt: list[ObjectCloud], drop: float, seed: int) -> evaluation.EvalReport:
     oracle.populate_detections(scene_dir, oracle.PerturbationConfig(seed=seed, drop_prob=drop))
-    instances, _ = fusion.run_scene(scene_io.load_scene(scene_dir), PipelineConfig())
+    instances, _ = fusion.run_scene(scene_io.iter_views(scene_dir), PipelineConfig())
     return evaluation.evaluate_scene(instances, gt)
 
 

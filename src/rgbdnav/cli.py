@@ -111,16 +111,15 @@ def cmd_detect(args) -> int:
         print(f"rgbdnav detect: invalid flag: {e}", file=sys.stderr)
         return 2
     try:
-        views = scene_io.load_scene(args.scene_dir)
-        instances, dropped = fusion.run_scene(views, config)
+        instances, stats = fusion.run_scene(scene_io.iter_views(args.scene_dir), config)
     except (scene_io.SceneError, ValueError) as e:
         print(f"rgbdnav detect: {e}", file=sys.stderr)
         return 1
     out_dir = Path(args.out_dir)
     scene_io.write_instances(instances, out_dir)
-    print(f"views:          {len(views)}")
-    print(f"detections in:  {sum(len(view.masks) for view in views)}")
-    print(f"dropped:        {dropped}")
+    print(f"views:          {stats.views}")
+    print(f"detections in:  {stats.detections}")
+    print(f"dropped:        {stats.dropped}")
     print(f"instances out:  {len(instances)}")
     print(f"wrote {out_dir / 'boxes.json'} and {len(instances)} cloud file(s)")
     return 0

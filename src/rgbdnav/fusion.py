@@ -1,6 +1,9 @@
 """Cross-view instance fusion via class-aware box IoU merging."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Iterable
+
 import numpy as np
 
 from .projection import reconstruct_object
@@ -94,21 +97,27 @@ def _merge_pair(acc: _Folded, new: _Folded, voxel_size: float) -> _Folded:
     return ObjectCloud(points, a.label, max(a.score, b.score), a.source_frames | b.source_frames), keys
 
 
-def _fold(instances: list[_Folded], merge_threshold: float, voxel_size: float) -> list[_Folded]:
+def _fold(instances: Iterable[_Folded], merge_threshold: float, voxel_size: float) -> tuple[list[_Folded], bool]:
+    """One pass: each instance, as it arrives, merges into the first matching accumulator or is appended.
+
+    Returns the accumulators and whether any merge happened.
+    """
     acc: list[_Folded] = []
+    merged = False
     for inst in instances:
         cloud = inst[0]
         for i, (other, _) in enumerate(acc):
             if other.label == cloud.label and iou_3d(other.box, cloud.box) > merge_threshold:
                 acc[i] = _merge_pair(acc[i], inst, voxel_size)
+                merged = True
                 break
         else:
             acc.append(inst)
-    return acc
+    return acc, merged
 
 
 def merge_instances(
-    views: list[list[ObjectCloud]],
+    views: Iterable[Iterable[ObjectCloud]],
     merge_threshold: float = 0.8,
     voxel_size: float = 0.02,
 ) -> list[ObjectCloud]:
@@ -121,33 +130,52 @@ def merge_instances(
     nothing, so no surviving same-class pair exceeds the threshold. The
     result depends on view order: on the bench scene, views in file order
     give 6 instances and reversed views give 5 (ROADMAP.md, item 1).
+
+    ``views`` may be any iterable, a generator included: the first pass
+    takes each view's instances as the view arrives and keeps only the
+    accumulated instances, so a view is not held once it has been folded.
+    The later passes run over those accumulators. The result equals that
+    of the same views given as lists.
     """
     if not (0.0 < merge_threshold <= 1.0):
         raise ValueError(f"merge_threshold must be in (0, 1], got {merge_threshold}")
-    current = [(cloud, None) for view in views for cloud in view]
-    while True:
-        folded = _fold(current, merge_threshold, voxel_size)
-        if len(folded) == len(current):
-            return [cloud for cloud, _ in folded]
-        current = folded
+    arriving = ((cloud, None) for view in views for cloud in view)
+    folded, merged = _fold(arriving, merge_threshold, voxel_size)
+    while merged:
+        folded, merged = _fold(folded, merge_threshold, voxel_size)
+    return [cloud for cloud, _ in folded]
 
 
-def run_scene(views: list[SceneView], config: PipelineConfig) -> tuple[list[ObjectCloud], int]:
+@dataclass
+class RunStats:
+    """What :func:`run_scene` consumed: views, detections, and the detections dropped
+    because reconstruction left no cloud (detections = dropped + clouds fused)."""
+
+    views: int = 0
+    detections: int = 0
+    dropped: int = 0
+
+
+def run_scene(views: Iterable[SceneView], config: PipelineConfig) -> tuple[list[ObjectCloud], RunStats]:
     """Turn a scene's views into fused instances: the whole detection pipeline.
 
     Every InstanceMask of every view is reconstructed, views in order, and
-    the per-view results are merged. Returns the instances and the number of
-    detections dropped because reconstruction left no cloud.
+    the per-view clouds are merged. ``views`` may be any iterable, such as
+    :func:`scene_io.iter_views`: each view is reconstructed when fusion asks
+    for it and is not referenced afterwards, so with a streaming source one
+    frame's depth is in memory at a time, next to the fused instances.
+    Returns the instances and a :class:`RunStats` of what was consumed.
     """
-    dropped = 0
-    per_view = []
-    for view in views:
-        produced = []
-        for mask in view.masks:
-            cloud = reconstruct_object(view.frame, mask, config)
-            if cloud is None:
-                dropped += 1
-            else:
-                produced.append(cloud)
-        per_view.append(produced)
-    return merge_instances(per_view, config.merge_threshold, config.voxel_size), dropped
+    stats = RunStats()
+
+    def reconstruct(view: SceneView) -> list[ObjectCloud]:
+        clouds = [reconstruct_object(view.frame, mask, config) for mask in view.masks]
+        kept = [cloud for cloud in clouds if cloud is not None]
+        stats.views += 1
+        stats.detections += len(clouds)
+        stats.dropped += len(clouds) - len(kept)
+        return kept
+
+    # map keeps no reference to a view it has passed on
+    instances = merge_instances(map(reconstruct, views), config.merge_threshold, config.voxel_size)
+    return instances, stats

@@ -97,21 +97,34 @@ def orbit_trajectory(
     return poses
 
 
+# Corner pairs joined by the 12 edges of a box whose corners are listed in
+# itertools.product order: corners i and i | bit differ in one coordinate.
+_EDGES = np.array([(i, i | bit) for bit in (1, 2, 4) for i in range(8) if not i & bit])
+
+
 def _footprint(box: Box3D, pose: CameraPose, intrinsics: CameraIntrinsics) -> tuple[slice, slice]:
     """Rows and columns of the pixels whose rays can hit the box.
 
-    The bounding rectangle of the 8 projected corners, widened by 1 px and
-    clipped to the image; the whole image when a corner is not in front of
-    the camera (z <= _NEAR), where the projection does not bound the box;
-    empty when every corner is at or behind the camera plane (z <= 0), where
-    no point of the box has the positive depth a hit needs.
+    A hit needs a depth above _NEAR, so only the part of the box in front of
+    a clipping plane at half that depth counts (the margin absorbs rounding
+    in the ray test): the corners beyond the plane plus the points where the
+    box's edges cross it. The footprint is the bounding rectangle of those
+    points projected, widened by 1 px and clipped to the image; empty when
+    no corner lies beyond the plane, where no point of the box can be hit.
     """
     corners = np.array(list(itertools.product(*zip(box.min_corner, box.max_corner))))
     cam = to_camera(corners, pose)
-    if (cam[:, 2] <= 0.0).all():
+    near = 0.5 * _NEAR
+    front = cam[:, 2] > near
+    if not front.any():
         return slice(0, 0), slice(0, 0)
-    if (cam[:, 2] <= _NEAR).any():
-        return slice(0, intrinsics.height), slice(0, intrinsics.width)
+    if not front.all():
+        a, b = cam[_EDGES[:, 0]], cam[_EDGES[:, 1]]
+        crossing = front[_EDGES[:, 0]] != front[_EDGES[:, 1]]
+        a, b = a[crossing], b[crossing]
+        cut = a + ((near - a[:, 2]) / (b[:, 2] - a[:, 2]))[:, None] * (b - a)
+        cut[:, 2] = near
+        cam = np.vstack([cam[front], cut])
     u, v = project_to_pixels(cam, intrinsics)
     rows = slice(max(int(np.floor(v.min())) - 1, 0), min(int(np.ceil(v.max())) + 2, intrinsics.height))
     cols = slice(max(int(np.floor(u.min())) - 1, 0), min(int(np.ceil(u.max())) + 2, intrinsics.width))
@@ -124,10 +137,11 @@ def render_depth(
     """Nearest-surface z-depth per pixel plus the index of the owning box (-1 = none).
 
     Each box is ray-tested only over its footprint: the bounding rectangle of
-    its projected corners widened by 1 px and clipped to the image, or the
-    whole image when a corner lies at or behind the camera plane. The rays
-    are built over that window alone. A box whose footprint misses the image,
-    or that lies wholly behind the camera, is skipped.
+    its projected corners widened by 1 px and clipped to the image, with a
+    box that reaches behind the camera first clipped to its part in front
+    of it (:func:`_footprint`). The rays are built over that window alone. A
+    box whose footprint misses the image, or that lies wholly behind the
+    camera, is skipped.
     """
     if not boxes:
         raise ValueError("render_depth needs at least one box")

@@ -184,8 +184,18 @@ class ObjectCloud:
 
     @functools.cached_property
     def box(self) -> Box3D:
-        """The axis-aligned box of the points: their componentwise min and max."""
-        return Box3D(self.points.min(axis=0), self.points.max(axis=0))
+        """The axis-aligned box of the points: their componentwise min and max.
+
+        Reduced one column at a time, several times faster than an axis-0
+        reduction over the (N, 3) rows. The two can disagree only on the sign
+        of a zero extreme (boxes.json prints -0.0), so a box with a zero
+        coordinate takes the axis-0 result.
+        """
+        lo = np.array([column.min() for column in self.points.T])
+        hi = np.array([column.max() for column in self.points.T])
+        if not (lo.all() and hi.all()):
+            lo, hi = self.points.min(axis=0), self.points.max(axis=0)
+        return Box3D(lo, hi)
 
 
 def check_voxel_size(voxel_size: float) -> None:

@@ -163,6 +163,20 @@ class TestDetect:
         (urn_row,) = [l.split() for l in out.splitlines() if l.startswith("urn")]
         assert urn_row[4:] == ["1", "1", "1", "1"]  # gt, pred, tp50, tp25
 
+    def test_bad_last_frame_fails_before_writing(self, capsys, mutable_scene_dir, tmp_path):
+        # views stream, so the last frame is validated only after the others are fused
+        last = sorted((mutable_scene_dir / "frames").glob("*.mask.0.pgm"))[-1]
+        assert last.name == "0019.mask.0.pgm"
+        bitmap = scene_io.read_pgm(last)
+        bitmap[bitmap == 255] = 7
+        scene_io.write_pgm(last, bitmap, maxval=255)
+        out_dir = tmp_path / "p"
+        code, out, err = run_cli(capsys, "detect", str(mutable_scene_dir), str(out_dir))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("rgbdnav detect: frame 0019: mask 0 has values other than 0/255")
+        assert not (out_dir / "boxes.json").exists()
+
     def test_empty_detections_zero_instances_success(self, capsys, mutable_scene_dir, tmp_path):
         for f in (mutable_scene_dir / "frames").glob("*.detections.txt"):
             f.write_text("")

@@ -1,14 +1,25 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rgbdnav import scene_io
 from rgbdnav.fusion import iou_3d, merge_instances, run_scene, voxel_downsample, voxel_keys
 from rgbdnav.projection import reconstruct_object
-from rgbdnav.types import Box3D, ObjectCloud, PipelineConfig
+from rgbdnav.scene_io import SceneView
+from rgbdnav.types import (
+    Box3D,
+    CameraIntrinsics,
+    CameraPose,
+    DepthFrame,
+    Detection2D,
+    InstanceMask,
+    ObjectCloud,
+    PipelineConfig,
+)
 
 from conftest import VOXEL_SIZES, monte_carlo_iou, pool_clouds, voxel_pools
 
@@ -83,6 +94,33 @@ def fusion_inputs(draw):
             row.append(ObjectCloud(pts, label, draw(st.sampled_from([0.3, 0.6, 1.0])), frozenset({f"f{v}"})))
         views.append(row)
     return views, draw(st.sampled_from([0.05, 0.3, 0.8])), voxel
+
+
+@st.composite
+def small_scenes(draw):
+    """1 to 5 views of a 16x12 camera shifting along x over random depths
+    with holes, each with up to 4 random masks: windows overlap across views,
+    so instances merge, and erosion or the z-filter drops some detections."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    intr = CameraIntrinsics(12.0, 12.0, 7.5, 5.5, 16, 12)
+    views = []
+    for v in range(draw(st.integers(1, 5))):
+        depth = 1.0 + 0.05 * rng.integers(0, 8, size=(12, 16))
+        depth[rng.random((12, 16)) < 0.1] = 0.0
+        pose = CameraPose(np.eye(3), np.array([0.02 * rng.integers(0, 3), 0.0, 0.0]))
+        masks = []
+        for _ in range(rng.integers(0, 5)):
+            x1, y1 = int(rng.integers(0, 5)), int(rng.integers(0, 4))
+            x2, y2 = min(x1 + int(rng.integers(4, 12)), 16), min(y1 + int(rng.integers(3, 9)), 12)
+            det = Detection2D((x1, y1, x2, y2), float(rng.choice([0.3, 0.6, 1.0])), str(rng.choice(["a", "a", "b"])))
+            masks.append(InstanceMask(rng.random((y2 - y1, x2 - x1)) < 0.8, det))
+        views.append(SceneView(DepthFrame(f"{v:04d}", depth, intr, pose), masks))
+    config = PipelineConfig(
+        tau=draw(st.sampled_from([0.5, 2.0])),
+        kernel_size=draw(st.sampled_from([1, 3])),
+        merge_threshold=draw(st.sampled_from([0.05, 0.3, 0.8])),
+    )
+    return views, config
 
 
 def _box(lo, hi):
@@ -298,12 +336,48 @@ class TestRunScene:
         # a tiny z-score threshold empties some filtered depths, so detections drop
         views = scene_io.load_scene(oracle_scene_dir)
         config = PipelineConfig(tau=0.01)
-        got, got_dropped = run_scene(views, config)
+        got, stats = run_scene(views, config)
         want, want_dropped = run_scene_reference(views, config)
-        assert got_dropped == want_dropped > 0
+        assert stats.dropped == want_dropped > 0
+        assert (stats.views, stats.detections) == (20, sum(len(v.masks) for v in views))
         assert len(got) == len(want) > 0
         for cg, cw in zip(got, want):
             assert np.array_equal(cg.points, cw.points)
             assert (cg.label, cg.score, cg.source_frames) == (cw.label, cw.score, cw.source_frames)
             assert np.array_equal(cg.box.min_corner, cw.box.min_corner)
             assert np.array_equal(cg.box.max_corner, cw.box.max_corner)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_scenes())
+    def test_streamed_views_match_batch_merge_on_every_prefix(self, scene):
+        views, config = scene
+        per_view = [[reconstruct_object(v.frame, m, config) for m in v.masks] for v in views]
+        for k in range(len(views) + 1):
+            got, stats = run_scene((view for view in views[:k]), config)
+            clouds = [c for row in per_view[:k] for c in row]
+            kept = [[c for c in row if c is not None] for row in per_view[:k]]
+            want = merge_instances(kept, config.merge_threshold, config.voxel_size)
+            assert (stats.views, stats.detections, stats.dropped) == (k, len(clouds), clouds.count(None))
+            assert len(got) == len(want)
+            for cg, cw in zip(got, want):
+                assert np.array_equal(cg.points, cw.points)
+                assert (cg.label, cg.score, cg.source_frames) == (cw.label, cw.score, cw.source_frames)
+
+    def test_no_view_is_held_once_the_next_is_read(self, oracle_scene_dir):
+        # when the source is asked for view k + 1, nothing references the depth of views 0..k
+        class Watched:
+            def __init__(self, views):
+                self.views, self.depths = iter(views), []
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                assert all(ref() is None for ref in self.depths), "an earlier view's depth is still referenced"
+                view = next(self.views)
+                self.depths.append(weakref.ref(view.frame.depth))
+                return view
+
+        source = Watched(scene_io.iter_views(oracle_scene_dir))
+        instances, stats = run_scene(source, PipelineConfig())
+        assert stats.views == len(source.depths) == 20 and instances

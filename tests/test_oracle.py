@@ -4,7 +4,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,7 +20,7 @@ from rgbdnav.oracle import (
     render_gt_detections,
 )
 from rgbdnav.masks import erode_bitmap
-from rgbdnav.projection import project_to_pixels, to_camera
+from rgbdnav.projection import project_to_pixels, to_camera, to_world
 from rgbdnav.types import Box3D, CameraIntrinsics, CameraPose, Detection2D, ObjectCloud
 
 from conftest import BENCH_LAYOUT, dilation_oracle, full_image_bitmap, odd_kernels, random_rotation
@@ -197,16 +197,58 @@ class TestRenderDepth:
         assert (owner[:, 16] >= 0).any() and (owner[10, :] >= 0).any()
         self._assert_matches_reference(boxes, pose, intr)
 
-    def test_corner_behind_camera_tests_whole_image(self):
+    def test_corner_behind_camera_clips_footprint_at_near_plane(self):
         # the box reaches behind the camera, so its projected corners do not
-        # bound it and every pixel is ray-tested
+        # bound it; its part in front does: the edges crossing the near plane
+        # project off the top, bottom and left, the far face's x = -0.5 edge
+        # to column 20 * -0.5 / 3 + 12 = 8.67
         intr = CameraIntrinsics(20.0, 20.0, 12.0, 8.0, 25, 17)
         boxes = [LabeledBox("a", Box3D(np.array([-3.0, -0.5, -1.0]), np.array([-0.5, 0.5, 3.0])))]
         pose = CameraPose.identity()
-        assert oracle._footprint(boxes[0].box, pose, intr) == (slice(0, 17), slice(0, 25))
+        assert oracle._footprint(boxes[0].box, pose, intr) == (slice(0, 17), slice(0, 11))
         _, owner = render_depth(boxes, pose, intr)
         assert (owner[:, 0] == 0).all() and (owner == -1).any()
         self._assert_matches_reference(boxes, pose, intr)
+
+    def test_wall_through_camera_plane_costs_its_footprint(self):
+        # a wall beside the camera from z = -1 to 5: its clipped footprint is
+        # 90 of 640 columns, so the render's memory stays near that of the
+        # crate alone (a whole-image window for the wall would take 2.9x)
+        intr = oracle.default_intrinsics(640, 480, 580.0)
+        crate = LabeledBox("crate", Box3D(np.array([-0.5, -0.5, 2.0]), np.array([0.5, 0.5, 3.0])))
+        wall = LabeledBox("wall", Box3D(np.array([2.0, -1.0, -1.0]), np.array([2.2, 1.0, 5.0])))
+        pose = CameraPose.identity()
+        assert oracle._footprint(wall.box, pose, intr) == (slice(0, 480), slice(550, 640))
+        peaks = []
+        for boxes in ([crate], [crate, wall]):
+            tracemalloc.start()
+            try:
+                _, owner = render_depth(boxes, pose, intr)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (owner == 1).sum() > 0
+        assert peaks[1] <= 1.5 * peaks[0]
+        self._assert_matches_reference([crate, wall], pose, intr)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_box_through_camera_plane_matches_reference(self, seed):
+        # a random pose and the world box around a camera-frame point in front
+        # of the camera and one behind it, both to the same side; the camera
+        # itself must be outside the box, where its rays can hit it
+        rng = np.random.default_rng(seed)
+        intr = oracle.default_intrinsics(24, 18, 20.0)
+        pose = CameraPose(random_rotation(rng), rng.uniform(-3, 3, 3))
+        cam = np.array([
+            [rng.uniform(0.2, 1.5), rng.uniform(-1, 1), rng.uniform(0.5, 3.0)],
+            [rng.uniform(0.2, 1.5), rng.uniform(-1, 1), -rng.uniform(0.1, 2.0)],
+        ])
+        cam[:, 0] *= rng.choice([-1.0, 1.0])
+        corners = to_world(cam, pose)
+        box = Box3D(corners.min(axis=0), corners.max(axis=0))
+        assume(not np.all((box.min_corner <= pose.translation) & (pose.translation <= box.max_corner)))
+        self._assert_matches_reference([LabeledBox("a", box)], pose, intr)
 
     def test_box_behind_camera_is_skipped(self):
         # every corner at or behind the camera plane, one face on it (z = 0):

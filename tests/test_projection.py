@@ -121,6 +121,19 @@ class TestBoxFromCloud:
         with pytest.raises(ValueError):
             ObjectCloud(np.zeros((0, 3)), "thing", 1.0).box
 
+    @given(st.integers(1, 40).flatmap(
+        lambda n: arrays(np.float64, (n, 3), elements=st.sampled_from([0.0, -0.0, 1.5, -1.5]) | st.floats(-50, 50))
+    ))
+    @example(np.array([[s, -s, 1.0] for s in [1, -0.0, 1, 0, -0.0, 1, 1, 1, -0.0, 0, 1, 1, 0, 0, 1, 0, 1]]))
+    def test_box_matches_axis_0_reduction_bitwise(self, pts):
+        # zeros of both signs are common: which one is the extreme decides the
+        # -0.0 that boxes.json prints. In the example, a per-column reduction
+        # alone gives min -0.0 in x and max +0.0 in y, the axis-0 one the reverse.
+        box = ObjectCloud(pts, "thing", 1.0).box
+        for got, want in ((box.min_corner, pts.min(axis=0)), (box.max_corner, pts.max(axis=0))):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50)), min_size=1, max_size=40))
     def test_box_contains_every_point(self, pts):
         pts = np.array(pts)

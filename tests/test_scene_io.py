@@ -76,6 +76,18 @@ class TestPgm:
         with pytest.raises(SceneValidationError):
             read_pgm(tmp_path / "bad.pgm")
 
+    @pytest.mark.parametrize("maxval, dtype", [(200, "u1"), (1000, ">u2"), (65535, ">u2")])
+    def test_binary_sample_above_maxval_rejected(self, tmp_path, maxval, dtype):
+        img = np.array([[0, maxval], [maxval, 1]])
+        (tmp_path / "ok.pgm").write_bytes(f"P5\n2 2\n{maxval}\n".encode() + img.astype(dtype).tobytes())
+        got = read_pgm(tmp_path / "ok.pgm")
+        assert got.dtype == np.uint16 and got.flags.writeable and np.array_equal(got, img)
+        if maxval < 65535:
+            img[1, 1] = maxval + 1
+            (tmp_path / "bad.pgm").write_bytes(f"P5\n2 2\n{maxval}\n".encode() + img.astype(dtype).tobytes())
+            with pytest.raises(SceneValidationError, match=f"exceeds declared maxval {maxval}"):
+                read_pgm(tmp_path / "bad.pgm")
+
 
 class TestLoadScene:
     def test_well_formed_two_frames(self, tmp_path):
@@ -199,6 +211,37 @@ class TestLoadScene:
         root = make_fixture_scene(tmp_path / "s", detections="1 1 4 3 0.9 coffee mug\n")
         views = load_scene(root)
         assert views[0].masks[0].detection.label == "coffee mug"
+
+
+class TestIterViews:
+    @pytest.mark.parametrize("breakage", ["no_dir", "no_intrinsics", "no_frames"])
+    def test_scene_checked_before_the_first_view(self, tmp_path, breakage):
+        root = make_fixture_scene(tmp_path / "s")
+        if breakage == "no_dir":
+            root = tmp_path / "nope"
+        elif breakage == "no_intrinsics":
+            (root / "intrinsics.txt").unlink()
+        else:
+            for f in (root / "frames").glob("*.depth.pgm"):
+                f.unlink()
+        with pytest.raises(SceneLayoutError):
+            scene_io.iter_views(root)
+
+    def test_bad_frame_raises_when_reached(self, tmp_path):
+        root = make_fixture_scene(tmp_path / "s")
+        (root / "frames" / "0001.pose.txt").unlink()
+        views = scene_io.iter_views(root)
+        assert next(views).frame.frame_id == "0000"
+        with pytest.raises(SceneLayoutError, match="0001.pose.txt"):
+            next(views)
+
+    def test_uint16_depth_scaled_once(self, tmp_path):
+        # 65535 * 0.001 in float64, the same bytes as scaling a float64 copy
+        root = make_fixture_scene(tmp_path / "s", depth_rows=[[65535, 1, 0, 300, 1500, 7]] * 4)
+        depth = next(scene_io.iter_views(root)).frame.depth
+        raw = read_pgm(root / "frames" / "0000.depth.pgm")
+        assert depth.dtype == np.float64
+        assert np.array_equal(depth.view(np.int64), (raw.astype(np.float64) * 0.001).view(np.int64))
 
 
 class TestPly:
