@@ -1,7 +1,7 @@
 """Wall-clock timing of the scene-to-instances pipeline.
 
-Times :func:`fusion.run_scene` (erode/isolate/filter/back-project/transform
-for every detection, then cross-view fusion), single-threaded, once per
+Times :func:`fusion.run_scene` (the one-pass box-local reconstruction of
+every detection, then cross-view fusion), single-threaded, once per
 repeat. Scenes are loaded up front so file I/O stays out of the clock, and
 there is no learned detector or segmenter in this artifact, so the figures
 are a geometry-only lower bound for any full pipeline built on top.

@@ -52,15 +52,14 @@ def _voxel_iou(a: np.ndarray, b: np.ndarray) -> float:
     return inter / (a.size + b.size - inter)
 
 
-def instance_iou(pred: ObjectCloud, gt: ObjectCloud, voxel_size: float = 0.02) -> float:
-    """Point-level IoU: occupied-voxel overlap of the two point sets on one grid."""
-    return _voxel_iou(_voxel_set(pred.points, voxel_size), _voxel_set(gt.points, voxel_size))
-
-
 def _greedy_match(
     scored_ious: list[tuple[float, np.ndarray]], num_gt: int, iou_threshold: float
 ) -> np.ndarray:
-    """True-positive flags in score order (stable sort, so ties keep input order)."""
+    """True-positive flags in score order (stable sort, so ties keep input order).
+
+    ``scored_ious`` holds one (score, per-GT IoU row) pair per prediction;
+    each GT absorbs at most one prediction, the highest-IoU free one.
+    """
     order = sorted(range(len(scored_ious)), key=lambda i: -scored_ious[i][0])
     taken = np.zeros(num_gt, dtype=bool)
     tp = np.zeros(len(scored_ious), dtype=bool)
@@ -78,22 +77,6 @@ def _greedy_match(
             taken[best_gt] = True
             tp[rank] = True
     return tp
-
-
-def average_precision(
-    scored_ious: list[tuple[float, np.ndarray]], num_gt: int, iou_threshold: float
-) -> float:
-    """AP for one class: area under the monotone precision envelope.
-
-    ``scored_ious`` holds one (score, per-GT IoU row) pair per prediction.
-    Each GT can absorb one prediction; unmatched predictions count as false
-    positives at every recall they touch.
-    """
-    if num_gt <= 0:
-        raise ValueError("average_precision needs at least one ground-truth instance")
-    if not scored_ious:
-        return 0.0
-    return _envelope_area(_greedy_match(scored_ious, num_gt, iou_threshold), num_gt)
 
 
 def _envelope_area(tp: np.ndarray, num_gt: int) -> float:

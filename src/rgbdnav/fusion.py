@@ -64,19 +64,13 @@ def _first_per_voxel(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return unique, np.sort(first)
 
 
-def voxel_downsample(points: np.ndarray, voxel_size: float) -> np.ndarray:
-    """Keep the first point falling in each voxel, preserving input order."""
-    p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    return p[_first_per_voxel(voxel_keys(p, voxel_size))[1]]
-
-
 # While folding, an instance is (cloud, keys): keys are the sorted unique
 # voxel keys of cloud.points once a merge has deduplicated them, else None.
 _Folded = tuple[ObjectCloud, "np.ndarray | None"]
 
 
 def _merge_pair(acc: _Folded, new: _Folded, voxel_size: float) -> _Folded:
-    """``voxel_downsample(vstack([acc, new]))`` without re-sorting the union.
+    """The first point per voxel of ``vstack([acc, new])``, in order, without re-sorting the union.
 
     The accumulated cloud is deduplicated once; after that only the incoming
     points whose voxel it lacks are appended, first point per voxel.

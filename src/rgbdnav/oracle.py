@@ -318,7 +318,7 @@ def populate_detections(scene_dir: Path, noise: PerturbationConfig = Perturbatio
     frames_dir = Path(scene_dir) / "frames"
     total = 0
     for frame_id in scene_io.frame_ids(scene_dir):
-        for old in frames_dir.glob(f"{frame_id}.mask.*.pgm"):
+        for old in frames_dir.glob(f"{glob.escape(frame_id)}.mask.*.pgm"):
             old.unlink()
         ids = scene_io.load_gt_ids(scene_dir, frame_id, intr, len(labels))
         masks = render_gt_detections(frame_id, ids, labels, noise)

@@ -1,8 +1,10 @@
-"""Back-projection of per-object depths into world-frame clouds.
+"""One object's detection mask and depth frame to a world-frame cloud.
 
 Pinhole model: a pixel (u, v) with depth d maps to the camera-frame point
 (X, Y, Z) = ((u - cx) * d / fx, (v - cy) * d / fy, d), which the camera pose
-carries into the world frame as R @ p + t.
+carries into the world frame as R @ p + t. :func:`reconstruct_object` takes
+a mask through erosion, depth gathering, the z-score filter and this map in
+one pass over the detection box's window.
 """
 from __future__ import annotations
 
@@ -10,8 +12,8 @@ import logging
 
 import numpy as np
 
-from .masks import InstanceMask, IsolatedDepth, StructuringElement, erode_mask, isolate_depth, zscore_filter
-from .types import CameraIntrinsics, CameraPose, DepthFrame, ObjectCloud, PipelineConfig
+from .masks import erode_mask, zscore_filter
+from .types import CameraIntrinsics, CameraPose, DepthFrame, InstanceMask, ObjectCloud, PipelineConfig
 
 logger = logging.getLogger(__name__)
 
@@ -24,11 +26,6 @@ def back_project_pixels(
     x = (np.asarray(us, dtype=np.float64) - intrinsics.cx) * d / intrinsics.fx
     y = (np.asarray(vs, dtype=np.float64) - intrinsics.cy) * d / intrinsics.fy
     return np.column_stack([x, y, d])
-
-
-def back_project(depths: IsolatedDepth, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Back-project an isolated depth map; returns an (N, 3) camera-frame array."""
-    return back_project_pixels(depths.us, depths.vs, depths.depths, intrinsics)
 
 
 def project_to_pixels(points_cam: np.ndarray, intrinsics: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
@@ -56,26 +53,39 @@ def reconstruct_object(
     mask: InstanceMask,
     config: PipelineConfig = PipelineConfig(),
 ) -> ObjectCloud | None:
-    """Run erode -> isolate -> z-filter -> back-project -> world for one object.
+    """One pass over the detection box's window: erode, gather depths, z-filter, map to world.
 
-    The cloud takes its label and score from ``mask.detection``. Returns None
-    (a drop, not an error) when any stage yields an empty set, e.g. a mask
-    that erodes away or lies entirely over invalid depth.
+    The valid (> 0) depths under the eroded mask, in row-major image order,
+    are z-filtered; the kept pixels are back-projected and carried into the
+    world frame. The window must lie inside the depth image. The cloud takes
+    its label and score from ``mask.detection``. Returns None (a drop, not an
+    error) when a step leaves no pixel, e.g. a mask that erodes away or lies
+    entirely over invalid depth.
     """
     detection = mask.detection
-    kernel = StructuringElement.box(config.kernel_size)
-    eroded = erode_mask(mask, kernel)
-    if not eroded.bitmap.any():
+    eroded = erode_mask(mask, config.kernel_size).bitmap
+    if not eroded.any():
         logger.info("frame %s: '%s' dropped (mask empty after erosion)", frame.frame_id, detection.label)
         return None
-    isolated = isolate_depth(frame, eroded)
-    if len(isolated) == 0:
+    rows, cols = detection.window
+    h, w = frame.depth.shape
+    if not (0 <= rows.start and rows.stop <= h and 0 <= cols.start and cols.stop <= w):
+        raise ValueError(
+            f"mask window rows {rows.start}..{rows.stop}, columns {cols.start}..{cols.stop} "
+            f"outside depth shape {frame.depth.shape}"
+        )
+    vs, us = np.nonzero(eroded)
+    vs += rows.start
+    us += cols.start
+    depths = frame.depth[vs, us]
+    valid = depths > 0
+    if not valid.any():
         logger.info("frame %s: '%s' dropped (no valid depth under mask)", frame.frame_id, detection.label)
         return None
-    filtered = zscore_filter(isolated, config.tau)
-    if len(filtered) == 0:
+    us, vs, depths = us[valid], vs[valid], depths[valid].astype(np.float64)
+    keep = zscore_filter(depths, config.tau)
+    if len(keep) == 0:
         logger.info("frame %s: '%s' dropped (no depth left after z-filter)", frame.frame_id, detection.label)
         return None
-    cam_points = back_project(filtered, frame.intrinsics)
-    world_points = to_world(cam_points, frame.pose)
-    return ObjectCloud(world_points, detection.label, detection.score, frozenset({frame.frame_id}))
+    points = to_world(back_project_pixels(us[keep], vs[keep], depths[keep], frame.intrinsics), frame.pose)
+    return ObjectCloud(points, detection.label, detection.score, frozenset({frame.frame_id}))

@@ -24,6 +24,7 @@ ground truth raises its file-naming SceneError only where it is read.
 """
 from __future__ import annotations
 
+import glob
 import json
 import re
 from dataclasses import dataclass
@@ -280,7 +281,7 @@ def load_view(scene_dir: Path, frame_id: str, intr: CameraIntrinsics, depth_scal
         _load_mask(frames_dir / f"{frame_id}.mask.{k}.pgm", frame_id, k, det, intr)
         for k, det in enumerate(detections)
     ]
-    mask_files = len(list(frames_dir.glob(f"{frame_id}.mask.*.pgm")))
+    mask_files = len(list(frames_dir.glob(f"{glob.escape(frame_id)}.mask.*.pgm")))
     if mask_files != len(detections):
         raise SceneValidationError(
             f"frame {frame_id}: {mask_files} mask files for {len(detections)} detections"

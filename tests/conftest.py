@@ -1,4 +1,5 @@
 import shutil
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,6 +89,27 @@ def zscore_keep_oracle(values, tau: float) -> list[int]:
     if sigma == 0:
         return list(range(n))
     return [i for i, v in enumerate(values) if abs(v - mu) / sigma < tau]
+
+
+def zscore_rounding_decides(values, tau: float) -> bool:
+    """Whether float rounding alone decides the z-score rule on these values.
+
+    True when, in exact arithmetic, some value's z-score equals tau, or the
+    values are all equal but some multiple of them up to their count is not
+    a float, so a partial sum can round, the float mean miss the value and
+    leave a spread of pure rounding error. The outcome then depends on the
+    order of summation, which differs between numpy's pairwise sum and
+    plain Python's.
+    """
+    n = len(values)
+    if n < 3:
+        return False
+    exact = [Fraction(v) for v in values]
+    mu = sum(exact) / n
+    var = sum((v - mu) ** 2 for v in exact) / n
+    if var == 0:
+        return any(Fraction(values[0] * k) != exact[0] * k for k in range(2, n + 1))
+    return any((v - mu) ** 2 == Fraction(tau) ** 2 * var for v in exact)
 
 
 def monte_carlo_iou(box_a, box_b, n: int, rng) -> float:

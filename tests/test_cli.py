@@ -6,6 +6,7 @@ import pytest
 
 from rgbdnav import scene_io
 from rgbdnav.cli import main
+from rgbdnav.oracle import PerturbationConfig, populate_detections
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +163,23 @@ class TestDetect:
         assert code == 0, err
         (urn_row,) = [l.split() for l in out.splitlines() if l.startswith("urn")]
         assert urn_row[4:] == ["1", "1", "1", "1"]  # gt, pred, tp50, tp25
+
+    def test_frame_id_with_glob_metacharacters(self, capsys, tmp_path):
+        # mask files are counted and cleared by the frame id taken literally, not as a pattern
+        scene = tmp_path / "scene"
+        small = ["--views", "2", "--width", "160", "--height", "120", "--focal", "145"]
+        assert run_cli(capsys, "synth", str(scene), *small)[0] == 0
+        for f in [*(scene / "frames").glob("0001.*"), scene / "gt" / "ids" / "0001.pgm"]:
+            f.rename(f.with_name("01[a]" + f.name[len("0001"):]))
+        assert len(list((scene / "frames").glob("01?a?.mask.*.pgm"))) == 3
+        code, out, err = run_cli(capsys, "detect", str(scene), str(tmp_path / "p"))
+        assert code == 0, err
+        assert "views:          2" in out
+        populate_detections(scene, PerturbationConfig(drop_prob=1.0))
+        assert list((scene / "frames").glob("*.mask.*.pgm")) == []
+        code, out, err = run_cli(capsys, "detect", str(scene), str(tmp_path / "p"))
+        assert code == 0, err
+        assert "instances out:  0" in out
 
     def test_bad_last_frame_fails_before_writing(self, capsys, mutable_scene_dir, tmp_path):
         # views stream, so the last frame is validated only after the others are fused

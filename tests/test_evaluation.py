@@ -10,15 +10,34 @@ from rgbdnav.evaluation import (
     ClassRow,
     EvalReport,
     MAP_THRESHOLDS,
-    average_precision,
+    _envelope_area,
+    _greedy_match,
+    _voxel_iou,
+    _voxel_set,
     evaluate_scene,
     format_report,
-    instance_iou,
     macro_average,
 )
 from rgbdnav.types import ObjectCloud
 
 from conftest import VOXEL_SIZES, pool_clouds, voxel_pools
+
+
+def instance_iou(pred, gt, voxel_size=0.02):
+    """Point-level IoU of one pair as evaluate_scene takes it: occupied-voxel overlap on one grid."""
+    return _voxel_iou(_voxel_set(pred.points, voxel_size), _voxel_set(gt.points, voxel_size))
+
+
+def average_precision(scored_ious, num_gt, iou_threshold):
+    """One class's AP as evaluate_scene takes it: greedy matching, then the precision-envelope area.
+
+    ``scored_ious`` holds one (score, per-GT IoU row) pair per prediction.
+    """
+    if num_gt <= 0:
+        raise ValueError("average_precision needs at least one ground-truth instance")
+    if not scored_ious:
+        return 0.0
+    return _envelope_area(_greedy_match(scored_ious, num_gt, iou_threshold), num_gt)
 
 
 def instance_iou_sets(pred, gt, voxel_size):

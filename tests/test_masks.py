@@ -4,15 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rgbdnav.masks import (
-    IsolatedDepth,
-    StructuringElement,
-    erode_bitmap,
-    erode_mask,
-    isolate_depth,
-    zscore_filter,
-)
-from rgbdnav.types import CameraIntrinsics, CameraPose, DepthFrame, Detection2D, InstanceMask
+from rgbdnav.masks import erode_bitmap, erode_mask, zscore_filter
+from rgbdnav.projection import back_project_pixels, reconstruct_object
+from rgbdnav.types import CameraIntrinsics, CameraPose, DepthFrame, Detection2D, InstanceMask, PipelineConfig
 
 from conftest import erosion_oracle, zscore_keep_oracle
 
@@ -34,19 +28,8 @@ def _frame(depth):
     return DepthFrame("f0", depth, intr, CameraPose.identity())
 
 
-class TestStructuringElement:
-    def test_default_is_full_3x3(self):
-        assert StructuringElement.box(3).bitmap.all()
-
-    def test_even_side_rejected(self):
-        with pytest.raises(ValueError):
-            StructuringElement(np.ones((2, 3), dtype=bool))
-
-    def test_unset_center_rejected(self):
-        bad = np.ones((3, 3), dtype=bool)
-        bad[1, 1] = False
-        with pytest.raises(ValueError):
-            StructuringElement(bad)
+# reconstruct_object without erosion or z-filter: the gathered depths, back-projected
+GATHER_ONLY = PipelineConfig(tau=np.inf, kernel_size=1)
 
 
 class TestErosion:
@@ -96,15 +79,22 @@ class TestErosion:
         assert out.detection is mask.detection
         assert np.count_nonzero(out.bitmap) < np.count_nonzero(mask.bitmap)
 
+    @pytest.mark.parametrize("size", [0, -1, 2, 4])
+    def test_even_or_non_positive_size_rejected(self, size):
+        with pytest.raises(ValueError, match="kernel_size must be odd and >= 1"):
+            erode_mask(_mask(np.ones((4, 6))), size)
+        with pytest.raises(ValueError, match="kernel_size must be odd and >= 1"):
+            PipelineConfig(kernel_size=size)
+
 
 class TestIsolateDepth:
     def test_collects_masked_depths(self):
         depth = np.full((4, 4), 2.0)
         bitmap = np.zeros((4, 4), dtype=bool)
         bitmap[1:3, 1:3] = True
-        iso = isolate_depth(_frame(depth), _mask(bitmap))
-        assert len(iso) == 4
-        assert np.all(iso.depths == 2.0)
+        cloud = reconstruct_object(_frame(depth), _mask(bitmap), GATHER_ONLY)
+        assert len(cloud.points) == 4
+        assert np.all(cloud.points[:, 2] == 2.0)
 
     def test_zero_depth_excluded(self):
         depth = np.full((4, 4), 2.0)
@@ -112,58 +102,57 @@ class TestIsolateDepth:
         bitmap = np.zeros((4, 4), dtype=bool)
         bitmap[1, 1] = True
         bitmap[1, 2] = True
-        iso = isolate_depth(_frame(depth), _mask(bitmap))
-        assert len(iso) == 1
-        assert iso.us[0] == 2 and iso.vs[0] == 1
+        frame = _frame(depth)
+        cloud = reconstruct_object(frame, _mask(bitmap), GATHER_ONLY)
+        assert len(cloud.points) == 1
+        assert np.array_equal(cloud.points, back_project_pixels([2], [1], [2.0], frame.intrinsics))
 
     def test_mask_over_invalid_region_is_empty(self):
         depth = np.zeros((4, 4))
         bitmap = np.ones((4, 4), dtype=bool)
-        assert len(isolate_depth(_frame(depth), _mask(bitmap))) == 0
+        assert reconstruct_object(_frame(depth), _mask(bitmap), GATHER_ONLY) is None
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            isolate_depth(_frame(np.ones((4, 4))), _mask(np.ones((5, 5))))
+        with pytest.raises(ValueError, match="outside depth shape"):
+            reconstruct_object(_frame(np.ones((4, 4))), _mask(np.ones((5, 5))), GATHER_ONLY)
 
     @given(arrays(bool, (6, 6)))
     def test_size_bounded_by_popcount(self, bitmap):
         depth = np.full((6, 6), 1.5)
-        iso = isolate_depth(_frame(depth), _mask(bitmap))
-        assert len(iso) <= int(bitmap.sum())
+        cloud = reconstruct_object(_frame(depth), _mask(bitmap), GATHER_ONLY)
+        assert (0 if cloud is None else len(cloud.points)) <= int(bitmap.sum())
 
 
-def _isolated(values):
-    values = np.asarray(values, dtype=np.float64)
-    n = len(values)
-    return IsolatedDepth(np.arange(n), np.zeros(n, dtype=int), values)
+def _depths(values):
+    return np.asarray(values, dtype=np.float64)
 
 
 class TestZScoreFilter:
     def test_uniform_values_pass_through(self):
-        iso = _isolated([1.0] * 10)
+        iso = _depths([1.0] * 10)
         assert len(zscore_filter(iso, 2.0)) == 10
 
     def test_outlier_removed(self):
         values = [1.0] * 20 + [9.0]
-        kept = zscore_filter(_isolated(values), 2.0)
+        kept = zscore_filter(_depths(values), 2.0)
         # the oracle agrees the 9.0 entry is the only casualty
         mu = np.mean(values)
         sigma = np.std(values)
         assert abs((9.0 - mu) / sigma) >= 2.0
         assert len(kept) == 20
-        assert kept.depths.max() == 1.0
+        assert np.max(np.array(values)[kept]) == 1.0
 
     def test_infinite_tau_is_identity(self):
-        iso = _isolated([1.0, 2.0, 3.0, 50.0])
+        iso = _depths([1.0, 2.0, 3.0, 50.0])
         assert len(zscore_filter(iso, np.inf)) == 4
 
     def test_small_sets_untouched(self):
-        iso = _isolated([1.0, 100.0])
+        iso = _depths([1.0, 100.0])
         assert len(zscore_filter(iso, 2.0)) == 2
 
     def test_invalid_tau_rejected(self):
         with pytest.raises(ValueError):
-            zscore_filter(_isolated([1.0, 2.0, 3.0]), 0.0)
+            zscore_filter(_depths([1.0, 2.0, 3.0]), 0.0)
 
     def test_1000_random_sets_match_oracle(self):
         rng = np.random.default_rng(11)
@@ -172,17 +161,17 @@ class TestZScoreFilter:
             values = rng.uniform(0.5, 5.0, size=n)
             if rng.random() < 0.3 and n >= 3:
                 values[0] = 50.0  # force an outlier sometimes
-            kept = zscore_filter(_isolated(values), 2.0)
+            kept = zscore_filter(_depths(values), 2.0)
             expected = zscore_keep_oracle(list(values), 2.0)
-            assert list(kept.us) == expected
+            assert list(kept) == expected
 
     @given(st.lists(st.floats(0.1, 100.0), min_size=0, max_size=30), st.floats(0.5, 5.0))
     def test_kept_values_satisfy_predicate_on_original_stats(self, values, tau):
-        iso = _isolated(values)
+        iso = _depths(values)
         kept = zscore_filter(iso, tau)
         assert len(kept) <= len(iso)
         if len(values) >= 3:
             mu = np.mean(values)
             sigma = np.std(values)
             if sigma > 0:
-                assert np.all(np.abs(kept.depths - mu) / sigma < tau)
+                assert np.all(np.abs(iso[kept] - mu) / sigma < tau)

@@ -2,19 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rgbdnav.projection import (
-    back_project,
     back_project_pixels,
     project_to_pixels,
     reconstruct_object,
     to_camera,
     to_world,
 )
-from rgbdnav.masks import IsolatedDepth, StructuringElement, erode_bitmap, zscore_filter
 from rgbdnav.types import (
     CameraIntrinsics,
     CameraPose,
@@ -25,30 +23,26 @@ from rgbdnav.types import (
     PipelineConfig,
 )
 
-from conftest import random_rotation
-
-
-def _isolated(us, vs, ds):
-    return IsolatedDepth(np.asarray(us), np.asarray(vs), np.asarray(ds, dtype=np.float64))
+from conftest import erosion_oracle, random_rotation, zscore_keep_oracle, zscore_rounding_decides
 
 
 class TestBackProject:
     def test_principal_point_maps_to_axis(self):
         intr = CameraIntrinsics(320.0, 320.0, 31.0, 23.0, 64, 48)
-        pts = back_project(_isolated([31], [23], [2.5]), intr)
+        pts = back_project_pixels([31], [23], [2.5], intr)
         assert np.allclose(pts, [[0.0, 0.0, 2.5]])
 
     def test_unit_focal_direct_substitution(self):
         intr = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 64, 48)
-        pts = back_project(_isolated([2], [3], [4.0]), intr)
+        pts = back_project_pixels([2], [3], [4.0], intr)
         assert np.allclose(pts, [[8.0, 12.0, 4.0]])
 
     def test_doubling_fx_halves_x_only(self):
         a = CameraIntrinsics(100.0, 80.0, 32.0, 24.0, 64, 48)
         b = CameraIntrinsics(200.0, 80.0, 32.0, 24.0, 64, 48)
-        iso = _isolated([10, 50], [5, 40], [1.0, 3.0])
-        pa = back_project(iso, a)
-        pb = back_project(iso, b)
+        pixels = ([10, 50], [5, 40], [1.0, 3.0])
+        pa = back_project_pixels(*pixels, a)
+        pb = back_project_pixels(*pixels, b)
         assert np.allclose(pb[:, 0], pa[:, 0] / 2)
         assert np.allclose(pb[:, 1:], pa[:, 1:])
 
@@ -197,18 +191,25 @@ class TestReconstructObject:
 
 
 def reconstruct_full_image_reference(frame, bitmap, config):
-    """World points of the full-image path: erode the whole image's bitmap, gather every set pixel's depth.
+    """World points of the full-image path, built from the test oracles alone.
 
-    None where that path drops the detection.
+    The double-loop erosion of the whole image's bitmap, every set pixel's
+    valid depth in row-major order, the plain-Python z-score rule, then the
+    pinhole formula pixel by pixel and :func:`to_world`. None where that
+    path drops the detection. Examples where rounding alone decides the
+    z-score rule are rejected: the two sides sum in different orders.
     """
-    eroded = erode_bitmap(bitmap, StructuringElement.box(config.kernel_size).bitmap)
-    vs, us = np.nonzero(eroded)
-    d = frame.depth[vs, us]
-    valid = d > 0
-    filtered = zscore_filter(IsolatedDepth(us[valid], vs[valid], d[valid]), config.tau)
-    if len(filtered) == 0:
+    selem = np.ones((config.kernel_size, config.kernel_size), dtype=bool)
+    vs, us = np.nonzero(erosion_oracle(bitmap, selem))
+    pixels = [(u, v, frame.depth[v, u]) for u, v in zip(us, vs) if frame.depth[v, u] > 0]
+    depths = [d for _, _, d in pixels]
+    assume(not zscore_rounding_decides(depths, config.tau))
+    kept = [pixels[i] for i in zscore_keep_oracle(depths, config.tau)]
+    if not kept:
         return None
-    return to_world(back_project(filtered, frame.intrinsics), frame.pose)
+    intr = frame.intrinsics
+    cam = [((u - intr.cx) * d / intr.fx, (v - intr.cy) * d / intr.fy, d) for u, v, d in kept]
+    return to_world(np.array(cam), frame.pose)
 
 
 @st.composite
