@@ -10,6 +10,10 @@ Subcommands:
 Any flag can also come from a '--config FILE' line 'key = value', the value as
 typed after the flag ('start = 1 2 3'); flags given on the command line win.
 The perturbation.txt that synth writes is a valid synth --config.
+
+Exit status: 0 on success; 1 for bad input or a file that cannot be read or
+written; 2 for a bad flag. Subcommands raise; main prints the one line
+'rgbdnav <cmd>: <message>' to stderr and picks the status.
 """
 from __future__ import annotations
 
@@ -23,7 +27,9 @@ import numpy as np
 from . import bench, evaluation, fusion, navsim, oracle, scene_io
 from .types import Box3D, PipelineConfig, check_voxel_size
 
-logger = logging.getLogger(__name__)
+
+class UsageError(Exception):
+    """A flag or argument the command cannot run with (exit status 2)."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,22 +105,23 @@ def _parse_with_config(parser: argparse.ArgumentParser, argv: list[str]) -> argp
     return parser.parse_args(argv)
 
 
-def cmd_detect(args) -> int:
+def _flag(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a ValueError raised as an invalid-flag UsageError."""
     try:
-        config = PipelineConfig(
-            tau=args.tau,
-            kernel_size=args.kernel_size,
-            merge_threshold=args.merge_threshold,
-            voxel_size=args.voxel_size,
-        )
+        return build(*args, **kwargs)
     except ValueError as e:
-        print(f"rgbdnav detect: invalid flag: {e}", file=sys.stderr)
-        return 2
-    try:
-        instances, stats = fusion.run_scene(scene_io.iter_views(args.scene_dir), config)
-    except (scene_io.SceneError, ValueError) as e:
-        print(f"rgbdnav detect: {e}", file=sys.stderr)
-        return 1
+        raise UsageError(f"invalid flag: {e}") from e
+
+
+def cmd_detect(args) -> int:
+    config = _flag(
+        PipelineConfig,
+        tau=args.tau,
+        kernel_size=args.kernel_size,
+        merge_threshold=args.merge_threshold,
+        voxel_size=args.voxel_size,
+    )
+    instances, stats = fusion.run_scene(scene_io.iter_views(args.scene_dir), config)
     out_dir = Path(args.out_dir)
     scene_io.write_instances(instances, out_dir)
     print(f"views:          {stats.views}")
@@ -127,62 +134,35 @@ def cmd_detect(args) -> int:
 
 def cmd_eval(args) -> int:
     if len(args.dirs) % 2:
-        print("rgbdnav eval: directories must come in PRED_DIR GT_DIR pairs", file=sys.stderr)
-        return 2
-    try:
-        check_voxel_size(args.voxel_size)
-    except ValueError as e:
-        print(f"rgbdnav eval: invalid flag: {e}", file=sys.stderr)
-        return 2
+        raise UsageError("directories must come in PRED_DIR GT_DIR pairs")
+    _flag(check_voxel_size, args.voxel_size)
     pairs = [(args.dirs[i], args.dirs[i + 1]) for i in range(0, len(args.dirs), 2)]
     reports = []
     for pred_dir, gt_dir in pairs:
-        try:
-            pred = scene_io.load_instances(pred_dir)
-            gt = scene_io.load_gt_instances(Path(gt_dir))
-        except (scene_io.SceneError, ValueError) as e:
-            print(f"rgbdnav eval: {e}", file=sys.stderr)
-            return 1
-        vocabulary = {g.label for g in gt}
-        unknown = sorted({c.label for c in pred} - vocabulary)
+        pred = scene_io.load_instances(pred_dir)
+        gt = scene_io.load_gt_instances(Path(gt_dir))
+        unknown = sorted({c.label for c in pred} - {g.label for g in gt})
         if unknown:
-            print(
-                f"rgbdnav eval: predictions in {pred_dir} use labels outside the "
-                f"ground-truth vocabulary: {', '.join(unknown)}",
-                file=sys.stderr,
+            raise scene_io.SceneError(
+                f"predictions in {pred_dir} use labels outside the "
+                f"ground-truth vocabulary: {', '.join(unknown)}"
             )
-            return 1
         if not gt:
-            print(f"rgbdnav eval: {gt_dir} holds no ground-truth instances", file=sys.stderr)
-            return 1
-        try:
-            reports.append(evaluation.evaluate_scene(pred, gt, args.voxel_size))
-        except ValueError as e:  # a voxel grid too fine for the scene's extent
-            print(f"rgbdnav eval: {e}", file=sys.stderr)
-            return 1
-    report = evaluation.macro_average(reports)
-    text = evaluation.format_report(report, args.voxel_size)
-    print(text, end="")
+            raise scene_io.SceneError(f"{gt_dir} holds no ground-truth instances")
+        reports.append(evaluation.evaluate_scene(pred, gt, args.voxel_size))
+    text = evaluation.format_report(evaluation.macro_average(reports), args.voxel_size)
     out = Path(args.out) if args.out else Path(pairs[0][0]) / "eval_report.txt"
     out.write_text(text)
+    print(text, end="")
     print(f"report written to {out}")
     return 0
 
 
 def cmd_bench(args) -> int:
     if args.repeats < 1:
-        print("rgbdnav bench: --repeats must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        config = PipelineConfig(tau=args.tau)
-    except ValueError as e:
-        print(f"rgbdnav bench: invalid flag: {e}", file=sys.stderr)
-        return 2
-    try:
-        views = scene_io.load_scene(args.scene_dir)
-    except scene_io.SceneError as e:
-        print(f"rgbdnav bench: {e}", file=sys.stderr)
-        return 1
+        raise UsageError("--repeats must be >= 1")
+    config = _flag(PipelineConfig, tau=args.tau)
+    views = scene_io.load_scene(args.scene_dir)
     rows = bench.time_scene(views, config, repeats=args.repeats)
     print(bench.format_bench_table(rows, len(views)), end="")
     return 0
@@ -198,8 +178,7 @@ def _labeled_box(line: str) -> oracle.LabeledBox:
 
 def cmd_synth(args) -> int:
     if args.views < 1:
-        print("rgbdnav synth: --views must be >= 1", file=sys.stderr)
-        return 2
+        raise UsageError("--views must be >= 1")
     try:
         boxes = scene_io.read_records(args.boxes, _labeled_box) if args.boxes else oracle.default_box_layout()
         noise = oracle.PerturbationConfig(
@@ -211,15 +190,9 @@ def cmd_synth(args) -> int:
         )
         intr = oracle.default_intrinsics(args.width, args.height, args.focal)
     except (scene_io.SceneError, ValueError) as e:
-        print(f"rgbdnav synth: {e}", file=sys.stderr)
-        return 2
-    trajectory = oracle.default_trajectory(args.views)
-    try:
-        oracle.make_synthetic_scene(boxes, trajectory, intr, args.out_dir)
-        written = oracle.populate_detections(args.out_dir, noise)
-    except (ValueError, scene_io.SceneError) as e:
-        print(f"rgbdnav synth: {e}", file=sys.stderr)
-        return 1
+        raise UsageError(str(e)) from e
+    oracle.make_synthetic_scene(boxes, oracle.default_trajectory(args.views), intr, args.out_dir)
+    written = oracle.populate_detections(args.out_dir, noise)
     noise.to_file(Path(args.out_dir) / "perturbation.txt")
     print(f"wrote scene with {args.views} view(s), {len(boxes)} object(s), "
           f"{written} detection(s) to {args.out_dir}")
@@ -228,24 +201,15 @@ def cmd_synth(args) -> int:
 
 def cmd_navsim(args) -> int:
     if args.world and args.scenario:
-        print("rgbdnav navsim: give either --world or --scenario, not both", file=sys.stderr)
-        return 2
+        raise UsageError("give either --world or --scenario, not both")
     if args.world:
-        try:
-            world = navsim.load_world(args.world)
-            x, y, theta = args.start
-            start = navsim.RobotState(np.array([x, y]), theta)
-        except (scene_io.SceneError, ValueError) as e:
-            print(f"rgbdnav navsim: {e}", file=sys.stderr)
-            return 1
+        world = navsim.load_world(args.world)
+        x, y, theta = args.start
+        start = navsim.RobotState(np.array([x, y]), theta)
     else:
-        scenario = args.scenario or "open"
-        world, start = navsim.SCENARIOS[scenario]()
-    try:
-        traj = navsim.run_navigation(world, start, max_steps=args.max_steps, robot_radius=args.robot_radius)
-    except ValueError as e:  # the step limit or robot radius, checked before the first step
-        print(f"rgbdnav navsim: invalid flag: {e}", file=sys.stderr)
-        return 2
+        world, start = navsim.SCENARIOS[args.scenario or "open"]()
+    # run_navigation checks the step limit and robot radius before its first step
+    traj = _flag(navsim.run_navigation, world, start, max_steps=args.max_steps, robot_radius=args.robot_radius)
     navsim.save_trajectory(traj, args.out_traj)
     print(
         f"outcome: {traj.outcome} after {len(traj.times) - 1} step(s), "
@@ -266,7 +230,11 @@ def main(argv: list[str] | None = None) -> int:
         "synth": cmd_synth,
         "navsim": cmd_navsim,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (UsageError, scene_io.SceneError, ValueError, OSError) as e:
+        print(f"rgbdnav {args.command}: {e}", file=sys.stderr)
+        return 2 if isinstance(e, UsageError) else 1
 
 
 if __name__ == "__main__":

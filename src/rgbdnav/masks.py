@@ -44,16 +44,16 @@ def zscore_filter(depths: np.ndarray, tau: float = 2.0) -> np.ndarray:
 
     The mean and population standard deviation are taken over the input
     depths once; the kept set is decided against those original statistics.
-    Degenerate inputs (fewer than 3 entries, or zero spread) keep every
-    index so small uniform objects survive.
+    Degenerate inputs (fewer than 3 entries, or all depths equal) keep every
+    index so small uniform objects survive. Equality is decided on the
+    depths themselves, before the mean: the float mean of equal depths can
+    miss them and leave a spread of pure rounding error.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     n = len(depths)
-    if n < 3:
+    if n < 3 or depths.min() == depths.max():
         return np.arange(n)
     mu = float(np.mean(depths))
     sigma = float(np.std(depths))
-    if sigma == 0.0:
-        return np.arange(n)
     return np.flatnonzero(np.abs(depths - mu) / sigma < tau)

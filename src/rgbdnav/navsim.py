@@ -290,17 +290,6 @@ def rangefinder_scan(
     return ranges
 
 
-def point_obstacle_distance(point: np.ndarray, obs: Obstacle) -> float:
-    """Signed-ish clearance: distance from a point to the obstacle boundary."""
-    p = np.asarray(point, dtype=np.float64)
-    if isinstance(obs, Circle):
-        return float(np.linalg.norm(p - obs.center) - obs.radius)
-    e = obs.b - obs.a
-    denom = float(e @ e)
-    t = 0.0 if denom == 0 else float(np.clip((p - obs.a) @ e / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (obs.a + t * e)))
-
-
 def clearance(world: WorldModel2D, point: np.ndarray) -> float:
     """Distance from a point to the nearest obstacle boundary (inf when empty).
 
@@ -520,10 +509,13 @@ def sample_clear_world(
 ) -> tuple[WorldModel2D, RobotState]:
     """Random circle field with every passage at least 2*(robot_radius + d_safe) wide.
 
-    Start is the origin heading +x; the target sits 7-8 m away. Obstacles
-    keep the stated clearance margin from each other, the start, and the
-    target, which is the precondition under which the controller is
-    expected to stay collision-free.
+    Start is the origin heading +x; the target sits 7-8 m away. Circles are
+    drawn one candidate at a time, and a candidate is kept only when it
+    keeps the stated clearance margin from the start, the target and every
+    circle kept before it, which is the precondition under which the
+    controller is expected to stay collision-free. Drawing stops at
+    ``n_obstacles`` circles or after 500 candidates, so a world may hold
+    fewer than ``n_obstacles`` circles.
     """
     rng = np.random.default_rng(seed)
     margin = 2.0 * (robot_radius + cfg.d_safe)
@@ -535,15 +527,10 @@ def sample_clear_world(
         attempts += 1
         c = np.array([rng.uniform(1.5, 6.0), rng.uniform(-2.0, 2.0)])
         r = rng.uniform(0.25, 0.45)
-        cand = Circle(c, r)
-        if point_obstacle_distance(start, cand) < margin:
+        if np.linalg.norm(start - c) - r < margin or np.linalg.norm(target - c) - r < margin:
             continue
-        if point_obstacle_distance(target, cand) < margin:
+        if any(np.linalg.norm(c - other.center) - r - other.radius < margin for other in circles):
             continue
-        if any(
-            np.linalg.norm(c - other.center) - r - other.radius < margin for other in circles
-        ):
-            continue
-        circles.append(cand)
+        circles.append(Circle(c, r))
     world = WorldModel2D(circles, target)
     return world, RobotState(start, 0.0)

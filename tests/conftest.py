@@ -80,35 +80,32 @@ def odd_kernels(draw) -> np.ndarray:
 
 
 def zscore_keep_oracle(values, tau: float) -> list[int]:
-    """Indices kept by the z-score rule, computed with plain Python arithmetic."""
+    """Indices kept by the z-score rule, computed with plain Python arithmetic.
+
+    Fewer than 3 values, or values all equal, keep every index.
+    """
     n = len(values)
-    if n < 3:
+    if n < 3 or min(values) == max(values):
         return list(range(n))
     mu = sum(values) / n
     sigma = (sum((v - mu) ** 2 for v in values) / n) ** 0.5
-    if sigma == 0:
-        return list(range(n))
     return [i for i, v in enumerate(values) if abs(v - mu) / sigma < tau]
 
 
 def zscore_rounding_decides(values, tau: float) -> bool:
     """Whether float rounding alone decides the z-score rule on these values.
 
-    True when, in exact arithmetic, some value's z-score equals tau, or the
-    values are all equal but some multiple of them up to their count is not
-    a float, so a partial sum can round, the float mean miss the value and
-    leave a spread of pure rounding error. The outcome then depends on the
-    order of summation, which differs between numpy's pairwise sum and
-    plain Python's.
+    True when, in exact arithmetic, some value's z-score equals tau. The
+    outcome then depends on the order of summation, which differs between
+    numpy's pairwise sum and plain Python's. Equal values never qualify:
+    both sides keep them all before taking a mean.
     """
     n = len(values)
-    if n < 3:
+    if n < 3 or min(values) == max(values):
         return False
     exact = [Fraction(v) for v in values]
     mu = sum(exact) / n
     var = sum((v - mu) ** 2 for v in exact) / n
-    if var == 0:
-        return any(Fraction(values[0] * k) != exact[0] * k for k in range(2, n + 1))
     return any((v - mu) ** 2 == Fraction(tau) ** 2 * var for v in exact)
 
 

@@ -352,6 +352,34 @@ def test_undecodable_text_file_named(capsys, two_cube_scene, tmp_path, command, 
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, place",
+    [("detect", "file"), ("detect", "under_file"), ("eval", "missing_dir"), ("eval", "under_file"),
+     ("synth", "file"), ("synth", "under_file"), ("navsim", "missing_dir"), ("navsim", "under_file")],
+)
+def test_unwritable_output_one_line(capsys, two_cube_scene, tmp_path, command, place):
+    # the output path cannot be written: its parent directory is missing, its
+    # parent is a file, or the output directory is a file itself
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    name = {"detect": "pred", "synth": "scene", "eval": "r.txt", "navsim": "t.csv"}[command]
+    out = {"missing_dir": tmp_path / "missing" / name, "under_file": blocker / name, "file": blocker}[place]
+    small = ["--views", "2", "--width", "160", "--height", "120", "--focal", "145"]
+    argv = {
+        "detect": ["detect", str(two_cube_scene), str(out)],
+        "eval": ["eval", str(tmp_path / "pred"), str(two_cube_scene), "--out", str(out)],
+        "synth": ["synth", str(out), *small],
+        "navsim": ["navsim", str(out), "--scenario", "open"],
+    }[command]
+    if command == "eval":
+        assert run_cli(capsys, "detect", str(two_cube_scene), str(tmp_path / "pred"))[0] == 0
+    code, printed, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith(f"rgbdnav {command}: ") and str(out) in err
+    assert err.count("\n") == 1
+    assert printed == ""
+
+
 class TestBench:
     def test_reports_rows_and_mean(self, capsys, two_cube_scene):
         code, out, _ = run_cli(capsys, "bench", str(two_cube_scene), "--repeats", "3")

@@ -170,8 +170,18 @@ class TestZScoreFilter:
         iso = _depths(values)
         kept = zscore_filter(iso, tau)
         assert len(kept) <= len(iso)
-        if len(values) >= 3:
+        if len(values) < 3 or min(values) == max(values):
+            assert len(kept) == len(iso)
+        else:
             mu = np.mean(values)
             sigma = np.std(values)
-            if sigma > 0:
-                assert np.all(np.abs(iso[kept] - mu) / sigma < tau)
+            assert np.all(np.abs(iso[kept] - mu) / sigma < tau)
+
+    @pytest.mark.parametrize("tau", [0.5, 1.0])
+    @pytest.mark.parametrize("depth, n", [(3.616, 5), (2.345, 10), (0.1, 3)])
+    def test_uniform_depth_kept_when_its_mean_rounds(self, depth, n, tau):
+        # the float mean of these equal depths misses the depth, leaving a
+        # spread of pure rounding error that puts every z-score near 1
+        depths = np.full(n, depth)
+        assert float(np.mean(depths)) != depth and float(np.std(depths)) > 0
+        assert list(zscore_filter(depths, tau)) == list(range(n))

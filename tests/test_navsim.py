@@ -19,7 +19,6 @@ from rgbdnav.navsim import (
     clearance,
     load_world,
     odometry_update,
-    point_obstacle_distance,
     rangefinder_scan,
     run_navigation,
     sample_clear_world,
@@ -82,6 +81,17 @@ def rangefinder_scan_reference(state, world, fov, n_rays, max_range):
             t = _ray_segment(state.position, dirs, obs)
         ranges = np.minimum(ranges, t)
     return np.minimum(ranges, max_range)
+
+
+def point_obstacle_distance(point, obs):
+    """Signed-ish clearance: distance from a point to the obstacle boundary."""
+    p = np.asarray(point, dtype=np.float64)
+    if isinstance(obs, Circle):
+        return float(np.linalg.norm(p - obs.center) - obs.radius)
+    e = obs.b - obs.a
+    denom = float(e @ e)
+    t = 0.0 if denom == 0 else float(np.clip((p - obs.a) @ e / denom, 0.0, 1.0))
+    return float(np.linalg.norm(p - (obs.a + t * e)))
 
 
 def clearance_reference(world, point):
