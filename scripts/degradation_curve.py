@@ -5,13 +5,15 @@ import tempfile
 from pathlib import Path
 
 from rgbdnav import evaluation, fusion, oracle, scene_io
-from rgbdnav.types import ObjectCloud, PipelineConfig
+from rgbdnav.types import GroundTruth, PipelineConfig
+
+EVAL_VOXEL = 0.02
 
 
-def run_once(scene_dir: Path, gt: list[ObjectCloud], drop: float, seed: int) -> evaluation.EvalReport:
+def run_once(scene_dir: Path, gt: list[GroundTruth], drop: float, seed: int) -> evaluation.EvalReport:
     oracle.populate_detections(scene_dir, oracle.PerturbationConfig(seed=seed, drop_prob=drop))
     instances, _ = fusion.run_scene(scene_io.iter_views(scene_dir), PipelineConfig())
-    return evaluation.evaluate_scene(instances, gt)
+    return evaluation.evaluate_scene(instances, gt, EVAL_VOXEL)
 
 
 def main() -> int:
@@ -34,7 +36,7 @@ def main() -> int:
             scene_dir,
         )
 
-    gt = scene_io.load_gt_instances(scene_dir)  # detections change with the drop rate; GT does not
+    gt = scene_io.load_gt_instances(scene_dir, EVAL_VOXEL)  # detections change with the drop rate; GT does not
     print(f"{'drop_prob':>10} {'mAP':>8} {'mAP50':>8} {'mAP25':>8}")
     for drop in args.drops:
         report = run_once(scene_dir, gt, drop, args.seed)

@@ -140,15 +140,13 @@ def cmd_eval(args) -> int:
     reports = []
     for pred_dir, gt_dir in pairs:
         pred = scene_io.load_instances(pred_dir)
-        gt = scene_io.load_gt_instances(Path(gt_dir))
+        gt = scene_io.load_gt_instances(Path(gt_dir), args.voxel_size)
         unknown = sorted({c.label for c in pred} - {g.label for g in gt})
         if unknown:
             raise scene_io.SceneError(
                 f"predictions in {pred_dir} use labels outside the "
                 f"ground-truth vocabulary: {', '.join(unknown)}"
             )
-        if not gt:
-            raise scene_io.SceneError(f"{gt_dir} holds no ground-truth instances")
         reports.append(evaluation.evaluate_scene(pred, gt, args.voxel_size))
     text = evaluation.format_report(evaluation.macro_average(reports), args.voxel_size)
     out = Path(args.out) if args.out else Path(pairs[0][0]) / "eval_report.txt"

@@ -1,11 +1,12 @@
 """Class-wise average precision over 3D instances.
 
-Instances are compared at the point level: both point sets are voxelized on
-a shared grid and IoU is taken over the occupied-voxel sets. AP follows the
-usual detection recipe: predictions sorted by descending score are greedily
-matched to the highest-IoU unmatched ground-truth instance of the same class
-at or above the IoU threshold, and AP is the area under the monotone
-(non-increasing) precision envelope over recall.
+Instances are compared at the point level: IoU is taken over the sets of
+voxels they occupy on one grid. A prediction's points are voxelized here;
+ground truth arrives already voxelized on that grid (:class:`GroundTruth`).
+AP follows the usual detection recipe: predictions sorted by descending
+score are greedily matched to the highest-IoU unmatched ground-truth
+instance of the same class at or above the IoU threshold, and AP is the
+area under the monotone (non-increasing) precision envelope over recall.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import voxel_keys
-from .types import ObjectCloud
+from .types import GroundTruth, ObjectCloud
 
 MAP_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
@@ -95,23 +96,26 @@ def _envelope_area(tp: np.ndarray, num_gt: int) -> float:
 
 
 def evaluate_scene(
-    pred: list[ObjectCloud], gt: list[ObjectCloud], voxel_size: float = 0.02
+    pred: list[ObjectCloud], gt: list[GroundTruth], voxel_size: float = 0.02
 ) -> EvalReport:
     """Score predictions against ground truth for one scene.
 
     AP is reported at IoU 0.25 and 0.50, and averaged over the 0.50:0.05:0.95
     threshold ladder for the headline number. The class mean runs over classes
     with at least one GT instance; predictions for classes absent from the GT
-    do not contribute. Ground-truth scores are not read.
+    do not contribute. Ground truth keyed at another voxel size raises
+    ValueError: keys from two grids are never compared.
     """
     if not gt:
         raise ValueError("no ground-truth instances: nothing to evaluate")
+    grids = sorted({g.voxel_size for g in gt} - {voxel_size})
+    if grids:
+        raise ValueError(f"ground truth keyed at voxel_size {grids[0]:g}, not the {voxel_size:g} evaluated at")
     classes = sorted({g.label for g in gt})
-    gt_voxels = [_voxel_set(g.points, voxel_size) for g in gt]
     thresholds = {0.25, 0.50, *MAP_THRESHOLDS}
     per_class: dict[str, ClassRow] = {}
     for cls in classes:
-        gts = [v for g, v in zip(gt, gt_voxels) if g.label == cls]
+        gts = [g.keys for g in gt if g.label == cls]
         preds = [cloud for cloud in pred if cloud.label == cls]
         scored = []
         for cloud in preds:

@@ -2,13 +2,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .projection import reconstruct_object
-from .scene_io import SceneView
 from .types import Box3D, ObjectCloud, PipelineConfig, check_voxel_size
+
+if TYPE_CHECKING:  # scene_io imports voxel_keys from here
+    from .scene_io import SceneView
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
@@ -40,7 +42,7 @@ def voxel_keys(points: np.ndarray, voxel_size: float) -> np.ndarray:
     index outside [-2^20, 2^20) cannot be packed and raises ValueError.
     """
     check_voxel_size(voxel_size)
-    # In place where possible: whole GT clouds pass through here, and every
+    # In place where possible: whole fused clouds pass through here, and every
     # full-size temporary adds to the process's peak RSS.
     cells = np.asarray(points, dtype=np.float64).reshape(-1, 3) / voxel_size
     np.floor(cells, out=cells)

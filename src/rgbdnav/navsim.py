@@ -81,7 +81,9 @@ class ObstacleArrays(NamedTuple):
 
     Row i of ``starts``/``edges``/``radii`` is the set of points within
     ``radii[i]`` of the segment ``starts[i] + [0, 1] * edges[i]``: a circle
-    is a zero-length edge, a segment has radius 0.
+    is a zero-length edge, a segment has radius 0. ``rows`` holds the same
+    numbers as Python floats, one tuple per obstacle: over a few rows, a
+    loop of float arithmetic costs less than a dozen numpy calls.
     """
 
     starts: np.ndarray  # (n, 2) circle centres, then segment starts
@@ -89,6 +91,7 @@ class ObstacleArrays(NamedTuple):
     inv_len2: np.ndarray  # (n,) 1 / |edge|^2, 0 for a zero-length edge
     radii: np.ndarray  # (n,) circle radius, 0 for segments
     n_circles: int
+    rows: tuple[tuple[float, float, float, float, float, float], ...]  # (sx, sy, ex, ey, inv_len2, radius)
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,8 @@ class WorldModel2D:
         radii = np.array([c.radius for c in circles] + [0.0] * len(segments))
         for a in (starts, edges, inv_len2, radii):
             a.setflags(write=False)
-        return ObstacleArrays(starts, edges, inv_len2, radii, len(circles))
+        rows = tuple(map(tuple, np.column_stack([starts, edges, inv_len2, radii]).tolist()))
+        return ObstacleArrays(starts, edges, inv_len2, radii, len(circles), rows)
 
 
 @dataclass(frozen=True)
@@ -293,16 +297,17 @@ def rangefinder_scan(
 def clearance(world: WorldModel2D, point: np.ndarray) -> float:
     """Distance from a point to the nearest obstacle boundary (inf when empty).
 
-    One vectorized pass over ``world.geometry``: the distance to each
-    obstacle's edge (a point for a circle) minus its radius.
+    The least, over ``world.geometry.rows``, of the distance to the
+    obstacle's edge (a point for a circle) minus its radius, in Python
+    floats: the call runs once per step on a handful of obstacles.
     """
-    g = world.geometry
-    if not len(g.radii):
-        return math.inf
-    d = np.asarray(point, dtype=np.float64) - g.starts
-    t = (d * g.edges).sum(axis=1) * g.inv_len2
-    d -= np.minimum(np.maximum(t, 0.0), 1.0)[:, None] * g.edges
-    return float(np.minimum.reduce(np.hypot(d[:, 0], d[:, 1]) - g.radii))
+    x, y = np.asarray(point, dtype=np.float64).tolist()
+    nearest = math.inf
+    for sx, sy, ex, ey, inv_len2, radius in world.geometry.rows:
+        dx, dy = x - sx, y - sy
+        t = min(max((dx * ex + dy * ey) * inv_len2, 0.0), 1.0)
+        nearest = min(nearest, math.hypot(dx - t * ex, dy - t * ey) - radius)
+    return nearest
 
 
 # ---------------------------------------------------------------------------

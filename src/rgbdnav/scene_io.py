@@ -19,8 +19,11 @@ cannot be read or decoded raises SceneLayoutError naming it. Views stream:
 :func:`iter_views` reads each frame only when it is reached.
 
 Ground truth is not read by :func:`iter_views`: :func:`load_gt_instances`
-derives it from the id images, as ObjectClouds with score 1.0, so malformed
-ground truth raises its file-naming SceneError only where it is read.
+derives it from the id images, depth and poses, so malformed ground truth
+raises its file-naming SceneError only where it is read. It streams the
+frames like :func:`iter_views` and holds each instance as the voxels it
+occupies on the evaluation grid (:class:`GroundTruth`), not as points, so
+its memory does not grow with the number of views.
 """
 from __future__ import annotations
 
@@ -33,8 +36,9 @@ from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
+from .fusion import voxel_keys
 from .projection import back_project_pixels, to_world
-from .types import CameraIntrinsics, CameraPose, DepthFrame, Detection2D, InstanceMask, ObjectCloud
+from .types import CameraIntrinsics, CameraPose, DepthFrame, Detection2D, GroundTruth, InstanceMask, ObjectCloud
 
 
 class SceneError(Exception):
@@ -346,29 +350,27 @@ def load_gt_ids(scene_dir: Path, frame_id: str, intr: CameraIntrinsics, num_labe
     return ids
 
 
-def load_gt_instances(scene_dir: Path) -> list[ObjectCloud]:
-    """Ground-truth instances of a scene, one per label, from its id images, depth and poses.
+def load_gt_instances(scene_dir: Path, voxel_size: float = 0.02) -> list[GroundTruth]:
+    """Ground-truth instances of a scene, one per label, as the voxels they occupy.
 
-    Each is an ObjectCloud with score 1.0, so its 3D box is defined. The
-    points of instance k are the pixels with id k + 1 back-projected with the
-    frame's saved depth and pose: frames in id order, pixels in row-major
-    order within a frame.
+    The points of instance k are the pixels with id k + 1 back-projected with
+    the frame's saved depth and pose. Frames stream in id order: each is read,
+    checked and reduced to the voxel keys (on a ``voxel_size`` grid) of each
+    instance's points before the next is read, so no frame's points outlive
+    it and memory does not grow with the number of frames. An empty label
+    list or a label with no pixel in any id image raises SceneValidationError.
     """
     root = Path(scene_dir)
     labels = load_gt_labels(root)
+    if not labels:
+        raise SceneValidationError(f"{root / 'gt' / 'labels.txt'}: no labels")
     intr, depth_scale = load_intrinsics(root / "intrinsics.txt")
     gt_frame_ids = sorted(p.stem for p in (root / "gt" / "ids").glob("*.pgm"))
     if not gt_frame_ids:
         raise SceneLayoutError(f"no '<id>.pgm' instance-id images under {root / 'gt' / 'ids'}")
-    # sized from the id images first, so each instance's points are held once
-    id_images = [
-        load_gt_ids(root, frame_id, intr, len(labels)).astype(np.min_scalar_type(len(labels)))
-        for frame_id in gt_frame_ids
-    ]
-    sizes = sum(np.bincount(ids.ravel(), minlength=len(labels) + 1) for ids in id_images)[1:]
-    points = [np.empty((n, 3)) for n in sizes]
-    filled = [0] * len(labels)
-    for frame_id, ids in zip(gt_frame_ids, id_images):
+    keys = [np.empty(0, dtype=np.int64) for _ in labels]
+    for frame_id in gt_frame_ids:
+        ids = load_gt_ids(root, frame_id, intr, len(labels))
         depth = _load_depth(root / "frames" / f"{frame_id}.depth.pgm", frame_id, intr, depth_scale)
         pose = _load_pose(root / "frames" / f"{frame_id}.pose.txt", frame_id)
         vs, us = np.nonzero(ids)
@@ -376,12 +378,12 @@ def load_gt_instances(scene_dir: Path) -> list[ObjectCloud]:
         for k in range(len(labels)):
             mine = owner == k + 1
             ku, kv = us[mine], vs[mine]
-            start, filled[k] = filled[k], filled[k] + len(ku)
-            points[k][start:filled[k]] = to_world(back_project_pixels(ku, kv, depth[kv, ku], intr), pose)
-    unseen = [label for label, n in zip(labels, sizes) if not n]
+            points = to_world(back_project_pixels(ku, kv, depth[kv, ku], intr), pose)
+            keys[k] = np.union1d(keys[k], voxel_keys(points, voxel_size))
+    unseen = [label for label, k in zip(labels, keys) if not k.size]
     if unseen:
         raise SceneValidationError(f"{root / 'gt'}: labels with no pixels in any id image: {unseen}")
-    return [ObjectCloud(pts, label, 1.0) for label, pts in zip(labels, points)]
+    return [GroundTruth(label, k, voxel_size) for label, k in zip(labels, keys)]
 
 
 # ---------------------------------------------------------------------------

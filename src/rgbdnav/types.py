@@ -164,8 +164,8 @@ class Box3D:
 class ObjectCloud:
     """World-frame points for one object instance: the one record per instance.
 
-    Predicted and ground-truth instances alike; ground truth has score 1.0.
     The points are never empty, so the instance's 3D box is always defined.
+    Ground truth is held as voxels instead (:class:`GroundTruth`).
     """
 
     points: np.ndarray
@@ -196,6 +196,23 @@ class ObjectCloud:
         if not (lo.all() and hi.all()):
             lo, hi = self.points.min(axis=0), self.points.max(axis=0)
         return Box3D(lo, hi)
+
+
+@dataclass(frozen=True)
+class GroundTruth:
+    """One ground-truth instance as the voxels it occupies: the one record per GT instance.
+
+    ``keys`` are the sorted unique packed voxel keys (``fusion.voxel_keys``)
+    of its points on a grid of edge ``voxel_size``; they are never empty.
+    """
+
+    label: str
+    keys: np.ndarray
+    voxel_size: float
+
+    def __post_init__(self):
+        if not len(self.keys):
+            raise ValueError(f"ground truth '{self.label}' occupies no voxel")
 
 
 def check_voxel_size(voxel_size: float) -> None:

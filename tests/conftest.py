@@ -1,13 +1,16 @@
 import shutil
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rgbdnav import oracle
-from rgbdnav.types import Box3D
+from rgbdnav import oracle, scene_io
+from rgbdnav.fusion import voxel_keys
+from rgbdnav.projection import back_project_pixels, to_world
+from rgbdnav.types import Box3D, GroundTruth, ObjectCloud
 
 
 def random_rotation(rng) -> np.ndarray:
@@ -144,6 +147,37 @@ def pool_clouds(draw, pool: np.ndarray, max_points: int = 30) -> np.ndarray:
     """Rows drawn from ``pool`` with repetition, so duplicate points are common."""
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=max_points))
     return pool[picks]
+
+
+def gt_points_reference_from_ids(scene_dir) -> list[ObjectCloud]:
+    """Ground truth as points, one ObjectCloud (score 1.0) per label, all frames held at once.
+
+    The points of instance k are the pixels with id k + 1 back-projected with
+    the frame's saved depth and pose: frames in id order, pixels in row-major
+    order within a frame, one back-projection per (frame, instance) as
+    ``scene_io.load_gt_instances`` makes them before keying them.
+    """
+    root = Path(scene_dir)
+    labels = scene_io.load_gt_labels(root)
+    intr, depth_scale = scene_io.load_intrinsics(root / "intrinsics.txt")
+    frame_ids = sorted(p.stem for p in (root / "gt" / "ids").glob("*.pgm"))
+    points = [[] for _ in labels]
+    for frame_id in frame_ids:
+        ids = scene_io.load_gt_ids(root, frame_id, intr, len(labels))
+        depth = scene_io._load_depth(root / "frames" / f"{frame_id}.depth.pgm", frame_id, intr, depth_scale)
+        pose = scene_io._load_pose(root / "frames" / f"{frame_id}.pose.txt", frame_id)
+        vs, us = np.nonzero(ids)
+        owner = ids[vs, us]
+        for k in range(len(labels)):
+            mine = owner == k + 1
+            ku, kv = us[mine], vs[mine]
+            points[k].append(to_world(back_project_pixels(ku, kv, depth[kv, ku], intr), pose))
+    return [ObjectCloud(np.vstack(pts), label, 1.0) for label, pts in zip(labels, points)]
+
+
+def keyed_gt(clouds, voxel_size: float = 0.02) -> list[GroundTruth]:
+    """Ground-truth clouds as evaluate_scene takes them: each cloud's voxel keys on one grid."""
+    return [GroundTruth(c.label, np.unique(voxel_keys(c.points, voxel_size)), voxel_size) for c in clouds]
 
 
 def unicycle_arc(x: float, y: float, theta: float, v: float, omega: float, dt: float):

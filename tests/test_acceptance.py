@@ -23,8 +23,8 @@ from rgbdnav.types import (
     PipelineConfig,
 )
 
-from conftest import erosion_oracle, monte_carlo_iou, random_rotation, unicycle_arc, zscore_keep_oracle
-from test_evaluation import ap_orderings_oracle, average_precision, instance_iou
+from conftest import erosion_oracle, keyed_gt, monte_carlo_iou, random_rotation, unicycle_arc, zscore_keep_oracle
+from test_evaluation import ap_orderings_oracle, average_precision
 
 
 @contextmanager
@@ -53,7 +53,7 @@ def test_criterion_1_oracle_end_to_end(oracle_scene_dir):
         assert len(instances) == 3
         for cloud in instances:
             ref = next(g for g in gt if g.label == cloud.label)
-            iou = instance_iou(cloud, ref, 0.02)
+            iou = evaluation._voxel_iou(evaluation._voxel_set(cloud.points, 0.02), ref.keys)
             assert iou >= 0.95, f"{cloud.label}: voxel IoU {iou:.3f} < 0.95"
         assert report.map == report.map50 == report.map25 == 1.0
         assert elapsed < 10.0, f"pipeline+fusion+eval took {elapsed:.1f} s"
@@ -161,7 +161,7 @@ def test_criterion_5_iou_and_ap_oracles():
                 gts.append(ObjectCloud(pts, f"c{k}", 1.0))
                 jitter = rng.normal(0, rng.uniform(0.0, 0.1), pts.shape)
                 preds.append(ObjectCloud(pts + jitter, f"c{k}", float(rng.random())))
-            report = evaluation.evaluate_scene(preds, gts)
+            report = evaluation.evaluate_scene(preds, keyed_gt(gts))
             assert report.map25 >= report.map50 >= report.map
 
 

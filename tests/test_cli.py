@@ -8,6 +8,8 @@ from rgbdnav import scene_io
 from rgbdnav.cli import main
 from rgbdnav.oracle import PerturbationConfig, populate_detections
 
+from conftest import gt_points_reference_from_ids
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -211,7 +213,7 @@ class TestEval:
         # predictions copied from the ground truth itself
         from rgbdnav.types import ObjectCloud
 
-        gt = scene_io.load_gt_instances(two_cube_scene)
+        gt = gt_points_reference_from_ids(two_cube_scene)
         instances = [ObjectCloud(g.points, g.label, 1.0) for g in gt]
         pred = tmp_path / "pred"
         scene_io.write_instances(instances, pred)
@@ -236,7 +238,7 @@ class TestEval:
     def test_disjoint_predictions_score_zero(self, capsys, two_cube_scene, tmp_path):
         from rgbdnav.types import ObjectCloud
 
-        gt = scene_io.load_gt_instances(two_cube_scene)
+        gt = gt_points_reference_from_ids(two_cube_scene)
         far = [ObjectCloud(g.points + 50.0, g.label, 1.0) for g in gt]
         pred = tmp_path / "pred"
         scene_io.write_instances(far, pred)
@@ -310,6 +312,21 @@ class TestEval:
         assert code == 1
         assert err.startswith(f"rgbdnav {command}: voxel coordinates must lie within ±2^20 cells")
         assert err.count("\n") == 1
+
+    def test_empty_ground_truth_names_labels_file(self, capsys, tmp_path):
+        # no labels and all-background id images: the scene has no ground truth,
+        # whatever labels the predictions use
+        scene, pred = tmp_path / "scene", tmp_path / "pred"
+        small = ["--views", "2", "--width", "160", "--height", "120", "--focal", "145"]
+        assert run_cli(capsys, "synth", str(scene), *small)[0] == 0
+        assert run_cli(capsys, "detect", str(scene), str(pred))[0] == 0
+        (scene / "gt" / "labels.txt").write_text("")
+        for ids in (scene / "gt" / "ids").glob("*.pgm"):
+            scene_io.write_pgm(ids, np.zeros((120, 160), dtype=np.uint16), maxval=255)
+        code, out, err = run_cli(capsys, "eval", str(pred), str(scene))
+        assert code == 1
+        assert out == ""
+        assert err == f"rgbdnav eval: {scene / 'gt' / 'labels.txt'}: no labels\n"
 
     def test_odd_directory_count_usage_error(self, capsys, two_cube_scene):
         code, _, err = run_cli(capsys, "eval", str(two_cube_scene))

@@ -20,7 +20,7 @@ from rgbdnav.evaluation import (
 )
 from rgbdnav.types import ObjectCloud
 
-from conftest import VOXEL_SIZES, pool_clouds, voxel_pools
+from conftest import VOXEL_SIZES, keyed_gt, pool_clouds, voxel_pools
 
 
 def instance_iou(pred, gt, voxel_size=0.02):
@@ -261,13 +261,13 @@ class TestEvaluateScene:
         pairs = [_grid_instance("chair", (0, 0, 0)), _grid_instance("table", (5, 0, 0))]
         pred = [c for c, _ in pairs]
         gt = [g for _, g in pairs]
-        report = evaluate_scene(pred, gt)
+        report = evaluate_scene(pred, keyed_gt(gt))
         assert report.map == report.map50 == report.map25 == 1.0
 
     def test_all_wrong_class_scores_zero(self):
         cloud, _ = _grid_instance("chair", (0, 0, 0))
         _, gt = _grid_instance("table", (0, 0, 0))
-        report = evaluate_scene([cloud], [gt])
+        report = evaluate_scene([cloud], keyed_gt([gt]))
         assert report.map == report.map50 == report.map25 == 0.0
 
     def test_midband_iou_counts_at_25_not_50(self):
@@ -277,7 +277,7 @@ class TestEvaluateScene:
         shifted = ObjectCloud(cloud.points + np.array([8 * 0.02, 0, 0]), "chair", 1.0)
         iou = instance_iou(shifted, gt, 0.02)
         assert 0.25 <= iou < 0.5
-        report = evaluate_scene([shifted], [gt])
+        report = evaluate_scene([shifted], keyed_gt([gt]))
         chair = report.per_class["chair"]
         assert chair.ap25 == 1.0
         assert chair.ap50 == 0.0
@@ -287,6 +287,11 @@ class TestEvaluateScene:
         with pytest.raises(ValueError):
             evaluate_scene([cloud], [])
 
+    def test_gt_keyed_on_another_grid_rejected(self):
+        cloud, gt = _grid_instance("chair", (0, 0, 0))
+        with pytest.raises(ValueError, match="ground truth keyed at voxel_size 0.05, not the 0.02"):
+            evaluate_scene([cloud], keyed_gt([gt], 0.05), 0.02)
+
     def test_monotone_thresholds_reported(self):
         rng = np.random.default_rng(31)
         gt_pairs = [_grid_instance(f"c{k}", (3 * k, 0, 0)) for k in range(3)]
@@ -294,13 +299,13 @@ class TestEvaluateScene:
         for cloud, _ in gt_pairs:
             jitter = rng.normal(0, 0.02, size=cloud.points.shape)
             preds.append(ObjectCloud(cloud.points + jitter, cloud.label, float(rng.random())))
-        report = evaluate_scene(preds, [g for _, g in gt_pairs])
+        report = evaluate_scene(preds, keyed_gt([g for _, g in gt_pairs]))
         assert report.map25 >= report.map50 >= report.map
 
     def test_macro_average_two_scenes(self):
         pairs = [_grid_instance("chair", (0, 0, 0))]
         pred = [pairs[0][0]]
-        gt = [pairs[0][1]]
+        gt = keyed_gt([pairs[0][1]])
         perfect = evaluate_scene(pred, gt)
         empty = evaluate_scene([], gt)
         combined = macro_average([perfect, empty])
@@ -313,8 +318,8 @@ class TestEvaluateScene:
         chair, chair_gt = _grid_instance("chair", (0, 0, 0))
         table, table_gt = _grid_instance("table", (5, 0, 0))
         missed = ObjectCloud(chair.points + 10.0, "chair", 0.5)
-        first = evaluate_scene([chair], [chair_gt])
-        second = evaluate_scene([table, missed], [chair_gt, table_gt])
+        first = evaluate_scene([chair], keyed_gt([chair_gt]))
+        second = evaluate_scene([table, missed], keyed_gt([chair_gt, table_gt]))
         combined = macro_average([first, second])
         assert combined.per_class["chair"] == ClassRow(0.5, 0.5, 0.5, 2, 2, 1, 1)
         assert combined.per_class["table"] == ClassRow(1.0, 1.0, 1.0, 1, 1, 1, 1)
@@ -328,13 +333,13 @@ class TestEvaluateScene:
     @given(eval_inputs())
     def test_matches_pairwise_reference(self, inputs):
         pred, gt, voxel = inputs
-        assert evaluate_scene(pred, gt, voxel) == evaluate_scene_reference(
+        assert evaluate_scene(pred, keyed_gt(gt, voxel), voxel) == evaluate_scene_reference(
             pred, gt, voxel, MAP_THRESHOLDS
         )
 
     def test_report_formatting(self):
         pairs = [_grid_instance("chair", (0, 0, 0))]
-        report = evaluate_scene([pairs[0][0]], [pairs[0][1]])
+        report = evaluate_scene([pairs[0][0]], keyed_gt([pairs[0][1]]))
         text = format_report(report)
         assert "chair" in text
         assert "100.0" in text

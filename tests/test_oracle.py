@@ -23,7 +23,7 @@ from rgbdnav.masks import erode_bitmap
 from rgbdnav.projection import project_to_pixels, to_camera, to_world
 from rgbdnav.types import Box3D, CameraIntrinsics, CameraPose, Detection2D, ObjectCloud
 
-from conftest import BENCH_LAYOUT, dilation_oracle, full_image_bitmap, odd_kernels, random_rotation
+from conftest import BENCH_LAYOUT, dilation_oracle, full_image_bitmap, gt_points_reference_from_ids, odd_kernels, random_rotation
 
 
 def render_depth_reference(boxes, pose, intrinsics):
@@ -373,9 +373,9 @@ class TestMakeSyntheticScene:
         base = CameraPose.identity()
         shifted = CameraPose(np.eye(3), np.array([0.3, 0.0, -1.0]))
         d1 = make_synthetic_scene([cube], [base], intr, tmp_path / "s1")
-        gt1 = scene_io.load_gt_instances(d1)[0]
+        gt1 = gt_points_reference_from_ids(d1)[0]
         d2 = make_synthetic_scene([cube], [shifted], intr, tmp_path / "s2")
-        gt2 = scene_io.load_gt_instances(d2)[0]
+        gt2 = gt_points_reference_from_ids(d2)[0]
         footprint = 4.6 / 50.0  # deepest visible surface over focal length
         tol = footprint + 2e-3
         assert np.allclose(gt1.points.min(axis=0), gt2.points.min(axis=0), atol=tol)
@@ -413,7 +413,7 @@ class TestRenderGtDetections:
         # against the frame's depth
         for s in layout_scenes:
             views, labels, ids = _oracle_inputs(s.scene_dir)
-            gt = scene_io.load_gt_instances(s.scene_dir)
+            gt = gt_points_reference_from_ids(s.scene_dir)
             _, depth_scale = scene_io.load_intrinsics(s.scene_dir / "intrinsics.txt")
             for view in views:
                 masks = render_gt_detections(view.frame.frame_id, ids(view), labels)

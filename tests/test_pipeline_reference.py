@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from rgbdnav import oracle, scene_io
 from rgbdnav.evaluation import MAP_THRESHOLDS, evaluate_scene
-from rgbdnav.fusion import run_scene
+from rgbdnav.fusion import run_scene, voxel_keys
 from rgbdnav.types import Box3D, ObjectCloud, PipelineConfig
 
-from conftest import full_image_bitmap
+from conftest import VOXEL_SIZES, full_image_bitmap, gt_points_reference_from_ids
 from test_evaluation import evaluate_scene_reference
 from test_fusion import merge_instances_reference
 from test_projection import reconstruct_full_image_reference
@@ -86,9 +86,9 @@ def test_pipeline_matches_oracle_loops(inputs):
         oracle.make_synthetic_scene(boxes, trajectory, intrinsics, scene_dir)
         oracle.populate_detections(scene_dir, noise)
         got, stats = run_scene(scene_io.iter_views(scene_dir), config)
-        gt = scene_io.load_gt_instances(scene_dir)
-        report = evaluate_scene(got, gt, EVAL_VOXEL)
+        report = evaluate_scene(got, scene_io.load_gt_instances(scene_dir, EVAL_VOXEL), EVAL_VOXEL)
         want, dropped = detect_reference(scene_dir, config)
+        gt = gt_points_reference_from_ids(scene_dir)
     assert stats.dropped == dropped
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -98,3 +98,17 @@ def test_pipeline_matches_oracle_loops(inputs):
         assert g.box.min_corner.tobytes() == w.box.min_corner.tobytes()
         assert g.box.max_corner.tobytes() == w.box.max_corner.tobytes()
     assert report == evaluate_scene_reference(want, gt, EVAL_VOXEL, MAP_THRESHOLDS)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(synth_inputs(), VOXEL_SIZES)
+def test_gt_keys_are_the_voxels_of_the_reference_points(inputs, voxel_size):
+    boxes, trajectory, intrinsics, *_ = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        scene_dir = Path(tmp) / "scene"
+        oracle.make_synthetic_scene(boxes, trajectory, intrinsics, scene_dir)
+        gt = scene_io.load_gt_instances(scene_dir, voxel_size)
+        reference = gt_points_reference_from_ids(scene_dir)
+    assert [(g.label, g.voxel_size) for g in gt] == [(r.label, voxel_size) for r in reference]
+    for g, r in zip(gt, reference):
+        assert g.keys.tobytes() == np.unique(voxel_keys(r.points, voxel_size)).tobytes()

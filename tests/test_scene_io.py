@@ -21,6 +21,8 @@ from rgbdnav.scene_io import (
 )
 from rgbdnav.types import CameraIntrinsics, ObjectCloud
 
+from conftest import gt_points_reference_from_ids
+
 
 def _write_depth_p2(path, rows, maxval=65535):
     h = len(rows)
@@ -384,7 +386,7 @@ class TestGroundTruth:
         # on a voxel boundary, x = -0.4000000000000001 against -0.4, may
         # change voxel while a neighbour keeps the old one occupied)
         for n, s in enumerate(layout_scenes):
-            gt = load_gt_instances(s.scene_dir)
+            gt = gt_points_reference_from_ids(s.scene_dir)
             expected = gt_points_reference(s.boxes, s.trajectory, s.intrinsics, 0.001)
             assert [g.label for g in gt] == [lb.label for lb in s.boxes]
             for g, pts in zip(gt, expected):
@@ -394,12 +396,24 @@ class TestGroundTruth:
                     assert np.abs(text - pts).max() <= 5e-9
                     assert np.array_equal(np.unique(fusion.voxel_keys(text, 0.02)), np.unique(fusion.voxel_keys(pts, 0.02)))
 
+    def test_keys_are_the_voxels_of_the_reference_points(self, layout_scenes):
+        # frame by frame keying leaves each instance the voxel set of all its
+        # points at once, bit for bit, whatever the grid
+        for s in layout_scenes:
+            reference = gt_points_reference_from_ids(s.scene_dir)
+            for voxel_size in (0.02, 0.05):
+                gt = load_gt_instances(s.scene_dir, voxel_size)
+                assert [(g.label, g.voxel_size) for g in gt] == [(r.label, voxel_size) for r in reference]
+                for g, r in zip(gt, reference):
+                    want = np.unique(fusion.voxel_keys(r.points, voxel_size))
+                    assert g.keys.dtype == want.dtype and np.array_equal(g.keys, want)
+
     def test_points_back_project_id_pixels(self, tmp_path):
         # fx = fy = 10, cx = 2.5, cy = 1.5, depth 1.5 m, identity pose: pixel
         # (u, v) lands at ((u - 2.5) * 0.15, (v - 1.5) * 0.15, 1.5); frames in
         # id order, pixels in row-major order
         root = add_fixture_gt(make_fixture_scene(tmp_path / "s"))
-        (gt,) = load_gt_instances(root)
+        (gt,) = gt_points_reference_from_ids(root)
         assert gt.label == "mug"
         pixels = [(u, v) for v in (1, 2) for u in (1, 2, 3)] * 2
         expected = [((u - 2.5) * 0.15, (v - 1.5) * 0.15, 1.5) for u, v in pixels]
@@ -423,6 +437,15 @@ class TestGroundTruth:
         root = add_fixture_gt(make_fixture_scene(tmp_path / "s"))
         breakage(root)
         with pytest.raises(error, match=match):
+            load_gt_instances(root)
+
+    def test_no_labels_names_labels_file(self, tmp_path):
+        # an empty label list with all-background id images is no ground truth,
+        # not a scene whose predictions all use unknown labels
+        root = add_fixture_gt(make_fixture_scene(tmp_path / "s"), labels="")
+        for fid in ("0000", "0001"):
+            write_pgm(root / "gt" / "ids" / f"{fid}.pgm", np.zeros((4, 6), dtype=np.uint16), maxval=255)
+        with pytest.raises(SceneValidationError, match=r"gt/labels\.txt: no labels"):
             load_gt_instances(root)
 
     def test_label_seen_nowhere_names_it(self, tmp_path):
