@@ -5,15 +5,13 @@ import tempfile
 from pathlib import Path
 
 from rgbdnav import evaluation, fusion, oracle, scene_io
-from rgbdnav.types import GroundTruth, PipelineConfig
-
-EVAL_VOXEL = 0.02
+from rgbdnav.types import EVAL_VOXEL_SIZE, GroundTruth, PipelineConfig
 
 
 def run_once(scene_dir: Path, gt: list[GroundTruth], drop: float, seed: int) -> evaluation.EvalReport:
     oracle.populate_detections(scene_dir, oracle.PerturbationConfig(seed=seed, drop_prob=drop))
     instances, _ = fusion.run_scene(scene_io.iter_views(scene_dir), PipelineConfig())
-    return evaluation.evaluate_scene(instances, gt, EVAL_VOXEL)
+    return evaluation.evaluate_scene(instances, gt, EVAL_VOXEL_SIZE)
 
 
 def main() -> int:
@@ -36,7 +34,7 @@ def main() -> int:
             scene_dir,
         )
 
-    gt = scene_io.load_gt_instances(scene_dir, EVAL_VOXEL)  # detections change with the drop rate; GT does not
+    gt = scene_io.load_gt_instances(scene_dir, EVAL_VOXEL_SIZE)  # detections change with the drop rate; GT does not
     print(f"{'drop_prob':>10} {'mAP':>8} {'mAP50':>8} {'mAP25':>8}")
     for drop in args.drops:
         report = run_once(scene_dir, gt, drop, args.seed)

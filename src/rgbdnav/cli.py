@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, evaluation, fusion, navsim, oracle, scene_io
-from .types import Box3D, PipelineConfig, check_voxel_size
+from .types import EVAL_VOXEL_SIZE, Box3D, PipelineConfig, check_voxel_size
 
 
 class UsageError(Exception):
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dirs", nargs="+", metavar="PRED_DIR GT_DIR",
                    help="one or more PRED_DIR GT_DIR pairs; multiple pairs are macro-averaged")
     p.add_argument("--config", help="key = value file supplying flag defaults")
-    p.add_argument("--voxel-size", type=float, default=0.02)
+    p.add_argument("--voxel-size", type=float, default=EVAL_VOXEL_SIZE)
     p.add_argument("--out", help="report path (default: first PRED_DIR/eval_report.txt)")
 
     p = sub.add_parser("bench", help="time reconstruct+fuse of a loaded scene")
@@ -88,12 +88,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_with_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     # Each config line becomes the flag a user would type, placed right after
     # the subcommand: flags given later win, and argparse validates the values.
+    # An unreadable config file raises SceneLayoutError (exit 1); a line that
+    # is not 'key = value' is a bad flag (exit 2).
     pre, _ = parser.parse_known_args(argv)
     if pre.config:
         sub = parser._subparsers._group_actions[0].choices[pre.command]  # type: ignore[union-attr]
         try:
             values = scene_io.read_key_values(pre.config)
-        except scene_io.SceneError as e:
+        except scene_io.SceneValidationError as e:
             sub.error(f"--config: {e}")
         tokens = []
         for action in sub._actions:
@@ -177,8 +179,9 @@ def _labeled_box(line: str) -> oracle.LabeledBox:
 def cmd_synth(args) -> int:
     if args.views < 1:
         raise UsageError("--views must be >= 1")
+    # a --boxes file that cannot be read or parsed is bad input (exit 1), like navsim --world
+    boxes = scene_io.read_records(args.boxes, _labeled_box) if args.boxes else oracle.default_box_layout()
     try:
-        boxes = scene_io.read_records(args.boxes, _labeled_box) if args.boxes else oracle.default_box_layout()
         noise = oracle.PerturbationConfig(
             seed=args.seed,
             box_jitter_px=args.box_jitter_px,
@@ -187,7 +190,7 @@ def cmd_synth(args) -> int:
             score_sigma=args.score_sigma,
         )
         intr = oracle.default_intrinsics(args.width, args.height, args.focal)
-    except (scene_io.SceneError, ValueError) as e:
+    except ValueError as e:
         raise UsageError(str(e)) from e
     oracle.make_synthetic_scene(boxes, oracle.default_trajectory(args.views), intr, args.out_dir)
     written = oracle.populate_detections(args.out_dir, noise)
@@ -219,8 +222,8 @@ def cmd_navsim(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = _parse_with_config(parser, list(sys.argv[1:] if argv is None else argv))
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    command = parser.parse_known_args(argv)[0].command
     handlers = {
         "detect": cmd_detect,
         "eval": cmd_eval,
@@ -229,9 +232,11 @@ def main(argv: list[str] | None = None) -> int:
         "navsim": cmd_navsim,
     }
     try:
+        args = _parse_with_config(parser, argv)
+        logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
         return handlers[args.command](args)
     except (UsageError, scene_io.SceneError, ValueError, OSError) as e:
-        print(f"rgbdnav {args.command}: {e}", file=sys.stderr)
+        print(f"rgbdnav {command}: {e}", file=sys.stderr)
         return 2 if isinstance(e, UsageError) else 1
 
 

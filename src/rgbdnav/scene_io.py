@@ -36,9 +36,11 @@ from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
-from .fusion import voxel_keys
+from .fusion import sorted_unique, voxel_keys
 from .projection import back_project_pixels, to_world
-from .types import CameraIntrinsics, CameraPose, DepthFrame, Detection2D, GroundTruth, InstanceMask, ObjectCloud
+from .types import (
+    EVAL_VOXEL_SIZE, CameraIntrinsics, CameraPose, DepthFrame, Detection2D, GroundTruth, InstanceMask, ObjectCloud
+)
 
 
 class SceneError(Exception):
@@ -350,7 +352,7 @@ def load_gt_ids(scene_dir: Path, frame_id: str, intr: CameraIntrinsics, num_labe
     return ids
 
 
-def load_gt_instances(scene_dir: Path, voxel_size: float = 0.02) -> list[GroundTruth]:
+def load_gt_instances(scene_dir: Path, voxel_size: float = EVAL_VOXEL_SIZE) -> list[GroundTruth]:
     """Ground-truth instances of a scene, one per label, as the voxels they occupy.
 
     The points of instance k are the pixels with id k + 1 back-projected with
@@ -379,7 +381,7 @@ def load_gt_instances(scene_dir: Path, voxel_size: float = 0.02) -> list[GroundT
             mine = owner == k + 1
             ku, kv = us[mine], vs[mine]
             points = to_world(back_project_pixels(ku, kv, depth[kv, ku], intr), pose)
-            keys[k] = np.union1d(keys[k], voxel_keys(points, voxel_size))
+            keys[k] = sorted_unique(np.concatenate([keys[k], voxel_keys(points, voxel_size)]))
     unseen = [label for label, k in zip(labels, keys) if not k.size]
     if unseen:
         raise SceneValidationError(f"{root / 'gt'}: labels with no pixels in any id image: {unseen}")
@@ -414,12 +416,27 @@ def write_detections(path: Path, detections: list[Detection2D]) -> None:
 # Point-cloud PLY
 # ---------------------------------------------------------------------------
 
-def _parse_xyz(path: Path, tokens: list[str]) -> np.ndarray:
-    """``x y z`` tokens read from path as (N, 3) float64; a bad token or count names the file."""
-    try:
-        coords = np.array(tokens, dtype=np.float64)
-    except ValueError as e:
-        raise SceneValidationError(f"{path}: non-numeric coordinate: {e}") from e
+# Characters of PLY body parsed per step: a token list costs about 20x its text,
+# so parsing the body whole would make the largest cloud file eval's peak memory.
+_PLY_CHUNK_CHARS = 1 << 14
+
+
+def _parse_xyz(path: Path, text: str, start: int) -> np.ndarray:
+    """``x y z`` tokens of ``text[start:]`` as (N, 3) float64; a bad token or count names the file.
+
+    The text is split at line ends into chunks of about ``_PLY_CHUNK_CHARS``
+    characters, each parsed on its own, so no token list spans the whole body.
+    """
+    parts = []
+    while start < len(text):
+        end = text.find("\n", start + _PLY_CHUNK_CHARS)
+        end = len(text) if end < 0 else end
+        try:
+            parts.append(np.array(text[start:end].split(), dtype=np.float64))
+        except ValueError as e:
+            raise SceneValidationError(f"{path}: non-numeric coordinate: {e}") from e
+        start = end
+    coords = np.concatenate(parts) if parts else np.empty(0)
     if coords.size % 3:
         raise SceneValidationError(f"{path}: point rows must hold 3 coordinates each")
     return coords.reshape(-1, 3)
@@ -440,28 +457,27 @@ def write_cloud_ply(cloud: ObjectCloud, path: Path) -> None:
 
 def read_cloud_ply(path: Path) -> np.ndarray:
     """Read the vertices of an ASCII PLY written by :func:`write_cloud_ply`; errors name the file."""
-    lines = _read_text(path).splitlines()
+    text = _read_text(path)
+    # the header is split into lines, the body is not: it is parsed in place
+    end = re.search(r"^[^\S\n]*end_header[^\S\n]*$", text, re.MULTILINE)
+    lines = text[:end.end() if end else len(text)].splitlines()
     if not lines or lines[0].strip() != "ply":
         raise SceneValidationError(f"{path}: not a PLY file")
     count = None
     props = []
-    body_start = None
-    for i, line in enumerate(lines[1:], start=1):
+    for line in lines[1:]:
         tokens = line.split()
         if tokens[:2] == ["element", "vertex"]:
             count = tokens[2] if len(tokens) > 2 else ""
         elif tokens and tokens[0] == "property":
             props.append(tokens[-1])
-        elif tokens == ["end_header"]:
-            body_start = i + 1
-            break
-    if count is None or body_start is None or not count.isdecimal():
+    if count is None or end is None or not count.isdecimal():
         raise SceneValidationError(f"{path}: malformed PLY header")
     if int(count) == 0:
         raise SceneValidationError(f"{path}: PLY holds no vertices")
     if props != ["x", "y", "z"]:
         raise SceneValidationError(f"{path}: expected x/y/z vertex properties, got {props}")
-    points = _parse_xyz(path, " ".join(lines[body_start:]).split())
+    points = _parse_xyz(path, text, end.end())
     if len(points) != int(count):
         raise SceneValidationError(f"{path}: header promises {count} vertices, body holds {len(points)}")
     return points

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 ROTATION_TOL = 1e-6
+# Edge of the voxel grid instances are scored on, in meters (``eval --voxel-size``).
+EVAL_VOXEL_SIZE = 0.02
 
 
 @dataclass(frozen=True)
@@ -202,8 +204,10 @@ class ObjectCloud:
 class GroundTruth:
     """One ground-truth instance as the voxels it occupies: the one record per GT instance.
 
-    ``keys`` are the sorted unique packed voxel keys (``fusion.voxel_keys``)
-    of its points on a grid of edge ``voxel_size``; they are never empty.
+    ``keys`` are the packed voxel keys (``fusion.voxel_keys``) of its points on
+    a grid of edge ``voxel_size``: a 1-D int64 array, strictly increasing and
+    never empty. Anything else raises ValueError, since IoU is taken over
+    keys assumed sorted and unique.
     """
 
     label: str
@@ -211,8 +215,14 @@ class GroundTruth:
     voxel_size: float
 
     def __post_init__(self):
-        if not len(self.keys):
+        keys = self.keys
+        if not (isinstance(keys, np.ndarray) and keys.ndim == 1 and keys.dtype == np.int64):
+            got = f"{keys.dtype} array of shape {keys.shape}" if isinstance(keys, np.ndarray) else type(keys).__name__
+            raise ValueError(f"ground truth '{self.label}' keys must be a 1-D int64 array, got {got}")
+        if not keys.size:
             raise ValueError(f"ground truth '{self.label}' occupies no voxel")
+        if not np.all(keys[1:] > keys[:-1]):
+            raise ValueError(f"ground truth '{self.label}' keys are not strictly increasing")
 
 
 def check_voxel_size(voxel_size: float) -> None:

@@ -44,20 +44,20 @@ class TestSynth:
         boxes = tmp_path / "boxes.txt"
         boxes.write_text("# layout\nbox_a -0.9 -0.6 0.0 -0.4 x 0.4\n")
         code, _, err = run_cli(capsys, "synth", str(tmp_path / "s"), "--views", "1", "--boxes", str(boxes))
-        assert code == 2
+        assert code == 1
         assert f"{boxes}:2: could not convert string to float: 'x'" in err
 
     def test_non_finite_box_names_file_and_line(self, capsys, tmp_path):
         boxes = tmp_path / "boxes.txt"
         boxes.write_text("box_a -0.9 -0.6 0.0 -0.4 -0.15 0.4\nbox_b nan 0 0 1 1 1\n")
         code, _, err = run_cli(capsys, "synth", str(tmp_path / "s"), "--views", "1", "--boxes", str(boxes))
-        assert code == 2
+        assert code == 1
         assert f"{boxes}:2: box corners must be finite" in err
 
     def test_missing_boxes_file_one_line_error(self, capsys, tmp_path):
         boxes = tmp_path / "absent.txt"
         code, _, err = run_cli(capsys, "synth", str(tmp_path / "s"), "--views", "1", "--boxes", str(boxes))
-        assert code == 2
+        assert code == 1
         assert err.startswith(f"rgbdnav synth: cannot read {boxes}")
         assert err.count("\n") == 1
 
@@ -542,11 +542,12 @@ class TestConfigFile:
         assert "cfg.txt:1" in capsys.readouterr().err
 
     def test_missing_config_usage_error(self, capsys, tmp_path):
+        # a config file that cannot be read is bad input, not a bad flag
         cfg = tmp_path / "absent.txt"
-        with pytest.raises(SystemExit) as exc:
-            main(["synth", str(tmp_path / "s"), "--config", str(cfg)])
-        assert exc.value.code == 2
-        assert "absent.txt" in capsys.readouterr().err
+        code, _, err = run_cli(capsys, "synth", str(tmp_path / "s"), "--config", str(cfg))
+        assert code == 1
+        assert err.startswith(f"rgbdnav synth: cannot read {cfg}")
+        assert err.count("\n") == 1
 
     def test_multi_value_flag_from_config(self, tmp_path):
         from rgbdnav.cli import _parse_with_config, build_parser

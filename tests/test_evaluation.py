@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from rgbdnav.evaluation import (
     format_report,
     macro_average,
 )
-from rgbdnav.types import ObjectCloud
+from rgbdnav.types import GroundTruth, ObjectCloud
 
 from conftest import VOXEL_SIZES, keyed_gt, pool_clouds, voxel_pools
 
@@ -291,6 +292,30 @@ class TestEvaluateScene:
         cloud, gt = _grid_instance("chair", (0, 0, 0))
         with pytest.raises(ValueError, match="ground truth keyed at voxel_size 0.05, not the 0.02"):
             evaluate_scene([cloud], keyed_gt([gt], 0.05), 0.02)
+
+    def test_unsorted_gt_keys_rejected(self):
+        # _voxel_iou takes keys as sorted and unique; unsorted keys would give a wrong IoU, not an error
+        with pytest.raises(ValueError, match="ground truth 'chair' keys are not strictly increasing"):
+            GroundTruth("chair", np.array([3, 1, 2], dtype=np.int64), 0.02)
+
+    def test_repeated_gt_keys_rejected(self):
+        with pytest.raises(ValueError, match="ground truth 'chair' keys are not strictly increasing"):
+            GroundTruth("chair", np.array([1, 2, 2, 3], dtype=np.int64), 0.02)
+
+    @pytest.mark.parametrize(
+        "keys, got",
+        [([1, 2], "list"), (np.array([1.0, 2.0]), "float64 array of shape (2,)"),
+         (np.array([[1, 2]], dtype=np.int64), "int64 array of shape (1, 2)")],
+        ids=["list", "float", "2d"],
+    )
+    def test_gt_keys_must_be_1d_int64(self, keys, got):
+        want = f"ground truth 'chair' keys must be a 1-D int64 array, got {got}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            GroundTruth("chair", keys, 0.02)
+
+    def test_gt_keys_at_int64_extremes_accepted(self):
+        keys = np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max], dtype=np.int64)
+        assert GroundTruth("chair", keys, 0.02).keys is keys
 
     def test_monotone_thresholds_reported(self):
         rng = np.random.default_rng(31)

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rgbdnav import scene_io
-from rgbdnav.fusion import iou_3d, merge_instances, run_scene, voxel_keys
+from rgbdnav.fusion import (
+    _merge_pair,
+    iou_3d,
+    merge_instances,
+    run_scene,
+    sorted_unique,
+    sorted_unique_first,
+    voxel_keys,
+)
 from rgbdnav.projection import reconstruct_object
 from rgbdnav.scene_io import SceneView
 from rgbdnav.types import (
@@ -226,6 +234,52 @@ class TestVoxelDownsample:
             PipelineConfig(voxel_size=voxel)
 
 
+INT64 = np.iinfo(np.int64)
+# INT64.max is also the largest key voxel_keys packs (every 21-bit cell index at
+# its maximum); 1 << 42 and 1 << 21 are one cell along x and along y.
+key_values = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([INT64.min, INT64.min + 1, INT64.max - 1, INT64.max, 1 << 42, 1 << 21]),
+    st.integers(INT64.min, INT64.max),
+)
+
+
+@st.composite
+def key_arrays(draw):
+    """int64 arrays drawn from a small pool of values, so most draws repeat keys heavily."""
+    pool = draw(st.lists(key_values, min_size=1, max_size=draw(st.sampled_from([1, 3, 40]))))
+    return np.array(draw(st.lists(st.sampled_from(pool), max_size=200)), dtype=np.int64)
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize(
+        "keys",
+        [[], [7], [5] * 9, [INT64.max, INT64.min, 0, INT64.min, -1, INT64.max], [2, 1] * 50 + [0]],
+        ids=["empty", "one", "all_equal", "extremes", "duplicated"],
+    )
+    def test_named_cases_match_np_unique(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        unique, first = np.unique(keys, return_index=True)
+        got, got_first = sorted_unique_first(keys)
+        assert sorted_unique(keys).dtype == got.dtype == np.int64
+        assert np.array_equal(sorted_unique(keys), unique)
+        assert np.array_equal(got, unique) and np.array_equal(got_first, first)
+
+    @settings(max_examples=300)
+    @given(key_arrays())
+    def test_matches_np_unique(self, keys):
+        unique, first = np.unique(keys, return_index=True)
+        assert sorted_unique(keys).tobytes() == unique.tobytes()
+        got, got_first = sorted_unique_first(keys)
+        assert got.tobytes() == unique.tobytes()
+        assert np.array_equal(got_first, first)
+
+    def test_first_index_from_an_unstable_argsort(self):
+        # long runs of equal keys, where quicksort's argsort does not keep input order
+        keys = np.random.default_rng(5).integers(0, 4, 5000).astype(np.int64)
+        assert np.array_equal(sorted_unique_first(keys)[1], np.unique(keys, return_index=True)[1])
+
+
 class TestMergeInstances:
     def test_identical_boxes_merge(self):
         views = [[_instance([0, 0, 0], [1, 1, 1], seed=1)], [_instance([0, 0, 0], [1, 1, 1], seed=2)]]
@@ -331,6 +385,18 @@ class TestMergeInstances:
             assert len(got) == len(want) == 1
             assert np.array_equal(got[0].points, want[0].points)
             assert got[0].source_frames == frozenset({"f0", "f1", "f2"})
+
+    def test_merge_with_no_fresh_voxel(self):
+        # every incoming point falls in a voxel the accumulator already holds
+        acc = ObjectCloud(np.array([[0.001, 0.001, 0.001], [0.005, 0.0, 0.0], [0.05, 0.05, 0.05]]), "chair", 0.4, {"a"})
+        new = ObjectCloud(np.array([[0.051, 0.052, 0.053], [0.002, 0.003, 0.004]]), "chair", 0.9, {"b"})
+        merged, keys = _merge_pair((acc, None), (new, None), 0.02)
+        assert np.array_equal(merged.points, acc.points[[0, 2]])
+        assert np.array_equal(keys, np.unique(voxel_keys(acc.points, 0.02)))
+        assert merged.score == 0.9 and merged.source_frames == {"a", "b"}
+        # a second merge, now with the accumulator's keys known, adds nothing either
+        again, again_keys = _merge_pair((merged, keys), (new, None), 0.02)
+        assert np.array_equal(again.points, merged.points) and np.array_equal(again_keys, keys)
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):

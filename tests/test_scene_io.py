@@ -270,6 +270,33 @@ class TestPly:
         with pytest.raises(SceneValidationError, match=r"c\.ply: non-numeric"):
             read_cloud_ply(path)
 
+    def test_body_longer_than_a_chunk_parses_as_a_whole(self, tmp_path):
+        # several parse chunks; the body is reflowed so rows straddle lines, and
+        # tokens are what count: the result equals one parse of the whole body
+        rng = np.random.default_rng(1)
+        path = tmp_path / "c.ply"
+        write_cloud_ply(ObjectCloud(rng.uniform(-10, 10, size=(3000, 3)), "chair", 1.0), path)
+        header, body = path.read_text().split("end_header\n")
+        tokens = body.split()
+        reflowed = "\n".join(" ".join(tokens[i:i + 5]) for i in range(0, len(tokens), 5))
+        path.write_text(header + "end_header  \n" + reflowed + "\n")
+        assert len(reflowed) > 4 * scene_io._PLY_CHUNK_CHARS
+        back = read_cloud_ply(path)
+        assert back.tobytes() == np.array(tokens, dtype=np.float64).reshape(-1, 3).tobytes()
+        path.write_text(header + "end_header\n" + reflowed[:-1] + "x\n")
+        with pytest.raises(SceneValidationError, match=r"c\.ply: non-numeric coordinate"):
+            read_cloud_ply(path)
+
+    def test_end_header_inside_a_comment_does_not_end_the_header(self, tmp_path):
+        path = tmp_path / "c.ply"
+        write_cloud_ply(ObjectCloud(np.array([[0.1, 0.2, 0.3]]), "chair", 1.0), path)
+        text = path.read_text().replace("comment score", "comment end_header\ncomment score", 1)
+        path.write_text(text)
+        assert read_cloud_ply(path).tolist() == [[0.1, 0.2, 0.3]]
+        path.write_text(text.replace("\nend_header\n", "\n"))
+        with pytest.raises(SceneValidationError, match=r"c\.ply: malformed PLY header"):
+            read_cloud_ply(path)
+
     def test_non_integer_vertex_count_names_file(self, tmp_path):
         path = tmp_path / "c.ply"
         write_cloud_ply(ObjectCloud(np.array([[0.1, 0.2, 0.3]]), "chair", 1.0), path)
