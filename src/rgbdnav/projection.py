@@ -61,6 +61,10 @@ def reconstruct_object(
     its label and score from ``mask.detection``. Returns None (a drop, not an
     error) when a step leaves no pixel, e.g. a mask that erodes away or lies
     entirely over invalid depth.
+
+    The mask's pixels are located once, as flat indices into the window:
+    depths are gathered by masking the window with the eroded bitmap, and
+    only the pixels the z-filter keeps are turned into image (u, v).
     """
     detection = mask.detection
     eroded = erode_mask(mask, config.kernel_size).bitmap
@@ -74,18 +78,18 @@ def reconstruct_object(
             f"mask window rows {rows.start}..{rows.stop}, columns {cols.start}..{cols.stop} "
             f"outside depth shape {frame.depth.shape}"
         )
-    vs, us = np.nonzero(eroded)
-    vs += rows.start
-    us += cols.start
-    depths = frame.depth[vs, us]
+    depths = frame.depth[rows, cols][eroded]
     valid = depths > 0
     if not valid.any():
         logger.info("frame %s: '%s' dropped (no valid depth under mask)", frame.frame_id, detection.label)
         return None
-    us, vs, depths = us[valid], vs[valid], depths[valid].astype(np.float64)
+    pixels, depths = np.flatnonzero(eroded)[valid], depths[valid].astype(np.float64)
     keep = zscore_filter(depths, config.tau)
     if len(keep) == 0:
         logger.info("frame %s: '%s' dropped (no depth left after z-filter)", frame.frame_id, detection.label)
         return None
-    points = to_world(back_project_pixels(us[keep], vs[keep], depths[keep], frame.intrinsics), frame.pose)
+    vs, us = np.divmod(pixels[keep], eroded.shape[1])
+    points = to_world(
+        back_project_pixels(us + cols.start, vs + rows.start, depths[keep], frame.intrinsics), frame.pose
+    )
     return ObjectCloud(points, detection.label, detection.score, frozenset({frame.frame_id}))

@@ -211,14 +211,19 @@ def load_intrinsics(path: Path) -> tuple[CameraIntrinsics, float]:
     return intr, depth_scale
 
 
-def _load_depth(path: Path, frame_id: str, intr: CameraIntrinsics, depth_scale: float) -> np.ndarray:
+def _read_raw_depth(path: Path, frame_id: str, intr: CameraIntrinsics) -> np.ndarray:
+    """The unscaled uint16 depth samples of a frame, checked against the intrinsics' image shape."""
     raw = read_pgm(path)
     if raw.shape != (intr.height, intr.width):
         raise SceneValidationError(
             f"frame {frame_id}: depth shape {raw.shape} does not match "
             f"intrinsics ({intr.height}, {intr.width})"
         )
-    return np.multiply(raw, depth_scale, dtype=np.float64)
+    return raw
+
+
+def _load_depth(path: Path, frame_id: str, intr: CameraIntrinsics, depth_scale: float) -> np.ndarray:
+    return np.multiply(_read_raw_depth(path, frame_id, intr), depth_scale, dtype=np.float64)
 
 
 def _load_pose(path: Path, frame_id: str) -> CameraPose:
@@ -361,6 +366,11 @@ def load_gt_instances(scene_dir: Path, voxel_size: float = EVAL_VOXEL_SIZE) -> l
     instance's points before the next is read, so no frame's points outlive
     it and memory does not grow with the number of frames. An empty label
     list or a label with no pixel in any id image raises SceneValidationError.
+
+    Each frame's pixels are located once: one ``flatnonzero`` of the id image
+    gives the flat indices of its id pixels, a stable sort by id groups them
+    into one contiguous, row-major run per instance, and depth is scaled only
+    at those pixels. Each run is back-projected, keyed and folded on its own.
     """
     root = Path(scene_dir)
     labels = load_gt_labels(root)
@@ -372,16 +382,21 @@ def load_gt_instances(scene_dir: Path, voxel_size: float = EVAL_VOXEL_SIZE) -> l
         raise SceneLayoutError(f"no '<id>.pgm' instance-id images under {root / 'gt' / 'ids'}")
     keys = [np.empty(0, dtype=np.int64) for _ in labels]
     for frame_id in gt_frame_ids:
-        ids = load_gt_ids(root, frame_id, intr, len(labels))
-        depth = _load_depth(root / "frames" / f"{frame_id}.depth.pgm", frame_id, intr, depth_scale)
+        ids = load_gt_ids(root, frame_id, intr, len(labels)).ravel()
+        raw = _read_raw_depth(root / "frames" / f"{frame_id}.depth.pgm", frame_id, intr).ravel()
         pose = _load_pose(root / "frames" / f"{frame_id}.pose.txt", frame_id)
-        vs, us = np.nonzero(ids)
-        owner = ids[vs, us]
-        for k in range(len(labels)):
-            mine = owner == k + 1
-            ku, kv = us[mine], vs[mine]
-            points = to_world(back_project_pixels(ku, kv, depth[kv, ku], intr), pose)
-            keys[k] = sorted_unique(np.concatenate([keys[k], voxel_keys(points, voxel_size)]))
+        pixels = np.flatnonzero(ids)
+        owner = ids[pixels]
+        order = np.argsort(owner, kind="stable")
+        pixels = pixels[order]
+        # instance k holds pixels[bounds[k]:bounds[k + 1]], ascending: row-major order
+        bounds = np.searchsorted(owner[order], np.arange(1, len(labels) + 2))
+        vs, us = np.divmod(pixels, intr.width)
+        depth = np.multiply(raw[pixels], depth_scale, dtype=np.float64)
+        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if lo < hi:
+                points = to_world(back_project_pixels(us[lo:hi], vs[lo:hi], depth[lo:hi], intr), pose)
+                keys[k] = sorted_unique(np.concatenate([keys[k], voxel_keys(points, voxel_size)]))
     unseen = [label for label, k in zip(labels, keys) if not k.size]
     if unseen:
         raise SceneValidationError(f"{root / 'gt'}: labels with no pixels in any id image: {unseen}")
@@ -419,6 +434,10 @@ def write_detections(path: Path, detections: list[Detection2D]) -> None:
 # Characters of PLY body parsed per step: a token list costs about 20x its text,
 # so parsing the body whole would make the largest cloud file eval's peak memory.
 _PLY_CHUNK_CHARS = 1 << 14
+# Points of PLY body formatted per step: the coordinates as Python floats cost
+# about 120 bytes a point, so formatting the body whole would make the largest
+# cloud detect's peak memory.
+_PLY_CHUNK_POINTS = 1 << 10
 
 
 def _parse_xyz(path: Path, text: str, start: int) -> np.ndarray:
@@ -443,7 +462,12 @@ def _parse_xyz(path: Path, text: str, start: int) -> np.ndarray:
 
 
 def write_cloud_ply(cloud: ObjectCloud, path: Path) -> None:
-    """Write an ASCII PLY with one x/y/z vertex per point, each coordinate rounded to 1e-6 m."""
+    """Write an ASCII PLY with one x/y/z vertex per point, each coordinate rounded to 1e-6 m.
+
+    The body is written in blocks of ``_PLY_CHUNK_POINTS`` points, each one
+    ``%`` format of all the block's coordinates at once: no Python step runs
+    per point, and only one block's coordinates are Python floats at a time.
+    """
     header = (
         "ply\nformat ascii 1.0\n"
         f"comment label {cloud.label}\n"
@@ -451,8 +475,11 @@ def write_cloud_ply(cloud: ObjectCloud, path: Path) -> None:
         f"element vertex {cloud.points.shape[0]}\n"
         "property float x\nproperty float y\nproperty float z\nend_header\n"
     )
-    body = "\n".join("%.6f %.6f %.6f" % (p[0], p[1], p[2]) for p in cloud.points)
-    Path(path).write_text(header + body + "\n")
+    with Path(path).open("w") as f:
+        f.write(header)
+        for start in range(0, len(cloud.points), _PLY_CHUNK_POINTS):
+            rows = cloud.points[start:start + _PLY_CHUNK_POINTS]
+            f.write("%.6f %.6f %.6f\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def read_cloud_ply(path: Path) -> np.ndarray:

@@ -1,8 +1,13 @@
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rgbdnav import cli, fusion, navsim, oracle, scene_io
 from rgbdnav.projection import back_project_pixels, to_world
@@ -19,9 +24,9 @@ from rgbdnav.scene_io import (
     write_instances,
     write_pgm,
 )
-from rgbdnav.types import CameraIntrinsics, ObjectCloud
+from rgbdnav.types import CameraIntrinsics, CameraPose, ObjectCloud
 
-from conftest import gt_points_reference_from_ids
+from conftest import gt_points_reference_from_ids, random_rotation
 
 
 def _write_depth_p2(path, rows, maxval=65535):
@@ -246,7 +251,46 @@ class TestIterViews:
         assert np.array_equal(depth.view(np.int64), (raw.astype(np.float64) * 0.001).view(np.int64))
 
 
+def ply_text_reference(cloud: ObjectCloud) -> str:
+    """The text write_cloud_ply writes, its body formatted one point at a time."""
+    header = (
+        "ply\nformat ascii 1.0\n"
+        f"comment label {cloud.label}\n"
+        f"comment score {cloud.score:.9g}\n"
+        f"element vertex {cloud.points.shape[0]}\n"
+        "property float x\nproperty float y\nproperty float z\nend_header\n"
+    )
+    body = "\n".join("%.6f %.6f %.6f" % (p[0], p[1], p[2]) for p in cloud.points)
+    return header + body + "\n"
+
+
+# Coordinates whose %.6f text is easy to get wrong: signed zeros, values within
+# 1e-9 of a rounding tie (an odd multiple of 5e-7), tiny values that print as
+# -0.000000, and magnitudes up to 1e6.
+_PLY_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-7, -5e-7, 1.5e-6, -1e-7]),
+    st.builds(lambda m, half, eps: m * 1e-6 + half * 5e-7 + eps,
+              st.integers(-10**12, 10**12), st.sampled_from([-1.0, 1.0]), st.floats(-1e-9, 1e-9)),
+    st.floats(-1e-5, 1e-5),
+    st.floats(-1e6, 1e6),
+)
+
+
 class TestPly:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pool=st.lists(_PLY_COORDS, min_size=1, max_size=24),
+           n=st.one_of(st.integers(1, 6), st.integers(1000, 5000)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(pool=[-0.0], n=1, seed=0)
+    @example(pool=[5e-7 + 1e-9, -5e-7 - 1e-9, 1e6, -1e6, 2.5e-6], n=4000, seed=1)
+    @example(pool=[0.25, -3.5e-7], n=scene_io._PLY_CHUNK_POINTS + 1, seed=2)
+    def test_bytes_match_per_point_writer(self, tmp_path, pool, n, seed):
+        points = np.random.default_rng(seed).choice(np.array(pool), size=(n, 3))
+        cloud = ObjectCloud(points, "chair", 0.5)
+        write_cloud_ply(cloud, tmp_path / "c.ply")
+        (tmp_path / "ref.ply").write_text(ply_text_reference(cloud))
+        assert (tmp_path / "c.ply").read_bytes() == (tmp_path / "ref.ply").read_bytes()
+
     def test_header_counts_vertices(self, tmp_path):
         cloud = ObjectCloud(np.array([[0.0, 0, 0], [1, 1, 1], [2, 0, 1]]), "chair", 0.8)
         path = tmp_path / "c.ply"
@@ -404,6 +448,38 @@ def _id_above_labels(root):
     write_pgm(root / "gt" / "ids" / "0001.pgm", np.full((4, 6), 2, dtype=np.uint16), maxval=255)
 
 
+def _wrong_depth_shape(root):
+    _write_depth_p2(root / "frames" / "0001.depth.pgm", [[1500] * 5] * 4)
+
+
+@st.composite
+def gt_scenes(draw):
+    """A small ground-truth scene: (h, w, id images, raw depths, pose seeds), h != w.
+
+    Each frame holds a drawn subset of the labels, possibly none; every
+    label 1..n (n <= 4) appears in at least one frame, and raw depths
+    include 0.
+    """
+    h = draw(st.integers(1, 7))
+    w = draw(st.integers(1, 7).filter(lambda w: w != h))
+    top = draw(st.integers(1, 4))
+    ids = []
+    for _ in range(draw(st.integers(1, 3))):
+        held = draw(st.lists(st.integers(1, top), unique=True, max_size=top))
+        ids.append(draw(arrays(np.uint16, (h, w), elements=st.sampled_from([0, *held]))))
+    ids = np.stack(ids)
+    if not ids.any():
+        ids[0, 0, 0] = 1
+    # renumber the labels that occur to 1..n, so none is missing from every frame
+    present = np.flatnonzero(np.bincount(ids.ravel(), minlength=top + 1))
+    present = present[present > 0]
+    lut = np.zeros(top + 1, dtype=np.uint16)
+    lut[present] = np.arange(1, present.size + 1)
+    depth = draw(arrays(np.uint16, ids.shape, elements=st.one_of(st.just(0), st.integers(1, 6000))))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(ids), max_size=len(ids)))
+    return h, w, lut[ids], depth, seeds
+
+
 class TestGroundTruth:
     def test_round_trip(self, layout_scenes):
         # the points derived from the saved id images, depth and poses are the
@@ -435,6 +511,32 @@ class TestGroundTruth:
                     want = np.unique(fusion.voxel_keys(r.points, voxel_size))
                     assert g.keys.dtype == want.dtype and np.array_equal(g.keys, want)
 
+    @settings(max_examples=60, deadline=None)
+    @given(gt_scenes())
+    def test_keys_match_reference_on_small_scenes(self, scene):
+        # non-square images, so pixel coordinates taken along the wrong axis
+        # land elsewhere; labels absent from some frames; zero raw depths
+        h, w, ids, depth, seeds = scene
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "frames").mkdir()
+            (root / "gt" / "ids").mkdir(parents=True)
+            scene_io.write_intrinsics(root / "intrinsics.txt", CameraIntrinsics(5.0, 6.0, w / 2, h / 2, w, h), 0.001)
+            labels = [f"obj{k}" for k in range(1, int(ids.max()) + 1)]
+            (root / "gt" / "labels.txt").write_text("".join(f"{label}\n" for label in labels))
+            for f, seed in enumerate(seeds):
+                rng = np.random.default_rng(seed)
+                pose = CameraPose(random_rotation(rng), rng.uniform(-2, 2, size=3))
+                write_pgm(root / "gt" / "ids" / f"{f:04d}.pgm", ids[f], maxval=255)
+                write_pgm(root / "frames" / f"{f:04d}.depth.pgm", depth[f])
+                scene_io.write_pose(root / "frames" / f"{f:04d}.pose.txt", pose)
+            reference = gt_points_reference_from_ids(root)
+            for voxel_size in (0.02, 0.05):
+                gt = load_gt_instances(root, voxel_size)
+                assert [g.label for g in gt] == labels
+                for g, r in zip(gt, reference):
+                    assert np.array_equal(g.keys, np.unique(fusion.voxel_keys(r.points, voxel_size)))
+
     def test_points_back_project_id_pixels(self, tmp_path):
         # fx = fy = 10, cx = 2.5, cy = 1.5, depth 1.5 m, identity pose: pixel
         # (u, v) lands at ((u - 2.5) * 0.15, (v - 1.5) * 0.15, 1.5); frames in
@@ -455,6 +557,7 @@ class TestGroundTruth:
         [
             pytest.param(_wrong_shape, SceneValidationError, r"frame 0001: id image .*0001\.pgm shape", id="shape"),
             pytest.param(_id_above_labels, SceneValidationError, r"frame 0001: id image .*0001\.pgm holds id 2", id="id_above_labels"),
+            pytest.param(_wrong_depth_shape, SceneValidationError, r"frame 0001: depth shape \(4, 5\)", id="wrong_depth_shape"),
             pytest.param(lambda r: (r / "gt" / "labels.txt").unlink(), SceneLayoutError, r"gt/labels\.txt", id="missing_labels"),
             pytest.param(lambda r: (r / "frames" / "0001.depth.pgm").unlink(), SceneLayoutError, r"0001\.depth\.pgm", id="missing_depth"),
             pytest.param(lambda r: (r / "frames" / "0001.pose.txt").unlink(), SceneLayoutError, r"0001\.pose\.txt", id="missing_pose"),
