@@ -3,7 +3,6 @@
 Subcommands:
   detect  run the geometry pipeline on a scene, write clouds + boxes
   eval    score predicted instances against ground truth (mAP/mAP50/mAP25)
-  bench   time reconstruct+fuse of a scene, single-threaded, file I/O excluded
   synth   generate a synthetic scene with oracle detections
   navsim  run the potential-field navigation simulator
 
@@ -24,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bench, evaluation, fusion, navsim, oracle, scene_io
+from . import evaluation, fusion, navsim, oracle, scene_io
 from .types import EVAL_VOXEL_SIZE, Box3D, PipelineConfig, check_voxel_size
 
 
@@ -41,10 +40,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scene_dir")
     p.add_argument("out_dir")
     p.add_argument("--config", help="key = value file supplying flag defaults")
-    p.add_argument("--tau", type=float, default=2.0, help="z-score threshold (default 2.0)")
-    p.add_argument("--voxel-size", type=float, default=0.02, help="dedup voxel size in meters")
-    p.add_argument("--merge-threshold", type=float, default=0.8, help="same-class box IoU for merging")
-    p.add_argument("--kernel-size", type=int, default=3, help="erosion structuring element side")
+    defaults = PipelineConfig()
+    p.add_argument("--tau", type=float, default=defaults.tau, help="z-score threshold (default %(default)s)")
+    p.add_argument("--voxel-size", type=float, default=defaults.voxel_size,
+                   help="dedup voxel size in meters (default %(default)s)")
+    p.add_argument("--merge-threshold", type=float, default=defaults.merge_threshold,
+                   help="same-class box IoU for merging (default %(default)s)")
+    p.add_argument("--kernel-size", type=int, default=defaults.kernel_size,
+                   help="erosion structuring element side (default %(default)s)")
 
     p = sub.add_parser("eval", help="evaluate predicted instances against ground truth")
     p.add_argument("dirs", nargs="+", metavar="PRED_DIR GT_DIR",
@@ -52,12 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key = value file supplying flag defaults")
     p.add_argument("--voxel-size", type=float, default=EVAL_VOXEL_SIZE)
     p.add_argument("--out", help="report path (default: first PRED_DIR/eval_report.txt)")
-
-    p = sub.add_parser("bench", help="time reconstruct+fuse of a loaded scene")
-    p.add_argument("scene_dir")
-    p.add_argument("--config", help="key = value file supplying flag defaults")
-    p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--tau", type=float, default=2.0)
 
     p = sub.add_parser("synth", help="write a synthetic scene with oracle detections")
     p.add_argument("out_dir")
@@ -158,16 +155,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    if args.repeats < 1:
-        raise UsageError("--repeats must be >= 1")
-    config = _flag(PipelineConfig, tau=args.tau)
-    views = scene_io.load_scene(args.scene_dir)
-    rows = bench.time_scene(views, config, repeats=args.repeats)
-    print(bench.format_bench_table(rows, len(views)), end="")
-    return 0
-
-
 def _labeled_box(line: str) -> oracle.LabeledBox:
     label, *coords = line.split()
     if len(coords) != 6:
@@ -227,7 +214,6 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {
         "detect": cmd_detect,
         "eval": cmd_eval,
-        "bench": cmd_bench,
         "synth": cmd_synth,
         "navsim": cmd_navsim,
     }

@@ -49,10 +49,11 @@ class PerturbationConfig:
     score_sigma: float = 0.0
 
     def __post_init__(self):
+        for name in ("seed", "box_jitter_px", "score_sigma"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not (0.0 <= self.drop_prob <= 1.0):
             raise ValueError(f"drop_prob must be in [0, 1], got {self.drop_prob}")
-        if self.score_sigma < 0:
-            raise ValueError(f"score_sigma must be non-negative, got {self.score_sigma}")
 
     def to_file(self, path: Path) -> None:
         Path(path).write_text(
@@ -265,7 +266,7 @@ def render_gt_detections(
     rng = np.random.default_rng([noise.seed, zlib.crc32(frame_id.encode())])
     height, width = ids.shape
     kernel = np.ones((3, 3), dtype=bool)
-    grow = max(-noise.mask_erode_px, 0) + max(noise.box_jitter_px, 0)
+    grow = max(-noise.mask_erode_px, 0) + noise.box_jitter_px
     vs, us = np.nonzero(ids)
     owners = ids[vs, us]
     masks: list[InstanceMask] = []

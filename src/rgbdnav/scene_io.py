@@ -318,15 +318,6 @@ def iter_views(scene_dir: Path) -> Iterator[SceneView]:
     return (load_view(root, frame_id, intr, depth_scale) for frame_id in frame_ids(root))
 
 
-def load_scene(scene_dir: Path) -> list[SceneView]:
-    """Every view of :func:`iter_views`, held at once: each frame's depth stays in memory.
-
-    For callers that reuse the views (``bench`` times repeated runs over
-    them); a single pass over a scene should stream :func:`iter_views`.
-    """
-    return list(iter_views(scene_dir))
-
-
 # ---------------------------------------------------------------------------
 # Ground truth: instance labels and per-frame instance-id images
 # ---------------------------------------------------------------------------

@@ -217,7 +217,7 @@ def mutable_scene_dir(oracle_scene_dir, tmp_path):
     return dest
 
 
-# The five-box layout of scripts/benchmark_timing.py, rendered at 640x480.
+# The five-box bench layout, the scene perfbench times, rendered at 640x480.
 BENCH_LAYOUT = [
     oracle.LabeledBox("box_a", Box3D(np.array([-0.9, -0.6, 0.0]), np.array([-0.4, -0.15, 0.4]))),
     oracle.LabeledBox("box_b", Box3D(np.array([0.3, -0.5, 0.0]), np.array([0.8, -0.05, 0.42]))),

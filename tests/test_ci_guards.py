@@ -1,0 +1,61 @@
+"""Guards on the code and on traced benchmark runs, kept in Tier-1.
+
+Each test is also one step of the CI workflow, which runs it alone with
+``pytest -q -s <node>``; each prints one line with what it measured. The
+trace guards run ``perfbench/run.py`` for one second with ``--trace 1`` and
+read the JSON object on the last line of its stdout.
+"""
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+NAVSIM_STEPS = ("rangefinder_scan", "apf_step", "clearance", "odometry_update", "save_trajectory")
+
+
+def _traced_run(workload: str) -> tuple[dict, int]:
+    """The metrics and failed-op count of a one-second traced perfbench run at seed 0."""
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", "0", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    return result["metrics"], result["failed"]
+
+
+def test_one_voxel_set_primitive():
+    # voxel sets go through fusion.sorted_unique and sorted_unique_first; numpy >= 2.3
+    # builds np.unique and np.union1d through a hash table, several times slower on int64 keys
+    calls = re.compile(r"np\.(unique|union1d)\(")
+    hits = [
+        f"{path.relative_to(ROOT)}:{n}: {line.strip()}"
+        for path in sorted((ROOT / "src" / "rgbdnav").rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if calls.search(line)
+    ]
+    print("one voxel-set primitive", "ok" if not hits else "FAILED", *hits)
+    assert not hits, "src/rgbdnav calls np.unique or np.union1d: use fusion.sorted_unique(_first)"
+
+
+def test_overscan():
+    # a traced detect_eval op must scan at most twice the mask pixels it uses,
+    # and the z-score filter must still be seen rejecting depths
+    m, failed = _traced_run("detect_eval")
+    scanned, used = m["masks.pixels_scanned"]["value"], m["masks.mask_pixels"]["value"]
+    rejected = m["masks.zscore_rejected"]["value"]
+    line = f"overscan: failed={failed} scanned={scanned:.0f} used={used:.0f} zscore_rejected={rejected:.0f}"
+    print(line)
+    assert failed == 0 and used > 0 and scanned <= 2 * used and rejected > 0, line
+
+
+def test_navsim_trace():
+    # a traced navsim op must fail nothing, raise no observer error and spend time in every step function
+    m, failed = _traced_run("navsim")
+    timed = {s: m[f"navsim.{s}_s"]["value"] for s in NAVSIM_STEPS}
+    errors = m["trace.observer_errors"]["value"]
+    line = f"navsim trace: failed={failed} observer_errors={errors:.0f} {timed}"
+    print(line)
+    assert failed == 0 and errors == 0 and all(v > 0 for v in timed.values()), line

@@ -84,7 +84,7 @@ class TestSynth:
         assert frame_ids == {"0000", "0001"}
         assert sorted(p.name for p in (out / "gt" / "ids").iterdir()) == ["0000.pgm", "0001.pgm"]
         written = int(printed.split(" detection(s)")[0].rsplit(" ", 1)[1])
-        assert written == sum(len(v.masks) for v in scene_io.load_scene(out)) <= 2 * 3
+        assert written == sum(len(v.masks) for v in scene_io.iter_views(out)) <= 2 * 3
         code, printed, _ = run_cli(capsys, "detect", str(out), str(tmp_path / "p"))
         assert code == 0
         assert "views:          2" in printed
@@ -104,6 +104,21 @@ class TestSynth:
         ],
     )
     def test_bad_intrinsics_flag_usage_error(self, capsys, tmp_path, flag, value, message):
+        code, _, err = run_cli(capsys, "synth", str(tmp_path / "s"), "--views", "1", flag, value)
+        assert code == 2
+        assert err == f"rgbdnav synth: {message}\n"
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-1", "seed must be non-negative, got -1"),
+            ("--box-jitter-px", "-3", "box_jitter_px must be non-negative, got -3"),
+            ("--score-sigma", "nan", "score_sigma must be non-negative, got nan"),
+        ],
+    )
+    def test_bad_noise_flag_usage_error(self, capsys, tmp_path, flag, value, message):
+        # rejected before anything is rendered: no scene directory is made
         code, _, err = run_cli(capsys, "synth", str(tmp_path / "s"), "--views", "1", flag, value)
         assert code == 2
         assert err == f"rgbdnav synth: {message}\n"
@@ -397,34 +412,6 @@ def test_unwritable_output_one_line(capsys, two_cube_scene, tmp_path, command, p
     assert printed == ""
 
 
-class TestBench:
-    def test_reports_rows_and_mean(self, capsys, two_cube_scene):
-        code, out, _ = run_cli(capsys, "bench", str(two_cube_scene), "--repeats", "3")
-        assert code == 0
-        assert "secs/view" in out
-        assert "mean" in out
-        assert len([l for l in out.splitlines() if l.lstrip().startswith(("0", "1", "2"))]) == 3
-
-    def test_single_view_scene_secs_match(self, capsys, tmp_path):
-        scene_dir = tmp_path / "one"
-        assert main(["synth", str(scene_dir), "--views", "1"]) == 0
-        code, out, _ = run_cli(capsys, "bench", str(scene_dir))
-        assert code == 0
-        row = [l for l in out.splitlines() if l.lstrip().startswith("0")][0]
-        cols = row.split()
-        # secs/scene == secs/view for one view, up to the table's print precision
-        assert float(cols[1]) == pytest.approx(float(cols[2]), abs=1e-4)
-
-    def test_bad_repeats_usage_error(self, capsys, two_cube_scene):
-        code, _, err = run_cli(capsys, "bench", str(two_cube_scene), "--repeats", "0")
-        assert code == 2
-
-    def test_bad_tau_usage_error(self, capsys, two_cube_scene):
-        code, _, err = run_cli(capsys, "bench", str(two_cube_scene), "--tau", "-1")
-        assert code == 2
-        assert "invalid flag" in err and "tau" in err
-
-
 class TestNavsim:
     def test_scenario_run_writes_trajectory(self, capsys, tmp_path):
         out = tmp_path / "traj.csv"
@@ -499,13 +486,16 @@ class TestDefaults:
     def test_flag_defaults_match_named_constants(self):
         from rgbdnav.cli import build_parser
 
+        from rgbdnav.types import EVAL_VOXEL_SIZE, PipelineConfig
+
         parser = build_parser()
         args = parser.parse_args(["detect", "scene", "out"])
-        assert args.tau == 2.0
-        assert args.merge_threshold == 0.8
-        assert args.voxel_size == 0.02
+        defaults = PipelineConfig()
+        assert (args.tau, args.kernel_size, args.merge_threshold, args.voxel_size) == (
+            defaults.tau, defaults.kernel_size, defaults.merge_threshold, defaults.voxel_size
+        )
         args = parser.parse_args(["eval", "a", "b"])
-        assert args.voxel_size == 0.02
+        assert args.voxel_size == EVAL_VOXEL_SIZE == 0.02
 
 
 class TestConfigFile:

@@ -406,7 +406,7 @@ class TestMergeInstances:
 class TestRunScene:
     def test_matches_inline_reference(self, oracle_scene_dir):
         # a tiny z-score threshold empties some filtered depths, so detections drop
-        views = scene_io.load_scene(oracle_scene_dir)
+        views = list(scene_io.iter_views(oracle_scene_dir))
         config = PipelineConfig(tau=0.01)
         got, stats = run_scene(views, config)
         want, want_dropped = run_scene_reference(views, config)

@@ -121,7 +121,7 @@ def render_gt_detections_reference(frame_id, ids, labels, noise):
 
 def _oracle_inputs(scene_dir):
     """The loaded views, the GT labels, and a function from a view to its instance-id image."""
-    views = scene_io.load_scene(scene_dir)
+    views = list(scene_io.iter_views(scene_dir))
     labels = scene_io.load_gt_labels(scene_dir)
 
     def ids(view):
@@ -402,7 +402,7 @@ class TestMakeSyntheticScene:
         assert np.abs(box_r.max_corner - box_a.max_corner).max() <= scale + 1e-6
 
     def test_layout_is_loadable(self, oracle_scene_dir):
-        assert len(scene_io.load_scene(oracle_scene_dir)) == 20
+        assert len(list(scene_io.iter_views(oracle_scene_dir))) == 20
         assert {g.label for g in scene_io.load_gt_instances(oracle_scene_dir)} == {"chair", "table", "plant"}
 
 
@@ -462,7 +462,7 @@ class TestRenderGtDetections:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        st.integers(0, 2**16), st.integers(0, 19), st.integers(-3, 3), st.integers(-2, 12),
+        st.integers(0, 2**16), st.integers(0, 19), st.integers(-3, 3), st.integers(0, 12),
         st.sampled_from([0.0, 0.3]), st.sampled_from([0.0, 0.2]),
     )
     def test_matches_full_image_reference(self, oracle_scene_dir, seed, frame, erode, jitter, drop, sigma):
@@ -515,7 +515,7 @@ class TestPopulateDetections:
 
     def test_stale_masks_removed(self, mutable_scene_dir):
         populate_detections(mutable_scene_dir, PerturbationConfig(seed=1, drop_prob=0.9))
-        views = scene_io.load_scene(mutable_scene_dir)  # would raise on stray masks
+        views = list(scene_io.iter_views(mutable_scene_dir))  # would raise on stray masks
         assert sum(len(v.masks) for v in views) < 60
 
 

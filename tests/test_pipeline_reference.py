@@ -63,7 +63,7 @@ def synth_inputs(draw):
 def detect_reference(scene_dir, config):
     """Fused instances and the count of dropped detections, by the oracle loops."""
     per_view, dropped = [], 0
-    for view in scene_io.load_scene(scene_dir):
+    for view in scene_io.iter_views(scene_dir):
         clouds = []
         for mask in view.masks:
             bitmap = full_image_bitmap(mask, view.frame.depth.shape)

@@ -16,7 +16,6 @@ from rgbdnav.scene_io import (
     SceneValidationError,
     load_gt_instances,
     load_instances,
-    load_scene,
     read_cloud_ply,
     read_pgm,
     write_boxes,
@@ -98,7 +97,7 @@ class TestPgm:
 
 class TestLoadScene:
     def test_well_formed_two_frames(self, tmp_path):
-        views = load_scene(make_fixture_scene(tmp_path / "s"))
+        views = list(scene_io.iter_views(make_fixture_scene(tmp_path / "s")))
         assert len(views) == 2
         assert [v.frame.frame_id for v in views] == ["0000", "0001"]
         assert views[0].frame.depth[0, 0] == pytest.approx(1.5)
@@ -106,7 +105,7 @@ class TestLoadScene:
         assert np.count_nonzero(views[0].masks[0].bitmap) == 6
 
     def test_identity_pose_loads_as_identity(self, tmp_path):
-        views = load_scene(make_fixture_scene(tmp_path / "s"))
+        views = list(scene_io.iter_views(make_fixture_scene(tmp_path / "s")))
         pose = views[0].frame.pose
         assert np.array_equal(pose.rotation, np.eye(3))
         assert np.array_equal(pose.translation, np.zeros(3))
@@ -114,46 +113,46 @@ class TestLoadScene:
     def test_depth_width_mismatch_rejected(self, tmp_path):
         root = make_fixture_scene(tmp_path / "s", intrinsics="10 10 2.5 1.5 7 4 0.001\n")
         with pytest.raises(SceneValidationError, match="depth shape"):
-            load_scene(root)
+            list(scene_io.iter_views(root))
 
     def test_nan_depth_scale_rejected(self, tmp_path):
         # every depth would read as NaN and every detection drop
         root = make_fixture_scene(tmp_path / "s", intrinsics="10 10 2.5 1.5 6 4 nan\n")
         with pytest.raises(SceneValidationError, match=r"intrinsics\.txt: depth_scale must be positive, got nan"):
-            load_scene(root)
+            list(scene_io.iter_views(root))
 
     def test_non_orthonormal_rotation_rejected(self, tmp_path):
         root = make_fixture_scene(
             tmp_path / "s", pose_lines="1 0 0 0\n0 2 0 0\n0 0 1 0\n0 0 0 1\n"
         )
         with pytest.raises(SceneValidationError, match="frame 0000"):
-            load_scene(root)
+            list(scene_io.iter_views(root))
 
     def test_missing_pose_named_in_error(self, tmp_path):
         root = make_fixture_scene(tmp_path / "s")
         (root / "frames" / "0001.pose.txt").unlink()
         with pytest.raises(SceneLayoutError, match="0001.pose.txt"):
-            load_scene(root)
+            list(scene_io.iter_views(root))
 
     def test_missing_mask_named_in_error(self, tmp_path):
         root = make_fixture_scene(tmp_path / "s")
         (root / "frames" / "0000.mask.0.pgm").unlink()
         with pytest.raises(SceneLayoutError, match="0000.mask.0.pgm"):
-            load_scene(root)
+            list(scene_io.iter_views(root))
 
     def test_mask_outside_box_rejected(self, tmp_path):
         mask_rows = [[0] * 6 for _ in range(4)]
         mask_rows[0][5] = 255  # outside the 1..4 x 1..3 detection box
         root = make_fixture_scene(tmp_path / "s", mask_rows=mask_rows)
         with pytest.raises(SceneValidationError, match="outside"):
-            load_scene(root)
+            list(scene_io.iter_views(root))
 
     def test_mask_with_gray_values_rejected(self, tmp_path):
         mask_rows = [[0] * 6 for _ in range(4)]
         mask_rows[1][1] = 128
         root = make_fixture_scene(tmp_path / "s", mask_rows=mask_rows)
         with pytest.raises(SceneValidationError, match="0/255"):
-            load_scene(root)
+            list(scene_io.iter_views(root))
 
     @pytest.mark.parametrize(
         "pixels, message",
@@ -172,7 +171,7 @@ class TestLoadScene:
             mask_rows[v][u] = value
         root = make_fixture_scene(tmp_path / "s", mask_rows=mask_rows)
         with pytest.raises(SceneValidationError) as err:
-            load_scene(root)
+            list(scene_io.iter_views(root))
         assert str(err.value) == message
 
     def test_fractional_box_keeps_its_window(self, tmp_path):
@@ -180,43 +179,43 @@ class TestLoadScene:
         mask_rows = [[0] * 6 for _ in range(4)]
         mask_rows[1][1] = mask_rows[2][3] = 255
         root = make_fixture_scene(tmp_path / "s", detections="0.5 1 3.5 3 0.9 mug\n", mask_rows=mask_rows)
-        mask = load_scene(root)[0].masks[0]
+        mask = list(scene_io.iter_views(root))[0].masks[0]
         assert mask.bitmap.shape == (2, 3)
         assert np.array_equal(np.argwhere(mask.bitmap), [[0, 0], [1, 2]])
         mask_rows[1][4] = 255
         root = make_fixture_scene(tmp_path / "t", detections="0.5 1 3.5 3 0.9 mug\n", mask_rows=mask_rows)
         with pytest.raises(SceneValidationError, match="outside its detection box"):
-            load_scene(root)
+            list(scene_io.iter_views(root))
 
     def test_degenerate_detection_rejected(self, tmp_path):
         root = make_fixture_scene(tmp_path / "s", detections="4 1 1 3 0.9 mug\n")
         with pytest.raises(SceneValidationError):
-            load_scene(root)
+            list(scene_io.iter_views(root))
 
     def test_out_of_range_score_rejected(self, tmp_path):
         root = make_fixture_scene(tmp_path / "s", detections="1 1 4 3 1.5 mug\n")
         with pytest.raises(SceneValidationError):
-            load_scene(root)
+            list(scene_io.iter_views(root))
 
     def test_box_clamped_to_image(self, tmp_path):
         mask_rows = [[0] * 6 for _ in range(4)]
         mask_rows[1][2] = 255
         root = make_fixture_scene(tmp_path / "s", detections="-3 -1 9 9 0.5 mug\n", mask_rows=mask_rows)
-        views = load_scene(root)
+        views = list(scene_io.iter_views(root))
         assert views[0].masks[0].detection.box == (0.0, 0.0, 6.0, 4.0)
 
     def test_empty_detections_allowed(self, tmp_path):
         root = make_fixture_scene(tmp_path / "s", detections="")
-        views = load_scene(root)
+        views = list(scene_io.iter_views(root))
         assert views[0].masks == []
 
     def test_missing_dir(self, tmp_path):
         with pytest.raises(SceneLayoutError):
-            load_scene(tmp_path / "nope")
+            list(scene_io.iter_views(tmp_path / "nope"))
 
     def test_label_with_spaces(self, tmp_path):
         root = make_fixture_scene(tmp_path / "s", detections="1 1 4 3 0.9 coffee mug\n")
-        views = load_scene(root)
+        views = list(scene_io.iter_views(root))
         assert views[0].masks[0].detection.label == "coffee mug"
 
 

@@ -36,10 +36,3 @@ def test_navigation_demo(monkeypatch, tmp_path, capsys):
         assert (out_dir / f"{name}.traj.csv").is_file()
     assert capsys.readouterr().out.count(": reached in") == len(navsim.SCENARIOS)
 
-
-def test_benchmark_timing(monkeypatch, tmp_path, capsys):
-    assert run_script(monkeypatch, tmp_path, "benchmark_timing", "--views", "2", "--repeats", "1") == 0
-    out = capsys.readouterr().out
-    assert "over 2 view(s)" in out
-    (row,) = [line.split() for line in out.splitlines() if re.match(r"\s+0\s", line)]
-    assert float(row[1]) > 0.0
