@@ -138,7 +138,8 @@ def cmd_eval(args) -> int:
     pairs = [(args.dirs[i], args.dirs[i + 1]) for i in range(0, len(args.dirs), 2)]
     reports = []
     for pred_dir, gt_dir in pairs:
-        pred = scene_io.load_instances(pred_dir)
+        # each prediction is keyed as it is read: no cloud's points are held while ground truth is keyed
+        pred = [evaluation.KeyedPrediction.of(c, args.voxel_size) for c in scene_io.iter_instances(pred_dir)]
         gt = scene_io.load_gt_instances(Path(gt_dir), args.voxel_size)
         unknown = sorted({c.label for c in pred} - {g.label for g in gt})
         if unknown:

@@ -1,8 +1,9 @@
 """Class-wise average precision over 3D instances.
 
 Instances are compared at the point level: IoU is taken over the sets of
-voxels they occupy on one grid. A prediction's points are voxelized here;
-ground truth arrives already voxelized on that grid (:class:`GroundTruth`).
+voxels they occupy on one grid. A prediction's points are voxelized here,
+unless it arrives keyed (:class:`KeyedPrediction`); ground truth arrives
+already voxelized on that grid (:class:`GroundTruth`).
 Both sets come from the package's one sorted-keys primitive,
 ``fusion.sorted_unique``: a sort and a compare of neighbours. ``np.unique``
 gives the same keys, but numpy >= 2.3 builds it through a hash table,
@@ -15,6 +16,7 @@ area under the monotone (non-increasing) precision envelope over recall.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -49,6 +51,25 @@ class EvalReport:
 def _voxel_set(points: np.ndarray, voxel_size: float) -> np.ndarray:
     """Sorted keys of the voxels the points occupy."""
     return sorted_unique(voxel_keys(points, voxel_size))
+
+
+@dataclass(frozen=True)
+class KeyedPrediction:
+    """A predicted instance as it is scored: its label, its score and the voxels it occupies.
+
+    ``keys`` are the sorted unique voxel keys of its points on a grid of edge
+    ``voxel_size``. Keying a cloud as it is read lets a caller drop its points
+    before the next one is read.
+    """
+
+    label: str
+    score: float
+    keys: np.ndarray
+    voxel_size: float
+
+    @classmethod
+    def of(cls, cloud: ObjectCloud, voxel_size: float) -> KeyedPrediction:
+        return cls(cloud.label, cloud.score, _voxel_set(cloud.points, voxel_size), voxel_size)
 
 
 def _voxel_iou(a: np.ndarray, b: np.ndarray) -> float:
@@ -100,15 +121,17 @@ def _envelope_area(tp: np.ndarray, num_gt: int) -> float:
 
 
 def evaluate_scene(
-    pred: list[ObjectCloud], gt: list[GroundTruth], voxel_size: float = EVAL_VOXEL_SIZE
+    pred: Sequence[ObjectCloud | KeyedPrediction], gt: list[GroundTruth], voxel_size: float = EVAL_VOXEL_SIZE
 ) -> EvalReport:
     """Score predictions against ground truth for one scene.
 
     AP is reported at IoU 0.25 and 0.50, and averaged over the 0.50:0.05:0.95
     threshold ladder for the headline number. The class mean runs over classes
     with at least one GT instance; predictions for classes absent from the GT
-    do not contribute. Ground truth keyed at another voxel size raises
-    ValueError: keys from two grids are never compared.
+    do not contribute. Each cloud in ``pred`` of a ground-truth class is
+    keyed once (:meth:`KeyedPrediction.of`). Ground truth or a keyed prediction on
+    another voxel size raises ValueError: keys from two grids are never
+    compared.
     """
     if not gt:
         raise ValueError("no ground-truth instances: nothing to evaluate")
@@ -116,15 +139,19 @@ def evaluate_scene(
     if grids:
         raise ValueError(f"ground truth keyed at voxel_size {grids[0]:g}, not the {voxel_size:g} evaluated at")
     classes = sorted({g.label for g in gt})
+    keyed = [
+        p if isinstance(p, KeyedPrediction) else KeyedPrediction.of(p, voxel_size)
+        for p in pred if p.label in classes
+    ]
+    grids = sorted({p.voxel_size for p in keyed} - {voxel_size})
+    if grids:
+        raise ValueError(f"predictions keyed at voxel_size {grids[0]:g}, not the {voxel_size:g} evaluated at")
     thresholds = {0.25, 0.50, *MAP_THRESHOLDS}
     per_class: dict[str, ClassRow] = {}
     for cls in classes:
         gts = [g.keys for g in gt if g.label == cls]
-        preds = [cloud for cloud in pred if cloud.label == cls]
-        scored = []
-        for cloud in preds:
-            voxels = _voxel_set(cloud.points, voxel_size)
-            scored.append((cloud.score, np.array([_voxel_iou(voxels, g) for g in gts])))
+        preds = [p for p in keyed if p.label == cls]
+        scored = [(p.score, np.array([_voxel_iou(p.keys, g) for g in gts])) for p in preds]
         tp = {t: _greedy_match(scored, len(gts), t) for t in thresholds}
         ap_at = {t: _envelope_area(flags, len(gts)) for t, flags in tp.items()}
         per_class[cls] = ClassRow(

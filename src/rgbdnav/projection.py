@@ -5,6 +5,13 @@ Pinhole model: a pixel (u, v) with depth d maps to the camera-frame point
 carries into the world frame as R @ p + t. :func:`reconstruct_object` takes
 a mask through erosion, depth gathering, the z-score filter and this map in
 one pass over the detection box's window.
+
+Clouds come back column-major: :func:`back_project_pixels` and
+:func:`to_world` return (N, 3) arrays whose x, y and z columns each lie
+contiguous in memory, so the per-axis passes downstream (box extremes,
+voxel keys) read unit-stride columns. The values are those of the row-major
+``p @ R.T + t`` bit for bit; ``tests/test_projection.py`` pins that against
+the BLAS in use.
 """
 from __future__ import annotations
 
@@ -21,11 +28,11 @@ logger = logging.getLogger(__name__)
 def back_project_pixels(
     us: np.ndarray, vs: np.ndarray, depths: np.ndarray, intrinsics: CameraIntrinsics
 ) -> np.ndarray:
-    """Map pixel coordinates with depths to camera-frame points, one row per pixel."""
+    """Map pixel coordinates with depths to camera-frame points, one row per pixel, column-major."""
     d = np.asarray(depths, dtype=np.float64)
     x = (np.asarray(us, dtype=np.float64) - intrinsics.cx) * d / intrinsics.fx
     y = (np.asarray(vs, dtype=np.float64) - intrinsics.cy) * d / intrinsics.fy
-    return np.column_stack([x, y, d])
+    return np.stack([x, y, d]).T
 
 
 def project_to_pixels(points_cam: np.ndarray, intrinsics: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
@@ -37,9 +44,9 @@ def project_to_pixels(points_cam: np.ndarray, intrinsics: CameraIntrinsics) -> t
 
 
 def to_world(points: np.ndarray, pose: CameraPose) -> np.ndarray:
-    """Apply the camera-to-world transform R @ p + t to each point."""
+    """Apply the camera-to-world transform R @ p + t to each point; the result is column-major."""
     p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    return p @ pose.rotation.T + pose.translation
+    return (pose.rotation @ p.T).T + pose.translation
 
 
 def to_camera(points: np.ndarray, pose: CameraPose) -> np.ndarray:

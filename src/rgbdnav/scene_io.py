@@ -13,6 +13,10 @@ On-disk scene layout::
 
 Frames are ordered by <id> (zero-padded ids sort naturally). Mask files stay
 full-image on disk; loading keeps only the detection box's window of each.
+The loaders read each raster once: a P5 PGM's samples are a read-only view
+of the file bytes, in the file's own dtype (one byte, or big-endian two),
+and depth goes from that view straight to float64 metres. :func:`read_pgm`
+is the public reader that returns a writeable uint16 copy instead.
 RGB images may sit next to the depth files but are never read here. Loading
 validates every invariant and never repairs data silently; a file that
 cannot be read or decoded raises SceneLayoutError naming it. Views stream:
@@ -36,7 +40,7 @@ from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
-from .fusion import sorted_unique, voxel_keys
+from .fusion import sorted_union, sorted_unique, voxel_keys
 from .projection import back_project_pixels, to_world
 from .types import (
     EVAL_VOXEL_SIZE, CameraIntrinsics, CameraPose, DepthFrame, Detection2D, GroundTruth, InstanceMask, ObjectCloud
@@ -116,8 +120,14 @@ def read_key_values(path: Path) -> dict[str, str]:
 # PGM
 # ---------------------------------------------------------------------------
 
-def read_pgm(path: Path) -> np.ndarray:
-    """Read a P2 (ASCII) or P5 (binary) grayscale PGM into a uint16 array."""
+def _read_raster(path: Path) -> np.ndarray:
+    """The (height, width) samples of a P2 (ASCII) or P5 (binary) grayscale PGM, in the file's dtype.
+
+    A P5 raster comes back as a read-only view of the file bytes, ``u1`` or
+    big-endian ``>u2``: no copy is made. A P2 raster is parsed into uint32.
+    Samples are checked against maxval unless maxval is the dtype's largest
+    value, where no sample can exceed it.
+    """
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -163,20 +173,34 @@ def read_pgm(path: Path) -> np.ndarray:
     else:
         pos += 1  # single whitespace byte after maxval
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        data = raw[pos:pos + width * height * dtype.itemsize]
-        if len(data) != width * height * dtype.itemsize:
+        if not 0 <= width * height * dtype.itemsize <= len(raw) - pos:
             raise SceneValidationError(f"{path}: truncated PGM raster")
-        values = np.frombuffer(data, dtype=dtype)  # a view of the file bytes
-    if values.size and values.max() > maxval:
+        values = np.frombuffer(raw, dtype, count=width * height, offset=pos)  # a view of the file bytes
+    if maxval < np.iinfo(values.dtype).max and values.size and values.max() > maxval:
         raise SceneValidationError(f"{path}: sample exceeds declared maxval {maxval}")
-    return values.astype(np.uint16).reshape(height, width)
+    return values.reshape(height, width)
+
+
+def read_pgm(path: Path) -> np.ndarray:
+    """Read a P2 (ASCII) or P5 (binary) grayscale PGM into a writeable uint16 array of its own."""
+    return _read_raster(path).astype(np.uint16)
 
 
 def write_pgm(path: Path, image: np.ndarray, maxval: int = 65535) -> None:
-    """Write a P5 (binary) grayscale PGM; 2 bytes big-endian when maxval > 255."""
+    """Write a P5 (binary) grayscale PGM; 2 bytes big-endian when maxval > 255.
+
+    The samples must be bool or integers in [0, maxval]: any other dtype, a
+    negative sample or one above maxval raises ValueError, never a wrapped
+    or truncated value.
+    """
     image = np.asarray(image)
     if image.ndim != 2:
         raise ValueError(f"PGM image must be 2D, got shape {image.shape}")
+    if image.dtype.kind not in "biu":
+        raise ValueError(f"PGM samples must be integers or bool, got dtype {image.dtype}")
+    # unsigned samples cannot be negative, so only signed ones take this pass
+    if image.dtype.kind == "i" and image.size and int(image.min()) < 0:
+        raise ValueError(f"image min {int(image.min())} is negative")
     if image.size and int(image.max()) > maxval:
         raise ValueError(f"image max {int(image.max())} exceeds maxval {maxval}")
     h, w = image.shape
@@ -212,8 +236,8 @@ def load_intrinsics(path: Path) -> tuple[CameraIntrinsics, float]:
 
 
 def _read_raw_depth(path: Path, frame_id: str, intr: CameraIntrinsics) -> np.ndarray:
-    """The unscaled uint16 depth samples of a frame, checked against the intrinsics' image shape."""
-    raw = read_pgm(path)
+    """The unscaled depth samples of a frame (:func:`_read_raster`), checked against the intrinsics' image shape."""
+    raw = _read_raster(path)
     if raw.shape != (intr.height, intr.width):
         raise SceneValidationError(
             f"frame {frame_id}: depth shape {raw.shape} does not match "
@@ -223,6 +247,7 @@ def _read_raw_depth(path: Path, frame_id: str, intr: CameraIntrinsics) -> np.nda
 
 
 def _load_depth(path: Path, frame_id: str, intr: CameraIntrinsics, depth_scale: float) -> np.ndarray:
+    # straight from the file's samples to float64 metres: the one copy of the raster
     return np.multiply(_read_raw_depth(path, frame_id, intr), depth_scale, dtype=np.float64)
 
 
@@ -254,7 +279,7 @@ def _load_detections(path: Path, intr: CameraIntrinsics) -> list[Detection2D]:
 
 
 def _load_mask(path: Path, frame_id: str, k: int, det: Detection2D, intr: CameraIntrinsics) -> InstanceMask:
-    raw = read_pgm(path)
+    raw = _read_raster(path)
     if raw.shape != (intr.height, intr.width):
         raise SceneValidationError(
             f"frame {frame_id}: mask {k} shape {raw.shape} does not match image "
@@ -332,9 +357,13 @@ def load_gt_labels(scene_dir: Path) -> list[str]:
 
 
 def load_gt_ids(scene_dir: Path, frame_id: str, intr: CameraIntrinsics, num_labels: int) -> np.ndarray:
-    """The instance-id image gt/ids/<frame_id>.pgm, checked against the intrinsics and label count."""
+    """The instance-id image gt/ids/<frame_id>.pgm, checked against the intrinsics and label count.
+
+    The ids come back in the file's own dtype: a read-only view of the file
+    bytes for a P5 image (``u1`` or ``>u2``), uint32 for a P2 one.
+    """
     path = Path(scene_dir) / "gt" / "ids" / f"{frame_id}.pgm"
-    ids = read_pgm(path)
+    ids = _read_raster(path)
     if ids.shape != (intr.height, intr.width):
         raise SceneValidationError(
             f"frame {frame_id}: id image {path} shape {ids.shape} does not match "
@@ -361,7 +390,9 @@ def load_gt_instances(scene_dir: Path, voxel_size: float = EVAL_VOXEL_SIZE) -> l
     Each frame's pixels are located once: one ``flatnonzero`` of the id image
     gives the flat indices of its id pixels, a stable sort by id groups them
     into one contiguous, row-major run per instance, and depth is scaled only
-    at those pixels. Each run is back-projected, keyed and folded on its own.
+    at those pixels. Each run is back-projected and keyed on its own, and only
+    its keys are sorted: they are merged into the instance's held set, which
+    is never sorted again (:func:`fusion.sorted_union`).
     """
     root = Path(scene_dir)
     labels = load_gt_labels(root)
@@ -387,7 +418,7 @@ def load_gt_instances(scene_dir: Path, voxel_size: float = EVAL_VOXEL_SIZE) -> l
         for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             if lo < hi:
                 points = to_world(back_project_pixels(us[lo:hi], vs[lo:hi], depth[lo:hi], intr), pose)
-                keys[k] = sorted_unique(np.concatenate([keys[k], voxel_keys(points, voxel_size)]))
+                keys[k] = sorted_union(keys[k], sorted_unique(voxel_keys(points, voxel_size)))
     unseen = [label for label, k in zip(labels, keys) if not k.size]
     if unseen:
         raise SceneValidationError(f"{root / 'gt'}: labels with no pixels in any id image: {unseen}")
@@ -538,11 +569,12 @@ def write_instances(instances: list[ObjectCloud], out_dir: Path) -> None:
         write_cloud_ply(cloud, out_dir / f"cloud_{k:04d}_{_slug(cloud.label)}.ply")
 
 
-def load_instances(pred_dir: Path) -> list[ObjectCloud]:
-    """Load an instance set written by :func:`write_instances`.
+def iter_instances(pred_dir: Path) -> Iterator[ObjectCloud]:
+    """The instances of an instance set written by :func:`write_instances`, read one at a time.
 
     Label and score come from boxes.json, the points from each PLY; each box
-    is recomputed from the points, not read from the JSON corners.
+    is recomputed from the points, not read from the JSON corners. Instance
+    k is read and checked only when the iterator reaches it, and is not kept.
     """
     pred_dir = Path(pred_dir)
     boxes_path = pred_dir / "boxes.json"
@@ -553,7 +585,6 @@ def load_instances(pred_dir: Path) -> list[ObjectCloud]:
     records = doc.get("instances") if isinstance(doc, dict) else None
     if not isinstance(records, list):
         raise SceneValidationError(f"{boxes_path}: no 'instances' list")
-    clouds = []
     for k, rec in enumerate(records):
         try:
             label, score = rec["label"], float(rec["score"])
@@ -568,5 +599,9 @@ def load_instances(pred_dir: Path) -> list[ObjectCloud]:
             raise SceneLayoutError(
                 f"expected exactly one cloud file for instance {k} in {pred_dir}, found {len(matches)}"
             )
-        clouds.append(ObjectCloud(read_cloud_ply(matches[0]), label, score))
-    return clouds
+        yield ObjectCloud(read_cloud_ply(matches[0]), label, score)
+
+
+def load_instances(pred_dir: Path) -> list[ObjectCloud]:
+    """All the instances of :func:`iter_instances`, in boxes.json order."""
+    return list(iter_instances(pred_dir))

@@ -343,6 +343,17 @@ class TestEval:
         assert out == ""
         assert err == f"rgbdnav eval: {scene / 'gt' / 'labels.txt'}: no labels\n"
 
+    def test_prediction_error_shows_before_ground_truth_error(self, capsys, two_cube_scene, perfect_pred_dir, tmp_path):
+        # predictions are read and keyed before ground truth, so with both
+        # directories bad the prediction's error is the one line printed
+        scene = tmp_path / "scene"
+        shutil.copytree(two_cube_scene, scene)
+        (scene / "gt" / "labels.txt").unlink()
+        (perfect_pred_dir / "boxes.json").write_text("not json")
+        code, _, err = run_cli(capsys, "eval", str(perfect_pred_dir), str(scene))
+        assert code == 1
+        assert err.startswith(f"rgbdnav eval: {perfect_pred_dir / 'boxes.json'}: not JSON")
+
     def test_odd_directory_count_usage_error(self, capsys, two_cube_scene):
         code, _, err = run_cli(capsys, "eval", str(two_cube_scene))
         assert code == 2

@@ -4,12 +4,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rgbdnav.evaluation import (
     ClassRow,
     EvalReport,
+    KeyedPrediction,
     MAP_THRESHOLDS,
     _envelope_area,
     _greedy_match,
@@ -292,6 +293,19 @@ class TestEvaluateScene:
         cloud, gt = _grid_instance("chair", (0, 0, 0))
         with pytest.raises(ValueError, match="ground truth keyed at voxel_size 0.05, not the 0.02"):
             evaluate_scene([cloud], keyed_gt([gt], 0.05), 0.02)
+
+    def test_prediction_keyed_on_another_grid_rejected(self):
+        cloud, gt = _grid_instance("chair", (0, 0, 0))
+        with pytest.raises(ValueError, match="predictions keyed at voxel_size 0.05, not the 0.02"):
+            evaluate_scene([KeyedPrediction.of(cloud, 0.05)], keyed_gt([gt], 0.02), 0.02)
+
+    @settings(max_examples=100, deadline=None)
+    @given(eval_inputs(), st.data())
+    def test_keyed_predictions_score_as_their_clouds(self, inputs, data):
+        # a prediction keyed as it is read scores as its cloud does, mixed or not
+        preds, gt, voxel = inputs
+        keyed = [KeyedPrediction.of(p, voxel) if data.draw(st.booleans()) else p for p in preds]
+        assert evaluate_scene(keyed, keyed_gt(gt, voxel), voxel) == evaluate_scene(preds, keyed_gt(gt, voxel), voxel)
 
     def test_unsorted_gt_keys_rejected(self):
         # _voxel_iou takes keys as sorted and unique; unsorted keys would give a wrong IoU, not an error

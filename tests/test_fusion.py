@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rgbdnav import scene_io
@@ -12,6 +12,7 @@ from rgbdnav.fusion import (
     iou_3d,
     merge_instances,
     run_scene,
+    sorted_union,
     sorted_unique,
     sorted_unique_first,
     voxel_keys,
@@ -278,6 +279,16 @@ class TestSortedUnique:
         # long runs of equal keys, where quicksort's argsort does not keep input order
         keys = np.random.default_rng(5).integers(0, 4, 5000).astype(np.int64)
         assert np.array_equal(sorted_unique_first(keys)[1], np.unique(keys, return_index=True)[1])
+
+    @settings(max_examples=300)
+    @given(key_arrays(), key_arrays())
+    @example(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+    @example(np.array([], dtype=np.int64), np.array([3]))
+    @example(np.array([1, 5]), np.array([1, 5]))
+    def test_union_matches_np_union1d(self, held, batch):
+        held, batch = np.unique(held), np.unique(batch)
+        got = sorted_union(held, batch)
+        assert got.dtype == np.int64 and got.tobytes() == np.union1d(held, batch).tobytes()
 
 
 class TestMergeInstances:

@@ -91,6 +91,48 @@ class TestToWorld:
         assert np.abs(d_in - d_out).max() < 1e-9
 
 
+class TestColumnMajorClouds:
+    """Clouds come back column-major, with the values of the row-major reference bit for bit.
+
+    The CI workflow runs ``test_to_world_bit_identical_to_row_major`` as its own
+    step: a BLAS that rounds ``R @ p.T`` unlike ``p @ R.T`` fails there by name.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 3000),
+        st.sampled_from(["C", "F"]),
+    )
+    @example(seed=0, n=0, order="C")
+    @example(seed=0, n=0, order="F")
+    def test_to_world_bit_identical_to_row_major(self, seed, n, order):
+        rng = np.random.default_rng(seed)
+        pose = CameraPose(random_rotation(rng), rng.uniform(-5, 5, size=3))
+        pts = np.asarray(rng.normal(size=(n, 3)) * rng.uniform(0.1, 20), order=order)
+        got = to_world(pts, pose)
+        want = pts @ pose.rotation.T + pose.translation
+        assert got.shape == want.shape == (n, 3)
+        assert got.flags.f_contiguous
+        # tobytes in C order: equal bits, signed zeros included
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3000))
+    @example(seed=0, n=0)
+    def test_back_project_bit_identical_to_column_stack(self, seed, n):
+        rng = np.random.default_rng(seed)
+        intr = CameraIntrinsics(*rng.uniform(50, 800, size=2), rng.uniform(0, 64), rng.uniform(0, 48), 64, 48)
+        us, vs = rng.integers(0, 64, size=n), rng.integers(0, 48, size=n)
+        depths = rng.uniform(0.0, 9.0, size=n)
+        got = back_project_pixels(us, vs, depths, intr)
+        x = (us.astype(np.float64) - intr.cx) * depths / intr.fx
+        y = (vs.astype(np.float64) - intr.cy) * depths / intr.fy
+        want = np.column_stack([x, y, depths])
+        assert got.shape == (n, 3) and got.flags.f_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
 class TestBoxFromCloud:
     def test_two_points(self):
         cloud = ObjectCloud(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]), "thing", 1.0)

@@ -94,6 +94,138 @@ class TestPgm:
             with pytest.raises(SceneValidationError, match=f"exceeds declared maxval {maxval}"):
                 read_pgm(tmp_path / "bad.pgm")
 
+    @pytest.mark.parametrize(
+        "image, message",
+        [
+            (np.array([[0, -1]], dtype=np.int16), "image min -1 is negative"),
+            (np.array([[3, -70000]]), "image min -70000 is negative"),
+            (np.array([[0.0, 2.7]]), "PGM samples must be integers or bool, got dtype float64"),
+            (np.array([[1.0, 2.0]], dtype=np.float32), "PGM samples must be integers or bool, got dtype float32"),
+            (np.array([[1 + 0j]]), "PGM samples must be integers or bool, got dtype complex128"),
+        ],
+        ids=["minus_one_int16", "negative_int64", "fractional_float", "whole_float", "complex"],
+    )
+    def test_unrepresentable_samples_rejected(self, tmp_path, image, message):
+        # -1 would wrap to 65535 and 2.7 truncate to 2
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_pgm(tmp_path / "x.pgm", image)
+        assert not (tmp_path / "x.pgm").exists()
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.uint16, np.uint64, np.int8, np.int64])
+    def test_bool_and_integer_samples_written_exactly(self, tmp_path, dtype):
+        img = np.array([[0, 1], [1, 0]], dtype=dtype)
+        write_pgm(tmp_path / "ok.pgm", img, maxval=255)
+        assert np.array_equal(read_pgm(tmp_path / "ok.pgm"), img.astype(np.uint16))
+
+
+# Raster encodings every loader must read alike: (magic, maxval). P5 at 255
+# is one byte a sample and P5 at 65535 two big-endian bytes, neither needing
+# a maxval check; P5 at 1000 is two bytes with a maxval below the dtype's;
+# P2 is ASCII.
+RASTER_FORMATS = [("P5", 255), ("P5", 1000), ("P5", 65535), ("P2", 1000)]
+RASTER_IDS = ["p5_8bit", "p5_16bit_maxval_1000", "p5_16bit", "p2"]
+
+
+def _write_raster(path, image, magic, maxval):
+    """``image`` as a PGM of the given magic and maxval, its samples written as they are."""
+    image = np.asarray(image)
+    h, w = image.shape
+    header = f"{magic}\n{w} {h}\n{maxval}\n"
+    if magic == "P2":
+        path.write_text(header + "\n".join(" ".join(str(int(v)) for v in row) for row in image) + "\n")
+    else:
+        path.write_bytes(header.encode() + image.astype(">u2" if maxval > 255 else "u1").tobytes())
+
+
+def make_format_scene(root, magic, maxval):
+    """make_fixture_scene with its ground truth, every raster re-encoded; raw depth 200 fits one byte."""
+    root = add_fixture_gt(make_fixture_scene(root, depth_rows=[[200, 0, 200, 150, 200, 255]] * 4))
+    for path in [*root.glob("frames/*.pgm"), *root.glob("gt/ids/*.pgm")]:
+        _write_raster(path, read_pgm(path), magic, maxval)
+    return root
+
+
+@pytest.mark.parametrize("magic, maxval", RASTER_FORMATS, ids=RASTER_IDS)
+class TestRasterFormats:
+    def test_load_view(self, tmp_path, magic, maxval):
+        root = make_format_scene(tmp_path / "s", magic, maxval)
+        intr, scale = scene_io.load_intrinsics(root / "intrinsics.txt")
+        view = scene_io.load_view(root, "0001", intr, scale)
+        raw = np.array([[200, 0, 200, 150, 200, 255]] * 4, dtype=np.uint16)
+        assert view.frame.depth.dtype == np.float64
+        assert view.frame.depth.tobytes() == (raw.astype(np.float64) * 0.001).tobytes()
+        (mask,) = view.masks
+        assert mask.bitmap.dtype == bool and mask.bitmap.all() and mask.bitmap.shape == (2, 3)
+
+    def test_load_gt_ids(self, tmp_path, magic, maxval):
+        root = make_format_scene(tmp_path / "s", magic, maxval)
+        intr, _ = scene_io.load_intrinsics(root / "intrinsics.txt")
+        ids = scene_io.load_gt_ids(root, "0000", intr, 1)
+        want = np.zeros((4, 6), dtype=np.uint16)
+        want[1:3, 1:4] = 1
+        assert ids.shape == (4, 6) and np.array_equal(ids, want)
+        if magic == "P5":  # a view of the file bytes in the file's dtype, not a copy
+            assert ids.dtype == (np.dtype(">u2") if maxval > 255 else np.dtype("u1"))
+            assert not ids.flags.writeable
+        # read_pgm stays the writeable uint16 copy
+        copy = read_pgm(root / "gt" / "ids" / "0000.pgm")
+        assert copy.dtype == np.uint16 and copy.flags.writeable and np.array_equal(copy, want)
+
+    def test_load_gt_instances(self, tmp_path, magic, maxval):
+        root = make_format_scene(tmp_path / "s", magic, maxval)
+        reference = make_format_scene(tmp_path / "ref", "P2", 65535)
+        (gt,), (want,) = load_gt_instances(root), load_gt_instances(reference)
+        assert gt.label == "mug" and np.array_equal(gt.keys, want.keys)
+
+    @pytest.mark.parametrize(
+        "path, image, error",
+        [
+            pytest.param("frames/0001.mask.0.pgm", [[0] * 6, [0, 255, 7, 255, 0, 0], [0, 255, 255, 255, 0, 0], [0] * 6],
+                         "frame 0001: mask 0 has values other than 0/255", id="mask_value"),
+            pytest.param("frames/0001.mask.0.pgm", [[0] * 5 + [255], [0, 255, 255, 255, 0, 0], [0] * 6, [0] * 6],
+                         "frame 0001: mask 0 has pixels outside its detection box (1.0, 1.0, 4.0, 3.0)", id="mask_outside_box"),
+            pytest.param("frames/0001.mask.0.pgm", [[0] * 5] * 4,
+                         "frame 0001: mask 0 shape (4, 5) does not match image (4, 6)", id="mask_shape"),
+            pytest.param("frames/0001.depth.pgm", [[200] * 6] * 3,
+                         "frame 0001: depth shape (3, 6) does not match intrinsics (4, 6)", id="depth_shape"),
+        ],
+    )
+    def test_view_errors_name_the_frame(self, tmp_path, magic, maxval, path, image, error):
+        root = make_format_scene(tmp_path / "s", magic, maxval)
+        _write_raster(root / path, image, magic, maxval)
+        views = scene_io.iter_views(root)
+        assert next(views).frame.frame_id == "0000"
+        with pytest.raises(SceneValidationError) as err:
+            next(views)
+        assert str(err.value) == error
+
+    @pytest.mark.parametrize(
+        "image, error",
+        [
+            pytest.param([[0] * 5] * 4, r"frame 0001: id image .*0001\.pgm shape \(4, 5\) does not match", id="shape"),
+            pytest.param([[0] * 6, [0, 1, 1, 2, 0, 0], [0] * 6, [0] * 6],
+                         r"frame 0001: id image .*0001\.pgm holds id 2, but gt/labels\.txt lists 1 label", id="id_above_labels"),
+        ],
+    )
+    def test_id_image_errors_name_file_and_frame(self, tmp_path, magic, maxval, image, error):
+        root = make_format_scene(tmp_path / "s", magic, maxval)
+        _write_raster(root / "gt" / "ids" / "0001.pgm", image, magic, maxval)
+        with pytest.raises(SceneValidationError, match=error):
+            load_gt_instances(root)
+
+
+# the encodings whose maxval lies below their dtype's largest value
+@pytest.mark.parametrize("magic", ["P5", "P2"])
+@pytest.mark.parametrize("path", ["frames/0001.depth.pgm", "frames/0001.mask.0.pgm", "gt/ids/0001.pgm"])
+def test_sample_above_maxval_names_file(tmp_path, magic, path):
+    root = make_format_scene(tmp_path / "s", magic, 1000)
+    image = read_pgm(root / path)
+    image[0, 0] = 1001
+    _write_raster(root / path, image, magic, 1000)
+    load = scene_io.load_gt_instances if path.startswith("gt") else lambda r: list(scene_io.iter_views(r))
+    with pytest.raises(SceneValidationError, match=rf"{re.escape(path)}: sample exceeds declared maxval 1000"):
+        load(root)
+
 
 class TestLoadScene:
     def test_well_formed_two_frames(self, tmp_path):
@@ -405,6 +537,15 @@ class TestBoxesDocument:
         for cloud, rec in zip(back, records):
             assert np.abs(cloud.box.min_corner - rec["min_corner"]).max() <= 1e-6
             assert np.abs(cloud.box.max_corner - rec["max_corner"]).max() <= 1e-6
+
+    def test_iter_instances_reads_each_cloud_when_reached(self, tmp_path):
+        instances = self._instances() * 2
+        write_instances(instances, tmp_path / "out")
+        next((tmp_path / "out").glob("cloud_0001_*.ply")).unlink()
+        clouds = scene_io.iter_instances(tmp_path / "out")
+        assert np.array_equal(next(clouds).points, instances[0].points)
+        with pytest.raises(SceneLayoutError, match="exactly one cloud file for instance 1"):
+            next(clouds)
 
     def test_ply_without_vertices_names_file(self, tmp_path):
         write_instances(self._instances(), tmp_path / "out")
