@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--merge-threshold", type=float, default=defaults.merge_threshold,
                    help="same-class box IoU for merging (default %(default)s)")
     p.add_argument("--kernel-size", type=int, default=defaults.kernel_size,
-                   help="erosion structuring element side (default %(default)s)")
+                   help="side of the square erosion kernel, in pixels (default %(default)s)")
 
     p = sub.add_parser("eval", help="evaluate predicted instances against ground truth")
     p.add_argument("dirs", nargs="+", metavar="PRED_DIR GT_DIR",

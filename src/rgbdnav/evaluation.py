@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fusion import sorted_unique, voxel_keys
+from .fusion import sorted_union, sorted_unique, voxel_keys
 from .types import EVAL_VOXEL_SIZE, GroundTruth, ObjectCloud
 
 MAP_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
@@ -73,9 +73,12 @@ class KeyedPrediction:
 
 
 def _voxel_iou(a: np.ndarray, b: np.ndarray) -> float:
-    """IoU of two sorted unique key arrays; ground truth is never empty, so the union is not."""
-    inter = np.intersect1d(a, b, assume_unique=True).size
-    return inter / (a.size + b.size - inter)
+    """IoU of two sorted unique key arrays, the intersection counted as |a| + |b| - |a ∪ b|.
+
+    The union is :func:`fusion.sorted_union`; ground truth is never empty, so it is not.
+    """
+    union = sorted_union(a, b).size
+    return (a.size + b.size - union) / union
 
 
 def _greedy_match(

@@ -110,22 +110,22 @@ _Folded = tuple[ObjectCloud, "np.ndarray | None"]
 def _merge_pair(acc: _Folded, new: _Folded, voxel_size: float) -> _Folded:
     """The first point per voxel of ``vstack([acc, new])``, in order, without re-sorting the union.
 
-    The accumulated cloud is deduplicated once; after that only the incoming
-    points whose voxel it lacks are appended, first point per voxel.
+    The accumulated cloud is deduplicated once. The incoming cloud is keyed
+    and deduplicated, its sorted unique keys are tested against the held
+    ones, and the first points of its fresh voxels are appended in index
+    order; :func:`sorted_union` grows the held keys.
     """
     (a, keys), (b, _) = acc, new
     points = a.points
     if keys is None:
         keys, first = sorted_unique_first(voxel_keys(points, voxel_size))
         points = points[np.sort(first)]
-    incoming = voxel_keys(b.points, voxel_size)
+    incoming, first = sorted_unique_first(voxel_keys(b.points, voxel_size))
     pos = np.searchsorted(keys, incoming)
     seen = pos < keys.size
     seen[seen] = keys[pos[seen]] == incoming[seen]
-    fresh = np.flatnonzero(~seen)
-    added, first = sorted_unique_first(incoming[fresh])
-    points = np.vstack([points, b.points[fresh[np.sort(first)]]])
-    keys = np.insert(keys, np.searchsorted(keys, added), added)
+    points = np.vstack([points, b.points[np.sort(first[~seen])]])
+    keys = sorted_union(keys, incoming)
     return ObjectCloud(points, a.label, max(a.score, b.score), a.source_frames | b.source_frames), keys
 
 

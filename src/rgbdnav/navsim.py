@@ -524,18 +524,19 @@ def sample_clear_world(
     """
     rng = np.random.default_rng(seed)
     margin = 2.0 * (robot_radius + cfg.d_safe)
-    start = np.zeros(2)
-    target = np.array([rng.uniform(7.0, 8.0), rng.uniform(-1.0, 1.0)])
-    circles: list[Circle] = []
+    tx, ty = rng.uniform(7.0, 8.0), rng.uniform(-1.0, 1.0)
+    kept: list[tuple[float, float, float]] = []
     attempts = 0
-    while len(circles) < n_obstacles and attempts < 500:
+    # math.hypot on Python floats: np.linalg.norm on a 2-vector costs about 20 times as much
+    while len(kept) < n_obstacles and attempts < 500:
         attempts += 1
-        c = np.array([rng.uniform(1.5, 6.0), rng.uniform(-2.0, 2.0)])
+        cx, cy = rng.uniform(1.5, 6.0), rng.uniform(-2.0, 2.0)
         r = rng.uniform(0.25, 0.45)
-        if np.linalg.norm(start - c) - r < margin or np.linalg.norm(target - c) - r < margin:
+        if math.hypot(cx, cy) - r < margin or math.hypot(tx - cx, ty - cy) - r < margin:
             continue
-        if any(np.linalg.norm(c - other.center) - r - other.radius < margin for other in circles):
+        if any(math.hypot(cx - ox, cy - oy) - r - other_r < margin for ox, oy, other_r in kept):
             continue
-        circles.append(Circle(c, r))
-    world = WorldModel2D(circles, target)
-    return world, RobotState(start, 0.0)
+        kept.append((cx, cy, r))
+    circles = [Circle(np.array([cx, cy]), r) for cx, cy, r in kept]
+    world = WorldModel2D(circles, np.array([tx, ty]))
+    return world, RobotState(np.zeros(2), 0.0)

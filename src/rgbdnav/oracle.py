@@ -241,11 +241,12 @@ def make_synthetic_scene(
     return scene_dir
 
 
-def _dilate_bitmap(bitmap: np.ndarray, selem: np.ndarray) -> np.ndarray:
-    """Binary dilation: the complement of eroding the zero-padded bitmap's complement."""
-    (h, w), ph, pw = bitmap.shape, selem.shape[0] // 2, selem.shape[1] // 2
-    background = ~np.pad(bitmap, ((ph, ph), (pw, pw)))
-    return ~erode_bitmap(background, selem)[ph:ph + h, pw:pw + w]
+def _dilate_bitmap(bitmap: np.ndarray, size: int) -> np.ndarray:
+    """Binary dilation by the full ``size`` square, clipped to the bitmap: the complement of eroding the padded complement."""
+    (h, w), r = bitmap.shape, size // 2
+    background = np.ones((h + 2 * r, w + 2 * r), dtype=bool)
+    background[r:r + h, r:r + w] = ~bitmap
+    return ~erode_bitmap(background, size)[r:r + h, r:r + w]
 
 
 def render_gt_detections(
@@ -265,7 +266,6 @@ def render_gt_detections(
     """
     rng = np.random.default_rng([noise.seed, zlib.crc32(frame_id.encode())])
     height, width = ids.shape
-    kernel = np.ones((3, 3), dtype=bool)
     grow = max(-noise.mask_erode_px, 0) + noise.box_jitter_px
     vs, us = np.nonzero(ids)
     owners = ids[vs, us]
@@ -280,9 +280,11 @@ def render_gt_detections(
         top, bottom = max(int(kv.min()) - grow, 0), min(int(kv.max()) + 1 + grow, height)
         left, right = max(int(ku.min()) - grow, 0), min(int(ku.max()) + 1 + grow, width)
         bitmap = ids[top:bottom, left:right] == k + 1
-        morph = erode_bitmap if noise.mask_erode_px > 0 else _dilate_bitmap
-        for _ in range(abs(noise.mask_erode_px)):
-            bitmap = morph(bitmap, kernel)
+        if noise.mask_erode_px:
+            # k one-pixel steps in one call: k 3x3 erosions with a zero border are one (2k+1)
+            # erosion, and k 3x3 dilations clipped to the rectangular window one (2k+1) dilation
+            morph = erode_bitmap if noise.mask_erode_px > 0 else _dilate_bitmap
+            bitmap = morph(bitmap, 2 * abs(noise.mask_erode_px) + 1)
         if not bitmap.any():
             continue
         ys, xs = np.nonzero(bitmap)

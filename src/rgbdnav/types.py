@@ -233,6 +233,12 @@ def check_voxel_size(voxel_size: float) -> None:
         raise ValueError(f"voxel_size must be finite, got {voxel_size}")
 
 
+def check_kernel_size(size: int) -> None:
+    """Raise ValueError unless the erosion square's side is odd and positive, so the square has a center."""
+    if size < 1 or size % 2 == 0:
+        raise ValueError(f"kernel_size must be odd and >= 1, got {size}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Knobs for per-view reconstruction and cross-view fusion."""
@@ -245,8 +251,7 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ValueError(f"kernel_size must be odd and >= 1, got {self.kernel_size}")
+        check_kernel_size(self.kernel_size)
         if not (0.0 < self.merge_threshold <= 1.0):
             raise ValueError(f"merge_threshold must be in (0, 1], got {self.merge_threshold}")
         check_voxel_size(self.voxel_size)

@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from rgbdnav import oracle, scene_io
 from rgbdnav.fusion import voxel_keys
@@ -71,15 +70,6 @@ def full_image_bitmap(mask, shape) -> np.ndarray:
     out = np.zeros(shape, dtype=bool)
     out[mask.detection.window] = mask.bitmap
     return out
-
-
-@st.composite
-def odd_kernels(draw) -> np.ndarray:
-    """Structuring elements with odd sides up to 5 and the center set; often not symmetric."""
-    shape = (draw(st.sampled_from([1, 3, 5])), draw(st.sampled_from([1, 3, 5])))
-    selem = draw(arrays(bool, shape)).copy()
-    selem[shape[0] // 2, shape[1] // 2] = True
-    return selem
 
 
 def zscore_keep_oracle(values, tau: float) -> list[int]:

@@ -27,9 +27,10 @@ def _traced_run(workload: str) -> tuple[dict, int]:
 
 
 def test_one_voxel_set_primitive():
-    # voxel sets go through fusion.sorted_unique and sorted_unique_first; numpy >= 2.3
-    # builds np.unique and np.union1d through a hash table, several times slower on int64 keys
-    calls = re.compile(r"np\.(unique|union1d)\(")
+    # voxel sets go through fusion.sorted_unique, sorted_unique_first and sorted_union; numpy >= 2.3
+    # builds np.unique and np.union1d through a hash table, several times slower on int64 keys,
+    # and the other set routines re-sort keys the primitive already holds sorted
+    calls = re.compile(r"np\.(unique|union1d|intersect1d|setdiff1d|setxor1d|isin|in1d)\(")
     hits = [
         f"{path.relative_to(ROOT)}:{n}: {line.strip()}"
         for path in sorted((ROOT / "src" / "rgbdnav").rglob("*.py"))
@@ -37,7 +38,7 @@ def test_one_voxel_set_primitive():
         if calls.search(line)
     ]
     print("one voxel-set primitive", "ok" if not hits else "FAILED", *hits)
-    assert not hits, "src/rgbdnav calls np.unique or np.union1d: use fusion.sorted_unique(_first)"
+    assert not hits, "src/rgbdnav calls a numpy set routine: use fusion.sorted_unique(_first) or sorted_union"
 
 
 def test_overscan():

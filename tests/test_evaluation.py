@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rgbdnav.evaluation import (
@@ -185,6 +185,21 @@ class TestInstanceIoU:
             for g in gt:
                 assert instance_iou(cloud, g, voxel) == instance_iou_sets(cloud, g, voxel)
 
+
+def _key_array(values):
+    return np.array(sorted(values), dtype=np.int64)
+
+
+class TestVoxelIoU:
+    @settings(max_examples=300)
+    @given(st.sets(st.integers(-50, 50), min_size=1, max_size=40), st.sets(st.integers(-50, 50), max_size=40))
+    @example({1, 2, 3}, {4, 5})  # disjoint
+    @example({1, 2, 3}, {1, 2, 3})  # identical
+    @example({7}, set())
+    @example({-(2**62), 2**62}, {2**62})  # keys far apart
+    def test_matches_python_set_reference(self, gt, pred):
+        got = _voxel_iou(_key_array(pred), _key_array(gt))
+        assert got == len(gt & pred) / len(gt | pred)
 
 class TestAveragePrecision:
     def test_perfect_predictions(self):

@@ -409,6 +409,29 @@ class TestMergeInstances:
         again, again_keys = _merge_pair((merged, keys), (new, None), 0.02)
         assert np.array_equal(again.points, merged.points) and np.array_equal(again_keys, keys)
 
+    @pytest.mark.parametrize("offset", [10.0, 0.03], ids=["all_fresh", "mixed"])
+    def test_merge_pair_matches_downsampled_stack(self, offset):
+        # the incoming cloud repeats voxels of its own; at offset 0.03 some of them the accumulator holds
+        rng = np.random.default_rng(5)
+        a = np.round(rng.uniform(0.0, 0.1, size=(40, 3)), 2)
+        b = np.round(rng.uniform(0.0, 0.1, size=(40, 3)), 2) + offset
+        b = np.vstack([b, b[::3]])
+        acc = ObjectCloud(a, "chair", 0.4, {"a"})
+        new = ObjectCloud(b, "chair", 0.9, {"b"})
+        keys_a, keys_b = set(voxel_keys(a, 0.02)), set(voxel_keys(b, 0.02))
+        assert (keys_a & keys_b == set()) == (offset == 10.0) and keys_b - keys_a
+        merged, keys = _merge_pair((acc, None), (new, None), 0.02)
+        both = np.vstack([a, b])
+        assert np.array_equal(merged.points, voxel_downsample(both, 0.02))
+        assert np.array_equal(keys, np.unique(voxel_keys(both, 0.02)))
+        # a second merge, with the accumulator's keys held, appends the third cloud's fresh voxels
+        c = b + 0.05
+        again, again_keys = _merge_pair((merged, keys), (ObjectCloud(c, "chair", 0.1, {"c"}), None), 0.02)
+        all_three = np.vstack([a, b, c])
+        assert np.array_equal(again.points, voxel_downsample(all_three, 0.02))
+        assert np.array_equal(again_keys, np.unique(voxel_keys(all_three, 0.02)))
+        assert again.score == 0.9 and again.source_frames == {"a", "b", "c"}
+
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             merge_instances([], 0.0, 0.02)

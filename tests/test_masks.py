@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -9,8 +9,6 @@ from rgbdnav.projection import back_project_pixels, reconstruct_object
 from rgbdnav.types import CameraIntrinsics, CameraPose, DepthFrame, Detection2D, InstanceMask, PipelineConfig
 
 from conftest import erosion_oracle, zscore_keep_oracle
-
-KERNEL = np.ones((3, 3), dtype=bool)
 
 bitmaps_8x8 = arrays(bool, (8, 8))
 
@@ -34,7 +32,7 @@ GATHER_ONLY = PipelineConfig(tau=np.inf, kernel_size=1)
 
 class TestErosion:
     def test_all_ones_5x5_keeps_interior(self):
-        out = erode_bitmap(np.ones((5, 5), dtype=bool), KERNEL)
+        out = erode_bitmap(np.ones((5, 5), dtype=bool), 3)
         expected = np.zeros((5, 5), dtype=bool)
         expected[1:4, 1:4] = True
         assert np.array_equal(out, expected)
@@ -42,36 +40,49 @@ class TestErosion:
     def test_single_pixel_erodes_away(self):
         bitmap = np.zeros((5, 5), dtype=bool)
         bitmap[2, 2] = True
-        assert not erode_bitmap(bitmap, KERNEL).any()
+        assert not erode_bitmap(bitmap, 3).any()
 
     def test_random_16x16_matches_double_loop_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             bitmap = rng.random((16, 16)) < 0.6
-            assert np.array_equal(erode_bitmap(bitmap, KERNEL), erosion_oracle(bitmap, KERNEL))
+            assert np.array_equal(erode_bitmap(bitmap, 3), erosion_oracle(bitmap, np.ones((3, 3))))
 
-    def test_cross_kernel_matches_oracle(self):
-        cross = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-        rng = np.random.default_rng(4)
-        bitmap = rng.random((12, 12)) < 0.7
-        assert np.array_equal(erode_bitmap(bitmap, cross), erosion_oracle(bitmap, cross))
+    @settings(max_examples=300)
+    @given(arrays(bool, st.tuples(st.integers(1, 20), st.integers(1, 20))), st.sampled_from([1, 3, 5, 7]))
+    @example(np.ones((1, 9), dtype=bool), 3)  # a single row erodes away under any square above 1
+    @example(np.ones((9, 1), dtype=bool), 1)
+    @example(np.ones((2, 3), dtype=bool), 7)  # the square is larger than the bitmap
+    @example(np.ones((20, 20), dtype=bool), 7)
+    def test_square_matches_oracle(self, bitmap, size):
+        assert np.array_equal(erode_bitmap(bitmap, size), erosion_oracle(bitmap, np.ones((size, size))))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_k_erosions_of_size_3_are_one_of_size_2k_plus_1(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            bitmap = rng.random((int(rng.integers(1, 24)), int(rng.integers(1, 24)))) < 0.85
+            stepped = bitmap
+            for _ in range(k):
+                stepped = erode_bitmap(stepped, 3)
+            assert np.array_equal(erode_bitmap(bitmap, 2 * k + 1), stepped)
 
     @given(bitmaps_8x8)
     def test_anti_extensive(self, bitmap):
-        out = erode_bitmap(bitmap, KERNEL)
+        out = erode_bitmap(bitmap, 3)
         assert not (out & ~bitmap).any()
 
     @given(bitmaps_8x8, bitmaps_8x8)
     def test_monotone(self, a, extra):
         b = a | extra  # a is a subset of b by construction
-        ea = erode_bitmap(a, KERNEL)
-        eb = erode_bitmap(b, KERNEL)
+        ea = erode_bitmap(a, 3)
+        eb = erode_bitmap(b, 3)
         assert not (ea & ~eb).any()
 
     @settings(max_examples=200)
     @given(bitmaps_8x8)
     def test_matches_oracle_on_8x8(self, bitmap):
-        assert np.array_equal(erode_bitmap(bitmap, KERNEL), erosion_oracle(bitmap, KERNEL))
+        assert np.array_equal(erode_bitmap(bitmap, 3), erosion_oracle(bitmap, np.ones((3, 3))))
 
     def test_erode_mask_keeps_detection(self):
         mask = _mask(np.ones((4, 6)))
@@ -81,6 +92,8 @@ class TestErosion:
 
     @pytest.mark.parametrize("size", [0, -1, 2, 4])
     def test_even_or_non_positive_size_rejected(self, size):
+        with pytest.raises(ValueError, match="kernel_size must be odd and >= 1"):
+            erode_bitmap(np.ones((4, 6), dtype=bool), size)
         with pytest.raises(ValueError, match="kernel_size must be odd and >= 1"):
             erode_mask(_mask(np.ones((4, 6))), size)
         with pytest.raises(ValueError, match="kernel_size must be odd and >= 1"):

@@ -305,6 +305,45 @@ class TestApfStep:
         assert speeds == sorted(speeds)
 
 
+def sample_clear_world_reference(seed, robot_radius=0.4, cfg=ApfConfig(), n_obstacles=3):
+    """The draw as first written, with np.linalg.norm on 2-vectors: same rng draws, same order."""
+    rng = np.random.default_rng(seed)
+    margin = 2.0 * (robot_radius + cfg.d_safe)
+    start = np.zeros(2)
+    target = np.array([rng.uniform(7.0, 8.0), rng.uniform(-1.0, 1.0)])
+    circles = []
+    attempts = 0
+    while len(circles) < n_obstacles and attempts < 500:
+        attempts += 1
+        c = np.array([rng.uniform(1.5, 6.0), rng.uniform(-2.0, 2.0)])
+        r = rng.uniform(0.25, 0.45)
+        if np.linalg.norm(start - c) - r < margin or np.linalg.norm(target - c) - r < margin:
+            continue
+        if any(np.linalg.norm(c - other.center) - r - other.radius < margin for other in circles):
+            continue
+        circles.append(Circle(c, r))
+    return WorldModel2D(circles, target), RobotState(start, 0.0)
+
+
+class TestSampleClearWorld:
+    # seeds 0-199, and the SeedSequence([seed, j]) seeds a benchmark run at seeds 0-3 samples its worlds from
+    SEEDS = list(range(200)) + [int(np.random.SeedSequence([s, j]).generate_state(1)[0]) for s in range(4) for j in range(30)]
+
+    @pytest.mark.parametrize("robot_radius", [0.3, 0.4])
+    def test_matches_norm_reference(self, tmp_path, robot_radius):
+        for seed in self.SEEDS:
+            (world, start), (want, want_start) = (
+                sample_clear_world(seed, robot_radius), sample_clear_world_reference(seed, robot_radius)
+            )
+            save_world(world, tmp_path / "got.txt")
+            save_world(want, tmp_path / "want.txt")
+            assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes(), seed
+            assert np.array_equal(world.target, want.target)
+            for got_c, want_c in zip(world.obstacles, want.obstacles):
+                assert np.array_equal(got_c.center, want_c.center) and got_c.radius == want_c.radius
+            assert np.array_equal(start.position, want_start.position) and start.heading == want_start.heading
+
+
 # (fixture name or sample_clear_world seed, outcome, steps, final pose), 1e-10 resolution
 GOLDEN_EPISODES = [
     ("column", "reached", 250, (2.2828460777, 0.1517070018, -0.7235239095)),

@@ -23,7 +23,7 @@ from rgbdnav.masks import erode_bitmap
 from rgbdnav.projection import project_to_pixels, to_camera, to_world
 from rgbdnav.types import Box3D, CameraIntrinsics, CameraPose, Detection2D, ObjectCloud
 
-from conftest import BENCH_LAYOUT, dilation_oracle, full_image_bitmap, gt_points_reference_from_ids, odd_kernels, random_rotation
+from conftest import BENCH_LAYOUT, dilation_oracle, full_image_bitmap, gt_points_reference_from_ids, random_rotation
 
 
 def render_depth_reference(boxes, pose, intrinsics):
@@ -85,7 +85,6 @@ def render_gt_detections_reference(frame_id, ids, labels, noise):
     """(detection, full-image bitmap) pairs from morphology and box clipping on the whole image."""
     rng = np.random.default_rng([noise.seed, zlib.crc32(frame_id.encode())])
     height, width = ids.shape
-    kernel = np.ones((3, 3), dtype=bool)
     out = []
     for k, label in enumerate(labels):
         bitmap = ids == k + 1
@@ -93,9 +92,10 @@ def render_gt_detections_reference(frame_id, ids, labels, noise):
             continue
         if noise.drop_prob > 0 and rng.random() < noise.drop_prob:
             continue
+        # |k| one-pixel steps of size 3, where the oracle makes one call of size 2|k| + 1
         morph = erode_bitmap if noise.mask_erode_px > 0 else oracle._dilate_bitmap
         for _ in range(abs(noise.mask_erode_px)):
-            bitmap = morph(bitmap, kernel)
+            bitmap = morph(bitmap, 3)
         if not bitmap.any():
             continue
         ys, xs = np.nonzero(bitmap)
@@ -492,13 +492,21 @@ class TestRenderGtDetections:
 
 class TestDilation:
     @settings(max_examples=300)
-    @given(arrays(bool, st.tuples(st.integers(1, 10), st.integers(1, 10))), odd_kernels())
-    @example(  # one pixel under an L-shaped kernel: the result is not symmetric either
-        np.eye(1, 25, 12, dtype=bool).reshape(5, 5),
-        np.array([[1, 1, 0], [0, 1, 0], [0, 0, 0]], dtype=bool),
-    )
-    def test_matches_brute_force_oracle(self, bitmap, selem):
-        assert np.array_equal(oracle._dilate_bitmap(bitmap, selem), dilation_oracle(bitmap, selem))
+    @given(arrays(bool, st.tuples(st.integers(1, 10), st.integers(1, 10))), st.sampled_from([1, 3, 5, 7]))
+    @example(np.eye(1, 25, 12, dtype=bool).reshape(5, 5), 7)  # one pixel fills a window smaller than the square
+    def test_matches_brute_force_oracle(self, bitmap, size):
+        assert np.array_equal(oracle._dilate_bitmap(bitmap, size), dilation_oracle(bitmap, np.ones((size, size))))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_k_dilations_of_size_3_are_one_of_size_2k_plus_1(self, k):
+        # exact because the window is a rectangle: clipping each step loses no path
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            bitmap = rng.random((int(rng.integers(1, 24)), int(rng.integers(1, 24)))) < 0.05
+            stepped = bitmap
+            for _ in range(k):
+                stepped = oracle._dilate_bitmap(stepped, 3)
+            assert np.array_equal(oracle._dilate_bitmap(bitmap, 2 * k + 1), stepped)
 
 
 class TestPopulateDetections:
