@@ -11,7 +11,8 @@ from rgbdnav.types import EVAL_VOXEL_SIZE, GroundTruth, PipelineConfig
 def run_once(scene_dir: Path, gt: list[GroundTruth], drop: float, seed: int) -> evaluation.EvalReport:
     oracle.populate_detections(scene_dir, oracle.PerturbationConfig(seed=seed, drop_prob=drop))
     instances, _ = fusion.run_scene(scene_io.iter_views(scene_dir), PipelineConfig())
-    return evaluation.evaluate_scene(instances, gt, EVAL_VOXEL_SIZE)
+    pred = [evaluation.KeyedPrediction.of(c, EVAL_VOXEL_SIZE) for c in instances]
+    return evaluation.evaluate([(pred, gt)], EVAL_VOXEL_SIZE)
 
 
 def main() -> int:

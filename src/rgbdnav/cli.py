@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate predicted instances against ground truth")
     p.add_argument("dirs", nargs="+", metavar="PRED_DIR GT_DIR",
-                   help="one or more PRED_DIR GT_DIR pairs; multiple pairs are macro-averaged")
+                   help="one or more PRED_DIR GT_DIR pairs; AP is pooled over the pairs")
     p.add_argument("--config", help="key = value file supplying flag defaults")
     p.add_argument("--voxel-size", type=float, default=EVAL_VOXEL_SIZE)
     p.add_argument("--out", help="report path (default: first PRED_DIR/eval_report.txt)")
@@ -131,24 +131,28 @@ def cmd_detect(args) -> int:
     return 0
 
 
+def _read_scene(pred_dir: str, gt_dir: str, voxel_size: float):
+    """One PRED_DIR GT_DIR pair as :func:`evaluation.evaluate` takes it: keyed predictions, then ground truth."""
+    # each prediction is keyed as it is read: no cloud's points are held while ground truth is keyed
+    pred = [evaluation.KeyedPrediction.of(c, voxel_size) for c in scene_io.iter_instances(pred_dir)]
+    gt = scene_io.load_gt_instances(Path(gt_dir), voxel_size)
+    unknown = sorted({c.label for c in pred} - {g.label for g in gt})
+    if unknown:
+        raise scene_io.SceneError(
+            f"predictions in {pred_dir} use labels outside the "
+            f"ground-truth vocabulary: {', '.join(unknown)}"
+        )
+    return pred, gt
+
+
 def cmd_eval(args) -> int:
     if len(args.dirs) % 2:
         raise UsageError("directories must come in PRED_DIR GT_DIR pairs")
     _flag(check_voxel_size, args.voxel_size)
     pairs = [(args.dirs[i], args.dirs[i + 1]) for i in range(0, len(args.dirs), 2)]
-    reports = []
-    for pred_dir, gt_dir in pairs:
-        # each prediction is keyed as it is read: no cloud's points are held while ground truth is keyed
-        pred = [evaluation.KeyedPrediction.of(c, args.voxel_size) for c in scene_io.iter_instances(pred_dir)]
-        gt = scene_io.load_gt_instances(Path(gt_dir), args.voxel_size)
-        unknown = sorted({c.label for c in pred} - {g.label for g in gt})
-        if unknown:
-            raise scene_io.SceneError(
-                f"predictions in {pred_dir} use labels outside the "
-                f"ground-truth vocabulary: {', '.join(unknown)}"
-            )
-        reports.append(evaluation.evaluate_scene(pred, gt, args.voxel_size))
-    text = evaluation.format_report(evaluation.macro_average(reports), args.voxel_size)
+    # scenes are read one at a time, as the scorer reaches them
+    report = evaluation.evaluate((_read_scene(p, g, args.voxel_size) for p, g in pairs), args.voxel_size)
+    text = evaluation.format_report(report, args.voxel_size)
     out = Path(args.out) if args.out else Path(pairs[0][0]) / "eval_report.txt"
     out.write_text(text)
     print(text, end="")

@@ -1,29 +1,34 @@
-"""Class-wise average precision over 3D instances.
+"""Class-wise average precision over 3D instances, pooled over scenes.
 
 Instances are compared at the point level: IoU is taken over the sets of
-voxels they occupy on one grid. A prediction's points are voxelized here,
-unless it arrives keyed (:class:`KeyedPrediction`); ground truth arrives
-already voxelized on that grid (:class:`GroundTruth`).
+voxels they occupy on one grid. Predictions arrive keyed
+(:class:`KeyedPrediction`) and ground truth arrives voxelized
+(:class:`GroundTruth`) on that grid.
 Both sets come from the package's one sorted-keys primitive,
 ``fusion.sorted_unique``: a sort and a compare of neighbours. ``np.unique``
 gives the same keys, but numpy >= 2.3 builds it through a hash table,
 measured several times slower on int64 keys (6.0 against 0.7 ms for 50k).
-AP follows the usual detection recipe: predictions sorted by descending
-score are greedily matched to the highest-IoU unmatched ground-truth
-instance of the same class at or above the IoU threshold, and AP is the
+AP follows the ScanNet instance-benchmark protocol: in each scene,
+predictions are greedily matched to the highest-IoU unmatched ground-truth
+instance of the same class at or above the IoU threshold; per class, the
+predictions of all scenes are then ranked together by score, and AP is the
 area under the monotone (non-increasing) precision envelope over recall.
+No step depends on the order of the scenes or of the predictions.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .fusion import sorted_union, sorted_unique, voxel_keys
-from .types import EVAL_VOXEL_SIZE, GroundTruth, ObjectCloud
+from .types import EVAL_VOXEL_SIZE, GroundTruth, ObjectCloud, check_voxel_keys
 
 MAP_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
+# the IoU thresholds matched at: 0.25, then the mAP ladder, whose first is 0.50
+THRESHOLDS = np.array([0.25, *MAP_THRESHOLDS])
 
 
 @dataclass(frozen=True)
@@ -41,11 +46,13 @@ class ClassRow:
 
 @dataclass
 class EvalReport:
+    """Per-class rows and the class means of their APs, pooled over ``num_scenes`` scenes."""
+
     per_class: dict[str, ClassRow]
     map: float
     map50: float
     map25: float
-    num_scenes: int = 1
+    num_scenes: int
 
 
 def _voxel_set(points: np.ndarray, voxel_size: float) -> np.ndarray:
@@ -58,14 +65,18 @@ class KeyedPrediction:
     """A predicted instance as it is scored: its label, its score and the voxels it occupies.
 
     ``keys`` are the sorted unique voxel keys of its points on a grid of edge
-    ``voxel_size``. Keying a cloud as it is read lets a caller drop its points
-    before the next one is read.
+    ``voxel_size``: a 1-D int64 array, strictly increasing, or ValueError
+    (:func:`types.check_voxel_keys`). Keying a cloud as it is read lets a
+    caller drop its points before the next one is read.
     """
 
     label: str
     score: float
     keys: np.ndarray
     voxel_size: float
+
+    def __post_init__(self):
+        check_voxel_keys(self.keys, f"prediction '{self.label}'")
 
     @classmethod
     def of(cls, cloud: ObjectCloud, voxel_size: float) -> KeyedPrediction:
@@ -81,131 +92,101 @@ def _voxel_iou(a: np.ndarray, b: np.ndarray) -> float:
     return (a.size + b.size - union) / union
 
 
-def _greedy_match(
-    scored_ious: list[tuple[float, np.ndarray]], num_gt: int, iou_threshold: float
-) -> np.ndarray:
-    """True-positive flags in score order (stable sort, so ties keep input order).
+def _greedy_match(scores: np.ndarray, ious: np.ndarray) -> np.ndarray:
+    """True-positive flags of one scene's predictions of one class: a row per prediction, a column per threshold.
 
-    ``scored_ious`` holds one (score, per-GT IoU row) pair per prediction;
-    each GT absorbs at most one prediction, the highest-IoU free one.
+    ``ious`` holds each prediction's IoU row with the class's GT instances of
+    the scene. Predictions are matched in an order set by content alone:
+    descending score, then descending best IoU, then the rows compared
+    element by element in GT order. Only identical rows stay tied, and
+    swapping those changes nothing. At each threshold of ``THRESHOLDS`` a GT
+    absorbs at most one prediction: the highest-IoU free one at or above it
+    takes it, the first in GT order on equal IoU.
     """
-    order = sorted(range(len(scored_ious)), key=lambda i: -scored_ious[i][0])
-    taken = np.zeros(num_gt, dtype=bool)
-    tp = np.zeros(len(scored_ious), dtype=bool)
-    for rank, idx in enumerate(order):
-        ious = np.asarray(scored_ious[idx][1], dtype=np.float64)
-        best_gt = -1
-        best_iou = -1.0
-        for g in range(num_gt):
-            if taken[g] or ious[g] < iou_threshold:
-                continue
-            if ious[g] > best_iou:
-                best_iou = ious[g]
-                best_gt = g
-        if best_gt >= 0:
-            taken[best_gt] = True
-            tp[rank] = True
+    tp = np.zeros((len(scores), len(THRESHOLDS)), dtype=bool)
+    if not ious.shape[1]:
+        return tp
+    order = np.lexsort((*-ious.T[::-1], -ious.max(axis=1), -scores))
+    taken = np.zeros((len(THRESHOLDS), ious.shape[1]), dtype=bool)
+    columns = np.arange(len(THRESHOLDS))
+    for i in order:
+        free = np.where(taken | (ious[i] < THRESHOLDS[:, None]), -1.0, ious[i])
+        best = free.argmax(axis=1)
+        tp[i] = free[columns, best] >= 0
+        taken[columns[tp[i]], best[tp[i]]] = True
     return tp
 
 
-def _envelope_area(tp: np.ndarray, num_gt: int) -> float:
-    """Area under the precision envelope of true-positive flags in score order."""
-    n = len(tp)
-    cum_tp = np.cumsum(tp)
-    recall = cum_tp / num_gt
-    precision = cum_tp / np.arange(1, n + 1)
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    ap = 0.0
-    prev_recall = 0.0
-    for k in range(n):
-        ap += (recall[k] - prev_recall) * envelope[k]
-        prev_recall = recall[k]
-    return float(ap)
+def _pooled_ap(scores: np.ndarray, tp: np.ndarray, num_gt: int) -> np.ndarray:
+    """AP at each threshold column of ``tp``: the area under the precision envelope over recall.
 
-
-def evaluate_scene(
-    pred: Sequence[ObjectCloud | KeyedPrediction], gt: list[GroundTruth], voxel_size: float = EVAL_VOXEL_SIZE
-) -> EvalReport:
-    """Score predictions against ground truth for one scene.
-
-    AP is reported at IoU 0.25 and 0.50, and averaged over the 0.50:0.05:0.95
-    threshold ladder for the headline number. The class mean runs over classes
-    with at least one GT instance; predictions for classes absent from the GT
-    do not contribute. Each cloud in ``pred`` of a ground-truth class is
-    keyed once (:meth:`KeyedPrediction.of`). Ground truth or a keyed prediction on
-    another voxel size raises ValueError: keys from two grids are never
-    compared.
+    Predictions are ranked by descending score, and precision and recall are
+    taken only at the last prediction of each distinct score, so the order
+    of tied predictions cannot move the area.
     """
-    if not gt:
-        raise ValueError("no ground-truth instances: nothing to evaluate")
-    grids = sorted({g.voxel_size for g in gt} - {voxel_size})
-    if grids:
-        raise ValueError(f"ground truth keyed at voxel_size {grids[0]:g}, not the {voxel_size:g} evaluated at")
-    classes = sorted({g.label for g in gt})
-    keyed = [
-        p if isinstance(p, KeyedPrediction) else KeyedPrediction.of(p, voxel_size)
-        for p in pred if p.label in classes
-    ]
-    grids = sorted({p.voxel_size for p in keyed} - {voxel_size})
-    if grids:
-        raise ValueError(f"predictions keyed at voxel_size {grids[0]:g}, not the {voxel_size:g} evaluated at")
-    thresholds = {0.25, 0.50, *MAP_THRESHOLDS}
+    order = np.argsort(-scores)
+    scores, cum_tp = scores[order], np.cumsum(tp[order], axis=0)
+    last = np.flatnonzero(np.diff(scores, append=-np.inf))
+    recall = cum_tp[last] / num_gt
+    precision = cum_tp[last] / (last + 1)[:, None]
+    envelope = np.maximum.accumulate(precision[::-1], axis=0)[::-1]
+    return (np.diff(recall, axis=0, prepend=0.0) * envelope).sum(axis=0)
+
+
+def evaluate(
+    scenes: Iterable[tuple[Sequence[KeyedPrediction], Sequence[GroundTruth]]], voxel_size: float
+) -> EvalReport:
+    """Score (predictions, ground truth) scenes by AP pooled over the scenes.
+
+    Each prediction is matched only against the ground truth of its own
+    scene and class (:func:`_greedy_match`); per class, the predictions of
+    all scenes are then ranked together (:func:`_pooled_ap`). AP is reported
+    at IoU 0.25 and 0.50, and averaged over the 0.50:0.05:0.95 ladder for the
+    headline number. A class counts when it has ground truth in some scene;
+    its predictions in a scene without its ground truth are false positives,
+    and labels with no ground truth anywhere are left out. Of a matched
+    scene only (score, true-positive flags) are kept, so ``scenes`` may be a
+    generator that reads one scene at a time. No scene, no ground truth, or
+    keys on another voxel size raise ValueError.
+    """
+    num_gt: dict[str, int] = defaultdict(int)
+    scores: dict[str, list[np.ndarray]] = defaultdict(list)
+    flags: dict[str, list[np.ndarray]] = defaultdict(list)
+    num_scenes = 0
+    for pred, gt in scenes:
+        num_scenes += 1
+        for what, items in (("ground truth", gt), ("predictions", pred)):
+            grids = sorted({x.voxel_size for x in items} - {voxel_size})
+            if grids:
+                raise ValueError(f"{what} keyed at voxel_size {grids[0]:g}, not the {voxel_size:g} evaluated at")
+        for cls in {g.label for g in gt} | {p.label for p in pred}:
+            cls_scores = np.array([p.score for p in pred if p.label == cls], dtype=np.float64)
+            cls_gt = sum(g.label == cls for g in gt)
+            ious = [[_voxel_iou(p.keys, g.keys) for g in gt if g.label == cls] for p in pred if p.label == cls]
+            num_gt[cls] += cls_gt
+            scores[cls].append(cls_scores)
+            flags[cls].append(_greedy_match(cls_scores, np.array(ious).reshape(len(cls_scores), cls_gt)))
+        del pred, gt  # the next scene is read without this one's keys
+    if not num_scenes:
+        raise ValueError("no scenes to evaluate")
     per_class: dict[str, ClassRow] = {}
-    for cls in classes:
-        gts = [g.keys for g in gt if g.label == cls]
-        preds = [p for p in keyed if p.label == cls]
-        scored = [(p.score, np.array([_voxel_iou(p.keys, g) for g in gts])) for p in preds]
-        tp = {t: _greedy_match(scored, len(gts), t) for t in thresholds}
-        ap_at = {t: _envelope_area(flags, len(gts)) for t, flags in tp.items()}
+    for cls in sorted(c for c, n in num_gt.items() if n):
+        tp = np.concatenate(flags[cls])
+        ap = _pooled_ap(np.concatenate(scores[cls]), tp, num_gt[cls])
         per_class[cls] = ClassRow(
-            ap=float(np.mean([ap_at[t] for t in MAP_THRESHOLDS])),
-            ap50=ap_at[0.50],
-            ap25=ap_at[0.25],
-            num_gt=len(gts),
-            num_pred=len(preds),
-            tp50=int(tp[0.50].sum()),
-            tp25=int(tp[0.25].sum()),
+            float(np.mean(ap[1:])), float(ap[1]), float(ap[0]),
+            num_gt[cls], len(tp), int(tp[:, 1].sum()), int(tp[:, 0].sum()),
         )
-    return EvalReport(
-        per_class,
-        float(np.mean([c.ap for c in per_class.values()])),
-        float(np.mean([c.ap50 for c in per_class.values()])),
-        float(np.mean([c.ap25 for c in per_class.values()])),
-    )
-
-
-def macro_average(reports: list[EvalReport]) -> EvalReport:
-    """Macro-average scene reports: scalar means over scenes; per class, AP means
-    over the scenes containing the class and count sums."""
-    if not reports:
-        raise ValueError("no reports to average")
-    if len(reports) == 1:
-        return reports[0]
-    per_class = {}
-    for cls in sorted({c for r in reports for c in r.per_class}):
-        rows = [r.per_class[cls] for r in reports if cls in r.per_class]
-        per_class[cls] = ClassRow(
-            ap=float(np.mean([x.ap for x in rows])),
-            ap50=float(np.mean([x.ap50 for x in rows])),
-            ap25=float(np.mean([x.ap25 for x in rows])),
-            num_gt=sum(x.num_gt for x in rows),
-            num_pred=sum(x.num_pred for x in rows),
-            tp50=sum(x.tp50 for x in rows),
-            tp25=sum(x.tp25 for x in rows),
-        )
-    return EvalReport(
-        per_class,
-        float(np.mean([r.map for r in reports])),
-        float(np.mean([r.map50 for r in reports])),
-        float(np.mean([r.map25 for r in reports])),
-        num_scenes=len(reports),
-    )
+    if not per_class:
+        raise ValueError("no ground-truth instances: nothing to evaluate")
+    means = [float(np.mean([getattr(c, k) for c in per_class.values()])) for k in ("ap", "ap50", "ap25")]
+    return EvalReport(per_class, *means, num_scenes)
 
 
 def format_report(report: EvalReport, voxel_size: float = EVAL_VOXEL_SIZE) -> str:
     """Render the report as a plain-text table (values x100)."""
     lines = [
-        f"# instance segmentation report (macro-averaged over {report.num_scenes} scene(s))",
+        f"# instance segmentation report (pooled over {report.num_scenes} scene(s))",
         f"# point-level IoU on a {voxel_size:g} m voxel grid",
         f"{'class':<20} {'mAP':>7} {'mAP50':>7} {'mAP25':>7} {'gt':>5} {'pred':>5} {'tp50':>5} {'tp25':>5}",
     ]

@@ -15,8 +15,7 @@ Frames are ordered by <id> (zero-padded ids sort naturally). Mask files stay
 full-image on disk; loading keeps only the detection box's window of each.
 The loaders read each raster once: a P5 PGM's samples are a read-only view
 of the file bytes, in the file's own dtype (one byte, or big-endian two),
-and depth goes from that view straight to float64 metres. :func:`read_pgm`
-is the public reader that returns a writeable uint16 copy instead.
+and depth goes from that view straight to float64 metres.
 RGB images may sit next to the depth files but are never read here. Loading
 validates every invariant and never repairs data silently; a file that
 cannot be read or decoded raises SceneLayoutError naming it. Views stream:
@@ -179,11 +178,6 @@ def _read_raster(path: Path) -> np.ndarray:
     if maxval < np.iinfo(values.dtype).max and values.size and values.max() > maxval:
         raise SceneValidationError(f"{path}: sample exceeds declared maxval {maxval}")
     return values.reshape(height, width)
-
-
-def read_pgm(path: Path) -> np.ndarray:
-    """Read a P2 (ASCII) or P5 (binary) grayscale PGM into a writeable uint16 array of its own."""
-    return _read_raster(path).astype(np.uint16)
 
 
 def write_pgm(path: Path, image: np.ndarray, maxval: int = 65535) -> None:
@@ -600,8 +594,3 @@ def iter_instances(pred_dir: Path) -> Iterator[ObjectCloud]:
                 f"expected exactly one cloud file for instance {k} in {pred_dir}, found {len(matches)}"
             )
         yield ObjectCloud(read_cloud_ply(matches[0]), label, score)
-
-
-def load_instances(pred_dir: Path) -> list[ObjectCloud]:
-    """All the instances of :func:`iter_instances`, in boxes.json order."""
-    return list(iter_instances(pred_dir))

@@ -205,9 +205,8 @@ class GroundTruth:
     """One ground-truth instance as the voxels it occupies: the one record per GT instance.
 
     ``keys`` are the packed voxel keys (``fusion.voxel_keys``) of its points on
-    a grid of edge ``voxel_size``: a 1-D int64 array, strictly increasing and
-    never empty. Anything else raises ValueError, since IoU is taken over
-    keys assumed sorted and unique.
+    a grid of edge ``voxel_size``: never empty, and checked by
+    :func:`check_voxel_keys`. Anything else raises ValueError.
     """
 
     label: str
@@ -215,14 +214,22 @@ class GroundTruth:
     voxel_size: float
 
     def __post_init__(self):
-        keys = self.keys
-        if not (isinstance(keys, np.ndarray) and keys.ndim == 1 and keys.dtype == np.int64):
-            got = f"{keys.dtype} array of shape {keys.shape}" if isinstance(keys, np.ndarray) else type(keys).__name__
-            raise ValueError(f"ground truth '{self.label}' keys must be a 1-D int64 array, got {got}")
-        if not keys.size:
+        check_voxel_keys(self.keys, f"ground truth '{self.label}'")
+        if not self.keys.size:
             raise ValueError(f"ground truth '{self.label}' occupies no voxel")
-        if not np.all(keys[1:] > keys[:-1]):
-            raise ValueError(f"ground truth '{self.label}' keys are not strictly increasing")
+
+
+def check_voxel_keys(keys: np.ndarray, owner: str) -> None:
+    """Raise ValueError naming ``owner`` unless ``keys`` is a 1-D int64 array, strictly increasing.
+
+    IoU is taken over keys assumed sorted and unique: repeated or unsorted
+    keys would give a wrong IoU, not an error.
+    """
+    if not (isinstance(keys, np.ndarray) and keys.ndim == 1 and keys.dtype == np.int64):
+        got = f"{keys.dtype} array of shape {keys.shape}" if isinstance(keys, np.ndarray) else type(keys).__name__
+        raise ValueError(f"{owner} keys must be a 1-D int64 array, got {got}")
+    if not np.all(keys[1:] > keys[:-1]):
+        raise ValueError(f"{owner} keys are not strictly increasing")
 
 
 def check_voxel_size(voxel_size: float) -> None:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from rgbdnav import oracle, scene_io
+from rgbdnav.evaluation import KeyedPrediction
 from rgbdnav.fusion import voxel_keys
 from rgbdnav.projection import back_project_pixels, to_world
 from rgbdnav.types import Box3D, GroundTruth, ObjectCloud
@@ -166,8 +167,13 @@ def gt_points_reference_from_ids(scene_dir) -> list[ObjectCloud]:
 
 
 def keyed_gt(clouds, voxel_size: float = 0.02) -> list[GroundTruth]:
-    """Ground-truth clouds as evaluate_scene takes them: each cloud's voxel keys on one grid."""
+    """Ground-truth clouds as evaluation.evaluate takes them: each cloud's voxel keys on one grid."""
     return [GroundTruth(c.label, np.unique(voxel_keys(c.points, voxel_size)), voxel_size) for c in clouds]
+
+
+def keyed_scene(pred, gt, voxel_size: float = 0.02) -> tuple[list[KeyedPrediction], list[GroundTruth]]:
+    """One (predictions, ground truth) scene of clouds as evaluation.evaluate takes it, both keyed on one grid."""
+    return [KeyedPrediction.of(c, voxel_size) for c in pred], keyed_gt(gt, voxel_size)
 
 
 def unicycle_arc(x: float, y: float, theta: float, v: float, omega: float, dt: float):

@@ -25,8 +25,10 @@ from rgbdnav.types import (
     PipelineConfig,
 )
 
-from conftest import BENCH_LAYOUT, erosion_oracle, keyed_gt, monte_carlo_iou, random_rotation, unicycle_arc, zscore_keep_oracle
-from test_evaluation import ap_orderings_oracle, average_precision
+from conftest import (
+    BENCH_LAYOUT, erosion_oracle, keyed_scene, monte_carlo_iou, random_rotation, unicycle_arc, zscore_keep_oracle
+)
+from test_evaluation import average_precision, content_order_tp, max_ap_over_tie_orders, pooled_ap_reference
 
 
 @contextmanager
@@ -41,7 +43,8 @@ def criterion(number: int, name: str):
 
 def _run_pipeline(views, gt, config=PipelineConfig()):
     instances, _ = fusion.run_scene(views, config)
-    return instances, evaluation.evaluate_scene(instances, gt)
+    keyed = [evaluation.KeyedPrediction.of(c, 0.02) for c in instances]
+    return instances, evaluation.evaluate([(keyed, gt)], 0.02)
 
 
 def test_criterion_1_oracle_end_to_end(oracle_scene_dir):
@@ -134,7 +137,7 @@ def test_criterion_4_zscore_contract():
 
 
 def test_criterion_5_iou_and_ap_oracles():
-    """Box IoU vs Monte-Carlo, AP vs exhaustive orderings, threshold monotonicity."""
+    """Box IoU vs Monte-Carlo, AP vs the distinct-score reference and exhaustive orderings, threshold monotonicity."""
     with criterion(5, "IoU/AP oracles"):
         rng = np.random.default_rng(505)
         for _ in range(100):
@@ -152,9 +155,9 @@ def test_criterion_5_iou_and_ap_oracles():
             ]
             thr = float(rng.choice([0.25, 0.5, 0.75, 0.95]))
             got = average_precision(scored, n_gt, thr)
-            stable, lo, hi = ap_orderings_oracle(scored, n_gt, thr)
-            assert got == pytest.approx(stable, abs=1e-12)
-            assert lo - 1e-12 <= got <= hi + 1e-12
+            tp = content_order_tp(scored, n_gt, thr)
+            assert got == pooled_ap_reference([(s, t) for (s, _), t in zip(scored, tp)], n_gt, thr)
+            assert got <= max_ap_over_tie_orders(scored, n_gt, thr) + 1e-12
         for trial in range(20):
             gts, preds = [], []
             for k in range(3):
@@ -163,7 +166,7 @@ def test_criterion_5_iou_and_ap_oracles():
                 gts.append(ObjectCloud(pts, f"c{k}", 1.0))
                 jitter = rng.normal(0, rng.uniform(0.0, 0.1), pts.shape)
                 preds.append(ObjectCloud(pts + jitter, f"c{k}", float(rng.random())))
-            report = evaluation.evaluate_scene(preds, keyed_gt(gts))
+            report = evaluation.evaluate([keyed_scene(preds, gts)], 0.02)
             assert report.map25 >= report.map50 >= report.map
 
 

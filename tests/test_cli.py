@@ -7,6 +7,7 @@ import pytest
 from rgbdnav import scene_io
 from rgbdnav.cli import main
 from rgbdnav.oracle import PerturbationConfig, populate_detections
+from rgbdnav.types import ObjectCloud
 
 from conftest import gt_points_reference_from_ids
 
@@ -36,7 +37,7 @@ class TestSynth:
         assert len(list((two_cube_scene / "frames").glob("*.depth.pgm"))) == 8
         assert sorted(p.name for p in (two_cube_scene / "gt" / "ids").iterdir()) == [f"{i:04d}.pgm" for i in range(8)]
         assert (two_cube_scene / "gt" / "labels.txt").read_text() == "crate\nbin\n"
-        ids = scene_io.read_pgm(two_cube_scene / "gt" / "ids" / "0000.pgm")
+        ids = scene_io._read_raster(two_cube_scene / "gt" / "ids" / "0000.pgm").astype(np.uint16)
         assert ids.shape == (312, 416) and set(np.unique(ids)) == {0, 1, 2}
         assert (two_cube_scene / "perturbation.txt").is_file()
 
@@ -131,7 +132,7 @@ class TestDetect:
         code, out, _ = run_cli(capsys, "detect", str(two_cube_scene), str(out_dir))
         assert code == 0
         assert "instances out:  2" in out
-        clouds = scene_io.load_instances(out_dir)
+        clouds = list(scene_io.iter_instances(out_dir))
         assert sorted(c.label for c in clouds) == ["bin", "crate"]
 
     def test_bad_tau_usage_error(self, capsys, two_cube_scene, tmp_path):
@@ -202,7 +203,7 @@ class TestDetect:
         # views stream, so the last frame is validated only after the others are fused
         last = sorted((mutable_scene_dir / "frames").glob("*.mask.0.pgm"))[-1]
         assert last.name == "0019.mask.0.pgm"
-        bitmap = scene_io.read_pgm(last)
+        bitmap = scene_io._read_raster(last).astype(np.uint16)
         bitmap[bitmap == 255] = 7
         scene_io.write_pgm(last, bitmap, maxval=255)
         out_dir = tmp_path / "p"
@@ -226,8 +227,6 @@ class TestEval:
     @pytest.fixture()
     def perfect_pred_dir(self, two_cube_scene, tmp_path):
         # predictions copied from the ground truth itself
-        from rgbdnav.types import ObjectCloud
-
         gt = gt_points_reference_from_ids(two_cube_scene)
         instances = [ObjectCloud(g.points, g.label, 1.0) for g in gt]
         pred = tmp_path / "pred"
@@ -251,8 +250,6 @@ class TestEval:
         assert float(m25) >= float(m50) >= float(m)
 
     def test_disjoint_predictions_score_zero(self, capsys, two_cube_scene, tmp_path):
-        from rgbdnav.types import ObjectCloud
-
         gt = gt_points_reference_from_ids(two_cube_scene)
         far = [ObjectCloud(g.points + 50.0, g.label, 1.0) for g in gt]
         pred = tmp_path / "pred"
@@ -263,8 +260,6 @@ class TestEval:
         assert all_row.split()[1:] == ["0.0", "0.0", "0.0"]
 
     def test_unknown_label_vocabulary_error(self, capsys, two_cube_scene, tmp_path):
-        from rgbdnav.types import ObjectCloud
-
         pts = np.random.default_rng(0).uniform(0, 1, (20, 3))
         instances = [ObjectCloud(pts, "unicorn", 1.0)]
         pred = tmp_path / "pred"
@@ -359,15 +354,31 @@ class TestEval:
         assert code == 2
         assert "pairs" in err
 
-    def test_macro_average_over_two_scenes(self, capsys, two_cube_scene, perfect_pred_dir, tmp_path):
-        code, out, _ = run_cli(
-            capsys, "eval",
-            str(perfect_pred_dir), str(two_cube_scene),
-            str(perfect_pred_dir), str(two_cube_scene),
-            "--out", str(tmp_path / "r.txt"),
+    def test_two_scenes_pooled_fragment_outranks_true_positive(self, capsys, two_cube_scene, tmp_path):
+        # scene A holds each whole cube at 1.0 and a corner fragment of the
+        # crate at 0.9; scene B holds each whole cube at 0.8. Averaging the
+        # two scenes' reports would read 100 (each fragment ranks below its
+        # scene's true positive); pooled, the fragment outranks scene B's crate
+        gt = gt_points_reference_from_ids(two_cube_scene)
+        crate = next(g.points for g in gt if g.label == "crate")
+        corner = crate[np.all(crate[:, :2] < crate[:, :2].min(axis=0) + 0.1, axis=1)]
+        scene_a, scene_b = tmp_path / "a", tmp_path / "b"
+        scene_io.write_instances(
+            [*(ObjectCloud(g.points, g.label, 1.0) for g in gt), ObjectCloud(corner, "crate", 0.9)], scene_a
         )
-        assert code == 0
-        assert "2 scene(s)" in out
+        scene_io.write_instances([ObjectCloud(g.points, g.label, 0.8) for g in gt], scene_b)
+        reports = {}
+        for name, dirs in (("ab", (scene_a, scene_b)), ("ba", (scene_b, scene_a))):
+            code, out, _ = run_cli(capsys, "eval", *(str(d) for p in dirs for d in (p, two_cube_scene)),
+                                   "--out", str(tmp_path / f"{name}.txt"))
+            assert code == 0
+            reports[name] = (tmp_path / f"{name}.txt").read_text()
+        assert reports["ab"] == reports["ba"]
+        rows = {line.split()[0]: line.split()[1:] for line in reports["ab"].splitlines() if not line.startswith("#")}
+        assert reports["ab"].startswith("# instance segmentation report (pooled over 2 scene(s))\n")
+        assert rows["crate"] == ["83.3", "83.3", "83.3", "2", "3", "2", "2"]
+        assert rows["bin"] == ["100.0", "100.0", "100.0", "2", "2", "2", "2"]
+        assert rows["all"] == ["91.7", "91.7", "91.7"]
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,9 @@ The reference reconstructs each detection with the double-loop erosion of
 its full-image mask, the plain-Python z-score rule and the pinhole formula
 pixel by pixel (``reconstruct_full_image_reference``), fuses with
 ``merge_instances_reference`` (every merge re-downsamples the union) and
-scores with ``evaluate_scene_reference`` (set-based voxel IoU). The same
-arithmetic runs on both sides, so instances and reports must match exactly.
+scores with ``evaluate_reference`` (set-based voxel IoU, every prediction
+ranked and matched in Python). The same arithmetic runs on both sides, so
+instances and reports must match exactly.
 """
 import tempfile
 from pathlib import Path
@@ -15,12 +16,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rgbdnav import oracle, scene_io
-from rgbdnav.evaluation import MAP_THRESHOLDS, evaluate_scene
+from rgbdnav.evaluation import KeyedPrediction, evaluate
 from rgbdnav.fusion import run_scene, voxel_keys
 from rgbdnav.types import Box3D, ObjectCloud, PipelineConfig
 
 from conftest import VOXEL_SIZES, full_image_bitmap, gt_points_reference_from_ids
-from test_evaluation import evaluate_scene_reference
+from test_evaluation import evaluate_reference
 from test_fusion import merge_instances_reference
 from test_projection import reconstruct_full_image_reference
 
@@ -86,7 +87,8 @@ def test_pipeline_matches_oracle_loops(inputs):
         oracle.make_synthetic_scene(boxes, trajectory, intrinsics, scene_dir)
         oracle.populate_detections(scene_dir, noise)
         got, stats = run_scene(scene_io.iter_views(scene_dir), config)
-        report = evaluate_scene(got, scene_io.load_gt_instances(scene_dir, EVAL_VOXEL), EVAL_VOXEL)
+        keyed = [KeyedPrediction.of(c, EVAL_VOXEL) for c in got]
+        report = evaluate([(keyed, scene_io.load_gt_instances(scene_dir, EVAL_VOXEL))], EVAL_VOXEL)
         want, dropped = detect_reference(scene_dir, config)
         gt = gt_points_reference_from_ids(scene_dir)
     assert stats.dropped == dropped
@@ -97,7 +99,7 @@ def test_pipeline_matches_oracle_loops(inputs):
         assert (g.label, g.score, g.source_frames) == (w.label, w.score, w.source_frames)
         assert g.box.min_corner.tobytes() == w.box.min_corner.tobytes()
         assert g.box.max_corner.tobytes() == w.box.max_corner.tobytes()
-    assert report == evaluate_scene_reference(want, gt, EVAL_VOXEL, MAP_THRESHOLDS)
+    assert report == evaluate_reference([(want, gt)], EVAL_VOXEL)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -15,9 +15,7 @@ from rgbdnav.scene_io import (
     SceneLayoutError,
     SceneValidationError,
     load_gt_instances,
-    load_instances,
     read_cloud_ply,
-    read_pgm,
     write_boxes,
     write_cloud_ply,
     write_instances,
@@ -66,33 +64,33 @@ class TestPgm:
     def test_round_trip_16bit(self, tmp_path):
         img = np.arange(12, dtype=np.uint16).reshape(3, 4) * 1000
         write_pgm(tmp_path / "a.pgm", img)
-        assert np.array_equal(read_pgm(tmp_path / "a.pgm"), img)
+        assert np.array_equal(scene_io._read_raster(tmp_path / "a.pgm").astype(np.uint16), img)
 
     def test_round_trip_8bit(self, tmp_path):
         img = np.array([[0, 255], [255, 0]], dtype=np.uint16)
         write_pgm(tmp_path / "m.pgm", img, maxval=255)
-        assert np.array_equal(read_pgm(tmp_path / "m.pgm"), img)
+        assert np.array_equal(scene_io._read_raster(tmp_path / "m.pgm").astype(np.uint16), img)
 
     def test_ascii_p2_with_comments(self, tmp_path):
         (tmp_path / "c.pgm").write_text("P2\n# a comment\n2 2\n100\n1 2\n3 4\n")
-        assert np.array_equal(read_pgm(tmp_path / "c.pgm"), [[1, 2], [3, 4]])
+        assert np.array_equal(scene_io._read_raster(tmp_path / "c.pgm").astype(np.uint16), [[1, 2], [3, 4]])
 
     def test_truncated_raster_rejected(self, tmp_path):
         (tmp_path / "bad.pgm").write_text("P2\n2 2\n10\n1 2 3\n")
         with pytest.raises(SceneValidationError):
-            read_pgm(tmp_path / "bad.pgm")
+            scene_io._read_raster(tmp_path / "bad.pgm").astype(np.uint16)
 
     @pytest.mark.parametrize("maxval, dtype", [(200, "u1"), (1000, ">u2"), (65535, ">u2")])
     def test_binary_sample_above_maxval_rejected(self, tmp_path, maxval, dtype):
         img = np.array([[0, maxval], [maxval, 1]])
         (tmp_path / "ok.pgm").write_bytes(f"P5\n2 2\n{maxval}\n".encode() + img.astype(dtype).tobytes())
-        got = read_pgm(tmp_path / "ok.pgm")
+        got = scene_io._read_raster(tmp_path / "ok.pgm").astype(np.uint16)
         assert got.dtype == np.uint16 and got.flags.writeable and np.array_equal(got, img)
         if maxval < 65535:
             img[1, 1] = maxval + 1
             (tmp_path / "bad.pgm").write_bytes(f"P5\n2 2\n{maxval}\n".encode() + img.astype(dtype).tobytes())
             with pytest.raises(SceneValidationError, match=f"exceeds declared maxval {maxval}"):
-                read_pgm(tmp_path / "bad.pgm")
+                scene_io._read_raster(tmp_path / "bad.pgm").astype(np.uint16)
 
     @pytest.mark.parametrize(
         "image, message",
@@ -115,7 +113,7 @@ class TestPgm:
     def test_bool_and_integer_samples_written_exactly(self, tmp_path, dtype):
         img = np.array([[0, 1], [1, 0]], dtype=dtype)
         write_pgm(tmp_path / "ok.pgm", img, maxval=255)
-        assert np.array_equal(read_pgm(tmp_path / "ok.pgm"), img.astype(np.uint16))
+        assert np.array_equal(scene_io._read_raster(tmp_path / "ok.pgm").astype(np.uint16), img.astype(np.uint16))
 
 
 # Raster encodings every loader must read alike: (magic, maxval). P5 at 255
@@ -141,7 +139,7 @@ def make_format_scene(root, magic, maxval):
     """make_fixture_scene with its ground truth, every raster re-encoded; raw depth 200 fits one byte."""
     root = add_fixture_gt(make_fixture_scene(root, depth_rows=[[200, 0, 200, 150, 200, 255]] * 4))
     for path in [*root.glob("frames/*.pgm"), *root.glob("gt/ids/*.pgm")]:
-        _write_raster(path, read_pgm(path), magic, maxval)
+        _write_raster(path, scene_io._read_raster(path).astype(np.uint16), magic, maxval)
     return root
 
 
@@ -167,8 +165,8 @@ class TestRasterFormats:
         if magic == "P5":  # a view of the file bytes in the file's dtype, not a copy
             assert ids.dtype == (np.dtype(">u2") if maxval > 255 else np.dtype("u1"))
             assert not ids.flags.writeable
-        # read_pgm stays the writeable uint16 copy
-        copy = read_pgm(root / "gt" / "ids" / "0000.pgm")
+        # a uint16 copy of the same raster holds the same ids
+        copy = scene_io._read_raster(root / "gt" / "ids" / "0000.pgm").astype(np.uint16)
         assert copy.dtype == np.uint16 and copy.flags.writeable and np.array_equal(copy, want)
 
     def test_load_gt_instances(self, tmp_path, magic, maxval):
@@ -219,7 +217,7 @@ class TestRasterFormats:
 @pytest.mark.parametrize("path", ["frames/0001.depth.pgm", "frames/0001.mask.0.pgm", "gt/ids/0001.pgm"])
 def test_sample_above_maxval_names_file(tmp_path, magic, path):
     root = make_format_scene(tmp_path / "s", magic, 1000)
-    image = read_pgm(root / path)
+    image = scene_io._read_raster(root / path).astype(np.uint16)
     image[0, 0] = 1001
     _write_raster(root / path, image, magic, 1000)
     load = scene_io.load_gt_instances if path.startswith("gt") else lambda r: list(scene_io.iter_views(r))
@@ -377,7 +375,7 @@ class TestIterViews:
         # 65535 * 0.001 in float64, the same bytes as scaling a float64 copy
         root = make_fixture_scene(tmp_path / "s", depth_rows=[[65535, 1, 0, 300, 1500, 7]] * 4)
         depth = next(scene_io.iter_views(root)).frame.depth
-        raw = read_pgm(root / "frames" / "0000.depth.pgm")
+        raw = scene_io._read_raster(root / "frames" / "0000.depth.pgm").astype(np.uint16)
         assert depth.dtype == np.float64
         assert np.array_equal(depth.view(np.int64), (raw.astype(np.float64) * 0.001).view(np.int64))
 
@@ -506,7 +504,7 @@ class TestBoxesDocument:
     def test_instance_set_round_trip(self, tmp_path):
         instances = self._instances()
         write_instances(instances, tmp_path / "out")
-        back = load_instances(tmp_path / "out")
+        back = list(scene_io.iter_instances(tmp_path / "out"))
         assert len(back) == 1
         cloud, src_cloud = back[0], instances[0]
         assert cloud.label == src_cloud.label
@@ -530,7 +528,7 @@ class TestBoxesDocument:
         ]
         write_instances(instances, tmp_path / "out")
         records = json.loads((tmp_path / "out" / "boxes.json").read_text())["instances"]
-        back = load_instances(tmp_path / "out")
+        back = list(scene_io.iter_instances(tmp_path / "out"))
         assert [(c.label, c.score, len(c.points)) for c in back] == [
             (r["label"], r["score"], r["num_points"]) for r in records
         ]
@@ -553,7 +551,7 @@ class TestBoxesDocument:
         header = ply.read_text().split("end_header\n")[0].replace("element vertex 2", "element vertex 0")
         ply.write_text(header + "end_header\n")
         with pytest.raises(SceneValidationError, match=re.escape(f"{ply}: PLY holds no vertices")):
-            load_instances(tmp_path / "out")
+            list(scene_io.iter_instances(tmp_path / "out"))
 
 
 def gt_points_reference(boxes, trajectory, intr, depth_scale):
