@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--voxel-size", type=float, default=defaults.voxel_size,
                    help="dedup voxel size in meters (default %(default)s)")
     p.add_argument("--merge-threshold", type=float, default=defaults.merge_threshold,
-                   help="same-class box IoU for merging (default %(default)s)")
+                   help="same-class box IoU above which instances merge; the fused instances "
+                        "are the same for any view order (default %(default)s)")
     p.add_argument("--kernel-size", type=int, default=defaults.kernel_size,
                    help="side of the square erosion kernel, in pixels (default %(default)s)")
 
@@ -131,27 +132,30 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _read_scene(pred_dir: str, gt_dir: str, voxel_size: float):
-    """One PRED_DIR GT_DIR pair as :func:`evaluation.evaluate` takes it: keyed predictions, then ground truth."""
-    # each prediction is keyed as it is read: no cloud's points are held while ground truth is keyed
-    pred = [evaluation.KeyedPrediction.of(c, voxel_size) for c in scene_io.iter_instances(pred_dir)]
-    gt = scene_io.load_gt_instances(Path(gt_dir), voxel_size)
-    unknown = sorted({c.label for c in pred} - {g.label for g in gt})
-    if unknown:
-        raise scene_io.SceneError(
-            f"predictions in {pred_dir} use labels outside the "
-            f"ground-truth vocabulary: {', '.join(unknown)}"
-        )
-    return pred, gt
-
-
 def cmd_eval(args) -> int:
     if len(args.dirs) % 2:
         raise UsageError("directories must come in PRED_DIR GT_DIR pairs")
     _flag(check_voxel_size, args.voxel_size)
     pairs = [(args.dirs[i], args.dirs[i + 1]) for i in range(0, len(args.dirs), 2)]
+    used: dict[str, set[str]] = {}  # PRED_DIR -> the labels its predictions use
+    vocabulary: set[str] = set()  # the ground-truth labels of all scenes
+
+    def read_scene(pred_dir: str, gt_dir: str):
+        # each prediction is keyed as it is read: no cloud's points are held while ground truth is keyed
+        pred = [evaluation.KeyedPrediction.of(c, args.voxel_size) for c in scene_io.iter_instances(pred_dir)]
+        gt = scene_io.load_gt_instances(Path(gt_dir), args.voxel_size)
+        used.setdefault(pred_dir, set()).update(p.label for p in pred)
+        vocabulary.update(g.label for g in gt)
+        return pred, gt
+
     # scenes are read one at a time, as the scorer reaches them
-    report = evaluation.evaluate((_read_scene(p, g, args.voxel_size) for p, g in pairs), args.voxel_size)
+    report = evaluation.evaluate((read_scene(p, g) for p, g in pairs), args.voxel_size)
+    unknown = set().union(*used.values()) - vocabulary  # labels no scene's ground truth holds
+    if unknown:
+        raise scene_io.SceneError(
+            f"predictions in {', '.join(d for d, labels in used.items() if labels & unknown)} use labels "
+            f"outside the ground-truth vocabulary: {', '.join(sorted(unknown))}"
+        )
     text = evaluation.format_report(report, args.voxel_size)
     out = Path(args.out) if args.out else Path(pairs[0][0]) / "eval_report.txt"
     out.write_text(text)

@@ -1,4 +1,4 @@
-"""Cross-view instance fusion via class-aware box IoU merging."""
+"""Cross-view instance fusion: connected components of the same-class box-IoU graph, in any input order."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -13,20 +13,23 @@ if TYPE_CHECKING:  # scene_io imports voxel_keys from here
     from .scene_io import SceneView
 
 
-def iou_3d(a: Box3D, b: Box3D) -> float:
-    """Intersection over union of two axis-aligned boxes.
+def iou_row(lo: np.ndarray, hi: np.ndarray, box: Box3D) -> np.ndarray:
+    """Intersection over union of ``box`` with each axis-aligned box ``lo[k]``..``hi[k]`` (rows of (n, 3) arrays).
 
     Disjoint boxes score 0. A zero-volume box scores 0 against everything
     except an identical box, which scores 1.
     """
-    va = a.volume
-    vb = b.volume
-    if va == 0.0 or vb == 0.0:
-        same = np.array_equal(a.min_corner, b.min_corner) and np.array_equal(a.max_corner, b.max_corner)
-        return 1.0 if same else 0.0
-    overlap = np.minimum(a.max_corner, b.max_corner) - np.maximum(a.min_corner, b.min_corner)
-    inter = float(np.prod(np.maximum(overlap, 0.0)))
-    return inter / (va + vb - inter)
+    inter = np.prod(np.maximum(np.minimum(hi, box.max_corner) - np.maximum(lo, box.min_corner), 0.0), axis=1)
+    union = np.prod(box.max_corner - box.min_corner) + np.prod(hi - lo, axis=1) - inter
+    iou = np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0)
+    if not union.all():  # two zero-volume boxes
+        iou[np.all(lo == box.min_corner, axis=1) & np.all(hi == box.max_corner, axis=1)] = 1.0
+    return iou
+
+
+def iou_3d(a: Box3D, b: Box3D) -> float:
+    """:func:`iou_row` of two boxes."""
+    return float(iou_row(a.min_corner[None], a.max_corner[None], b)[0])
 
 
 # Bits per axis in a packed voxel key; three axes fill 63 bits of an int64.
@@ -93,59 +96,84 @@ def sorted_union(held: np.ndarray, batch: np.ndarray) -> np.ndarray:
 def sorted_unique_first(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`sorted_unique` and, aligned with it, the index in ``keys`` of each value's first occurrence.
 
-    Equal to ``np.unique`` with ``return_index=True``. The argsort need not be
-    stable: the smallest index of each run of equal values is its first one.
+    Equal to ``np.unique`` with ``return_index=True``. A first occurrence
+    heads a run of equal neighbours, so only the heads are sorted: a cloud in
+    pixel order repeats each voxel along its image rows. The argsort need not
+    be stable: the smallest index of each run of equal values is its first one.
     """
-    order = np.argsort(keys)
+    heads = _run_starts(keys)
+    order = heads[np.argsort(keys[heads])]
     ordered = keys[order]
     starts = _run_starts(ordered)
     return ordered[starts], np.minimum.reduceat(order, starts)
 
 
-# While folding, an instance is (cloud, keys): keys are the sorted unique
-# voxel keys of cloud.points once a merge has deduplicated them, else None.
-_Folded = tuple[ObjectCloud, "np.ndarray | None"]
+# An instance while fusing: a cloud of one point per voxel and its sorted unique voxel keys, aligned.
+_Keyed = tuple[ObjectCloud, np.ndarray]
 
 
-def _merge_pair(acc: _Folded, new: _Folded, voxel_size: float) -> _Folded:
-    """The first point per voxel of ``vstack([acc, new])``, in order, without re-sorting the union.
+def _cut(cloud: ObjectCloud, voxel_size: float) -> _Keyed:
+    """A cloud as fusion holds it: its first point per voxel, in its own order, and its keys.
 
-    The accumulated cloud is deduplicated once. The incoming cloud is keyed
-    and deduplicated, its sorted unique keys are tested against the held
-    ones, and the first points of its fresh voxels are appended in index
-    order; :func:`sorted_union` grows the held keys.
+    Every cloud fusion builds is column-major, so each coordinate (a row of
+    ``points.T``) is contiguous.
     """
-    (a, keys), (b, _) = acc, new
-    points = a.points
-    if keys is None:
-        keys, first = sorted_unique_first(voxel_keys(points, voxel_size))
-        points = points[np.sort(first)]
-    incoming, first = sorted_unique_first(voxel_keys(b.points, voxel_size))
-    pos = np.searchsorted(keys, incoming)
-    seen = pos < keys.size
-    seen[seen] = keys[pos[seen]] == incoming[seen]
-    points = np.vstack([points, b.points[np.sort(first[~seen])]])
-    keys = sorted_union(keys, incoming)
-    return ObjectCloud(points, a.label, max(a.score, b.score), a.source_frames | b.source_frames), keys
+    keys, first = sorted_unique_first(voxel_keys(cloud.points, voxel_size))
+    return ObjectCloud(cloud.points.T.take(first, axis=1).T, cloud.label, cloud.score, cloud.source_frames), keys
 
 
-def _fold(instances: Iterable[_Folded], merge_threshold: float, voxel_size: float) -> tuple[list[_Folded], bool]:
-    """One pass: each instance, as it arrives, merges into the first matching accumulator or is appended.
+def _join(a: _Keyed, b: _Keyed) -> _Keyed:
+    """One instance holding the voxels of two, each held as :func:`_cut` holds it.
 
-    Returns the accumulators and whether any merge happened.
+    A voxel both hold keeps the lexicographically smaller (x, y, z) point;
+    the score is the max and ``source_frames`` the union. ``b``'s keys are
+    located in ``a``'s, and the union is gathered in key order in one take.
     """
-    acc: list[_Folded] = []
-    merged = False
-    for inst in instances:
-        cloud = inst[0]
-        for i, (other, _) in enumerate(acc):
-            if other.label == cloud.label and iou_3d(other.box, cloud.box) > merge_threshold:
-                acc[i] = _merge_pair(acc[i], inst, voxel_size)
-                merged = True
-                break
-        else:
-            acc.append(inst)
-    return acc, merged
+    (ca, held), (cb, incoming) = a, b
+    pos = np.searchsorted(held, incoming)
+    found = held.take(pos, mode="clip") == incoming  # a key past the end is compared with the last
+    shared, fresh = np.flatnonzero(found), np.flatnonzero(~found)
+    p, q = cb.points.T.take(shared, axis=1), ca.points.T.take(pos[shared], axis=1)
+    smaller = p[2] < q[2]
+    for axis in (1, 0):  # (x, y, z) order: x decides, a tie falls to y, then to z
+        smaller = (p[axis] < q[axis]) | ((p[axis] == q[axis]) & smaller)
+    source = np.arange(held.size)  # the column of [held, incoming] each voxel of the union takes, in key order
+    source[pos[shared[smaller]]] = held.size + shared[smaller]
+    source = np.insert(source, pos[fresh], held.size + fresh)
+    keys = np.concatenate([held, incoming]).take(source)
+    points = np.concatenate([ca.points.T, cb.points.T], axis=1).take(source, axis=1)
+    return ObjectCloud(points.T, ca.label, max(ca.score, cb.score), ca.source_frames | cb.source_frames), keys
+
+
+def _find(parent: list[int], i: int) -> int:
+    """The root of ``i`` in a union-find forest, halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = i = parent[parent[i]]
+    return i
+
+
+def _components(instances: Iterable[_Keyed], merge_threshold: float) -> tuple[list[_Keyed], bool]:
+    """One pass: each connected component of the instances joined into one, and whether any two joined.
+
+    An edge joins two same-label instances whose box IoU exceeds the
+    threshold. Each instance, as it arrives, is tested against the boxes
+    seen so far in this pass, and the components it touches are joined with
+    it at once (union-find), so only the components are held.
+    """
+    seen: dict[str, tuple[list[int], np.ndarray]] = {}  # label -> ids and (min, max) corners of those seen
+    parent: list[int] = []
+    held: dict[int, _Keyed] = {}  # root -> its component
+    for i, inst in enumerate(instances):
+        box = inst[0].box
+        ids, corners = seen.get(inst[0].label, ([], np.empty((0, 2, 3))))
+        parent.append(i)
+        edges = np.flatnonzero(iou_row(corners[:, 0], corners[:, 1], box) > merge_threshold)
+        for root in {_find(parent, ids[k]) for k in edges}:
+            inst = _join(held.pop(root), inst)
+            parent[root] = i
+        held[i] = inst
+        seen[inst[0].label] = ids + [i], np.concatenate([corners, [[box.min_corner, box.max_corner]]])
+    return list(held.values()), len(held) < len(parent)
 
 
 def merge_instances(
@@ -153,29 +181,30 @@ def merge_instances(
     merge_threshold: float = 0.8,
     voxel_size: float = 0.02,
 ) -> list[ObjectCloud]:
-    """Greedy agglomeration of per-view instances into scene instances.
+    """Per-view instances fused into scene instances, the same for any order of the views, of the
+    instances within a view, or of the frame ids.
 
-    Views are folded in input order; an incoming instance merges into the
-    first existing same-class instance whose box IoU exceeds the threshold
-    (clouds concatenated and voxel-deduplicated, box recomputed, score =
-    max), otherwise it is appended. Folding repeats until a pass merges
-    nothing, so no surviving same-class pair exceeds the threshold. The
-    result depends on view order: on the bench scene, views in file order
-    give 6 instances and reversed views give 5 (ROADMAP.md, item 1).
+    Each arriving cloud keeps its first point per voxel, in its own
+    (row-major pixel) order. Each connected component of same-label
+    instances whose box IoU exceeds the threshold becomes one instance: the
+    union of the members' voxels, where a voxel two members hold keeps the
+    lexicographically smaller (x, y, z) point; the max score; the union of
+    ``source_frames``. Passes repeat on the merged boxes until one merges
+    nothing, so no surviving same-label pair exceeds the threshold. Points
+    come in voxel-key order, and instances are sorted by label, box min
+    corner and max corner: below a threshold of 1, no two same-label boxes
+    are identical at the fixpoint.
 
     ``views`` may be any iterable, a generator included: the first pass
-    takes each view's instances as the view arrives and keeps only the
-    accumulated instances, so a view is not held once it has been folded.
-    The later passes run over those accumulators. The result equals that
-    of the same views given as lists.
+    takes each view's instances as the view arrives and holds only the
+    components, so a view is not held once it has been fused.
     """
     if not (0.0 < merge_threshold <= 1.0):
         raise ValueError(f"merge_threshold must be in (0, 1], got {merge_threshold}")
-    arriving = ((cloud, None) for view in views for cloud in view)
-    folded, merged = _fold(arriving, merge_threshold, voxel_size)
+    instances, merged = _components((_cut(c, voxel_size) for view in views for c in view), merge_threshold)
     while merged:
-        folded, merged = _fold(folded, merge_threshold, voxel_size)
-    return [cloud for cloud, _ in folded]
+        instances, merged = _components(instances, merge_threshold)
+    return sorted((c for c, _ in instances), key=lambda c: (c.label, *c.box.min_corner, *c.box.max_corner))
 
 
 @dataclass

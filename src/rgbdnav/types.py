@@ -157,10 +157,6 @@ class Box3D:
     def center(self) -> np.ndarray:
         return 0.5 * (self.min_corner + self.max_corner)
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.max_corner - self.min_corner))
-
 
 @dataclass(frozen=True)
 class ObjectCloud:

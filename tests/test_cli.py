@@ -268,6 +268,26 @@ class TestEval:
         assert code == 1
         assert "unicorn" in err
 
+    def test_label_with_gt_in_another_scene_is_scored(self, capsys, two_cube_scene, perfect_pred_dir, tmp_path):
+        # the second scene holds only the crate: the bin predicted there is a false positive, not an error
+        boxes = tmp_path / "crate.txt"
+        boxes.write_text("crate -0.75 -0.55 0 -0.15 0.05 0.5\n")
+        crate_only = tmp_path / "crate_only"
+        small = ["--views", "2", "--width", "160", "--height", "120", "--focal", "145"]
+        assert run_cli(capsys, "synth", str(crate_only), *small, "--boxes", str(boxes))[0] == 0
+        code, out, err = run_cli(capsys, "eval", str(perfect_pred_dir), str(two_cube_scene),
+                                 str(perfect_pred_dir), str(crate_only))
+        assert (code, err) == (0, "")
+        rows = {line.split()[0]: line.split()[1:] for line in out.splitlines() if not line.startswith("#")}
+        assert rows["bin"][3:] == ["1", "2", "1", "1"]  # gt, pred, tp50, tp25
+
+    def test_label_without_gt_in_any_scene_names_its_directory(self, capsys, two_cube_scene, perfect_pred_dir, tmp_path):
+        odd = tmp_path / "odd"
+        scene_io.write_instances([ObjectCloud(np.random.default_rng(0).uniform(0, 1, (20, 3)), "unicorn", 1.0)], odd)
+        code, out, err = run_cli(capsys, "eval", str(perfect_pred_dir), str(two_cube_scene), str(odd), str(two_cube_scene))
+        assert (code, out) == (1, "")
+        assert err == f"rgbdnav eval: predictions in {odd} use labels outside the ground-truth vocabulary: unicorn\n"
+
     @pytest.mark.parametrize(
         "corrupt, reason",
         [

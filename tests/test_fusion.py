@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from rgbdnav import scene_io
 from rgbdnav.fusion import (
-    _merge_pair,
+    _cut,
+    _join,
     iou_3d,
     merge_instances,
     run_scene,
@@ -51,30 +52,60 @@ def voxel_downsample_rowwise(points, voxel_size):
     return p[np.sort(first)]
 
 
+def voxel_min_points(clouds, voxel_size):
+    """Reference dedup, as a dict from integer cell to point: each cloud's first point per
+    voxel in its own order, then across clouds the lexicographically smallest (x, y, z)."""
+    table = {}
+    for points in clouds:
+        own = {}
+        for p in np.asarray(points, dtype=np.float64).reshape(-1, 3):
+            own.setdefault(tuple(int(c) for c in np.floor(p / voxel_size)), tuple(p))
+        for cell, p in own.items():
+            table[cell] = min(table.get(cell, p), p)
+    return table
+
+
+def _cloud_of(table, label, score, frames):
+    """The cloud of a cell -> point dict, points in (x, y, z) cell order, the order packed keys sort in."""
+    return ObjectCloud(np.array([table[cell] for cell in sorted(table)]), label, score, frames)
+
+
 def merge_instances_reference(views, merge_threshold, voxel_size):
-    """Reference fold: every merge concatenates both clouds and re-downsamples the union."""
-
-    def fold(instances):
-        acc = []
-        for cloud in instances:
-            for i, other in enumerate(acc):
-                if other.label == cloud.label and iou_3d(other.box, cloud.box) > merge_threshold:
-                    points = voxel_downsample_rowwise(np.vstack([other.points, cloud.points]), voxel_size)
-                    acc[i] = ObjectCloud(
-                        points, other.label, max(other.score, cloud.score),
-                        other.source_frames | cloud.source_frames,
-                    )
-                    break
-            else:
-                acc.append(cloud)
-        return acc
-
-    current = [inst for view in views for inst in view]
+    """Reference fusion: ``iou_3d`` over every pair, components by depth-first search,
+    voxel -> smallest point in a dict, passes to the fixpoint, then sorted canonically."""
+    current = [
+        (voxel_min_points([c.points], voxel_size), c.label, c.score, c.source_frames)
+        for view in views for c in view
+    ]
     while True:
-        folded = fold(current)
-        if len(folded) == len(current):
-            return folded
-        current = folded
+        clouds = [_cloud_of(*inst) for inst in current]
+        edges = {i: set() for i in range(len(clouds))}
+        for i, j in itertools.combinations(range(len(clouds)), 2):
+            if clouds[i].label == clouds[j].label and iou_3d(clouds[i].box, clouds[j].box) > merge_threshold:
+                edges[i].add(j)
+                edges[j].add(i)
+        merged, done = [], set()
+        for start in range(len(clouds)):
+            if start in done:
+                continue
+            stack, members = [start], []
+            done.add(start)
+            while stack:
+                i = stack.pop()
+                members.append(i)
+                stack.extend(edges[i] - done)
+                done.update(edges[i])
+            table = {}
+            for i in members:
+                for cell, p in current[i][0].items():
+                    table[cell] = min(table.get(cell, p), p)
+            merged.append((
+                table, current[start][1], max(current[i][2] for i in members),
+                frozenset().union(*(current[i][3] for i in members)),
+            ))
+        if len(merged) == len(current):
+            return sorted(clouds, key=lambda c: (c.label, *c.box.min_corner, *c.box.max_corner))
+        current = merged
 
 
 def run_scene_reference(views, config):
@@ -149,6 +180,16 @@ def _instance(lo, hi, label="chair", score=1.0, n=40, seed=0):
     pts[0] = lo
     pts[1] = hi
     return ObjectCloud(pts, label, score)
+
+
+def assert_same_instances(got, want):
+    """The two instance lists hold the same bytes: points, label, score, frames and boxes, in the same order."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.points.tobytes() == w.points.tobytes()
+        assert (g.label, g.score, g.source_frames) == (w.label, w.score, w.source_frames)
+        assert g.box.min_corner.tobytes() == w.box.min_corner.tobytes()
+        assert g.box.max_corner.tobytes() == w.box.max_corner.tobytes()
 
 
 class TestIoU3D:
@@ -366,75 +407,109 @@ class TestMergeInstances:
                 assert (np.abs(all_inputs - p).sum(axis=1) < 1e-12).any()
 
     @given(fusion_inputs())
-    def test_matches_concatenating_reference(self, inputs):
+    def test_matches_component_reference(self, inputs):
         views, threshold, voxel = inputs
-        got = merge_instances(views, threshold, voxel)
-        want = merge_instances_reference(views, threshold, voxel)
-        assert len(got) == len(want)
-        for cg, cw in zip(got, want):
-            assert np.array_equal(cg.points, cw.points)
-            assert (cg.label, cg.score, cg.source_frames) == (cw.label, cw.score, cw.source_frames)
-            assert np.array_equal(cg.box.min_corner, cw.box.min_corner)
-            assert np.array_equal(cg.box.max_corner, cw.box.max_corner)
+        assert_same_instances(merge_instances(views, threshold, voxel),
+                              merge_instances_reference(views, threshold, voxel))
 
     def test_later_pass_merge_matches_reference(self):
-        # x and x + d are disjoint; their union bridges them, so in the order
-        # (x, x + d, union) the second pass merges an instance built by the first
-        rng = np.random.default_rng(11)
-        x = np.round(rng.uniform(-0.3, 0.1, size=(60, 3)), 2)  # many points on 0.02 boundaries
-        x = np.vstack([x, x[:20]])  # and duplicates
-        shifted = x + [np.ptp(x[:, 0]) + 0.04, 0.0, 0.0]
+        # a and b overlap (IoU 0.54 > 0.5); c overlaps each at IoU 0.5 exactly, so
+        # the first pass joins a and b only, and the second merges c into their union
         insts = [
-            ObjectCloud(pts, "chair", 0.5 + 0.1 * k, frozenset({f"f{k}"}))
-            for k, pts in enumerate([x, shifted, np.vstack([x, shifted])])
+            ObjectCloud(_instance(lo, hi, seed=k).points, "chair", 0.5 + 0.1 * k, frozenset({f"f{k}"}))
+            for k, (lo, hi) in enumerate([([0, 0, 0], [1, 1, 1]), ([0.3, 0, 0], [1.3, 1, 1]), ([-0.4, 0, 0], [1.6, 1, 1])])
         ]
-        assert iou_3d(insts[0].box, insts[1].box) == 0.0
+        assert iou_3d(insts[0].box, insts[1].box) > 0.5
+        assert iou_3d(insts[0].box, insts[2].box) == iou_3d(insts[1].box, insts[2].box) == 0.5
+        for order in itertools.permutations(insts):
+            views = [[inst] for inst in order]
+            got = merge_instances(views, 0.5, 0.02)
+            assert len(got) == 1 and got[0].source_frames == frozenset({"f0", "f1", "f2"})
+            assert_same_instances(got, merge_instances_reference(views, 0.5, 0.02))
+
+    def test_arrival_joins_every_component_it_touches(self):
+        # a and c share no edge (IoU 0.11); b overlaps each at IoU 0.43, so when b
+        # arrives last it joins two components in one pass
+        insts = [
+            ObjectCloud(_instance(lo, hi, seed=k).points, "chair", 1.0, frozenset({f"f{k}"}))
+            for k, (lo, hi) in enumerate([([0, 0, 0], [1, 1, 1]), ([0.4, 0, 0], [1.4, 1, 1]), ([0.8, 0, 0], [1.8, 1, 1])])
+        ]
+        assert iou_3d(insts[0].box, insts[2].box) < 0.3 < iou_3d(insts[0].box, insts[1].box)
         for order in itertools.permutations(insts):
             views = [[inst] for inst in order]
             got = merge_instances(views, 0.3, 0.02)
-            want = merge_instances_reference(views, 0.3, 0.02)
-            assert len(got) == len(want) == 1
-            assert np.array_equal(got[0].points, want[0].points)
-            assert got[0].source_frames == frozenset({"f0", "f1", "f2"})
+            assert len(got) == 1 and got[0].source_frames == frozenset({"f0", "f1", "f2"})
+            assert_same_instances(got, merge_instances_reference(views, 0.3, 0.02))
 
-    def test_merge_with_no_fresh_voxel(self):
-        # every incoming point falls in a voxel the accumulator already holds
-        acc = ObjectCloud(np.array([[0.001, 0.001, 0.001], [0.005, 0.0, 0.0], [0.05, 0.05, 0.05]]), "chair", 0.4, {"a"})
-        new = ObjectCloud(np.array([[0.051, 0.052, 0.053], [0.002, 0.003, 0.004]]), "chair", 0.9, {"b"})
-        merged, keys = _merge_pair((acc, None), (new, None), 0.02)
-        assert np.array_equal(merged.points, acc.points[[0, 2]])
-        assert np.array_equal(keys, np.unique(voxel_keys(acc.points, 0.02)))
-        assert merged.score == 0.9 and merged.source_frames == {"a", "b"}
-        # a second merge, now with the accumulator's keys known, adds nothing either
-        again, again_keys = _merge_pair((merged, keys), (new, None), 0.02)
-        assert np.array_equal(again.points, merged.points) and np.array_equal(again_keys, keys)
+    def test_join_with_no_fresh_voxel(self):
+        # every voxel of the smaller instance is held by the larger one
+        a = _cut(ObjectCloud(np.array([[0.001, 0.001, 0.001], [0.005, 0.0, 0.0], [0.05, 0.05, 0.05]]), "chair", 0.4, {"a"}), 0.02)
+        b = _cut(ObjectCloud(np.array([[0.051, 0.052, 0.053], [0.002, 0.003, 0.004]]), "chair", 0.9, {"b"}), 0.02)
+        assert np.array_equal(a[0].points, [[0.001, 0.001, 0.001], [0.05, 0.05, 0.05]])  # first point per voxel
+        for first, second in ((a, b), (b, a)):
+            joined, keys = _join(first, second)
+            assert np.array_equal(keys, a[1])
+            assert np.array_equal(joined.points, a[0].points)
+            assert joined.score == 0.9 and joined.source_frames == {"a", "b"}
+
+    def test_join_shared_voxel_keeps_smaller_later_point(self):
+        # the later member's point is smaller in the shared voxel, by x, then by y, then by z
+        held = np.array([[0.011, 0.005, 0.005], [0.031, 0.005, 0.005], [0.051, 0.005, 0.005]])
+        later = held.copy()
+        later[0, 0], later[1, 1], later[2, 2] = 0.001, 0.001, 0.001
+        a = _cut(ObjectCloud(held, "chair", 1.0, {"a"}), 0.02)
+        b = _cut(ObjectCloud(later, "chair", 1.0, {"b"}), 0.02)
+        for first, second in ((a, b), (b, a)):
+            assert np.array_equal(_join(first, second)[0].points, later)
 
     @pytest.mark.parametrize("offset", [10.0, 0.03], ids=["all_fresh", "mixed"])
-    def test_merge_pair_matches_downsampled_stack(self, offset):
-        # the incoming cloud repeats voxels of its own; at offset 0.03 some of them the accumulator holds
+    def test_join_matches_dict_reference(self, offset):
+        # the second cloud repeats voxels of its own; at offset 0.03 some of them the first holds
         rng = np.random.default_rng(5)
-        a = np.round(rng.uniform(0.0, 0.1, size=(40, 3)), 2)
-        b = np.round(rng.uniform(0.0, 0.1, size=(40, 3)), 2) + offset
-        b = np.vstack([b, b[::3]])
-        acc = ObjectCloud(a, "chair", 0.4, {"a"})
-        new = ObjectCloud(b, "chair", 0.9, {"b"})
+        a = np.round(rng.uniform(0.0, 0.1, size=(40, 3)), 2) + rng.uniform(0, 0.019, size=(40, 3))
+        b = np.round(rng.uniform(0.0, 0.1, size=(40, 3)), 2) + offset + rng.uniform(0, 0.019, size=(40, 3))
+        b = np.vstack([b, b[::3] + 0.001])
         keys_a, keys_b = set(voxel_keys(a, 0.02)), set(voxel_keys(b, 0.02))
         assert (keys_a & keys_b == set()) == (offset == 10.0) and keys_b - keys_a
-        merged, keys = _merge_pair((acc, None), (new, None), 0.02)
-        both = np.vstack([a, b])
-        assert np.array_equal(merged.points, voxel_downsample(both, 0.02))
-        assert np.array_equal(keys, np.unique(voxel_keys(both, 0.02)))
-        # a second merge, with the accumulator's keys held, appends the third cloud's fresh voxels
         c = b + 0.05
-        again, again_keys = _merge_pair((merged, keys), (ObjectCloud(c, "chair", 0.1, {"c"}), None), 0.02)
-        all_three = np.vstack([a, b, c])
-        assert np.array_equal(again.points, voxel_downsample(all_three, 0.02))
-        assert np.array_equal(again_keys, np.unique(voxel_keys(all_three, 0.02)))
-        assert again.score == 0.9 and again.source_frames == {"a", "b", "c"}
+        parts = [_cut(ObjectCloud(pts, "chair", s, {f}), 0.02) for pts, s, f in ((a, 0.4, "a"), (b, 0.9, "b"), (c, 0.1, "c"))]
+        for n in (2, 3):
+            want = _cloud_of(voxel_min_points([a, b, c][:n], 0.02), "chair", 0.9, "abc"[:n])
+            for order in itertools.permutations(parts[:n]):
+                joined, keys = order[0]
+                for part in order[1:]:
+                    joined, keys = _join((joined, keys), part)
+                assert joined.points.tobytes() == want.points.tobytes()
+                assert keys.tobytes() == np.unique(voxel_keys(want.points, 0.02)).tobytes()
+                assert joined.score == 0.9 and joined.source_frames == set("abc"[:n])
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             merge_instances([], 0.0, 0.02)
+
+
+class TestOrderFree:
+    @settings(max_examples=200)
+    @given(fusion_inputs(), st.data())
+    def test_same_bytes_under_any_order_of_views_instances_and_frame_ids(self, inputs, data):
+        views, threshold, voxel = inputs
+        names = sorted({f for view in views for cloud in view for f in cloud.source_frames})
+        rename = dict(zip(names, data.draw(st.permutations(names))))
+
+        def renamed(cloud):
+            return ObjectCloud(cloud.points, cloud.label, cloud.score, {rename[f] for f in cloud.source_frames})
+
+        shuffled = [data.draw(st.permutations([renamed(c) for c in view])) for view in data.draw(st.permutations(views))]
+        want = [renamed(c) for c in merge_instances(views, threshold, voxel)]
+        assert_same_instances(merge_instances(shuffled, threshold, voxel), want)
+
+    @given(fusion_inputs())
+    def test_fixpoint_and_idempotent(self, inputs):
+        views, threshold, voxel = inputs
+        fused = merge_instances(views, threshold, voxel)
+        for a, b in itertools.combinations(fused, 2):
+            assert a.label != b.label or iou_3d(a.box, b.box) <= threshold
+        assert_same_instances(merge_instances([fused], threshold, voxel), fused)
 
 
 class TestRunScene:

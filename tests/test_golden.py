@@ -4,8 +4,9 @@ Both scenes are the five-box bench layout at 640x480 with 20 views, made by
 ``rgbdnav synth``: one with noise-free oracle detections, one with the noisy
 preset. The sha256 of ``boxes.json``, of every cloud PLY and of
 ``eval_report.txt`` is pinned, with the instance count and the mAP triple
-written out. The noisy preset at seeds 3-5, scored together by one ``eval``,
-pins the pooled triple. A change that moves any byte of these outputs must
+written out, and the views fed in reverse must write the same bytes. The
+noisy preset at seeds 3-5, scored together by one ``eval``, pins the pooled
+triple. A change that moves any byte of these outputs must
 update the digests here in the same change and report its old -> new scores.
 """
 import hashlib
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from rgbdnav import cli
+from rgbdnav import cli, fusion, scene_io
+from rgbdnav.types import PipelineConfig
 
 from conftest import BENCH_LAYOUT
 
@@ -28,35 +30,33 @@ POOLED_MAP = (90.0, 92.4, 92.4)
 GOLDEN = {
     "bench": {
         "flags": [],
-        "instances": 6,
-        "map": (90.0, 90.0, 90.0),
+        "instances": 5,
+        "map": (100.0, 100.0, 100.0),
         "sha256": {
-            "boxes.json": "362cb3abbcb8ad776ae7d765971d126b452092f68ff15dd0496b0133f6173d44",
-            "cloud_0000_box_a.ply": "697cc540375383a7533ff3375f49872e2683f33e06829e4047a4a9c82850d035",
-            "cloud_0001_box_b.ply": "a61ea28ec33b9dcad25501699b3e4fc3935ccd467598570ca5a37e3d41af84ee",
-            "cloud_0002_box_c.ply": "fb110fde00e596b4e2b17efacb168f0e6acb0290a25ba89599d15396cc484e13",
-            "cloud_0003_box_d.ply": "a24f9cade69d2487e78bf89ae7831581924be231d98345163d71e29571d95462",
-            "cloud_0004_box_e.ply": "ccb62fd1d0379dda9ea3d4192e253983496f12ca74c6da2de41afb96ddda7d3d",
-            "cloud_0005_box_d.ply": "9673d830a9de5d6ffd7ccab9837cc91e85cd009e88d34c97889d8f421403def2",
-            "eval_report.txt": "b15b0bbf08f39b96253cf672fabe5c6e6d3036cbf1b1bd7ee3c775873f048439",
+            "boxes.json": "572729b05667fbbe67bd544a9141776b8a07ec8cfc38c53f6da5a4e67460f86b",
+            "cloud_0000_box_a.ply": "9eeaf932a49773c2eec9b269b266e188e25734cc808c7fa5f100a164f7cc061a",
+            "cloud_0001_box_b.ply": "46119e75e9c48e2c1ed1dd6a311d9717ad0fe1aab29e63eb06d228339e86e7e2",
+            "cloud_0002_box_c.ply": "3bd8181747e794f35dfd0864756ae5042caff80d4ebe80a728b7bde1d4f66d11",
+            "cloud_0003_box_d.ply": "c05c771d4c0fe83677223450ac0140bd6ba67f9337cb1864c2e9f49a592c5227",
+            "cloud_0004_box_e.ply": "c733dccec1194f04254af41490ec932142c9551688c6e5c158db2c9af25e1b90",
+            "eval_report.txt": "1051aa644726ba0fa0ca07f0b0be97017151fe4c492ecd1f9e24fc27d8b5eaed",
         },
     },
     "noisy": {
         "flags": NOISY_FLAGS,
-        "instances": 9,
+        "instances": 8,
         "map": (93.0, 100.0, 100.0),
         "sha256": {
-            "boxes.json": "8da6f8b93bf40989c6bab0131f6d8451f4bb67ea2b7e4fe4bda6f7105a3b2d17",
-            "cloud_0000_box_a.ply": "cf9e93ab4083abd59ca2dff655d9a7e1f4856576b540e4e67c6189cca6270936",
-            "cloud_0001_box_b.ply": "ae53cb5633a1fece724843a6532ecc0d011c8f837492313d803c463704aab6c3",
-            "cloud_0002_box_c.ply": "81010b14efa3238ff8aff6f55bb3c17fbfed48704ab57dbbd9a31f2609e668a9",
-            "cloud_0003_box_d.ply": "d890aa73dc4829aa559ea851a0161344b67e5180861f953d017b9a2a826d6281",
-            "cloud_0004_box_e.ply": "42a909ab74111547220acaa558ea8ccec555798843458bbfbd4fc59d8e53a85e",
-            "cloud_0005_box_d.ply": "08e3019fbed687c21b10f44fd93ed37f9f6eeb53e7a3bff6c55859d3ab5b948b",
-            "cloud_0006_box_b.ply": "4b5a2695c439f6ffc516a298a84926cab9e7e204fceba188bf8e3724d3c10029",
-            "cloud_0007_box_a.ply": "d6406af838a86828a694b8af75031b6be27c346dd75b643d6d8b05604c075373",
-            "cloud_0008_box_d.ply": "6a25e293874f74438f110510b74cd55958d0399f5c0e2b68cab17aff3d55cc3a",
-            "eval_report.txt": "97d2fc7ded362e5cdcd887803138a2ba59353640307f43935ac932f709beac4b",
+            "boxes.json": "9a010f1760441c403e612b67421b8837e0e6ed1f9ff562c1bcdb7e15c5238dc8",
+            "cloud_0000_box_a.ply": "6f31014cdbddd33d426b216d5ba55c4f1bcafe1dc5d0cfbbe8d94615bda15867",
+            "cloud_0001_box_a.ply": "db23b3a7748b8e9b088e17f976850d33ef3ff5a04b87697cee8d9d9665aab3a6",
+            "cloud_0002_box_b.ply": "2e70aca6713e6eef5711cab8c95ecec6f7aba9327368655c2a8d9a8da81ab07d",
+            "cloud_0003_box_b.ply": "e78125615323913e0a8ffd5adb93f8edf1edc26fa7c0dacdfd064bf527893e67",
+            "cloud_0004_box_c.ply": "87424db8d951b5c7b7dd721648f59377d4b4277bd6fbae02904f2342786defbb",
+            "cloud_0005_box_d.ply": "6124071e7617bf71380777f825572b0a60460fa6117e5c43ce37da3c35daea50",
+            "cloud_0006_box_d.ply": "178efd00b4c991cb19bbf15c723cfcf49eeb42dc69123923ef5c34209afffeed",
+            "cloud_0007_box_e.ply": "6264b1cc3f57d39ac8f1fd3d52f5d4c1813db8e307bc3efce2407d9c69ce8e9e",
+            "eval_report.txt": "15cc77baed677130143acf4d603b7cfc89e8524e46ea7dbec5a1493250aea291",
         },
     },
 }
@@ -83,24 +83,36 @@ def _all_row(report_text: str) -> tuple[float, ...]:
 
 @pytest.fixture(scope="module", params=sorted(GOLDEN))
 def golden_run(request, tmp_path_factory):
-    """(name, pred_dir): the named scene synthesized, detected and evaluated through the CLI."""
+    """(name, scene_dir, pred_dir): the named scene synthesized, detected and evaluated through the CLI."""
     name = request.param
     scene, pred = _synth_and_detect(tmp_path_factory.mktemp(f"golden_{name}"), name, GOLDEN[name]["flags"])
     assert cli.main(["eval", pred, scene]) == 0
-    return name, Path(pred)
+    return name, Path(scene), Path(pred)
+
+
+def _digests(pred_dir: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(pred_dir.iterdir())}
 
 
 def test_instance_count_and_map(golden_run):
-    name, pred = golden_run
+    name, _, pred = golden_run
     instances = json.loads((pred / "boxes.json").read_text())["instances"]
     got = (len(instances), _all_row((pred / "eval_report.txt").read_text()))
     assert got == (GOLDEN[name]["instances"], GOLDEN[name]["map"])
 
 
 def test_output_digests(golden_run):
-    name, pred = golden_run
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(pred.iterdir())}
-    assert digests == GOLDEN[name]["sha256"]
+    name, _, pred = golden_run
+    assert _digests(pred) == GOLDEN[name]["sha256"]
+
+
+def test_reversed_views_write_the_same_bytes(golden_run, tmp_path):
+    # fusion is order-free: the views fed last to first give the same instances
+    name, scene, _ = golden_run
+    instances, _ = fusion.run_scene(list(scene_io.iter_views(scene))[::-1], PipelineConfig())
+    scene_io.write_instances(instances, tmp_path)
+    want = {k: v for k, v in GOLDEN[name]["sha256"].items() if k != "eval_report.txt"}
+    assert _digests(tmp_path) == want
 
 
 def test_pooled_map_over_noisy_seeds(tmp_path):

@@ -3,7 +3,8 @@
 The reference reconstructs each detection with the double-loop erosion of
 its full-image mask, the plain-Python z-score rule and the pinhole formula
 pixel by pixel (``reconstruct_full_image_reference``), fuses with
-``merge_instances_reference`` (every merge re-downsamples the union) and
+``merge_instances_reference`` (pairwise box IoU, components by depth-first
+search, a dict from voxel to its smallest point, passes to the fixpoint) and
 scores with ``evaluate_reference`` (set-based voxel IoU, every prediction
 ranked and matched in Python). The same arithmetic runs on both sides, so
 instances and reports must match exactly.
