@@ -1,9 +1,12 @@
 """Ground-truth-driven stand-ins for the 2D detector and mask generator.
 
 The synthetic-scene generator renders analytic depth images of labeled
-axis-aligned boxes along a camera trajectory and saves, next to each depth
-image, the instance-id image of the render: which box owns each pixel. The
-detection oracle reads a frame's mask for box k straight from that image
+axis-aligned boxes along a camera trajectory. The render returns, with
+each depth image, its instance-id raster: 0 for background and k + 1 where
+box k owns the pixel, in the dtype of the gt/ids file, which is saved as it
+is. Both are built box by box over each box's footprint window, so a
+frame's memory traffic scales with the objects it shows. The detection
+oracle reads a frame's mask for box k straight from that raster
 (``ids == k + 1``) and emits it with the tight box around it, as a bitmap
 over that box's window, with optional seeded perturbations for degradation
 studies.
@@ -135,49 +138,67 @@ def _footprint(box: Box3D, pose: CameraPose, intrinsics: CameraIntrinsics) -> tu
 def render_depth(
     boxes: list[LabeledBox], pose: CameraPose, intrinsics: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-surface z-depth per pixel plus the index of the owning box (-1 = none).
+    """Nearest-surface z-depth per pixel (0 = none) plus the instance-id raster.
 
-    Each box is ray-tested only over its footprint: the bounding rectangle of
-    its projected corners widened by 1 px and clipped to the image, with a
-    box that reaches behind the camera first clipped to its part in front
-    of it (:func:`_footprint`). The rays are built over that window alone. A
-    box whose footprint misses the image, or that lies wholly behind the
-    camera, is skipped.
+    The ids are the gt/ids raster itself: 0 is background and k + 1 is box
+    k, as uint8 for up to 255 boxes and uint16 above that. Each box is
+    ray-tested only over its footprint: the bounding rectangle of its
+    projected corners widened by 1 px and clipped to the image, with a box
+    that reaches behind the camera first clipped to its part in front of it
+    (:func:`_footprint`). The rays are built over that window alone, in
+    scratch sized to the largest window, so a frame's memory traffic scales
+    with the footprints, not the image. A box whose footprint misses the
+    image, or that lies wholly behind the camera, is skipped.
     """
     if not boxes:
         raise ValueError("render_depth needs at least one box")
     h, w = intrinsics.height, intrinsics.width
     origin = pose.translation
-    depth = np.full((h, w), np.inf)
-    owner = np.full((h, w), -1, dtype=np.int64)
+    depth = np.zeros((h, w))
+    ids = np.zeros((h, w), dtype=np.uint8 if len(boxes) <= 255 else np.uint16)
+    windows = []
+    for i, lb in enumerate(boxes):
+        rows, cols = _footprint(lb.box, pose, intrinsics)
+        if rows.start < rows.stop and cols.start < cols.stop:
+            windows.append((i, rows, cols))
+    # every box's slab runs in the leading part of scratch sized for the largest window
+    n_max = max(((rows.stop - rows.start) * (cols.stop - cols.start) for _, rows, cols in windows), default=0)
+    scratch = np.empty((3, 3 * n_max))
+    flags = np.empty((3, n_max), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i, lb in enumerate(boxes):
-            rows, cols = _footprint(lb.box, pose, intrinsics)
-            if rows.start >= rows.stop or cols.start >= cols.stop:
-                continue
-            us = np.arange(cols.start, cols.stop, dtype=np.float64)
-            vs = np.arange(rows.start, rows.stop, dtype=np.float64)
-            dirs_cam = np.ones((len(vs), len(us), 3))
-            dirs_cam[..., 0] = (us - intrinsics.cx) / intrinsics.fx
-            dirs_cam[..., 1] = ((vs - intrinsics.cy) / intrinsics.fy)[:, None]
-            dirs_w = dirs_cam.reshape(-1, 3) @ pose.rotation.T
-            # one contiguous window per axis
-            inv = np.divide(1.0, dirs_w.T.reshape(3, len(vs), len(us)), order="C")
-            t1 = (lb.box.min_corner - origin)[:, None, None] * inv
-            t2 = (lb.box.max_corner - origin)[:, None, None] * inv
-            lo, hi = np.minimum(t1, t2), np.maximum(t1, t2, out=t2)
+        for i, rows, cols in windows:
+            box = boxes[i].box
+            nv, nu = rows.stop - rows.start, cols.stop - cols.start
+            n = nv * nu
+            # one contiguous window per axis: camera rays (x by column, y by row, z = 1),
+            # then world rays as R @ d, which rounds as the row-major d @ R.T does
+            a, b, c = (buf[:3 * n].reshape(3, nv, nu) for buf in scratch)
+            a[0] = (np.arange(cols.start, cols.stop, dtype=np.float64) - intrinsics.cx) / intrinsics.fx
+            a[1] = ((np.arange(rows.start, rows.stop, dtype=np.float64) - intrinsics.cy) / intrinsics.fy)[:, None]
+            a[2] = 1.0
+            np.matmul(pose.rotation, a.reshape(3, n), out=b.reshape(3, n))
+            inv = np.divide(1.0, b, out=a)
+            t1 = np.multiply((box.min_corner - origin)[:, None, None], inv, out=b)
+            t2 = np.multiply((box.max_corner - origin)[:, None, None], inv, out=c)
+            lo, hi = np.minimum(t1, t2, out=inv), np.maximum(t1, t2, out=t2)
             # fmax/fmin skip NaN (0 * inf on a slab plane) and keep an all-NaN triple NaN.
-            tmin = np.fmax(np.fmax(lo[0], lo[1]), lo[2])
-            tmax = np.fmin(np.fmin(hi[0], hi[1]), hi[2])
-            # strictly nearer, so on a tie the earlier box keeps the pixel
-            d, o = depth[rows, cols], owner[rows, cols]
-            nearer = (tmax >= tmin) & (tmin > _NEAR) & (tmin < d)
-            d[nearer] = tmin[nearer]
-            o[nearer] = i
-    depth[owner < 0] = 0.0
+            tmin = np.fmax(np.fmax(lo[0], lo[1], out=t1[0]), lo[2], out=t1[0])
+            tmax = np.fmin(np.fmin(hi[0], hi[1], out=t1[1]), hi[2], out=t1[1])
+            # 0 is empty: a hit has tmin > _NEAR, and tmin = +inf is never one, since
+            # some ray component is nonzero and keeps tmax finite; otherwise strictly
+            # nearer, so on a tie the earlier box keeps the pixel
+            d, o = depth[rows, cols], ids[rows, cols]
+            hit, test, empty = (f[:n].reshape(nv, nu) for f in flags)
+            np.greater_equal(tmax, tmin, out=hit)
+            hit &= np.greater(tmin, _NEAR, out=test)
+            np.less(tmin, d, out=test)
+            test |= np.equal(d, 0.0, out=empty)
+            hit &= test
+            np.copyto(d, tmin, where=hit)
+            np.copyto(o, i + 1, where=hit)
     # The ray parameter equals the camera-frame z coordinate because the ray
     # direction has unit z in the camera frame.
-    return depth, owner
+    return depth, ids
 
 
 def make_synthetic_scene(
@@ -210,30 +231,30 @@ def make_synthetic_scene(
             old.unlink(missing_ok=True)
     scene_io.write_intrinsics(scene_dir / "intrinsics.txt", intrinsics, depth_scale)
     pixels = np.zeros(len(boxes), dtype=np.int64)
-    # write_pgm range-checks the ids, so only the one-byte case is narrowed here
-    maxval, ids_dtype = (255, np.uint8) if len(boxes) <= 255 else (65535, np.int64)
+    # one big-endian raster for every frame's depth, so write_pgm writes its buffer as it is
+    image = np.zeros((intrinsics.height, intrinsics.width), dtype=">u2")
     for i, pose in enumerate(trajectory):
         frame_id = f"{i:04d}"
-        depth, owner = render_depth(boxes, pose, intrinsics)
-        # unowned pixels are 0 in both images, so only the owned ones are converted
-        owned = owner >= 0
-        quantized = np.round(depth[owned] / depth_scale)
+        depth, ids = render_depth(boxes, pose, intrinsics)
+        # unowned pixels are 0 in both rasters, so only the owned ones are converted
+        owned = np.flatnonzero(ids)
+        quantized = np.round(depth.ravel()[owned] / depth_scale)
         if (quantized > 65535).any():
             raise ValueError(
                 f"frame {frame_id}: depth {depth.max():.3f} m overflows 16 bits at scale {depth_scale}"
             )
         if (quantized == 0).any():
             raise ValueError(f"frame {frame_id}: surface closer than one depth quantum to the camera")
-        image = np.zeros(owner.shape, dtype=np.uint16)
-        image[owned] = quantized
+        image.fill(0)
+        image.ravel()[owned] = quantized
         scene_io.write_pgm(frames_dir / f"{frame_id}.depth.pgm", image)
         scene_io.write_pose(frames_dir / f"{frame_id}.pose.txt", pose)
         (frames_dir / f"{frame_id}.detections.txt").write_text("")
-        seen = owner[owned]
-        ids = np.zeros(owner.shape, dtype=ids_dtype)
-        ids[owned] = seen + 1
-        scene_io.write_pgm(ids_dir / f"{frame_id}.pgm", ids, maxval=maxval)
-        pixels += np.bincount(seen, minlength=len(boxes))
+        scene_io.write_pgm(ids_dir / f"{frame_id}.pgm", ids, maxval=np.iinfo(ids.dtype).max)
+        pixels += np.bincount(ids.ravel()[owned], minlength=len(boxes) + 1)[1:]
+        # free this frame's rasters before the next render makes its own, or both
+        # frames' are live at once and the heap grows and shrinks by them every frame
+        del depth, ids
     unseen = [lb.label for lb, n in zip(boxes, pixels) if n == 0]
     if unseen:
         raise ValueError(f"boxes outside every camera frustum: {unseen}")
@@ -247,6 +268,18 @@ def _dilate_bitmap(bitmap: np.ndarray, size: int) -> np.ndarray:
     background = np.ones((h + 2 * r, w + 2 * r), dtype=bool)
     background[r:r + h, r:r + w] = ~bitmap
     return ~erode_bitmap(background, size)[r:r + h, r:r + w]
+
+
+def _extent(mask: np.ndarray) -> tuple[int, int, int, int] | None:
+    """Half-open (top, bottom, left, right) bounds of a 2-D bool mask's set pixels; None if none is set.
+
+    Rows from one row reduction, columns from a column reduction over their band.
+    """
+    rows = np.flatnonzero(mask.any(axis=1))
+    if not rows.size:
+        return None
+    cols = np.flatnonzero(mask[rows[0]:rows[-1] + 1].any(axis=0))
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
 
 
 def render_gt_detections(
@@ -267,29 +300,26 @@ def render_gt_detections(
     rng = np.random.default_rng([noise.seed, zlib.crc32(frame_id.encode())])
     height, width = ids.shape
     grow = max(-noise.mask_erode_px, 0) + noise.box_jitter_px
-    vs, us = np.nonzero(ids)
-    owners = ids[vs, us]
     masks: list[InstanceMask] = []
     for k, label in enumerate(labels):
-        mine = owners == k + 1
-        if not mine.any():
+        extent = _extent(ids == k + 1)
+        if extent is None:
             continue
         if noise.drop_prob > 0 and rng.random() < noise.drop_prob:
             continue
-        kv, ku = vs[mine], us[mine]
-        top, bottom = max(int(kv.min()) - grow, 0), min(int(kv.max()) + 1 + grow, height)
-        left, right = max(int(ku.min()) - grow, 0), min(int(ku.max()) + 1 + grow, width)
+        top, bottom, left, right = extent
+        top, bottom = max(top - grow, 0), min(bottom + grow, height)
+        left, right = max(left - grow, 0), min(right + grow, width)
         bitmap = ids[top:bottom, left:right] == k + 1
         if noise.mask_erode_px:
             # k one-pixel steps in one call: k 3x3 erosions with a zero border are one (2k+1)
             # erosion, and k 3x3 dilations clipped to the rectangular window one (2k+1) dilation
             morph = erode_bitmap if noise.mask_erode_px > 0 else _dilate_bitmap
             bitmap = morph(bitmap, 2 * abs(noise.mask_erode_px) + 1)
-        if not bitmap.any():
+        extent = _extent(bitmap)
+        if extent is None:
             continue
-        ys, xs = np.nonzero(bitmap)
-        x1, y1 = left + int(xs.min()), top + int(ys.min())
-        x2, y2 = left + int(xs.max()) + 1, top + int(ys.max()) + 1
+        y1, y2, x1, x2 = top + extent[0], top + extent[1], left + extent[2], left + extent[3]
         if noise.box_jitter_px > 0:
             j = noise.box_jitter_px
             dx1, dy1, dx2, dy2 = rng.integers(-j, j + 1, size=4)
@@ -320,6 +350,8 @@ def populate_detections(scene_dir: Path, noise: PerturbationConfig = Perturbatio
     intr, _ = scene_io.load_intrinsics(Path(scene_dir) / "intrinsics.txt")
     frames_dir = Path(scene_dir) / "frames"
     total = 0
+    # one canvas: each mask sets its window, is written, and clears the window again
+    canvas = np.zeros((intr.height, intr.width), dtype=np.uint8)
     for frame_id in scene_io.frame_ids(scene_dir):
         for old in frames_dir.glob(f"{glob.escape(frame_id)}.mask.*.pgm"):
             old.unlink()
@@ -327,9 +359,10 @@ def populate_detections(scene_dir: Path, noise: PerturbationConfig = Perturbatio
         masks = render_gt_detections(frame_id, ids, labels, noise)
         scene_io.write_detections(frames_dir / f"{frame_id}.detections.txt", [m.detection for m in masks])
         for k, m in enumerate(masks):
-            image = np.zeros((intr.height, intr.width), dtype=np.uint8)
-            image[m.detection.window] = m.bitmap * np.uint8(255)
-            scene_io.write_pgm(frames_dir / f"{frame_id}.mask.{k}.pgm", image, maxval=255)
+            window = canvas[m.detection.window]
+            np.copyto(window, 255, where=m.bitmap)
+            scene_io.write_pgm(frames_dir / f"{frame_id}.mask.{k}.pgm", canvas, maxval=255)
+            window.fill(0)
         total += len(masks)
     return total
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import glob
 import json
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -183,10 +184,16 @@ def _read_raster(path: Path) -> np.ndarray:
 def write_pgm(path: Path, image: np.ndarray, maxval: int = 65535) -> None:
     """Write a P5 (binary) grayscale PGM; 2 bytes big-endian when maxval > 255.
 
-    The samples must be bool or integers in [0, maxval]: any other dtype, a
-    negative sample or one above maxval raises ValueError, never a wrapped
-    or truncated value.
+    maxval must be an integer in (0, 65535], as the reader requires. The samples must
+    be bool or integers in [0, maxval]: any other dtype, a negative sample
+    or one above maxval raises ValueError, never a wrapped or truncated
+    value. A C-contiguous ``u1`` (maxval <= 255) or ``>u2`` (maxval > 255)
+    image already holds the file's bytes and is written from its own buffer;
+    any other is converted first.
     """
+    maxval = operator.index(maxval)  # a fractional maxval would write a header the reader rejects
+    if not 0 < maxval <= 65535:
+        raise ValueError(f"PGM maxval {maxval} outside (0, 65535]")
     image = np.asarray(image)
     if image.ndim != 2:
         raise ValueError(f"PGM image must be 2D, got shape {image.shape}")
@@ -195,12 +202,15 @@ def write_pgm(path: Path, image: np.ndarray, maxval: int = 65535) -> None:
     # unsigned samples cannot be negative, so only signed ones take this pass
     if image.dtype.kind == "i" and image.size and int(image.min()) < 0:
         raise ValueError(f"image min {int(image.min())} is negative")
-    if image.size and int(image.max()) > maxval:
+    # nor can a sample exceed a maxval at or above its dtype's largest value
+    top = 1 if image.dtype.kind == "b" else np.iinfo(image.dtype).max
+    if top > maxval and image.size and int(image.max()) > maxval:
         raise ValueError(f"image max {int(image.max())} exceeds maxval {maxval}")
     h, w = image.shape
-    header = f"P5\n{w} {h}\n{maxval}\n".encode("ascii")
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    Path(path).write_bytes(header + image.astype(dtype).tobytes())
+    samples = np.ascontiguousarray(image, dtype=">u2" if maxval > 255 else "u1")
+    with open(path, "wb") as f:
+        f.write(f"P5\n{w} {h}\n{maxval}\n".encode("ascii"))
+        f.write(samples)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Golden digests of what ``detect`` and ``eval`` write on two fixed scenes.
+"""Golden digests of what ``synth``, ``detect`` and ``eval`` write on fixed scenes.
 
 Both scenes are the five-box bench layout at 640x480 with 20 views, made by
 ``rgbdnav synth``: one with noise-free oracle detections, one with the noisy
@@ -6,7 +6,9 @@ preset. The sha256 of ``boxes.json``, of every cloud PLY and of
 ``eval_report.txt`` is pinned, with the instance count and the mAP triple
 written out, and the views fed in reverse must write the same bytes. The
 noisy preset at seeds 3-5, scored together by one ``eval``, pins the pooled
-triple. A change that moves any byte of these outputs must
+triple. Every file ``synth`` writes is pinned by one digest per preset: the
+bench scene, the noisy preset and a positive-erosion preset. A change that
+moves any byte of these outputs must
 update the digests here in the same change and report its old -> new scores.
 """
 import hashlib
@@ -26,6 +28,14 @@ NOISY_FLAGS = [*NOISY_PRESET, "--seed", "3"]
 # The pooled (mAP, mAP50, mAP25) of the noisy preset at these seeds, in either scene order.
 POOLED_SEEDS = (3, 4, 5)
 POOLED_MAP = (90.0, 92.4, 92.4)
+
+# One sha256 over the sorted (relative path, file sha256) pairs of a synthesized scene.
+SYNTH_GOLDEN = {
+    "bench": ([], "5c985d8286bbc0768903f357c5403f629544c8d755c534752f2778872225771f"),
+    "noisy": (NOISY_FLAGS, "f06fd56e6b869e827826845b612b6979dcb58fb8f86d1e93c94d62d2df449f45"),
+    "eroded": (["--mask-erode-px", "2", "--box-jitter-px", "3", "--seed", "5"],
+               "67797e74f1f606529181808ddd0fdf85ee0f3d67efc49ca0fa41472694dec0f8"),
+}
 
 GOLDEN = {
     "bench": {
@@ -62,16 +72,22 @@ GOLDEN = {
 }
 
 
-def _synth_and_detect(root, name, noise_flags) -> tuple[str, str]:
-    """(scene dir, prediction dir): the bench layout synthesized with ``noise_flags``, then detected."""
+def _synth(root, name, noise_flags) -> str:
+    """The scene dir of the bench layout synthesized at 640x480 with 20 views and ``noise_flags``."""
     boxes = root / "boxes.txt"
     boxes.write_text("".join(
         f"{lb.label} {' '.join(repr(float(c)) for c in (*lb.box.min_corner, *lb.box.max_corner))}\n"
         for lb in BENCH_LAYOUT
     ))
-    scene, pred = str(root / f"scene_{name}"), str(root / f"pred_{name}")
+    scene = str(root / f"scene_{name}")
     flags = ["--views", "20", "--width", "640", "--height", "480", "--focal", "580", "--boxes", str(boxes)]
     assert cli.main(["synth", scene, *flags, *noise_flags]) == 0
+    return scene
+
+
+def _synth_and_detect(root, name, noise_flags) -> tuple[str, str]:
+    """(scene dir, prediction dir): the bench layout synthesized with ``noise_flags``, then detected."""
+    scene, pred = _synth(root, name, noise_flags), str(root / f"pred_{name}")
     assert cli.main(["detect", scene, pred]) == 0
     return scene, pred
 
@@ -92,6 +108,19 @@ def golden_run(request, tmp_path_factory):
 
 def _digests(pred_dir: Path) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(pred_dir.iterdir())}
+
+
+def _tree_digest(root: Path) -> str:
+    """One sha256 over the sorted (relative path, file sha256) pairs of every file under ``root``."""
+    pairs = sorted((p.relative_to(root).as_posix(), hashlib.sha256(p.read_bytes()).hexdigest())
+                   for p in root.rglob("*") if p.is_file())
+    return hashlib.sha256("".join(f"{path} {digest}\n" for path, digest in pairs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SYNTH_GOLDEN))
+def test_synth_digest(tmp_path, name):
+    flags, digest = SYNTH_GOLDEN[name]
+    assert _tree_digest(Path(_synth(tmp_path, name, flags))) == digest
 
 
 def test_instance_count_and_map(golden_run):

@@ -1,4 +1,4 @@
-"""Memory guards: ``detect`` and ``eval`` hold one view at a time, not the scene.
+"""Memory guards: ``synth``, ``detect`` and ``eval`` hold one view at a time, not the scene.
 
 Each guard compares the ``tracemalloc`` peak of one subcommand on a 40-view
 scene with that on a 10-view scene of the same layout at 160x120; the ratio
@@ -34,8 +34,13 @@ def _peaks(tmp_path, command: str) -> dict[int, int]:
     with contextlib.redirect_stdout(io.StringIO()):
         for n in (10, 40):
             scene, pred = str(tmp_path / f"scene{n}"), str(tmp_path / f"pred{n}")
-            assert cli.main(["synth", scene, "--views", str(n), *FLAGS]) == 0
-            if command == "detect":
+            synth = ["synth", scene, "--views", str(n), *FLAGS]
+            assert cli.main(synth) == 0
+            if command == "synth":
+                # rewrites the same scene: the first synth in the process also
+                # pays one-time set-up that would inflate the 10-view peak
+                peaks[n] = _peak(synth)
+            elif command == "detect":
                 peaks[n] = _peak(["detect", scene, pred])
             else:
                 assert cli.main(["detect", scene, pred]) == 0
@@ -43,7 +48,7 @@ def _peaks(tmp_path, command: str) -> dict[int, int]:
     return peaks
 
 
-@pytest.mark.parametrize("command", ["detect", "eval"])
+@pytest.mark.parametrize("command", ["synth", "detect", "eval"])
 def test_peak_does_not_grow_with_views(tmp_path, command):
     peaks = _peaks(tmp_path, command)
     ratio = peaks[40] / peaks[10]

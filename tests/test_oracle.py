@@ -141,28 +141,30 @@ class TestRenderDepth:
         # 1 m cube 3 m in front of an identity camera: the depth image holds a
         # centered square at ~2.5 m (the near face), nothing else.
         intr = oracle.default_intrinsics(64, 64, 60.0)
-        depth, owner = render_depth([_cube("cube", (0.0, 0.0, 3.0))], CameraPose.identity(), intr)
+        depth, ids = render_depth([_cube("cube", (0.0, 0.0, 3.0))], CameraPose.identity(), intr)
+        assert ids.dtype == np.uint8
         assert depth[32, 32] == pytest.approx(2.5)
-        assert owner[32, 32] == 0
-        assert depth[0, 0] == 0.0 and owner[0, 0] == -1
+        assert ids[32, 32] == 1
+        assert depth[0, 0] == 0.0 and ids[0, 0] == 0
         # analytic half-size of the projected near face: 0.5 * f / 2.5 = 12 px
-        vs, us = np.nonzero(owner == 0)
+        vs, us = np.nonzero(ids == 1)
         assert 10 <= (us.max() - us.min()) / 2 <= 14
 
     def test_nearest_surface_wins(self):
         intr = oracle.default_intrinsics(32, 32, 30.0)
         near = _cube("near", (0.0, 0.0, 2.0), side=0.5)
         far = _cube("far", (0.0, 0.0, 5.0), side=2.0)
-        depth, owner = render_depth([far, near], CameraPose.identity(), intr)
-        assert owner[16, 16] == 1
+        depth, ids = render_depth([far, near], CameraPose.identity(), intr)
+        assert ids[16, 16] == 2
         assert depth[16, 16] == pytest.approx(1.75)
 
     @staticmethod
     def _assert_matches_reference(boxes, pose, intr):
-        depth, owner = render_depth(boxes, pose, intr)
+        depth, ids = render_depth(boxes, pose, intr)
         ref_depth, ref_owner = render_depth_reference(boxes, pose, intr)
+        assert ids.dtype == np.uint8
         assert np.array_equal(depth.view(np.int64), ref_depth.view(np.int64))
-        assert np.array_equal(owner, ref_owner)
+        assert np.array_equal(ids, ref_owner + 1)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.booleans())
@@ -193,8 +195,8 @@ class TestRenderDepth:
             LabeledBox("b", Box3D(np.array([-1.0, 0.0, 1.5]), np.array([0.0, 1.0, 4.0]))),
         ]
         pose = CameraPose.identity()
-        _, owner = render_depth(boxes, pose, intr)
-        assert (owner[:, 16] >= 0).any() and (owner[10, :] >= 0).any()
+        _, ids = render_depth(boxes, pose, intr)
+        assert (ids[:, 16] != 0).any() and (ids[10, :] != 0).any()
         self._assert_matches_reference(boxes, pose, intr)
 
     def test_corner_behind_camera_clips_footprint_at_near_plane(self):
@@ -206,8 +208,8 @@ class TestRenderDepth:
         boxes = [LabeledBox("a", Box3D(np.array([-3.0, -0.5, -1.0]), np.array([-0.5, 0.5, 3.0])))]
         pose = CameraPose.identity()
         assert oracle._footprint(boxes[0].box, pose, intr) == (slice(0, 17), slice(0, 11))
-        _, owner = render_depth(boxes, pose, intr)
-        assert (owner[:, 0] == 0).all() and (owner == -1).any()
+        _, ids = render_depth(boxes, pose, intr)
+        assert (ids[:, 0] == 1).all() and (ids == 0).any()
         self._assert_matches_reference(boxes, pose, intr)
 
     def test_wall_through_camera_plane_costs_its_footprint(self):
@@ -223,11 +225,11 @@ class TestRenderDepth:
         for boxes in ([crate], [crate, wall]):
             tracemalloc.start()
             try:
-                _, owner = render_depth(boxes, pose, intr)
+                _, ids = render_depth(boxes, pose, intr)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert (owner == 1).sum() > 0
+        assert (ids == 2).sum() > 0
         assert peaks[1] <= 1.5 * peaks[0]
         self._assert_matches_reference([crate, wall], pose, intr)
 
@@ -261,8 +263,8 @@ class TestRenderDepth:
         pose = CameraPose.identity()
         rows, cols = oracle._footprint(boxes[1].box, pose, intr)
         assert rows.start >= rows.stop and cols.start >= cols.stop
-        _, owner = render_depth(boxes, pose, intr)
-        assert (owner == 0).any() and not (owner == 1).any()
+        _, ids = render_depth(boxes, pose, intr)
+        assert (ids == 1).any() and not (ids == 2).any()
         self._assert_matches_reference(boxes, pose, intr)
 
     def test_footprint_off_image_is_skipped(self):
@@ -274,8 +276,8 @@ class TestRenderDepth:
         pose = CameraPose.identity()
         rows, cols = oracle._footprint(boxes[1].box, pose, intr)
         assert cols.start >= cols.stop
-        _, owner = render_depth(boxes, pose, intr)
-        assert (owner == 0).any() and not (owner == 1).any()
+        _, ids = render_depth(boxes, pose, intr)
+        assert (ids == 1).any() and not (ids == 2).any()
         self._assert_matches_reference(boxes, pose, intr)
 
     def test_box_partly_off_image_edge(self):
@@ -285,8 +287,8 @@ class TestRenderDepth:
         pose = CameraPose.identity()
         rows, cols = oracle._footprint(boxes[0].box, pose, intr)
         assert rows.start == 0 and cols.start == 0 and rows.stop < 17 and cols.stop < 25
-        _, owner = render_depth(boxes, pose, intr)
-        assert owner[0, 0] == 0
+        _, ids = render_depth(boxes, pose, intr)
+        assert ids[0, 0] == 1
         self._assert_matches_reference(boxes, pose, intr)
 
     def test_grazing_ray_at_footprint_edge(self):
@@ -297,8 +299,8 @@ class TestRenderDepth:
         pose = CameraPose.identity()
         rows, cols = oracle._footprint(boxes[0].box, pose, intr)
         assert cols.stop - 1 == 18  # the grazing column plus the 1 px margin
-        _, owner = render_depth(boxes, pose, intr)
-        assert owner[8, 17] == 0 and (owner[:, 18] == -1).all()
+        _, ids = render_depth(boxes, pose, intr)
+        assert ids[8, 17] == 1 and (ids[:, 18] == 0).all()
         self._assert_matches_reference(boxes, pose, intr)
 
     def test_matches_reference_on_layouts(self, layout_scenes):
@@ -315,17 +317,17 @@ class TestRenderDepth:
 
     def test_memory_scales_with_footprints(self):
         # rays are built per footprint window: a full-image ray setup would
-        # peak at about 8x the depth and owner images it returns
+        # peak at about 8x the depth and id rasters it returns
         intr = oracle.default_intrinsics(640, 480, 580.0)
         peaks = []
         for pose in oracle.default_trajectory(20):
             tracemalloc.start()
             try:
-                depth, owner = render_depth(BENCH_LAYOUT, pose, intr)
+                depth, ids = render_depth(BENCH_LAYOUT, pose, intr)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert max(peaks) <= 3 * (depth.nbytes + owner.nbytes)
+        assert max(peaks) <= 3 * (depth.nbytes + ids.nbytes)
 
 
 class TestMakeSyntheticScene:
@@ -358,10 +360,10 @@ class TestMakeSyntheticScene:
         boxes = [_cube(f"b{k}", ((k % 16 - 7.5) / 8.0, (k // 16 - 7.5) / 8.0, 4.0), side=0.1) for k in range(256)]
         pose = CameraPose.identity()
         make_synthetic_scene(boxes, [pose], intr, tmp_path / "s")
-        _, owner = render_depth(boxes, pose, intr)
-        assert owner.max() == 255
+        _, rendered = render_depth(boxes, pose, intr)
+        assert rendered.dtype == np.uint16 and rendered.max() == 256
         ids = scene_io.load_gt_ids(tmp_path / "s", "0000", intr, len(boxes))
-        assert np.array_equal(ids, owner + 1)
+        assert np.array_equal(ids, rendered)
         assert (tmp_path / "s" / "gt" / "ids" / "0000.pgm").read_bytes().startswith(b"P5\n64 64\n65535\n")
 
     def test_translated_poses_share_world_gt(self, tmp_path):
@@ -390,9 +392,9 @@ class TestMakeSyntheticScene:
         intr = oracle.default_intrinsics(96, 96, 90.0)
         pose = look_at((2.0, -1.5, 1.8), (0.0, 0.0, 0.3))
         cube = _cube("cube", (0.0, 0.0, 0.4), side=0.8)
-        depth, owner = render_depth([cube], pose, intr)
+        depth, ids = render_depth([cube], pose, intr)
         scale = 0.001
-        vs, us = np.nonzero(owner == 0)
+        vs, us = np.nonzero(ids == 1)
         analytic = to_world(back_project_pixels(us, vs, depth[vs, us], intr), pose)
         quantized = np.round(depth[vs, us] / scale) * scale
         recovered = to_world(back_project_pixels(us, vs, quantized, intr), pose)

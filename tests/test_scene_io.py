@@ -109,6 +109,32 @@ class TestPgm:
             write_pgm(tmp_path / "x.pgm", image)
         assert not (tmp_path / "x.pgm").exists()
 
+    @pytest.mark.parametrize("maxval", [0, 70000, -5])
+    def test_maxval_outside_reader_range_rejected(self, tmp_path, maxval):
+        # 0 and 70000 would write files the reader rejects; -5 must not be
+        # reported as a sample above maxval
+        with pytest.raises(ValueError, match=re.escape(f"PGM maxval {maxval} outside (0, 65535]")):
+            write_pgm(tmp_path / "x.pgm", np.zeros((2, 2), dtype=np.uint8), maxval=maxval)
+        assert not (tmp_path / "x.pgm").exists()
+
+    def test_fractional_maxval_rejected(self, tmp_path):
+        # 255.5 would write a header the reader cannot parse
+        with pytest.raises(TypeError):
+            write_pgm(tmp_path / "x.pgm", np.zeros((2, 2), dtype=np.uint8), maxval=255.5)
+        assert not (tmp_path / "x.pgm").exists()
+
+    @pytest.mark.parametrize("maxval, dtype", [(255, "u1"), (65535, ">u2"), (1000, ">u2"), (65535, "<u2")])
+    @pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
+    def test_file_bytes_match_for_any_layout(self, tmp_path, maxval, dtype, layout):
+        # an image in the file's own dtype and C order is written from its
+        # buffer; any other dtype or layout must give the same bytes
+        img = (np.arange(24).reshape(4, 6) * 37 % (min(maxval, 255) + 1)).astype(dtype)
+        img = {"c": img, "fortran": np.asfortranarray(img), "strided": img[:, ::2]}[layout]
+        write_pgm(tmp_path / "x.pgm", img, maxval=maxval)
+        h, w = img.shape
+        want = f"P5\n{w} {h}\n{maxval}\n".encode() + img.astype(">u2" if maxval > 255 else "u1").tobytes()
+        assert (tmp_path / "x.pgm").read_bytes() == want
+
     @pytest.mark.parametrize("dtype", [bool, np.uint8, np.uint16, np.uint64, np.int8, np.int64])
     def test_bool_and_integer_samples_written_exactly(self, tmp_path, dtype):
         img = np.array([[0, 1], [1, 0]], dtype=dtype)
@@ -558,10 +584,10 @@ def gt_points_reference(boxes, trajectory, intr, depth_scale):
     """Per box, the world points of its rendered pixels at quantized depth, recorded while rendering."""
     points = [[] for _ in boxes]
     for pose in trajectory:
-        depth, owner = oracle.render_depth(boxes, pose, intr)
+        depth, ids = oracle.render_depth(boxes, pose, intr)
         quantized = np.round(depth / depth_scale).astype(np.int64)
         for k in range(len(boxes)):
-            vs, us = np.nonzero(owner == k)
+            vs, us = np.nonzero(ids == k + 1)
             if vs.size:
                 points[k].append(to_world(back_project_pixels(us, vs, quantized[vs, us] * depth_scale, intr), pose))
     return [np.vstack(p) for p in points]
