@@ -188,8 +188,7 @@ def cmd_synth(args) -> int:
         intr = oracle.default_intrinsics(args.width, args.height, args.focal)
     except ValueError as e:
         raise UsageError(str(e)) from e
-    oracle.make_synthetic_scene(boxes, oracle.default_trajectory(args.views), intr, args.out_dir)
-    written = oracle.populate_detections(args.out_dir, noise)
+    written = oracle.make_synthetic_scene(boxes, oracle.default_trajectory(args.views), intr, args.out_dir, noise)
     noise.to_file(Path(args.out_dir) / "perturbation.txt")
     print(f"wrote scene with {args.views} view(s), {len(boxes)} object(s), "
           f"{written} detection(s) to {args.out_dir}")

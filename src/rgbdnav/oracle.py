@@ -9,7 +9,8 @@ frame's memory traffic scales with the objects it shows. The detection
 oracle reads a frame's mask for box k straight from that raster
 (``ids == k + 1``) and emits it with the tight box around it, as a bitmap
 over that box's window, with optional seeded perturbations for degradation
-studies.
+studies. :func:`make_synthetic_scene` writes a scene in one pass: each
+frame's files, detections and masks included, come from its one render.
 """
 from __future__ import annotations
 
@@ -31,8 +32,17 @@ _NEAR = 1e-6
 
 @dataclass(frozen=True)
 class LabeledBox:
+    """A box and its label, which must read back unchanged from the scene's line files."""
+
     label: str
     box: Box3D
+
+    def __post_init__(self):
+        # gt/labels.txt and the detections files strip each line, and the latter cut it at '#'
+        label = self.label
+        if "#" in label or label.strip() != label or label.splitlines() != [label]:
+            raise ValueError(f"label {label!r} does not read back from the scene files: it must be "
+                             "one non-empty line, without '#' and without whitespace at either end")
 
 
 @dataclass(frozen=True)
@@ -206,13 +216,15 @@ def make_synthetic_scene(
     trajectory: list[CameraPose],
     intrinsics: CameraIntrinsics,
     scene_dir: Path,
+    noise: PerturbationConfig = PerturbationConfig(),
     depth_scale: float = 0.001,
-) -> Path:
-    """Write the full scene layout: depth renders, poses, intrinsics, ground-truth id images and labels.
+) -> int:
+    """Write a scene in one pass; returns the number of detections written.
 
-    Detections files are created empty; use :func:`populate_detections` to
-    synthesize detector outputs from the ground truth. The frame files of any
-    other frame id already in ``scene_dir`` are removed.
+    Each frame's depth, pose and gt/ids images, and its oracle detections and
+    masks (:func:`render_gt_detections` with ``noise``), come from its one
+    render; nothing written is read back. The files of any other frame id
+    already in ``scene_dir``, and every earlier mask file, are removed first.
     """
     if not boxes:
         raise ValueError("empty box list: nothing to render")
@@ -229,10 +241,16 @@ def make_synthetic_scene(
     for stale in earlier - written:
         for old in [*frames_dir.glob(f"{glob.escape(stale)}.*"), ids_dir / f"{stale}.pgm"]:
             old.unlink(missing_ok=True)
+    for old in frames_dir.glob("*.mask.*.pgm"):
+        old.unlink()
     scene_io.write_intrinsics(scene_dir / "intrinsics.txt", intrinsics, depth_scale)
+    labels = [lb.label for lb in boxes]
     pixels = np.zeros(len(boxes), dtype=np.int64)
-    # one big-endian raster for every frame's depth, so write_pgm writes its buffer as it is
+    total = 0
+    # one big-endian raster for every frame's depth, so write_pgm writes its buffer as it is,
+    # and one mask canvas: each mask sets its window, is written, and clears the window again
     image = np.zeros((intrinsics.height, intrinsics.width), dtype=">u2")
+    canvas = np.zeros((intrinsics.height, intrinsics.width), dtype=np.uint8)
     for i, pose in enumerate(trajectory):
         frame_id = f"{i:04d}"
         depth, ids = render_depth(boxes, pose, intrinsics)
@@ -249,17 +267,24 @@ def make_synthetic_scene(
         image.ravel()[owned] = quantized
         scene_io.write_pgm(frames_dir / f"{frame_id}.depth.pgm", image)
         scene_io.write_pose(frames_dir / f"{frame_id}.pose.txt", pose)
-        (frames_dir / f"{frame_id}.detections.txt").write_text("")
         scene_io.write_pgm(ids_dir / f"{frame_id}.pgm", ids, maxval=np.iinfo(ids.dtype).max)
         pixels += np.bincount(ids.ravel()[owned], minlength=len(boxes) + 1)[1:]
+        masks = render_gt_detections(frame_id, ids, labels, noise)
+        scene_io.write_detections(frames_dir / f"{frame_id}.detections.txt", [m.detection for m in masks])
+        for k, m in enumerate(masks):
+            window = canvas[m.detection.window]
+            np.copyto(window, 255, where=m.bitmap)
+            scene_io.write_pgm(frames_dir / f"{frame_id}.mask.{k}.pgm", canvas, maxval=255)
+            window.fill(0)
+        total += len(masks)
         # free this frame's rasters before the next render makes its own, or both
         # frames' are live at once and the heap grows and shrinks by them every frame
-        del depth, ids
+        del depth, ids, masks
     unseen = [lb.label for lb, n in zip(boxes, pixels) if n == 0]
     if unseen:
         raise ValueError(f"boxes outside every camera frustum: {unseen}")
-    (scene_dir / "gt" / "labels.txt").write_text("".join(f"{lb.label}\n" for lb in boxes))
-    return scene_dir
+    (scene_dir / "gt" / "labels.txt").write_text("".join(f"{label}\n" for label in labels))
+    return total
 
 
 def _dilate_bitmap(bitmap: np.ndarray, size: int) -> np.ndarray:
@@ -338,33 +363,6 @@ def render_gt_detections(
         det = Detection2D((float(x1), float(y1), float(x2), float(y2)), score, label)
         masks.append(InstanceMask(bitmap, det))
     return masks
-
-
-def populate_detections(scene_dir: Path, noise: PerturbationConfig = PerturbationConfig()) -> int:
-    """(Re)write detections and masks for every frame from the scene's instance-id images.
-
-    Every frame with a depth image is rewritten, its depth unread. Mask files
-    are written full-image. Returns the total number of detections written.
-    """
-    labels = scene_io.load_gt_labels(scene_dir)
-    intr, _ = scene_io.load_intrinsics(Path(scene_dir) / "intrinsics.txt")
-    frames_dir = Path(scene_dir) / "frames"
-    total = 0
-    # one canvas: each mask sets its window, is written, and clears the window again
-    canvas = np.zeros((intr.height, intr.width), dtype=np.uint8)
-    for frame_id in scene_io.frame_ids(scene_dir):
-        for old in frames_dir.glob(f"{glob.escape(frame_id)}.mask.*.pgm"):
-            old.unlink()
-        ids = scene_io.load_gt_ids(scene_dir, frame_id, intr, len(labels))
-        masks = render_gt_detections(frame_id, ids, labels, noise)
-        scene_io.write_detections(frames_dir / f"{frame_id}.detections.txt", [m.detection for m in masks])
-        for k, m in enumerate(masks):
-            window = canvas[m.detection.window]
-            np.copyto(window, 255, where=m.bitmap)
-            scene_io.write_pgm(frames_dir / f"{frame_id}.mask.{k}.pgm", canvas, maxval=255)
-            window.fill(0)
-        total += len(masks)
-    return total
 
 
 def default_intrinsics(width: int = 416, height: int = 312, focal: float = 420.0) -> CameraIntrinsics:

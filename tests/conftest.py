@@ -202,7 +202,6 @@ def oracle_scene_dir(tmp_path_factory):
         oracle.default_intrinsics(),
         scene_dir,
     )
-    oracle.populate_detections(scene_dir)
     return scene_dir
 
 
@@ -232,7 +231,6 @@ class SynthScene:
         self.intrinsics = intrinsics
         self.scene_dir = root / "scene"
         oracle.make_synthetic_scene(boxes, self.trajectory, intrinsics, self.scene_dir)
-        oracle.populate_detections(self.scene_dir)
 
 
 @pytest.fixture(scope="session")

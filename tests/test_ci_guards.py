@@ -5,11 +5,15 @@ Each test is also one step of the CI workflow, which runs it alone with
 trace guards run ``perfbench/run.py`` for one second with ``--trace 1`` and
 read the JSON object on the last line of its stdout.
 """
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from rgbdnav import cli, scene_io
 
 ROOT = Path(__file__).resolve().parent.parent
 NAVSIM_STEPS = ("rangefinder_scan", "apf_step", "clearance", "odometry_update", "save_trajectory")
@@ -39,6 +43,26 @@ def test_one_voxel_set_primitive():
     ]
     print("one voxel-set primitive", "ok" if not hits else "FAILED", *hits)
     assert not hits, "src/rgbdnav calls a numpy set routine: use fusion.sorted_unique(_first) or sorted_union"
+
+
+def test_synth_writes_in_one_pass(monkeypatch, tmp_path):
+    # synth detects each frame from the ids it just rendered: with every reader of the files
+    # it writes made to raise, a synth and a noisy re-synth into the same directory still run
+    def read_back(*args, **kwargs):
+        raise AssertionError("synth read back a scene file")
+
+    for name in ("_read_raster", "load_gt_labels", "load_intrinsics", "frame_ids"):
+        monkeypatch.setattr(scene_io, name, read_back)
+    scene = tmp_path / "scene"
+    small = ["--views", "3", "--width", "160", "--height", "120", "--focal", "145"]
+    codes = []
+    with contextlib.redirect_stdout(io.StringIO()):
+        for noise in ([], ["--drop-prob", "0.5", "--mask-erode-px", "1", "--seed", "2"]):
+            codes.append(cli.main(["synth", str(scene), *small, *noise]))
+    masks = len(list((scene / "frames").glob("*.mask.*.pgm")))
+    line = f"synth writes in one pass: exit codes {codes}, {masks} mask file(s) after the re-synth"
+    print(line)
+    assert codes == [0, 0] and masks > 0, line
 
 
 def test_overscan():

@@ -6,7 +6,6 @@ import pytest
 
 from rgbdnav import scene_io
 from rgbdnav.cli import main
-from rgbdnav.oracle import PerturbationConfig, populate_detections
 from rgbdnav.types import ObjectCloud
 
 from conftest import gt_points_reference_from_ids
@@ -183,7 +182,7 @@ class TestDetect:
         assert urn_row[4:] == ["1", "1", "1", "1"]  # gt, pred, tp50, tp25
 
     def test_frame_id_with_glob_metacharacters(self, capsys, tmp_path):
-        # mask files are counted and cleared by the frame id taken literally, not as a pattern
+        # mask files are counted, and a stale frame's files cleared, by the frame id taken literally
         scene = tmp_path / "scene"
         small = ["--views", "2", "--width", "160", "--height", "120", "--focal", "145"]
         assert run_cli(capsys, "synth", str(scene), *small)[0] == 0
@@ -193,8 +192,9 @@ class TestDetect:
         code, out, err = run_cli(capsys, "detect", str(scene), str(tmp_path / "p"))
         assert code == 0, err
         assert "views:          2" in out
-        populate_detections(scene, PerturbationConfig(drop_prob=1.0))
+        assert run_cli(capsys, "synth", str(scene), *small, "--drop-prob", "1")[0] == 0
         assert list((scene / "frames").glob("*.mask.*.pgm")) == []
+        assert list((scene / "frames").glob("01?a?.*")) == [] and not (scene / "gt" / "ids" / "01[a].pgm").exists()
         code, out, err = run_cli(capsys, "detect", str(scene), str(tmp_path / "p"))
         assert code == 0, err
         assert "instances out:  0" in out

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 import zlib
@@ -15,7 +16,6 @@ from rgbdnav.oracle import (
     look_at,
     make_synthetic_scene,
     orbit_trajectory,
-    populate_detections,
     render_depth,
     render_gt_detections,
 )
@@ -374,10 +374,10 @@ class TestMakeSyntheticScene:
         cube = _cube("cube", (0.0, 0.0, 4.0), side=0.8)
         base = CameraPose.identity()
         shifted = CameraPose(np.eye(3), np.array([0.3, 0.0, -1.0]))
-        d1 = make_synthetic_scene([cube], [base], intr, tmp_path / "s1")
-        gt1 = gt_points_reference_from_ids(d1)[0]
-        d2 = make_synthetic_scene([cube], [shifted], intr, tmp_path / "s2")
-        gt2 = gt_points_reference_from_ids(d2)[0]
+        make_synthetic_scene([cube], [base], intr, tmp_path / "s1")
+        gt1 = gt_points_reference_from_ids(tmp_path / "s1")[0]
+        make_synthetic_scene([cube], [shifted], intr, tmp_path / "s2")
+        gt2 = gt_points_reference_from_ids(tmp_path / "s2")[0]
         footprint = 4.6 / 50.0  # deepest visible surface over focal length
         tol = footprint + 2e-3
         assert np.allclose(gt1.points.min(axis=0), gt2.points.min(axis=0), atol=tol)
@@ -511,22 +511,69 @@ class TestDilation:
             assert np.array_equal(oracle._dilate_bitmap(bitmap, 2 * k + 1), stepped)
 
 
-class TestPopulateDetections:
+def _resynth(scene_dir, noise=PerturbationConfig(), boxes=None) -> int:
+    """Synthesize the 20-view default scene (or ``boxes`` on its orbit) into ``scene_dir``."""
+    boxes = oracle.default_box_layout() if boxes is None else boxes
+    return make_synthetic_scene(boxes, oracle.default_trajectory(20), oracle.default_intrinsics(), scene_dir, noise)
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestResynth:
+    """Synthesizing into a directory that already holds a scene replaces that scene."""
+
     def test_rewrite_is_deterministic(self, mutable_scene_dir):
         noise = PerturbationConfig(seed=5, drop_prob=0.4, box_jitter_px=2)
-        n1 = populate_detections(mutable_scene_dir, noise)
-        snapshot = {
-            p.name: p.read_bytes() for p in sorted((mutable_scene_dir / "frames").iterdir())
-        }
-        n2 = populate_detections(mutable_scene_dir, noise)
+        n1 = _resynth(mutable_scene_dir, noise)
+        snapshot = _tree_bytes(mutable_scene_dir)
+        n2 = _resynth(mutable_scene_dir, noise)
         assert n1 == n2
-        for p in sorted((mutable_scene_dir / "frames").iterdir()):
-            assert snapshot[p.name] == p.read_bytes()
+        assert _tree_bytes(mutable_scene_dir) == snapshot
 
     def test_stale_masks_removed(self, mutable_scene_dir):
-        populate_detections(mutable_scene_dir, PerturbationConfig(seed=1, drop_prob=0.9))
+        written = _resynth(mutable_scene_dir, PerturbationConfig(seed=1, drop_prob=0.9))
         views = list(scene_io.iter_views(mutable_scene_dir))  # would raise on stray masks
-        assert sum(len(v.masks) for v in views) < 60
+        assert sum(len(v.masks) for v in views) == written < 60
+        assert len(list((mutable_scene_dir / "frames").glob("*.mask.*.pgm"))) == written
+
+    def test_fewer_detections_leave_no_earlier_mask(self, mutable_scene_dir, tmp_path):
+        # three detections a frame before, one after: masks 1 and 2 of every frame must go,
+        # and the directory must hold the bytes a synth into an empty one writes
+        assert len(list((mutable_scene_dir / "frames").glob("*.mask.2.pgm"))) == 20
+        one_box = oracle.default_box_layout()[:1]
+        assert _resynth(mutable_scene_dir, boxes=one_box) == 20
+        masks = sorted(p.name for p in (mutable_scene_dir / "frames").glob("*.mask.*.pgm"))
+        assert masks == [f"{i:04d}.mask.0.pgm" for i in range(20)]
+        _resynth(tmp_path / "fresh", boxes=one_box)
+        assert _tree_bytes(mutable_scene_dir) == _tree_bytes(tmp_path / "fresh")
+
+
+# Each way a label fails to read back: empty, cut at '#', split into lines, stripped.
+UNREADABLE_LABELS = ["", "a#b", "#", "two\nlines", "cr\rlf", "trail\n", "nel\x85sep", " lead", "trail ", "\t", "x\u2028y"]
+
+
+class TestLabeledBox:
+    @pytest.mark.parametrize("label", UNREADABLE_LABELS)
+    def test_unreadable_label_rejected(self, label):
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            _cube(label, (0.0, 0.0, 3.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.text(max_size=12))
+    @example("a b")  # inner whitespace stays: the label is the rest of its detections line
+    @example("a\x1fb")  # a unit separator is whitespace but no line break
+    def test_accepted_label_reads_back_unchanged(self, tmp_path_factory, label):
+        try:
+            box = _cube(label, (0.0, 0.0, 3.0))
+        except ValueError:
+            assume(False)
+        scene = tmp_path_factory.mktemp("label")
+        assert make_synthetic_scene([box], [CameraPose.identity()], oracle.default_intrinsics(16, 16, 15.0), scene) == 1
+        assert scene_io.load_gt_labels(scene) == [label]
+        (view,) = scene_io.iter_views(scene)
+        assert [m.detection.label for m in view.masks] == [label]
 
 
 class TestPerturbationConfig:

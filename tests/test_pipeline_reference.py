@@ -85,8 +85,7 @@ def test_pipeline_matches_oracle_loops(inputs):
     boxes, trajectory, intrinsics, noise, config = inputs
     with tempfile.TemporaryDirectory() as tmp:
         scene_dir = Path(tmp) / "scene"
-        oracle.make_synthetic_scene(boxes, trajectory, intrinsics, scene_dir)
-        oracle.populate_detections(scene_dir, noise)
+        oracle.make_synthetic_scene(boxes, trajectory, intrinsics, scene_dir, noise)
         got, stats = run_scene(scene_io.iter_views(scene_dir), config)
         keyed = [KeyedPrediction.of(c, EVAL_VOXEL) for c in got]
         report = evaluate([(keyed, scene_io.load_gt_instances(scene_dir, EVAL_VOXEL))], EVAL_VOXEL)
