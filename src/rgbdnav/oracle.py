@@ -247,10 +247,8 @@ def make_synthetic_scene(
     labels = [lb.label for lb in boxes]
     pixels = np.zeros(len(boxes), dtype=np.int64)
     total = 0
-    # one big-endian raster for every frame's depth, so write_pgm writes its buffer as it is,
-    # and one mask canvas: each mask sets its window, is written, and clears the window again
+    # one big-endian raster for every frame's depth, so write_pgm writes its buffer as it is
     image = np.zeros((intrinsics.height, intrinsics.width), dtype=">u2")
-    canvas = np.zeros((intrinsics.height, intrinsics.width), dtype=np.uint8)
     for i, pose in enumerate(trajectory):
         frame_id = f"{i:04d}"
         depth, ids = render_depth(boxes, pose, intrinsics)
@@ -272,10 +270,8 @@ def make_synthetic_scene(
         masks = render_gt_detections(frame_id, ids, labels, noise)
         scene_io.write_detections(frames_dir / f"{frame_id}.detections.txt", [m.detection for m in masks])
         for k, m in enumerate(masks):
-            window = canvas[m.detection.window]
-            np.copyto(window, 255, where=m.bitmap)
-            scene_io.write_pgm(frames_dir / f"{frame_id}.mask.{k}.pgm", canvas, maxval=255)
-            window.fill(0)
+            # a mask file is its bitmap over the box's window, as 0/255
+            scene_io.write_pgm(frames_dir / f"{frame_id}.mask.{k}.pgm", m.bitmap * np.uint8(255), maxval=255)
         total += len(masks)
         # free this frame's rasters before the next render makes its own, or both
         # frames' are live at once and the heap grows and shrinks by them every frame

@@ -7,12 +7,14 @@ On-disk scene layout::
       frames/<id>.depth.pgm       16-bit grayscale PGM; meters = value * depth_scale
       frames/<id>.pose.txt        4x4 row-major camera-to-world matrix
       frames/<id>.detections.txt  one detection per line: x1 y1 x2 y2 score label; '#' comments
-      frames/<id>.mask.<k>.pgm    full-image binary PGM (0/255) for detection k of that frame
+      frames/<id>.mask.<k>.pgm    binary PGM (0/255) over the window of detection k's clamped box
       gt/labels.txt               optional ground truth: one instance label per line, k order
       gt/ids/<id>.pgm             instance-id PGM of frame <id>: 0 background, k+1 instance k
 
-Frames are ordered by <id> (zero-padded ids sort naturally). Mask files stay
-full-image on disk; loading keeps only the detection box's window of each.
+Frames are ordered by <id> (zero-padded ids sort naturally). A mask file
+holds its detection's window (:attr:`Detection2D.window` of the box clamped
+to the image) and nothing else, as 0/255 samples: it loads as the mask's
+bitmap unchanged.
 The loaders read each raster once: a P5 PGM's samples are a read-only view
 of the file bytes, in the file's own dtype (one byte, or big-endian two),
 and depth goes from that view straight to float64 metres.
@@ -121,12 +123,11 @@ def read_key_values(path: Path) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 def _read_raster(path: Path) -> np.ndarray:
-    """The (height, width) samples of a P2 (ASCII) or P5 (binary) grayscale PGM, in the file's dtype.
+    """The (height, width) samples of a P5 (binary) grayscale PGM, in the file's dtype.
 
-    A P5 raster comes back as a read-only view of the file bytes, ``u1`` or
-    big-endian ``>u2``: no copy is made. A P2 raster is parsed into uint32.
-    Samples are checked against maxval unless maxval is the dtype's largest
-    value, where no sample can exceed it.
+    The raster comes back as a read-only view of the file bytes, ``u1`` or
+    big-endian ``>u2``: no copy is made. Samples are checked against maxval
+    unless maxval is the dtype's largest value, where no sample can exceed it.
     """
     path = Path(path)
     try:
@@ -153,7 +154,7 @@ def _read_raster(path: Path) -> np.ndarray:
             tokens.append(raw[pos:end])
             pos = end
     magic = tokens[0].decode("ascii", "replace")
-    if magic not in ("P2", "P5"):
+    if magic != "P5":
         raise SceneValidationError(f"{path}: unsupported PGM magic {magic!r}")
     try:
         width, height, maxval = (int(t) for t in tokens[1:4])
@@ -161,21 +162,11 @@ def _read_raster(path: Path) -> np.ndarray:
         raise SceneValidationError(f"{path}: malformed PGM header") from e
     if not (0 < maxval <= 65535):
         raise SceneValidationError(f"{path}: PGM maxval {maxval} outside (0, 65535]")
-    if magic == "P2":
-        try:
-            values = np.array(raw[pos:].split(), dtype=np.uint32)
-        except ValueError as e:
-            raise SceneValidationError(f"{path}: non-numeric PGM sample: {e}") from e
-        if values.size != width * height:
-            raise SceneValidationError(
-                f"{path}: expected {width * height} samples, found {values.size}"
-            )
-    else:
-        pos += 1  # single whitespace byte after maxval
-        dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        if not 0 <= width * height * dtype.itemsize <= len(raw) - pos:
-            raise SceneValidationError(f"{path}: truncated PGM raster")
-        values = np.frombuffer(raw, dtype, count=width * height, offset=pos)  # a view of the file bytes
+    pos += 1  # single whitespace byte after maxval
+    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+    if not 0 <= width * height * dtype.itemsize <= len(raw) - pos:
+        raise SceneValidationError(f"{path}: truncated PGM raster")
+    values = np.frombuffer(raw, dtype, count=width * height, offset=pos)  # a view of the file bytes
     if maxval < np.iinfo(values.dtype).max and values.size and values.max() > maxval:
         raise SceneValidationError(f"{path}: sample exceeds declared maxval {maxval}")
     return values.reshape(height, width)
@@ -282,24 +273,15 @@ def _load_detections(path: Path, intr: CameraIntrinsics) -> list[Detection2D]:
     return read_records(path, detection)
 
 
-def _load_mask(path: Path, frame_id: str, k: int, det: Detection2D, intr: CameraIntrinsics) -> InstanceMask:
+def _load_mask(path: Path, frame_id: str, k: int, det: Detection2D) -> InstanceMask:
     raw = _read_raster(path)
-    if raw.shape != (intr.height, intr.width):
-        raise SceneValidationError(
-            f"frame {frame_id}: mask {k} shape {raw.shape} does not match image "
-            f"({intr.height}, {intr.width})"
-        )
-    crop = raw[det.window]
-    outside = np.count_nonzero(crop) != np.count_nonzero(raw)
-    # with every set pixel in the box, only the box window can hold a bad value
-    checked = raw if outside else crop
-    if not ((checked == 0) | (checked == 255)).all():
+    bitmap = raw == 255
+    if not (bitmap | (raw == 0)).all():
         raise SceneValidationError(f"frame {frame_id}: mask {k} has values other than 0/255")
-    if outside:
-        raise SceneValidationError(
-            f"frame {frame_id}: mask {k} has pixels outside its detection box {det.box}"
-        )
-    return InstanceMask(crop == 255, det)
+    try:
+        return InstanceMask(bitmap, det)
+    except ValueError as e:  # a raster that is not the box's window
+        raise SceneValidationError(f"frame {frame_id}: mask {k}: {e}") from e
 
 
 def frame_ids(scene_dir: Path) -> list[str]:
@@ -318,7 +300,7 @@ def load_view(scene_dir: Path, frame_id: str, intr: CameraIntrinsics, depth_scal
     pose = _load_pose(frames_dir / f"{frame_id}.pose.txt", frame_id)
     detections = _load_detections(frames_dir / f"{frame_id}.detections.txt", intr)
     masks = [
-        _load_mask(frames_dir / f"{frame_id}.mask.{k}.pgm", frame_id, k, det, intr)
+        _load_mask(frames_dir / f"{frame_id}.mask.{k}.pgm", frame_id, k, det)
         for k, det in enumerate(detections)
     ]
     mask_files = len(list(frames_dir.glob(f"{glob.escape(frame_id)}.mask.*.pgm")))
@@ -363,8 +345,8 @@ def load_gt_labels(scene_dir: Path) -> list[str]:
 def load_gt_ids(scene_dir: Path, frame_id: str, intr: CameraIntrinsics, num_labels: int) -> np.ndarray:
     """The instance-id image gt/ids/<frame_id>.pgm, checked against the intrinsics and label count.
 
-    The ids come back in the file's own dtype: a read-only view of the file
-    bytes for a P5 image (``u1`` or ``>u2``), uint32 for a P2 one.
+    The ids come back as a read-only view of the file bytes, in the file's
+    own dtype (``u1`` or ``>u2``).
     """
     path = Path(scene_dir) / "gt" / "ids" / f"{frame_id}.pgm"
     ids = _read_raster(path)

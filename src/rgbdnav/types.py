@@ -131,7 +131,7 @@ class InstanceMask:
         window = (rows.stop - rows.start, cols.stop - cols.start)
         if np.shape(self.bitmap) != window:
             raise ValueError(
-                f"mask bitmap shape {np.shape(self.bitmap)} does not match the {window} window "
+                f"bitmap shape {np.shape(self.bitmap)} does not match the {window} window "
                 f"of detection box {self.detection.box}"
             )
 

@@ -65,6 +65,34 @@ def test_synth_writes_in_one_pass(monkeypatch, tmp_path):
     assert codes == [0, 0] and masks > 0, line
 
 
+def test_mask_files_hold_their_window(tmp_path):
+    # a mask file is its detection's window and nothing else: with dilation and jitter growing
+    # the windows, each file's PGM width and height are its window's, and the mask files' bytes
+    # are the window pixels plus one header each
+    scene = tmp_path / "scene"
+    small = ["--views", "3", "--width", "160", "--height", "120", "--focal", "145"]
+    noise = ["--mask-erode-px", "-2", "--box-jitter-px", "3", "--seed", "1"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["synth", str(scene), *small, *noise])
+    intr, _ = scene_io.load_intrinsics(scene / "intrinsics.txt")
+    frames = scene / "frames"
+    shapes, expected = [], 0
+    for frame_id in scene_io.frame_ids(scene):
+        for k, det in enumerate(scene_io._load_detections(frames / f"{frame_id}.detections.txt", intr)):
+            rows, cols = det.window
+            width, height = cols.stop - cols.start, rows.stop - rows.start
+            _, w, h, _ = (frames / f"{frame_id}.mask.{k}.pgm").read_bytes().split(maxsplit=3)
+            shapes.append(((int(w), int(h)), (width, height)))
+            expected += width * height + len(f"P5\n{width} {height}\n255\n")
+    files = sorted(frames.glob("*.mask.*.pgm"))
+    size = sum(f.stat().st_size for f in files)
+    wrong = [got for got, want in shapes if got != want]
+    line = (f"mask files hold their detection window: exit code {code}, {len(files)} mask file(s), "
+            f"{len(wrong)} not window-sized, {size} bytes for {expected} window pixel and header bytes")
+    print(line)
+    assert code == 0 and files and len(files) == len(shapes) and not wrong and size == expected, line
+
+
 def test_overscan():
     # a traced detect_eval op must scan at most twice the mask pixels it uses,
     # and the z-score filter must still be seen rejecting depths

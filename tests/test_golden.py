@@ -31,10 +31,10 @@ POOLED_MAP = (90.0, 92.4, 92.4)
 
 # One sha256 over the sorted (relative path, file sha256) pairs of a synthesized scene.
 SYNTH_GOLDEN = {
-    "bench": ([], "5c985d8286bbc0768903f357c5403f629544c8d755c534752f2778872225771f"),
-    "noisy": (NOISY_FLAGS, "f06fd56e6b869e827826845b612b6979dcb58fb8f86d1e93c94d62d2df449f45"),
+    "bench": ([], "33d06a01b4ac71d24780750b559226110111927e88dd1ad3d058ad7695d31720"),
+    "noisy": (NOISY_FLAGS, "4bdc2a0de2c80ff393c5a1785ef0f74244a8ae3d7126feadc0950205714b8c0a"),
     "eroded": (["--mask-erode-px", "2", "--box-jitter-px", "3", "--seed", "5"],
-               "67797e74f1f606529181808ddd0fdf85ee0f3d67efc49ca0fa41472694dec0f8"),
+               "83f7461c19cfdbe0ea772449427e936d22f640a39d2acd108239afd703897558"),
 }
 
 GOLDEN = {

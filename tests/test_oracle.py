@@ -403,6 +403,27 @@ class TestMakeSyntheticScene:
         assert np.abs(box_r.min_corner - box_a.min_corner).max() <= scale + 1e-6
         assert np.abs(box_r.max_corner - box_a.max_corner).max() <= scale + 1e-6
 
+    @pytest.mark.parametrize(
+        "noise",
+        [PerturbationConfig(), PerturbationConfig(seed=2, mask_erode_px=-2, box_jitter_px=3),
+         PerturbationConfig(seed=4, mask_erode_px=1, box_jitter_px=2, drop_prob=0.3)],
+        ids=["clean", "dilated_jittered", "eroded_dropped"],
+    )
+    def test_mask_files_load_as_rendered(self, tmp_path, noise):
+        # a mask file is the oracle's bitmap over its box's window: each view loads the
+        # detections and bitmaps render_gt_detections makes from the same render
+        boxes, trajectory, intr = oracle.default_box_layout(), oracle.default_trajectory(4), oracle.default_intrinsics()
+        written = make_synthetic_scene(boxes, trajectory, intr, tmp_path / "s", noise)
+        labels = [lb.label for lb in boxes]
+        loaded = 0
+        for pose, view in zip(trajectory, scene_io.iter_views(tmp_path / "s")):
+            rendered = render_gt_detections(view.frame.frame_id, render_depth(boxes, pose, intr)[1], labels, noise)
+            assert [m.detection for m in view.masks] == [m.detection for m in rendered]
+            for got, want in zip(view.masks, rendered):
+                assert got.bitmap.dtype == bool and np.array_equal(got.bitmap, want.bitmap)
+            loaded += len(view.masks)
+        assert loaded == written > 0
+
     def test_layout_is_loadable(self, oracle_scene_dir):
         assert len(list(scene_io.iter_views(oracle_scene_dir))) == 20
         assert {g.label for g in scene_io.load_gt_instances(oracle_scene_dir)} == {"chair", "table", "plant"}

@@ -21,42 +21,37 @@ from rgbdnav.scene_io import (
     write_instances,
     write_pgm,
 )
-from rgbdnav.types import CameraIntrinsics, CameraPose, ObjectCloud
+from rgbdnav.types import CameraIntrinsics, CameraPose, Detection2D, ObjectCloud
 
 from conftest import gt_points_reference_from_ids, random_rotation
 
 
-def _write_depth_p2(path, rows, maxval=65535):
-    h = len(rows)
-    w = len(rows[0])
-    body = "\n".join(" ".join(str(v) for v in row) for row in rows)
-    path.write_text(f"P2\n{w} {h}\n{maxval}\n{body}\n")
-
-
-def _write_mask_p2(path, rows):
-    _write_depth_p2(path, rows, maxval=255)
+def _write_mask(path, rows):
+    """An 8-bit mask file holding ``rows`` as they are: its box's window, or any other shape."""
+    write_pgm(path, np.asarray(rows, dtype=np.uint16), maxval=255)
 
 
 def make_fixture_scene(root, width=6, height=4, pose_lines=None, depth_rows=None,
                        detections="1 1 4 3 0.9 mug\n", mask_rows=None, intrinsics=None):
-    """A tiny hand-writable two-frame scene."""
+    """A tiny hand-writable two-frame scene.
+
+    ``mask_rows`` is the raster of each mask file, written as it is; by
+    default the 2x3 window of the detection box, every pixel set.
+    """
     frames = root / "frames"
     frames.mkdir(parents=True)
     (root / "intrinsics.txt").write_text(intrinsics or f"10 10 2.5 1.5 {width} {height} 0.001\n")
     if depth_rows is None:
         depth_rows = [[1500] * width for _ in range(height)]
     if mask_rows is None:
-        mask_rows = [[0] * width for _ in range(height)]
-        for v in range(1, 3):
-            for u in range(1, 4):
-                mask_rows[v][u] = 255
+        mask_rows = [[255] * 3] * 2
     pose = pose_lines or "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
     for fid in ("0000", "0001"):
-        _write_depth_p2(frames / f"{fid}.depth.pgm", depth_rows)
+        write_pgm(frames / f"{fid}.depth.pgm", np.array(depth_rows))
         (frames / f"{fid}.pose.txt").write_text(pose)
         (frames / f"{fid}.detections.txt").write_text(detections)
         if detections.strip():
-            _write_mask_p2(frames / f"{fid}.mask.0.pgm", mask_rows)
+            _write_mask(frames / f"{fid}.mask.0.pgm", mask_rows)
     return root
 
 
@@ -71,13 +66,13 @@ class TestPgm:
         write_pgm(tmp_path / "m.pgm", img, maxval=255)
         assert np.array_equal(scene_io._read_raster(tmp_path / "m.pgm").astype(np.uint16), img)
 
-    def test_ascii_p2_with_comments(self, tmp_path):
-        (tmp_path / "c.pgm").write_text("P2\n# a comment\n2 2\n100\n1 2\n3 4\n")
+    def test_header_comments(self, tmp_path):
+        (tmp_path / "c.pgm").write_bytes(b"P5\n# a comment\n2 # another\n2\n100\n\x01\x02\x03\x04")
         assert np.array_equal(scene_io._read_raster(tmp_path / "c.pgm").astype(np.uint16), [[1, 2], [3, 4]])
 
     def test_truncated_raster_rejected(self, tmp_path):
-        (tmp_path / "bad.pgm").write_text("P2\n2 2\n10\n1 2 3\n")
-        with pytest.raises(SceneValidationError):
+        (tmp_path / "bad.pgm").write_bytes(b"P5\n2 2\n10\n\x01\x02\x03")
+        with pytest.raises(SceneValidationError, match=r"bad\.pgm: truncated PGM raster"):
             scene_io._read_raster(tmp_path / "bad.pgm").astype(np.uint16)
 
     @pytest.mark.parametrize("maxval, dtype", [(200, "u1"), (1000, ">u2"), (65535, ">u2")])
@@ -144,10 +139,10 @@ class TestPgm:
 
 # Raster encodings every loader must read alike: (magic, maxval). P5 at 255
 # is one byte a sample and P5 at 65535 two big-endian bytes, neither needing
-# a maxval check; P5 at 1000 is two bytes with a maxval below the dtype's;
-# P2 is ASCII.
-RASTER_FORMATS = [("P5", 255), ("P5", 1000), ("P5", 65535), ("P2", 1000)]
-RASTER_IDS = ["p5_8bit", "p5_16bit_maxval_1000", "p5_16bit", "p2"]
+# a maxval check; P5 at 1000 is two bytes with a maxval below the dtype's.
+RASTER_FORMATS = [("P5", 255), ("P5", 1000), ("P5", 65535)]
+RASTER_IDS = ["p5_8bit", "p5_16bit_maxval_1000", "p5_16bit"]
+FORMAT_DEPTH = [[200, 0, 200, 150, 200, 255]] * 4
 
 
 def _write_raster(path, image, magic, maxval):
@@ -155,15 +150,12 @@ def _write_raster(path, image, magic, maxval):
     image = np.asarray(image)
     h, w = image.shape
     header = f"{magic}\n{w} {h}\n{maxval}\n"
-    if magic == "P2":
-        path.write_text(header + "\n".join(" ".join(str(int(v)) for v in row) for row in image) + "\n")
-    else:
-        path.write_bytes(header.encode() + image.astype(">u2" if maxval > 255 else "u1").tobytes())
+    path.write_bytes(header.encode() + image.astype(">u2" if maxval > 255 else "u1").tobytes())
 
 
 def make_format_scene(root, magic, maxval):
     """make_fixture_scene with its ground truth, every raster re-encoded; raw depth 200 fits one byte."""
-    root = add_fixture_gt(make_fixture_scene(root, depth_rows=[[200, 0, 200, 150, 200, 255]] * 4))
+    root = add_fixture_gt(make_fixture_scene(root, depth_rows=FORMAT_DEPTH))
     for path in [*root.glob("frames/*.pgm"), *root.glob("gt/ids/*.pgm")]:
         _write_raster(path, scene_io._read_raster(path).astype(np.uint16), magic, maxval)
     return root
@@ -175,7 +167,7 @@ class TestRasterFormats:
         root = make_format_scene(tmp_path / "s", magic, maxval)
         intr, scale = scene_io.load_intrinsics(root / "intrinsics.txt")
         view = scene_io.load_view(root, "0001", intr, scale)
-        raw = np.array([[200, 0, 200, 150, 200, 255]] * 4, dtype=np.uint16)
+        raw = np.array(FORMAT_DEPTH, dtype=np.uint16)
         assert view.frame.depth.dtype == np.float64
         assert view.frame.depth.tobytes() == (raw.astype(np.float64) * 0.001).tobytes()
         (mask,) = view.masks
@@ -188,28 +180,31 @@ class TestRasterFormats:
         want = np.zeros((4, 6), dtype=np.uint16)
         want[1:3, 1:4] = 1
         assert ids.shape == (4, 6) and np.array_equal(ids, want)
-        if magic == "P5":  # a view of the file bytes in the file's dtype, not a copy
-            assert ids.dtype == (np.dtype(">u2") if maxval > 255 else np.dtype("u1"))
-            assert not ids.flags.writeable
+        # a view of the file bytes in the file's dtype, not a copy
+        assert ids.dtype == (np.dtype(">u2") if maxval > 255 else np.dtype("u1"))
+        assert not ids.flags.writeable
         # a uint16 copy of the same raster holds the same ids
         copy = scene_io._read_raster(root / "gt" / "ids" / "0000.pgm").astype(np.uint16)
         assert copy.dtype == np.uint16 and copy.flags.writeable and np.array_equal(copy, want)
 
     def test_load_gt_instances(self, tmp_path, magic, maxval):
         root = make_format_scene(tmp_path / "s", magic, maxval)
-        reference = make_format_scene(tmp_path / "ref", "P2", 65535)
+        reference = add_fixture_gt(make_fixture_scene(tmp_path / "ref", depth_rows=FORMAT_DEPTH))
         (gt,), (want,) = load_gt_instances(root), load_gt_instances(reference)
         assert gt.label == "mug" and np.array_equal(gt.keys, want.keys)
 
     @pytest.mark.parametrize(
         "path, image, error",
         [
-            pytest.param("frames/0001.mask.0.pgm", [[0] * 6, [0, 255, 7, 255, 0, 0], [0, 255, 255, 255, 0, 0], [0] * 6],
+            pytest.param("frames/0001.mask.0.pgm", [[255, 7, 255], [255, 255, 255]],
                          "frame 0001: mask 0 has values other than 0/255", id="mask_value"),
+            # a full-image mask, the layout before mask files held their box's window
             pytest.param("frames/0001.mask.0.pgm", [[0] * 5 + [255], [0, 255, 255, 255, 0, 0], [0] * 6, [0] * 6],
-                         "frame 0001: mask 0 has pixels outside its detection box (1.0, 1.0, 4.0, 3.0)", id="mask_outside_box"),
-            pytest.param("frames/0001.mask.0.pgm", [[0] * 5] * 4,
-                         "frame 0001: mask 0 shape (4, 5) does not match image (4, 6)", id="mask_shape"),
+                         "frame 0001: mask 0: bitmap shape (4, 6) does not match the (2, 3) window "
+                         "of detection box (1.0, 1.0, 4.0, 3.0)", id="mask_outside_box"),
+            pytest.param("frames/0001.mask.0.pgm", [[255, 255]] * 3,
+                         "frame 0001: mask 0: bitmap shape (3, 2) does not match the (2, 3) window "
+                         "of detection box (1.0, 1.0, 4.0, 3.0)", id="mask_shape"),
             pytest.param("frames/0001.depth.pgm", [[200] * 6] * 3,
                          "frame 0001: depth shape (3, 6) does not match intrinsics (4, 6)", id="depth_shape"),
         ],
@@ -239,7 +234,7 @@ class TestRasterFormats:
 
 
 # the encodings whose maxval lies below their dtype's largest value
-@pytest.mark.parametrize("magic", ["P5", "P2"])
+@pytest.mark.parametrize("magic", ["P5"])
 @pytest.mark.parametrize("path", ["frames/0001.depth.pgm", "frames/0001.mask.0.pgm", "gt/ids/0001.pgm"])
 def test_sample_above_maxval_names_file(tmp_path, magic, path):
     root = make_format_scene(tmp_path / "s", magic, 1000)
@@ -251,7 +246,48 @@ def test_sample_above_maxval_names_file(tmp_path, magic, path):
         load(root)
 
 
+# only the binary encoding is read, by every loader
+@pytest.mark.parametrize("path", ["frames/0001.depth.pgm", "frames/0001.mask.0.pgm", "gt/ids/0001.pgm"])
+def test_ascii_p2_names_file(tmp_path, path):
+    root = make_format_scene(tmp_path / "s", "P5", 255)
+    image = scene_io._read_raster(root / path)
+    h, w = image.shape
+    (root / path).write_text(f"P2\n{w} {h}\n255\n" + "\n".join(" ".join(map(str, row)) for row in image) + "\n")
+    load = scene_io.load_gt_instances if path.startswith("gt") else lambda r: list(scene_io.iter_views(r))
+    with pytest.raises(SceneValidationError, match=rf"{re.escape(path)}: unsupported PGM magic 'P2'$"):
+        load(root)
+
+
+@st.composite
+def window_masks(draw):
+    """(box, raster): a detection box over the 6x4 fixture image, in quarter pixels and possibly
+    reaching past the image, and a 0/255 raster of its clamped box's window."""
+    x1, y1 = draw(st.integers(-8, 22)) / 4, draw(st.integers(-8, 14)) / 4
+    x2 = draw(st.integers(int(max(x1, 0) * 4) + 1, 32)) / 4
+    y2 = draw(st.integers(int(max(y1, 0) * 4) + 1, 24)) / 4
+    rows, cols = Detection2D(scene_io._clamp_box((x1, y1, x2, y2), _INTR), 1.0, "mug").window
+    shape = (rows.stop - rows.start, cols.stop - cols.start)
+    return (x1, y1, x2, y2), draw(arrays(np.uint8, shape, elements=st.sampled_from([0, 255])))
+
+
 class TestLoadScene:
+    @settings(max_examples=80, deadline=None)
+    @given(window_masks())
+    def test_window_file_round_trip(self, box_and_raster):
+        # the file of a box's window loads as that bitmap, empty windows included; a
+        # full-image file is rejected unless the clamped box covers the whole image
+        box, raster = box_and_raster
+        detections = " ".join(repr(c) for c in box) + " 0.9 mug\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            root = make_fixture_scene(Path(tmp) / "s", detections=detections, mask_rows=raster)
+            mask = next(scene_io.iter_views(root)).masks[0]
+            assert mask.detection.box == scene_io._clamp_box(box, _INTR)
+            assert mask.bitmap.dtype == bool and np.array_equal(mask.bitmap, raster == 255)
+            if raster.shape != (4, 6):
+                _write_mask(root / "frames" / "0001.mask.0.pgm", np.zeros((4, 6)))
+                with pytest.raises(SceneValidationError, match=r"^frame 0001: mask 0: bitmap shape \(4, 6\)"):
+                    list(scene_io.iter_views(root))
+
     def test_well_formed_two_frames(self, tmp_path):
         views = list(scene_io.iter_views(make_fixture_scene(tmp_path / "s")))
         assert len(views) == 2
@@ -297,51 +333,64 @@ class TestLoadScene:
             list(scene_io.iter_views(root))
 
     def test_mask_outside_box_rejected(self, tmp_path):
+        # a full-image mask, the layout before mask files held their box's window alone
         mask_rows = [[0] * 6 for _ in range(4)]
         mask_rows[0][5] = 255  # outside the 1..4 x 1..3 detection box
         root = make_fixture_scene(tmp_path / "s", mask_rows=mask_rows)
-        with pytest.raises(SceneValidationError, match="outside"):
+        with pytest.raises(SceneValidationError, match=r"^frame 0000: mask 0: bitmap shape \(4, 6\) does not match "
+                                                       r"the \(2, 3\) window of detection box"):
             list(scene_io.iter_views(root))
 
     def test_mask_with_gray_values_rejected(self, tmp_path):
-        mask_rows = [[0] * 6 for _ in range(4)]
-        mask_rows[1][1] = 128
+        mask_rows = [[255] * 3 for _ in range(2)]
+        mask_rows[0][0] = 128
         root = make_fixture_scene(tmp_path / "s", mask_rows=mask_rows)
         with pytest.raises(SceneValidationError, match="0/255"):
             list(scene_io.iter_views(root))
 
     @pytest.mark.parametrize(
-        "pixels, message",
+        "shape, pixels, message",
         [
-            ({(0, 5): 255}, "frame 0000: mask 0 has pixels outside its detection box (1.0, 1.0, 4.0, 3.0)"),
-            ({(1, 2): 7}, "frame 0000: mask 0 has values other than 0/255"),
-            ({(1, 2): 7, (0, 5): 255}, "frame 0000: mask 0 has values other than 0/255"),
-            ({(1, 2): 255, (0, 5): 7}, "frame 0000: mask 0 has values other than 0/255"),
+            ((4, 6), {(0, 5): 255}, "frame 0000: mask 0: bitmap shape (4, 6) does not match the (2, 3) window "
+                                    "of detection box (1.0, 1.0, 4.0, 3.0)"),
+            ((2, 3), {(0, 1): 7}, "frame 0000: mask 0 has values other than 0/255"),
+            ((4, 6), {(1, 2): 7, (0, 5): 255}, "frame 0000: mask 0 has values other than 0/255"),
+            ((4, 6), {(1, 2): 255, (0, 5): 7}, "frame 0000: mask 0 has values other than 0/255"),
         ],
         ids=["outside_box", "seven_inside", "seven_and_outside", "seven_outside"],
     )
-    def test_bad_mask_message(self, tmp_path, pixels, message):
-        # the value error comes first when a mask breaks both rules
-        mask_rows = [[0] * 6 for _ in range(4)]
+    def test_bad_mask_message(self, tmp_path, shape, pixels, message):
+        # a (4, 6) mask is full-image, the layout before mask files held their box's
+        # (2, 3) window; the value error comes first when a mask breaks both rules
+        mask_rows = np.zeros(shape, dtype=np.uint16)
         for (v, u), value in pixels.items():
-            mask_rows[v][u] = value
+            mask_rows[v, u] = value
         root = make_fixture_scene(tmp_path / "s", mask_rows=mask_rows)
         with pytest.raises(SceneValidationError) as err:
             list(scene_io.iter_views(root))
         assert str(err.value) == message
 
-    def test_fractional_box_keeps_its_window(self, tmp_path):
-        # x1 = 0.5, x2 = 3.5: columns 1..3 are inside, column 4 is not
-        mask_rows = [[0] * 6 for _ in range(4)]
-        mask_rows[1][1] = mask_rows[2][3] = 255
-        root = make_fixture_scene(tmp_path / "s", detections="0.5 1 3.5 3 0.9 mug\n", mask_rows=mask_rows)
+    def test_fractional_box_keeps_its_window(self, tmp_path, capsys):
+        # x1 = 0.5, x2 = 3.5: columns 1..3 are inside, column 4 is not, and the file holds columns 1..3
+        window = [[255, 0, 0], [0, 0, 255]]
+        root = make_fixture_scene(tmp_path / "s", detections="0.5 1 3.5 3 0.9 mug\n", mask_rows=window)
         mask = list(scene_io.iter_views(root))[0].masks[0]
         assert mask.bitmap.shape == (2, 3)
         assert np.array_equal(np.argwhere(mask.bitmap), [[0, 0], [1, 2]])
-        mask_rows[1][4] = 255
-        root = make_fixture_scene(tmp_path / "t", detections="0.5 1 3.5 3 0.9 mug\n", mask_rows=mask_rows)
-        with pytest.raises(SceneValidationError, match="outside its detection box"):
+        full = np.zeros((4, 6), dtype=np.uint16)
+        full[1:3, 1:4] = window
+        root = make_fixture_scene(tmp_path / "t", detections="0.5 1 3.5 3 0.9 mug\n", mask_rows=full)
+        with pytest.raises(SceneValidationError, match=re.escape(
+                "frame 0000: mask 0: bitmap shape (4, 6) does not match the (2, 3) window "
+                "of detection box (0.5, 1.0, 3.5, 3.0)")):
             list(scene_io.iter_views(root))
+        # y1 = 0.2, y2 = 0.8: no pixel row is inside, so the window and its file hold 0 rows
+        root = make_fixture_scene(tmp_path / "e", detections="0.5 0.2 3.5 0.8 0.9 mug\n", mask_rows=np.zeros((0, 3)))
+        assert (root / "frames" / "0000.mask.0.pgm").read_bytes() == b"P5\n3 0\n255\n"
+        assert [v.masks[0].bitmap.shape for v in scene_io.iter_views(root)] == [(0, 3), (0, 3)]
+        assert cli.main(["detect", str(root), str(tmp_path / "p")]) == 0
+        assert "instances out:  0" in capsys.readouterr().out
+        assert json.loads((tmp_path / "p" / "boxes.json").read_text()) == {"instances": []}
 
     def test_degenerate_detection_rejected(self, tmp_path):
         root = make_fixture_scene(tmp_path / "s", detections="4 1 1 3 0.9 mug\n")
@@ -613,7 +662,7 @@ def _id_above_labels(root):
 
 
 def _wrong_depth_shape(root):
-    _write_depth_p2(root / "frames" / "0001.depth.pgm", [[1500] * 5] * 4)
+    write_pgm(root / "frames" / "0001.depth.pgm", np.full((4, 5), 1500))
 
 
 @st.composite
@@ -749,8 +798,8 @@ class TestGroundTruth:
 
     def test_non_numeric_token_names_file(self, tmp_path):
         root = add_fixture_gt(make_fixture_scene(tmp_path / "s"))
-        _write_mask_p2(root / "gt" / "ids" / "0001.pgm", [[0, 1, 1, 0, 0, 0], [0, 1, "x", 0, 0, 0]] + [[0] * 6] * 2)
-        with pytest.raises(SceneValidationError, match=r"0001\.pgm: non-numeric"):
+        (root / "gt" / "ids" / "0001.pgm").write_bytes(b"P5\n6 x\n255\n" + bytes(24))
+        with pytest.raises(SceneValidationError, match=r"0001\.pgm: malformed PGM header"):
             load_gt_instances(root)
 
 
