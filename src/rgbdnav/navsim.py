@@ -82,13 +82,13 @@ class ObstacleArrays(NamedTuple):
     Row i of ``starts``/``edges``/``radii`` is the set of points within
     ``radii[i]`` of the segment ``starts[i] + [0, 1] * edges[i]``: a circle
     is a zero-length edge, a segment has radius 0. ``rows`` holds the same
-    numbers as Python floats, one tuple per obstacle: over a few rows, a
-    loop of float arithmetic costs less than a dozen numpy calls.
+    numbers as Python floats, one tuple per obstacle, with 1 / |edge|^2
+    (0 for a zero-length edge) before the radius: over a few rows, a loop
+    of float arithmetic costs less than a dozen numpy calls.
     """
 
     starts: np.ndarray  # (n, 2) circle centres, then segment starts
     edges: np.ndarray  # (n, 2) zero for circles, b - a for segments
-    inv_len2: np.ndarray  # (n,) 1 / |edge|^2, 0 for a zero-length edge
     radii: np.ndarray  # (n,) circle radius, 0 for segments
     n_circles: int
     rows: tuple[tuple[float, float, float, float, float, float], ...]  # (sx, sy, ex, ey, inv_len2, radius)
@@ -124,10 +124,10 @@ class WorldModel2D:
         len2 = (edges * edges).sum(axis=1)
         inv_len2 = np.divide(1.0, len2, out=np.zeros_like(len2), where=len2 > 0)
         radii = np.array([c.radius for c in circles] + [0.0] * len(segments))
-        for a in (starts, edges, inv_len2, radii):
+        for a in (starts, edges, radii):
             a.setflags(write=False)
         rows = tuple(map(tuple, np.column_stack([starts, edges, inv_len2, radii]).tolist()))
-        return ObstacleArrays(starts, edges, inv_len2, radii, len(circles), rows)
+        return ObstacleArrays(starts, edges, radii, len(circles), rows)
 
 
 @dataclass(frozen=True)

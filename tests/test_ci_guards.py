@@ -1,9 +1,10 @@
 """Guards on the code and on traced benchmark runs, kept in Tier-1.
 
-Each test is also one step of the CI workflow, which runs it alone with
-``pytest -q -s <node>``; each prints one line with what it measured. The
-trace guards run ``perfbench/run.py`` for one second with ``--trace 1`` and
-read the JSON object on the last line of its stdout.
+Every test here carries the ``guard`` marker, so the CI workflow runs it
+again in its guard step (``pytest -m guard -s -v``); each prints one line
+with what it measured. The trace guards run ``perfbench/run.py`` for one
+second with ``--trace 1`` and read the JSON object on the last line of its
+stdout.
 """
 import contextlib
 import io
@@ -13,8 +14,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from rgbdnav import cli, scene_io
 
+pytestmark = pytest.mark.guard
 ROOT = Path(__file__).resolve().parent.parent
 NAVSIM_STEPS = ("rangefinder_scan", "apf_step", "clearance", "odometry_update", "save_trajectory")
 

@@ -528,6 +528,7 @@ class TestKeyedPrediction:
 
 
 class TestPooled:
+    @pytest.mark.guard
     @settings(max_examples=300, deadline=None)
     @given(pooled_inputs(), st.data())
     def test_report_invariant_under_permutations(self, inputs, data):

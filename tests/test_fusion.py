@@ -489,9 +489,12 @@ class TestMergeInstances:
 
 
 class TestOrderFree:
+    @pytest.mark.guard
     @settings(max_examples=200)
     @given(fusion_inputs(), st.data())
     def test_same_bytes_under_any_order_of_views_instances_and_frame_ids(self, inputs, data):
+        """Hypothesis shuffles the views and the instances within each and renames the frames,
+        and merge_instances must not move a byte of any instance or of the list order."""
         views, threshold, voxel = inputs
         names = sorted({f for view in views for cloud in view for f in cloud.source_frames})
         rename = dict(zip(names, data.draw(st.permutations(names))))

@@ -1,9 +1,11 @@
 """Memory guards: ``synth``, ``detect`` and ``eval`` hold one view at a time, not the scene.
 
-Each guard compares the ``tracemalloc`` peak of one subcommand on a 40-view
-scene with that on a 10-view scene of the same layout at 160x120; the ratio
-must stay within 1.5. CI runs each guard as its own step, and prints the
-peaks and the ratio (``pytest -s``).
+``synth`` holds one frame's rasters, ``detect`` one view's depth and ``eval``
+one frame's ground-truth points. Each guard compares the ``tracemalloc`` peak
+of one subcommand on a 40-view scene with that on a 10-view scene of the same
+layout at 160x120; the ratio must stay within 1.5. Each carries the ``guard``
+marker, so CI runs it again in its guard step (``pytest -m guard -s -v``),
+which prints the peaks and the ratio.
 """
 import contextlib
 import io
@@ -15,6 +17,7 @@ from rgbdnav import cli
 
 FLAGS = ["--width", "160", "--height", "120", "--focal", "145"]
 MAX_RATIO = 1.5
+pytestmark = pytest.mark.guard
 
 
 def _peak(argv) -> int:

@@ -332,6 +332,20 @@ class TestLoadScene:
         with pytest.raises(SceneLayoutError, match="0000.mask.0.pgm"):
             list(scene_io.iter_views(root))
 
+    def test_stray_mask_file_rejected(self, tmp_path, capsys):
+        # a mask file no detection owns: frame 0001 holds masks 0 and 1 for its one detection
+        root = make_fixture_scene(tmp_path / "s")
+        _write_mask(root / "frames" / "0001.mask.1.pgm", [[255] * 3] * 2)
+        intr, depth_scale = scene_io.load_intrinsics(root / "intrinsics.txt")
+        assert len(scene_io.load_view(root, "0000", intr, depth_scale).masks) == 1
+        with pytest.raises(SceneValidationError) as err:
+            scene_io.load_view(root, "0001", intr, depth_scale)
+        assert str(err.value) == "frame 0001: 2 mask files for 1 detections"
+        assert cli.main(["detect", str(root), str(tmp_path / "p")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "rgbdnav detect: frame 0001: 2 mask files for 1 detections\n"
+
     def test_mask_outside_box_rejected(self, tmp_path):
         # a full-image mask, the layout before mask files held their box's window alone
         mask_rows = [[0] * 6 for _ in range(4)]
