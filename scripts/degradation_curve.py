@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 from rgbdnav import evaluation, fusion, oracle, scene_io
-from rgbdnav.types import EVAL_VOXEL_SIZE, PipelineConfig
+from rgbdnav.types import PipelineConfig
 
 
 def main() -> int:
@@ -32,10 +32,10 @@ def main() -> int:
             oracle.PerturbationConfig(seed=args.seed, drop_prob=drop),
         )
         if gt is None:
-            gt = scene_io.load_gt_instances(scene_dir, EVAL_VOXEL_SIZE)
+            gt = scene_io.load_gt_instances(scene_dir)
         instances, _ = fusion.run_scene(scene_io.iter_views(scene_dir), PipelineConfig())
-        pred = [evaluation.KeyedPrediction.of(c, EVAL_VOXEL_SIZE) for c in instances]
-        report = evaluation.evaluate([(pred, gt)], EVAL_VOXEL_SIZE)
+        pred = [evaluation.KeyedPrediction.of(c) for c in instances]
+        report = evaluation.evaluate([(pred, gt)])
         print(f"{drop:>10.2f} {100 * report.map:>8.1f} {100 * report.map50:>8.1f} {100 * report.map25:>8.1f}")
     return 0
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, fusion, navsim, oracle, scene_io
-from .types import EVAL_VOXEL_SIZE, Box3D, PipelineConfig, check_voxel_size
+from .types import Box3D, PipelineConfig
 
 
 class UsageError(Exception):
@@ -42,8 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key = value file supplying flag defaults")
     defaults = PipelineConfig()
     p.add_argument("--tau", type=float, default=defaults.tau, help="z-score threshold (default %(default)s)")
-    p.add_argument("--voxel-size", type=float, default=defaults.voxel_size,
-                   help="dedup voxel size in meters (default %(default)s)")
     p.add_argument("--merge-threshold", type=float, default=defaults.merge_threshold,
                    help="same-class box IoU above which instances merge; the fused instances "
                         "are the same for any view order (default %(default)s)")
@@ -54,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dirs", nargs="+", metavar="PRED_DIR GT_DIR",
                    help="one or more PRED_DIR GT_DIR pairs; AP is pooled over the pairs")
     p.add_argument("--config", help="key = value file supplying flag defaults")
-    p.add_argument("--voxel-size", type=float, default=EVAL_VOXEL_SIZE)
     p.add_argument("--out", help="report path (default: first PRED_DIR/eval_report.txt)")
 
     p = sub.add_parser("synth", help="write a synthetic scene with oracle detections")
@@ -83,12 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_with_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    # Each config line becomes the flag a user would type, placed right after
-    # the subcommand: flags given later win, and argparse validates the values.
-    # An unreadable config file raises SceneLayoutError (exit 1); a line that
-    # is not 'key = value' is a bad flag (exit 2).
-    pre, _ = parser.parse_known_args(argv)
+def _parse_with_config(parser: argparse.ArgumentParser, argv: list[str], pre) -> argparse.Namespace:
+    # ``pre`` is ``parser.parse_known_args(argv)[0]``. Each config line becomes
+    # the flag a user would type, placed right after the subcommand: flags
+    # given later win, and argparse validates the values. An unreadable config
+    # file raises SceneLayoutError (exit 1); a line that is not 'key = value'
+    # is a bad flag (exit 2).
     if pre.config:
         sub = parser._subparsers._group_actions[0].choices[pre.command]  # type: ignore[union-attr]
         try:
@@ -119,7 +116,6 @@ def cmd_detect(args) -> int:
         tau=args.tau,
         kernel_size=args.kernel_size,
         merge_threshold=args.merge_threshold,
-        voxel_size=args.voxel_size,
     )
     instances, stats = fusion.run_scene(scene_io.iter_views(args.scene_dir), config)
     out_dir = Path(args.out_dir)
@@ -135,28 +131,27 @@ def cmd_detect(args) -> int:
 def cmd_eval(args) -> int:
     if len(args.dirs) % 2:
         raise UsageError("directories must come in PRED_DIR GT_DIR pairs")
-    _flag(check_voxel_size, args.voxel_size)
     pairs = [(args.dirs[i], args.dirs[i + 1]) for i in range(0, len(args.dirs), 2)]
     used: dict[str, set[str]] = {}  # PRED_DIR -> the labels its predictions use
     vocabulary: set[str] = set()  # the ground-truth labels of all scenes
 
     def read_scene(pred_dir: str, gt_dir: str):
         # each prediction is keyed as it is read: no cloud's points are held while ground truth is keyed
-        pred = [evaluation.KeyedPrediction.of(c, args.voxel_size) for c in scene_io.iter_instances(pred_dir)]
-        gt = scene_io.load_gt_instances(Path(gt_dir), args.voxel_size)
+        pred = [evaluation.KeyedPrediction.of(c) for c in scene_io.iter_instances(pred_dir)]
+        gt = scene_io.load_gt_instances(Path(gt_dir))
         used.setdefault(pred_dir, set()).update(p.label for p in pred)
         vocabulary.update(g.label for g in gt)
         return pred, gt
 
     # scenes are read one at a time, as the scorer reaches them
-    report = evaluation.evaluate((read_scene(p, g) for p, g in pairs), args.voxel_size)
+    report = evaluation.evaluate((read_scene(p, g) for p, g in pairs))
     unknown = set().union(*used.values()) - vocabulary  # labels no scene's ground truth holds
     if unknown:
         raise scene_io.SceneError(
             f"predictions in {', '.join(d for d, labels in used.items() if labels & unknown)} use labels "
             f"outside the ground-truth vocabulary: {', '.join(sorted(unknown))}"
         )
-    text = evaluation.format_report(report, args.voxel_size)
+    text = evaluation.format_report(report)
     out = Path(args.out) if args.out else Path(pairs[0][0]) / "eval_report.txt"
     out.write_text(text)
     print(text, end="")
@@ -218,7 +213,7 @@ def cmd_navsim(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    command = parser.parse_known_args(argv)[0].command
+    pre = parser.parse_known_args(argv)[0]
     handlers = {
         "detect": cmd_detect,
         "eval": cmd_eval,
@@ -226,11 +221,11 @@ def main(argv: list[str] | None = None) -> int:
         "navsim": cmd_navsim,
     }
     try:
-        args = _parse_with_config(parser, argv)
+        args = _parse_with_config(parser, argv, pre)
         logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
         return handlers[args.command](args)
     except (UsageError, scene_io.SceneError, ValueError, OSError) as e:
-        print(f"rgbdnav {command}: {e}", file=sys.stderr)
+        print(f"rgbdnav {pre.command}: {e}", file=sys.stderr)
         return 2 if isinstance(e, UsageError) else 1
 
 

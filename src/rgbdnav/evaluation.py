@@ -1,9 +1,9 @@
 """Class-wise average precision over 3D instances, pooled over scenes.
 
 Instances are compared at the point level: IoU is taken over the sets of
-voxels they occupy on one grid. Predictions arrive keyed
-(:class:`KeyedPrediction`) and ground truth arrives voxelized
-(:class:`GroundTruth`) on that grid.
+voxels they occupy on the one grid, ``types.VOXEL_SIZE``, that fusion also
+dedups on. Predictions arrive keyed (:class:`KeyedPrediction`) and ground
+truth arrives voxelized (:class:`GroundTruth`).
 Both sets come from the package's one sorted-keys primitive,
 ``fusion.sorted_unique``: a sort and a compare of neighbours. ``np.unique``
 gives the same keys, but numpy >= 2.3 builds it through a hash table,
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .fusion import sorted_union, sorted_unique, voxel_keys
-from .types import EVAL_VOXEL_SIZE, GroundTruth, ObjectCloud, check_voxel_keys
+from .types import VOXEL_SIZE, GroundTruth, ObjectCloud, check_voxel_keys
 
 MAP_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 # the IoU thresholds matched at: 0.25, then the mAP ladder, whose first is 0.50
@@ -55,32 +55,26 @@ class EvalReport:
     num_scenes: int
 
 
-def _voxel_set(points: np.ndarray, voxel_size: float) -> np.ndarray:
-    """Sorted keys of the voxels the points occupy."""
-    return sorted_unique(voxel_keys(points, voxel_size))
-
-
 @dataclass(frozen=True)
 class KeyedPrediction:
     """A predicted instance as it is scored: its label, its score and the voxels it occupies.
 
-    ``keys`` are the sorted unique voxel keys of its points on a grid of edge
-    ``voxel_size``: a 1-D int64 array, strictly increasing, or ValueError
-    (:func:`types.check_voxel_keys`). Keying a cloud as it is read lets a
-    caller drop its points before the next one is read.
+    ``keys`` are the sorted unique voxel keys of its points: a 1-D int64
+    array, strictly increasing, or ValueError (:func:`types.check_voxel_keys`).
+    Keying a cloud as it is read lets a caller drop its points before the
+    next one is read.
     """
 
     label: str
     score: float
     keys: np.ndarray
-    voxel_size: float
 
     def __post_init__(self):
         check_voxel_keys(self.keys, f"prediction '{self.label}'")
 
     @classmethod
-    def of(cls, cloud: ObjectCloud, voxel_size: float) -> KeyedPrediction:
-        return cls(cloud.label, cloud.score, _voxel_set(cloud.points, voxel_size), voxel_size)
+    def of(cls, cloud: ObjectCloud) -> KeyedPrediction:
+        return cls(cloud.label, cloud.score, sorted_unique(voxel_keys(cloud.points)))
 
 
 def _voxel_iou(a: np.ndarray, b: np.ndarray) -> float:
@@ -133,9 +127,7 @@ def _pooled_ap(scores: np.ndarray, tp: np.ndarray, num_gt: int) -> np.ndarray:
     return (np.diff(recall, axis=0, prepend=0.0) * envelope).sum(axis=0)
 
 
-def evaluate(
-    scenes: Iterable[tuple[Sequence[KeyedPrediction], Sequence[GroundTruth]]], voxel_size: float
-) -> EvalReport:
+def evaluate(scenes: Iterable[tuple[Sequence[KeyedPrediction], Sequence[GroundTruth]]]) -> EvalReport:
     """Score (predictions, ground truth) scenes by AP pooled over the scenes.
 
     Each prediction is matched only against the ground truth of its own
@@ -146,8 +138,8 @@ def evaluate(
     its predictions in a scene without its ground truth are false positives,
     and labels with no ground truth anywhere are left out. Of a matched
     scene only (score, true-positive flags) are kept, so ``scenes`` may be a
-    generator that reads one scene at a time. No scene, no ground truth, or
-    keys on another voxel size raise ValueError.
+    generator that reads one scene at a time. No scene or no ground truth
+    raises ValueError.
     """
     num_gt: dict[str, int] = defaultdict(int)
     scores: dict[str, list[np.ndarray]] = defaultdict(list)
@@ -155,10 +147,6 @@ def evaluate(
     num_scenes = 0
     for pred, gt in scenes:
         num_scenes += 1
-        for what, items in (("ground truth", gt), ("predictions", pred)):
-            grids = sorted({x.voxel_size for x in items} - {voxel_size})
-            if grids:
-                raise ValueError(f"{what} keyed at voxel_size {grids[0]:g}, not the {voxel_size:g} evaluated at")
         for cls in {g.label for g in gt} | {p.label for p in pred}:
             cls_scores = np.array([p.score for p in pred if p.label == cls], dtype=np.float64)
             cls_gt = sum(g.label == cls for g in gt)
@@ -183,11 +171,11 @@ def evaluate(
     return EvalReport(per_class, *means, num_scenes)
 
 
-def format_report(report: EvalReport, voxel_size: float = EVAL_VOXEL_SIZE) -> str:
+def format_report(report: EvalReport) -> str:
     """Render the report as a plain-text table (values x100)."""
     lines = [
         f"# instance segmentation report (pooled over {report.num_scenes} scene(s))",
-        f"# point-level IoU on a {voxel_size:g} m voxel grid",
+        f"# point-level IoU on a {VOXEL_SIZE:g} m voxel grid",
         f"{'class':<20} {'mAP':>7} {'mAP50':>7} {'mAP25':>7} {'gt':>5} {'pred':>5} {'tp50':>5} {'tp25':>5}",
     ]
     for cls, c in sorted(report.per_class.items()):

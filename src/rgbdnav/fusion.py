@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .projection import reconstruct_object
-from .types import Box3D, ObjectCloud, PipelineConfig, check_voxel_size
+from .types import VOXEL_SIZE, Box3D, ObjectCloud, PipelineConfig
 
 if TYPE_CHECKING:  # scene_io imports voxel_keys from here
     from .scene_io import SceneView
@@ -37,22 +37,21 @@ KEY_BITS = 21
 _KEY_OFFSET = 1 << (KEY_BITS - 1)
 
 
-def voxel_keys(points: np.ndarray, voxel_size: float) -> np.ndarray:
-    """One int64 per point naming its voxel ``floor(p / voxel_size)``.
+def voxel_keys(points: np.ndarray) -> np.ndarray:
+    """One int64 per point naming its voxel ``floor(p / VOXEL_SIZE)``.
 
     The three cell indices are offset by 2^20 and packed at 21 bits each, so
     equal keys mean equal voxels and sorted keys follow row order. A cell
-    index outside [-2^20, 2^20) cannot be packed and raises ValueError.
+    index outside [-2^20, 2^20) (±20.97 km) cannot be packed: ValueError.
     """
-    check_voxel_size(voxel_size)
     # In place where possible: whole fused clouds pass through here, and every
     # full-size temporary adds to the process's peak RSS.
-    cells = np.asarray(points, dtype=np.float64).reshape(-1, 3) / voxel_size
+    cells = np.asarray(points, dtype=np.float64).reshape(-1, 3) / VOXEL_SIZE
     np.floor(cells, out=cells)
     if cells.size and not (cells.min() >= -_KEY_OFFSET and cells.max() < _KEY_OFFSET):
         raise ValueError(
             f"voxel coordinates must lie within ±2^20 cells of the origin "
-            f"(±{_KEY_OFFSET * voxel_size:g} m at voxel_size {voxel_size:g})"
+            f"(±{_KEY_OFFSET * VOXEL_SIZE / 1000:.2f} km)"
         )
     cells += _KEY_OFFSET  # exact: whole numbers far below 2^53
     c = cells.astype(np.int64)
@@ -112,13 +111,13 @@ def sorted_unique_first(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _Keyed = tuple[ObjectCloud, np.ndarray]
 
 
-def _cut(cloud: ObjectCloud, voxel_size: float) -> _Keyed:
+def _cut(cloud: ObjectCloud) -> _Keyed:
     """A cloud as fusion holds it: its first point per voxel, in its own order, and its keys.
 
     Every cloud fusion builds is column-major, so each coordinate (a row of
     ``points.T``) is contiguous.
     """
-    keys, first = sorted_unique_first(voxel_keys(cloud.points, voxel_size))
+    keys, first = sorted_unique_first(voxel_keys(cloud.points))
     return ObjectCloud(cloud.points.T.take(first, axis=1).T, cloud.label, cloud.score, cloud.source_frames), keys
 
 
@@ -176,24 +175,20 @@ def _components(instances: Iterable[_Keyed], merge_threshold: float) -> tuple[li
     return list(held.values()), len(held) < len(parent)
 
 
-def merge_instances(
-    views: Iterable[Iterable[ObjectCloud]],
-    merge_threshold: float = 0.8,
-    voxel_size: float = 0.02,
-) -> list[ObjectCloud]:
+def merge_instances(views: Iterable[Iterable[ObjectCloud]], merge_threshold: float = 0.8) -> list[ObjectCloud]:
     """Per-view instances fused into scene instances, the same for any order of the views, of the
     instances within a view, or of the frame ids.
 
-    Each arriving cloud keeps its first point per voxel, in its own
-    (row-major pixel) order. Each connected component of same-label
-    instances whose box IoU exceeds the threshold becomes one instance: the
-    union of the members' voxels, where a voxel two members hold keeps the
-    lexicographically smaller (x, y, z) point; the max score; the union of
-    ``source_frames``. Passes repeat on the merged boxes until one merges
-    nothing, so no surviving same-label pair exceeds the threshold. Points
-    come in voxel-key order, and instances are sorted by label, box min
-    corner and max corner: below a threshold of 1, no two same-label boxes
-    are identical at the fixpoint.
+    Each arriving cloud keeps its first point per voxel of the grid eval
+    scores on (``VOXEL_SIZE``), in its own (row-major pixel) order. Each
+    connected component of same-label instances whose box IoU exceeds the
+    threshold becomes one instance: the union of the members' voxels, where
+    a voxel two members hold keeps the lexicographically smaller (x, y, z)
+    point; the max score; the union of ``source_frames``. Passes repeat on
+    the merged boxes until one merges nothing, so no surviving same-label
+    pair exceeds the threshold. Points come in voxel-key order, and
+    instances are sorted by label, box min corner and max corner: below a
+    threshold of 1, no two same-label boxes are identical at the fixpoint.
 
     ``views`` may be any iterable, a generator included: the first pass
     takes each view's instances as the view arrives and holds only the
@@ -201,7 +196,7 @@ def merge_instances(
     """
     if not (0.0 < merge_threshold <= 1.0):
         raise ValueError(f"merge_threshold must be in (0, 1], got {merge_threshold}")
-    instances, merged = _components((_cut(c, voxel_size) for view in views for c in view), merge_threshold)
+    instances, merged = _components((_cut(c) for view in views for c in view), merge_threshold)
     while merged:
         instances, merged = _components(instances, merge_threshold)
     return sorted((c for c, _ in instances), key=lambda c: (c.label, *c.box.min_corner, *c.box.max_corner))
@@ -238,5 +233,5 @@ def run_scene(views: Iterable[SceneView], config: PipelineConfig) -> tuple[list[
         return kept
 
     # map keeps no reference to a view it has passed on
-    instances = merge_instances(map(reconstruct, views), config.merge_threshold, config.voxel_size)
+    instances = merge_instances(map(reconstruct, views), config.merge_threshold)
     return instances, stats

@@ -21,20 +21,20 @@ and depth goes from that view straight to float64 metres.
 RGB images may sit next to the depth files but are never read here. Loading
 validates every invariant and never repairs data silently; a file that
 cannot be read or decoded raises SceneLayoutError naming it. Views stream:
-:func:`iter_views` reads each frame only when it is reached.
+:func:`iter_views` lists frames/ once and reads each frame when it is reached.
 
 Ground truth is not read by :func:`iter_views`: :func:`load_gt_instances`
 derives it from the id images, depth and poses, so malformed ground truth
 raises its file-naming SceneError only where it is read. It streams the
 frames like :func:`iter_views` and holds each instance as the voxels it
-occupies on the evaluation grid (:class:`GroundTruth`), not as points, so
+occupies (:class:`GroundTruth`, on ``types.VOXEL_SIZE``), not as points, so
 its memory does not grow with the number of views.
 """
 from __future__ import annotations
 
-import glob
 import json
 import operator
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,9 +44,7 @@ import numpy as np
 
 from .fusion import sorted_union, sorted_unique, voxel_keys
 from .projection import back_project_pixels, to_world
-from .types import (
-    EVAL_VOXEL_SIZE, CameraIntrinsics, CameraPose, DepthFrame, Detection2D, GroundTruth, InstanceMask, ObjectCloud
-)
+from .types import CameraIntrinsics, CameraPose, DepthFrame, Detection2D, GroundTruth, InstanceMask, ObjectCloud
 
 
 class SceneError(Exception):
@@ -284,17 +282,22 @@ def _load_mask(path: Path, frame_id: str, k: int, det: Detection2D) -> InstanceM
         raise SceneValidationError(f"frame {frame_id}: mask {k}: {e}") from e
 
 
-def frame_ids(scene_dir: Path) -> list[str]:
-    """The sorted ids of a scene's frames, from its frames/<id>.depth.pgm names; never empty."""
+def list_frames(scene_dir: Path) -> tuple[list[str], list[str]]:
+    """The sorted ids of a scene's frames, from its frames/<id>.depth.pgm names (never empty), and
+    every name in frames/: one listing of the directory."""
     frames_dir = Path(scene_dir) / "frames"
-    ids = sorted(p.name[: -len(".depth.pgm")] for p in frames_dir.glob("*.depth.pgm"))
+    names = os.listdir(frames_dir) if frames_dir.is_dir() else []
+    ids = sorted(n[: -len(".depth.pgm")] for n in names if n.endswith(".depth.pgm"))
     if not ids:
         raise SceneLayoutError(f"no '<id>.depth.pgm' files under {frames_dir}")
-    return ids
+    return ids, names
 
 
 def load_view(scene_dir: Path, frame_id: str, intr: CameraIntrinsics, depth_scale: float) -> SceneView:
-    """One frame of a scene and its detections, validated; raises SceneError subclasses naming the frame."""
+    """One frame of a scene and its detections, validated; raises SceneError subclasses naming the frame.
+
+    A stray mask file, one no detection owns, is caught by :func:`iter_views`.
+    """
     frames_dir = Path(scene_dir) / "frames"
     depth = _load_depth(frames_dir / f"{frame_id}.depth.pgm", frame_id, intr, depth_scale)
     pose = _load_pose(frames_dir / f"{frame_id}.pose.txt", frame_id)
@@ -303,19 +306,24 @@ def load_view(scene_dir: Path, frame_id: str, intr: CameraIntrinsics, depth_scal
         _load_mask(frames_dir / f"{frame_id}.mask.{k}.pgm", frame_id, k, det)
         for k, det in enumerate(detections)
     ]
-    mask_files = len(list(frames_dir.glob(f"{glob.escape(frame_id)}.mask.*.pgm")))
-    if mask_files != len(detections):
-        raise SceneValidationError(
-            f"frame {frame_id}: {mask_files} mask files for {len(detections)} detections"
-        )
     return SceneView(DepthFrame(frame_id, depth, intr, pose), masks)
+
+
+def _no_stray_masks(view: SceneView, names: list[str]) -> SceneView:
+    """``view``, unless the frames/ ``names`` hold a ``<id>.mask.*.pgm`` file (id taken literally) no detection owns."""
+    prefix = f"{view.frame.frame_id}.mask."
+    count = sum(n.startswith(prefix) and n.endswith(".pgm") and len(n) >= len(prefix) + 4 for n in names)
+    if count != len(view.masks):
+        raise SceneValidationError(f"frame {view.frame.frame_id}: {count} mask files for {len(view.masks)} detections")
+    return view
 
 
 def iter_views(scene_dir: Path) -> Iterator[SceneView]:
     """The views of a scene directory in frame-id order, loaded one at a time.
 
     The directory, its intrinsics and its frame ids are checked before this
-    returns; each frame is read and validated by :func:`load_view` only when
+    returns, and frames/ is listed once. Each frame is read and validated by
+    :func:`load_view`, and its mask files counted in that listing, only when
     the iterator reaches it, so a bad frame k raises its SceneError after
     the views before it have been yielded. The iterator keeps no view: a
     consumer that drops each view before asking for the next holds one
@@ -326,7 +334,8 @@ def iter_views(scene_dir: Path) -> Iterator[SceneView]:
     if not root.is_dir():
         raise SceneLayoutError(f"scene directory {root} does not exist")
     intr, depth_scale = load_intrinsics(root / "intrinsics.txt")
-    return (load_view(root, frame_id, intr, depth_scale) for frame_id in frame_ids(root))
+    ids, names = list_frames(root)
+    return (_no_stray_masks(load_view(root, frame_id, intr, depth_scale), names) for frame_id in ids)
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +372,15 @@ def load_gt_ids(scene_dir: Path, frame_id: str, intr: CameraIntrinsics, num_labe
     return ids
 
 
-def load_gt_instances(scene_dir: Path, voxel_size: float = EVAL_VOXEL_SIZE) -> list[GroundTruth]:
+def load_gt_instances(scene_dir: Path) -> list[GroundTruth]:
     """Ground-truth instances of a scene, one per label, as the voxels they occupy.
 
     The points of instance k are the pixels with id k + 1 back-projected with
     the frame's saved depth and pose. Frames stream in id order: each is read,
-    checked and reduced to the voxel keys (on a ``voxel_size`` grid) of each
-    instance's points before the next is read, so no frame's points outlive
-    it and memory does not grow with the number of frames. An empty label
-    list or a label with no pixel in any id image raises SceneValidationError.
+    checked and reduced to the voxel keys of each instance's points before
+    the next is read, so no frame's points outlive it and memory does not
+    grow with the number of frames. An empty label list or a label with no
+    pixel in any id image raises SceneValidationError.
 
     Each frame's pixels are located once: one ``flatnonzero`` of the id image
     gives the flat indices of its id pixels, a stable sort by id groups them
@@ -404,11 +413,11 @@ def load_gt_instances(scene_dir: Path, voxel_size: float = EVAL_VOXEL_SIZE) -> l
         for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             if lo < hi:
                 points = to_world(back_project_pixels(us[lo:hi], vs[lo:hi], depth[lo:hi], intr), pose)
-                keys[k] = sorted_union(keys[k], sorted_unique(voxel_keys(points, voxel_size)))
+                keys[k] = sorted_union(keys[k], sorted_unique(voxel_keys(points)))
     unseen = [label for label, k in zip(labels, keys) if not k.size]
     if unseen:
         raise SceneValidationError(f"{root / 'gt'}: labels with no pixels in any id image: {unseen}")
-    return [GroundTruth(label, k, voxel_size) for label, k in zip(labels, keys)]
+    return [GroundTruth(label, k) for label, k in zip(labels, keys)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 ROTATION_TOL = 1e-6
-# Edge of the voxel grid instances are scored on, in meters (``eval --voxel-size``).
-EVAL_VOXEL_SIZE = 0.02
+# Edge of the one voxel grid, in meters: fusion keeps one point per voxel of it, and eval scores on it.
+VOXEL_SIZE = 0.02
 
 
 @dataclass(frozen=True)
@@ -190,14 +190,13 @@ class ObjectCloud:
 class GroundTruth:
     """One ground-truth instance as the voxels it occupies: the one record per GT instance.
 
-    ``keys`` are the packed voxel keys (``fusion.voxel_keys``) of its points on
-    a grid of edge ``voxel_size``: never empty, and checked by
-    :func:`check_voxel_keys`. Anything else raises ValueError.
+    ``keys`` are the packed voxel keys (``fusion.voxel_keys``) of its points:
+    never empty, and checked by :func:`check_voxel_keys`. Anything else
+    raises ValueError.
     """
 
     label: str
     keys: np.ndarray
-    voxel_size: float
 
     def __post_init__(self):
         check_voxel_keys(self.keys, f"ground truth '{self.label}'")
@@ -218,14 +217,6 @@ def check_voxel_keys(keys: np.ndarray, owner: str) -> None:
         raise ValueError(f"{owner} keys are not strictly increasing")
 
 
-def check_voxel_size(voxel_size: float) -> None:
-    """Raise ValueError unless the voxel edge length is positive and finite."""
-    if not voxel_size > 0:
-        raise ValueError(f"voxel_size must be positive, got {voxel_size}")
-    if not math.isfinite(voxel_size):
-        raise ValueError(f"voxel_size must be finite, got {voxel_size}")
-
-
 def check_kernel_size(size: int) -> None:
     """Raise ValueError unless the erosion square's side is odd and positive, so the square has a center."""
     if size < 1 or size % 2 == 0:
@@ -239,7 +230,6 @@ class PipelineConfig:
     tau: float = 2.0
     kernel_size: int = 3
     merge_threshold: float = 0.8
-    voxel_size: float = 0.02
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -247,4 +237,3 @@ class PipelineConfig:
         check_kernel_size(self.kernel_size)
         if not (0.0 < self.merge_threshold <= 1.0):
             raise ValueError(f"merge_threshold must be in (0, 1], got {self.merge_threshold}")
-        check_voxel_size(self.voxel_size)

@@ -10,7 +10,7 @@ from rgbdnav import oracle, scene_io
 from rgbdnav.evaluation import KeyedPrediction
 from rgbdnav.fusion import voxel_keys
 from rgbdnav.projection import back_project_pixels, to_world
-from rgbdnav.types import Box3D, GroundTruth, ObjectCloud
+from rgbdnav.types import VOXEL_SIZE, Box3D, GroundTruth, ObjectCloud
 
 
 def random_rotation(rng) -> np.ndarray:
@@ -116,21 +116,20 @@ def monte_carlo_iou(box_a, box_b, n: int, rng) -> float:
     return int(np.count_nonzero(in_a & in_b)) / union
 
 
-VOXEL_SIZES = st.sampled_from([0.02, 0.05, 0.25, 1.0])
 # Offsets inside a cell, in cells: exactly on the lower boundary (twice as
 # likely), mid-cell, just below the upper boundary, just below the lower one.
 _CELL_OFFSETS = st.sampled_from([0.0, 0.0, 0.5, 0.999, -1e-9])
 
 
 @st.composite
-def voxel_pools(draw, voxel_size: float, span: int, max_points: int = 12) -> np.ndarray:
-    """Distinct-ish points at cells in [-span, span], many exactly on a voxel boundary."""
+def voxel_pools(draw, span: int, max_points: int = 12) -> np.ndarray:
+    """Distinct-ish points at cells in [-span, span] of the voxel grid, many exactly on a voxel boundary."""
     cells = st.integers(-span, span)
     rows = draw(
         st.lists(st.tuples(cells, cells, cells, _CELL_OFFSETS, _CELL_OFFSETS, _CELL_OFFSETS),
                  min_size=1, max_size=max_points)
     )
-    return np.array([[(c + f) * voxel_size for c, f in zip(r[:3], r[3:])] for r in rows])
+    return np.array([[(c + f) * VOXEL_SIZE for c, f in zip(r[:3], r[3:])] for r in rows])
 
 
 @st.composite
@@ -166,14 +165,14 @@ def gt_points_reference_from_ids(scene_dir) -> list[ObjectCloud]:
     return [ObjectCloud(np.vstack(pts), label, 1.0) for label, pts in zip(labels, points)]
 
 
-def keyed_gt(clouds, voxel_size: float = 0.02) -> list[GroundTruth]:
-    """Ground-truth clouds as evaluation.evaluate takes them: each cloud's voxel keys on one grid."""
-    return [GroundTruth(c.label, np.unique(voxel_keys(c.points, voxel_size)), voxel_size) for c in clouds]
+def keyed_gt(clouds) -> list[GroundTruth]:
+    """Ground-truth clouds as evaluation.evaluate takes them: each cloud's voxel keys."""
+    return [GroundTruth(c.label, np.unique(voxel_keys(c.points))) for c in clouds]
 
 
-def keyed_scene(pred, gt, voxel_size: float = 0.02) -> tuple[list[KeyedPrediction], list[GroundTruth]]:
-    """One (predictions, ground truth) scene of clouds as evaluation.evaluate takes it, both keyed on one grid."""
-    return [KeyedPrediction.of(c, voxel_size) for c in pred], keyed_gt(gt, voxel_size)
+def keyed_scene(pred, gt) -> tuple[list[KeyedPrediction], list[GroundTruth]]:
+    """One (predictions, ground truth) scene of clouds as evaluation.evaluate takes it, both keyed."""
+    return [KeyedPrediction.of(c) for c in pred], keyed_gt(gt)
 
 
 def unicycle_arc(x: float, y: float, theta: float, v: float, omega: float, dt: float):

@@ -43,8 +43,8 @@ def criterion(number: int, name: str):
 
 def _run_pipeline(views, gt, config=PipelineConfig()):
     instances, _ = fusion.run_scene(views, config)
-    keyed = [evaluation.KeyedPrediction.of(c, 0.02) for c in instances]
-    return instances, evaluation.evaluate([(keyed, gt)], 0.02)
+    keyed = [evaluation.KeyedPrediction.of(c) for c in instances]
+    return instances, evaluation.evaluate([(keyed, gt)])
 
 
 def test_criterion_1_oracle_end_to_end(oracle_scene_dir):
@@ -58,7 +58,7 @@ def test_criterion_1_oracle_end_to_end(oracle_scene_dir):
         assert len(instances) == 3
         for cloud in instances:
             ref = next(g for g in gt if g.label == cloud.label)
-            iou = evaluation._voxel_iou(evaluation._voxel_set(cloud.points, 0.02), ref.keys)
+            iou = evaluation._voxel_iou(evaluation.KeyedPrediction.of(cloud).keys, ref.keys)
             assert iou >= 0.95, f"{cloud.label}: voxel IoU {iou:.3f} < 0.95"
         assert report.map == report.map50 == report.map25 == 1.0
         assert elapsed < 10.0, f"pipeline+fusion+eval took {elapsed:.1f} s"
@@ -166,7 +166,7 @@ def test_criterion_5_iou_and_ap_oracles():
                 gts.append(ObjectCloud(pts, f"c{k}", 1.0))
                 jitter = rng.normal(0, rng.uniform(0.0, 0.1), pts.shape)
                 preds.append(ObjectCloud(pts + jitter, f"c{k}", float(rng.random())))
-            report = evaluation.evaluate([keyed_scene(preds, gts)], 0.02)
+            report = evaluation.evaluate([keyed_scene(preds, gts)])
             assert report.map25 >= report.map50 >= report.map
 
 
@@ -186,15 +186,15 @@ def test_criterion_6_fusion_fixpoint():
 
         chain = [instance([0.03 * k, 0, 0], seed=k) for k in range(3)]
         for order in itertools.permutations(chain):
-            assert len(fusion.merge_instances([list(order)], 0.8, 0.02)) == 1
+            assert len(fusion.merge_instances([list(order)], 0.8)) == 1
         views = []
         for v in range(6):
             views.append(
                 [instance(rng.uniform(-2, 2, 3), label=rng.choice(["a", "b"]), seed=int(rng.integers(1e6)))
                  for _ in range(3)]
             )
-        merged = fusion.merge_instances(views, 0.8, 0.02)
-        again = fusion.merge_instances([merged], 0.8, 0.02)
+        merged = fusion.merge_instances(views, 0.8)
+        again = fusion.merge_instances([merged], 0.8)
         assert len(again) == len(merged)
         for ca, cb in zip(merged, again):
             assert np.array_equal(ca.points, cb.points)

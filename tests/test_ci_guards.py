@@ -55,7 +55,7 @@ def test_synth_writes_in_one_pass(monkeypatch, tmp_path):
     def read_back(*args, **kwargs):
         raise AssertionError("synth read back a scene file")
 
-    for name in ("_read_raster", "load_gt_labels", "load_intrinsics", "frame_ids"):
+    for name in ("_read_raster", "load_gt_labels", "load_intrinsics", "list_frames"):
         monkeypatch.setattr(scene_io, name, read_back)
     scene = tmp_path / "scene"
     small = ["--views", "3", "--width", "160", "--height", "120", "--focal", "145"]
@@ -81,7 +81,7 @@ def test_mask_files_hold_their_window(tmp_path):
     intr, _ = scene_io.load_intrinsics(scene / "intrinsics.txt")
     frames = scene / "frames"
     shapes, expected = [], 0
-    for frame_id in scene_io.frame_ids(scene):
+    for frame_id in scene_io.list_frames(scene)[0]:
         for k, det in enumerate(scene_io._load_detections(frames / f"{frame_id}.detections.txt", intr)):
             rows, cols = det.window
             width, height = cols.stop - cols.start, rows.stop - rows.start

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from rgbdnav import scene_io
-from rgbdnav.cli import main
-from rgbdnav.types import ObjectCloud
+from rgbdnav.cli import build_parser, main
+from rgbdnav.types import CameraPose, ObjectCloud
 
 from conftest import gt_points_reference_from_ids
 
@@ -139,7 +139,7 @@ class TestDetect:
         assert code == 2
         assert "tau" in err
 
-    @pytest.mark.parametrize("flag, name", [("--tau", "tau"), ("--voxel-size", "voxel_size")])
+    @pytest.mark.parametrize("flag, name", [("--tau", "tau")])
     def test_nan_flag_usage_error(self, capsys, two_cube_scene, tmp_path, flag, name):
         # NaN is not positive: with --tau nan the z-score filter would drop every detection
         code, _, err = run_cli(capsys, "detect", str(two_cube_scene), str(tmp_path / "p"), flag, "nan")
@@ -318,27 +318,32 @@ class TestEval:
         assert err.startswith(f"rgbdnav eval: {path}: {reason}")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("value", ["0", "-0.02", "nan"])
-    def test_non_positive_voxel_size_usage_error(self, capsys, two_cube_scene, perfect_pred_dir, value):
-        code, _, err = run_cli(capsys, "eval", str(perfect_pred_dir), str(two_cube_scene), "--voxel-size", value)
-        assert code == 2
-        assert err.startswith("rgbdnav eval: invalid flag: voxel_size must be positive")
-        assert err.count("\n") == 1
-
     @pytest.mark.parametrize("command", ["detect", "eval"])
-    def test_infinite_voxel_size_usage_error(self, capsys, two_cube_scene, perfect_pred_dir, tmp_path, command):
-        # an infinite voxel collapses every instance to one point: zero-volume boxes
-        dirs = [two_cube_scene, tmp_path / "p"] if command == "detect" else [perfect_pred_dir, two_cube_scene]
-        code, _, err = run_cli(capsys, command, *map(str, dirs), "--voxel-size", "inf")
-        assert code == 2
-        assert err == f"rgbdnav {command}: invalid flag: voxel_size must be finite, got inf\n"
-        assert not (tmp_path / "p").exists()
+    def test_voxel_size_is_not_a_flag(self, capsys, command):
+        # the voxel grid is types.VOXEL_SIZE: a --voxel-size is an unrecognized argument
+        with pytest.raises(SystemExit) as exc:
+            main([command, "a", "b", "--voxel-size", "0.02"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --voxel-size 0.02" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["detect", "eval"])
     def test_voxel_grid_out_of_range_one_line(self, capsys, two_cube_scene, perfect_pred_dir, tmp_path, command):
-        # at 1e-9 m a voxel index passes 2^20 a millimetre from the origin
-        dirs = [two_cube_scene, tmp_path / "p"] if command == "detect" else [perfect_pred_dir, two_cube_scene]
-        code, _, err = run_cli(capsys, command, *map(str, dirs), "--voxel-size", "1e-9")
+        # a point 30 km out lies past the ±20.97 km that packed voxel keys reach:
+        # detect sees it through a translated pose, eval through a PLY vertex
+        if command == "detect":
+            scene = tmp_path / "scene"
+            shutil.copytree(two_cube_scene, scene)
+            path = scene / "frames" / "0000.pose.txt"
+            pose = scene_io._load_pose(path, "0000")
+            scene_io.write_pose(path, CameraPose(pose.rotation, pose.translation + [3e4, 0.0, 0.0]))
+            dirs = [scene, tmp_path / "p"]
+        else:
+            (ply,) = perfect_pred_dir.glob("cloud_0000_*.ply")
+            lines = ply.read_text().splitlines(keepends=True)
+            lines[lines.index("end_header\n") + 1] = "30000.000000 0.000000 0.000000\n"
+            ply.write_text("".join(lines))
+            dirs = [perfect_pred_dir, two_cube_scene]
+        code, _, err = run_cli(capsys, command, *map(str, dirs))
         assert code == 1
         assert err.startswith(f"rgbdnav {command}: voxel coordinates must lie within ±2^20 cells")
         assert err.count("\n") == 1
@@ -526,24 +531,32 @@ class TestNavsim:
 
 class TestDefaults:
     def test_flag_defaults_match_named_constants(self):
-        from rgbdnav.cli import build_parser
+        from rgbdnav.types import PipelineConfig
 
-        from rgbdnav.types import EVAL_VOXEL_SIZE, PipelineConfig
-
-        parser = build_parser()
-        args = parser.parse_args(["detect", "scene", "out"])
+        args = build_parser().parse_args(["detect", "scene", "out"])
         defaults = PipelineConfig()
-        assert (args.tau, args.kernel_size, args.merge_threshold, args.voxel_size) == (
-            defaults.tau, defaults.kernel_size, defaults.merge_threshold, defaults.voxel_size
+        assert (args.tau, args.kernel_size, args.merge_threshold) == (
+            defaults.tau, defaults.kernel_size, defaults.merge_threshold
         )
-        args = parser.parse_args(["eval", "a", "b"])
-        assert args.voxel_size == EVAL_VOXEL_SIZE == 0.02
+
+    def test_option_strings_are_pinned(self):
+        # every flag each subcommand takes: a new knob has to show up as an edit to this list
+        subcommands = build_parser()._subparsers._group_actions[0].choices
+        options = {name: [s for a in p._actions for s in a.option_strings] for name, p in subcommands.items()}
+        assert options == {
+            "detect": ["-h", "--help", "--config", "--tau", "--merge-threshold", "--kernel-size"],
+            "eval": ["-h", "--help", "--config", "--out"],
+            "synth": ["-h", "--help", "--config", "--views", "--width", "--height", "--focal", "--boxes", "--seed",
+                      "--drop-prob", "--box-jitter-px", "--mask-erode-px", "--score-sigma"],
+            "navsim": ["-h", "--help", "--config", "--world", "--scenario", "--start", "--max-steps",
+                       "--robot-radius"],
+        }
 
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, two_cube_scene, tmp_path):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("tau = 3.5\nvoxel_size = 0.04\n")
+        cfg.write_text("tau = 3.5\nkernel_size = 5\n")
         pred = tmp_path / "pred"
         code, out, _ = run_cli(capsys, "detect", str(two_cube_scene), str(pred), "--config", str(cfg))
         assert code == 0
@@ -582,11 +595,12 @@ class TestConfigFile:
         assert err.count("\n") == 1
 
     def test_multi_value_flag_from_config(self, tmp_path):
-        from rgbdnav.cli import _parse_with_config, build_parser
+        from rgbdnav.cli import _parse_with_config
 
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("start = 1 -2 3\nmax_steps = 7\nlabel = not a navsim flag\n")
-        from_config = _parse_with_config(build_parser(), ["navsim", "t.csv", "--config", str(cfg)])
+        parser, argv = build_parser(), ["navsim", "t.csv", "--config", str(cfg)]
+        from_config = _parse_with_config(parser, argv, parser.parse_known_args(argv)[0])
         from_flags = build_parser().parse_args(
             ["navsim", "t.csv", "--config", str(cfg), "--start", "1", "-2", "3", "--max-steps", "7"]
         )

@@ -17,18 +17,17 @@ from rgbdnav.evaluation import (
     _greedy_match,
     _pooled_ap,
     _voxel_iou,
-    _voxel_set,
     evaluate,
     format_report,
 )
-from rgbdnav.types import GroundTruth, ObjectCloud
+from rgbdnav.types import VOXEL_SIZE, GroundTruth, ObjectCloud
 
-from conftest import VOXEL_SIZES, keyed_gt, keyed_scene, pool_clouds, voxel_pools
+from conftest import keyed_scene, pool_clouds, voxel_pools
 
 
-def instance_iou(pred, gt, voxel_size=0.02):
-    """Point-level IoU of one pair as evaluate takes it: occupied-voxel overlap on one grid."""
-    return _voxel_iou(_voxel_set(pred.points, voxel_size), _voxel_set(gt.points, voxel_size))
+def instance_iou(pred, gt):
+    """Point-level IoU of one pair as evaluate takes it: occupied-voxel overlap on the grid."""
+    return _voxel_iou(KeyedPrediction.of(pred).keys, KeyedPrediction.of(gt).keys)
 
 
 def average_precision(scored_ious, num_gt, iou_threshold):
@@ -45,10 +44,10 @@ def average_precision(scored_ious, num_gt, iou_threshold):
     return float(_pooled_ap(scores, _greedy_match(scores, ious), num_gt)[column])
 
 
-def instance_iou_sets(pred, gt, voxel_size):
+def instance_iou_sets(pred, gt):
     """Reference: IoU of Python sets of (i, j, k) cell tuples from a row-wise unique."""
     def cells(points):
-        keys = np.floor(np.asarray(points, dtype=np.float64).reshape(-1, 3) / voxel_size).astype(np.int64)
+        keys = np.floor(np.asarray(points, dtype=np.float64).reshape(-1, 3) / VOXEL_SIZE).astype(np.int64)
         return set(map(tuple, np.unique(keys, axis=0)))
 
     a, b = cells(pred.points), cells(gt.points)
@@ -99,7 +98,7 @@ def pooled_ap_reference(scored, num_gt, thr):
     return ap
 
 
-def evaluate_reference(scenes, voxel_size):
+def evaluate_reference(scenes):
     """Reference: pooled AP over (prediction clouds, GT clouds) scenes, set IoU per (prediction, GT) pair.
 
     Every prediction is matched within its own scene (``content_order_tp``),
@@ -110,7 +109,7 @@ def evaluate_reference(scenes, voxel_size):
     for pred, gt in scenes:
         for cls in {g.label for g in gt} | {c.label for c in pred}:
             gts = [g for g in gt if g.label == cls]
-            preds = [(c.score, [instance_iou_sets(c, g, voxel_size) for g in gts]) for c in pred if c.label == cls]
+            preds = [(c.score, [instance_iou_sets(c, g) for g in gts]) for c in pred if c.label == cls]
             num_gt[cls] = num_gt.get(cls, 0) + len(gts)
             flags = {t: content_order_tp(preds, len(gts), t) for t in THRESHOLDS}
             scored.setdefault(cls, []).extend(
@@ -167,7 +166,7 @@ def every_position_envelope_area(tp, num_gt):
     return float(ap)
 
 
-def list_order_scene_report(pred, gt, voxel_size):
+def list_order_scene_report(pred, gt):
     """Oracle: one scene scored with list-order ties and precision at every position.
 
     With distinct scores no tie is broken and every position is a distinct
@@ -202,22 +201,20 @@ def scene_clouds(draw, pool, gt_counts=st.integers(1, 4)):
 
 @st.composite
 def eval_inputs(draw):
-    """One scene's prediction and GT clouds, and the voxel size they are scored on."""
-    voxel = draw(VOXEL_SIZES)
-    pool = draw(voxel_pools(voxel, span=draw(st.integers(1, 5)), max_points=16))
-    return (*draw(scene_clouds(pool)), voxel)
+    """One scene's prediction and GT clouds."""
+    pool = draw(voxel_pools(span=draw(st.integers(1, 5)), max_points=16))
+    return draw(scene_clouds(pool))
 
 
 @st.composite
 def pooled_inputs(draw):
-    """1-3 scenes of (prediction clouds, GT clouds), some without GT, on one voxel size; tied scores are common."""
-    voxel = draw(VOXEL_SIZES)
+    """1-3 scenes of (prediction clouds, GT clouds), some without GT; tied scores are common."""
     scenes = []
     for _ in range(draw(st.integers(1, 3))):
-        pool = draw(voxel_pools(voxel, span=draw(st.integers(1, 5)), max_points=16))
+        pool = draw(voxel_pools(span=draw(st.integers(1, 5)), max_points=16))
         scenes.append(draw(scene_clouds(pool, gt_counts=st.integers(0, 3))))
     assume(any(gt for _, gt in scenes))
-    return scenes, voxel
+    return scenes
 
 
 def max_ap_over_tie_orders(scored_ious, num_gt, thr):
@@ -271,12 +268,12 @@ def _grid_instance(label, origin, n=(10, 10, 5), step=0.02, score=1.0):
 class TestInstanceIoU:
     def test_identical_point_sets(self):
         cloud, gt = _grid_instance("chair", (0, 0, 0))
-        assert instance_iou(cloud, gt, 0.02) == 1.0
+        assert instance_iou(cloud, gt) == 1.0
 
     def test_disjoint_sets(self):
         cloud, _ = _grid_instance("chair", (0, 0, 0))
         _, gt = _grid_instance("chair", (10, 10, 10))
-        assert instance_iou(cloud, gt, 0.02) == 0.0
+        assert instance_iou(cloud, gt) == 0.0
 
     def test_half_segment_near_half(self):
         pts = np.column_stack([np.arange(100) * 0.02, np.zeros(100), np.zeros(100)])
@@ -291,21 +288,16 @@ class TestInstanceIoU:
             for x, y, z in pts[:50]
         }
         expected = len(pred_votes & votes) / len(pred_votes | votes)
-        got = instance_iou(pred, gt, 0.02)
+        got = instance_iou(pred, gt)
         assert got == pytest.approx(expected)
         assert abs(got - 0.5) < 0.02
 
-    def test_invalid_voxel_size(self):
-        cloud, gt = _grid_instance("chair", (0, 0, 0))
-        with pytest.raises(ValueError):
-            instance_iou(cloud, gt, 0.0)
-
     @given(eval_inputs())
     def test_matches_set_reference(self, inputs):
-        pred, gt, voxel = inputs
+        pred, gt = inputs
         for cloud in pred:
             for g in gt:
-                assert instance_iou(cloud, g, voxel) == instance_iou_sets(cloud, g, voxel)
+                assert instance_iou(cloud, g) == instance_iou_sets(cloud, g)
 
 
 def _key_array(values):
@@ -417,9 +409,9 @@ class TestAveragePrecision:
             assert average_precision(extended, n_gt, 0.5) == pytest.approx(base)
 
 
-def score_one_scene(pred, gt, voxel_size=0.02):
-    """``evaluate`` on one scene of prediction and GT clouds, both keyed on one grid."""
-    return evaluate([keyed_scene(pred, gt, voxel_size)], voxel_size)
+def score_one_scene(pred, gt):
+    """``evaluate`` on one scene of prediction and GT clouds, both keyed."""
+    return evaluate([keyed_scene(pred, gt)])
 
 
 class TestEvaluateScene:
@@ -439,7 +431,7 @@ class TestEvaluateScene:
         n = (20, 8, 4)
         cloud, gt = _grid_instance("chair", (0, 0, 0), n=n)
         shifted = ObjectCloud(cloud.points + np.array([8 * 0.02, 0, 0]), "chair", 1.0)
-        iou = instance_iou(shifted, gt, 0.02)
+        iou = instance_iou(shifted, gt)
         assert 0.25 <= iou < 0.5
         report = score_one_scene([shifted], [gt])
         chair = report.per_class["chair"]
@@ -451,24 +443,14 @@ class TestEvaluateScene:
         with pytest.raises(ValueError, match="no ground-truth instances"):
             score_one_scene([cloud], [])
 
-    def test_gt_keyed_on_another_grid_rejected(self):
-        cloud, gt = _grid_instance("chair", (0, 0, 0))
-        with pytest.raises(ValueError, match="ground truth keyed at voxel_size 0.05, not the 0.02"):
-            evaluate([([KeyedPrediction.of(cloud, 0.02)], keyed_gt([gt], 0.05))], 0.02)
-
-    def test_prediction_keyed_on_another_grid_rejected(self):
-        cloud, gt = _grid_instance("chair", (0, 0, 0))
-        with pytest.raises(ValueError, match="predictions keyed at voxel_size 0.05, not the 0.02"):
-            evaluate([([KeyedPrediction.of(cloud, 0.05)], keyed_gt([gt], 0.02))], 0.02)
-
     def test_unsorted_gt_keys_rejected(self):
         # _voxel_iou takes keys as sorted and unique; unsorted keys would give a wrong IoU, not an error
         with pytest.raises(ValueError, match="ground truth 'chair' keys are not strictly increasing"):
-            GroundTruth("chair", np.array([3, 1, 2], dtype=np.int64), 0.02)
+            GroundTruth("chair", np.array([3, 1, 2], dtype=np.int64))
 
     def test_repeated_gt_keys_rejected(self):
         with pytest.raises(ValueError, match="ground truth 'chair' keys are not strictly increasing"):
-            GroundTruth("chair", np.array([1, 2, 2, 3], dtype=np.int64), 0.02)
+            GroundTruth("chair", np.array([1, 2, 2, 3], dtype=np.int64))
 
     @pytest.mark.parametrize(
         "keys, got",
@@ -479,11 +461,11 @@ class TestEvaluateScene:
     def test_gt_keys_must_be_1d_int64(self, keys, got):
         want = f"ground truth 'chair' keys must be a 1-D int64 array, got {got}"
         with pytest.raises(ValueError, match=re.escape(want)):
-            GroundTruth("chair", keys, 0.02)
+            GroundTruth("chair", keys)
 
     def test_gt_keys_at_int64_extremes_accepted(self):
         keys = np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max], dtype=np.int64)
-        assert GroundTruth("chair", keys, 0.02).keys is keys
+        assert GroundTruth("chair", keys).keys is keys
 
     def test_monotone_thresholds_reported(self):
         rng = np.random.default_rng(31)
@@ -497,8 +479,8 @@ class TestEvaluateScene:
 
     @given(eval_inputs())
     def test_matches_pairwise_reference(self, inputs):
-        pred, gt, voxel = inputs
-        assert score_one_scene(pred, gt, voxel) == evaluate_reference([(pred, gt)], voxel)
+        pred, gt = inputs
+        assert score_one_scene(pred, gt) == evaluate_reference([(pred, gt)])
 
     def test_report_formatting(self):
         pairs = [_grid_instance("chair", (0, 0, 0))]
@@ -522,48 +504,44 @@ class TestKeyedPrediction:
     def test_keys_checked_as_ground_truth_keys_are(self, keys, message):
         # repeated keys would count twice: _voxel_iou([1, 1, 2], [1, 2]) reads 1.5
         with pytest.raises(ValueError, match=re.escape(f"prediction 'chair' {message}")):
-            KeyedPrediction("chair", 0.9, keys, 0.02)
+            KeyedPrediction("chair", 0.9, keys)
         with pytest.raises(ValueError, match=re.escape(f"ground truth 'chair' {message}")):
-            GroundTruth("chair", keys, 0.02)
+            GroundTruth("chair", keys)
 
 
 class TestPooled:
     @pytest.mark.guard
     @settings(max_examples=300, deadline=None)
     @given(pooled_inputs(), st.data())
-    def test_report_invariant_under_permutations(self, inputs, data):
+    def test_report_invariant_under_permutations(self, scenes, data):
         # neither the order of the scenes nor that of the predictions in a
         # scene, tied scores included, moves a byte of the report
-        scenes, voxel = inputs
-        keyed = [keyed_scene(pred, gt, voxel) for pred, gt in scenes]
-        want = evaluate(keyed, voxel)
+        keyed = [keyed_scene(pred, gt) for pred, gt in scenes]
+        want = evaluate(keyed)
         shuffled = [(data.draw(st.permutations(pred)), gt) for pred, gt in data.draw(st.permutations(keyed))]
         reversed_ = [(pred[::-1], gt) for pred, gt in keyed[::-1]]
         for scenes_in_another_order in (shuffled, reversed_):
-            got = evaluate(scenes_in_another_order, voxel)
+            got = evaluate(scenes_in_another_order)
             assert got == want
             assert format_report(got) == format_report(want)
 
     @settings(max_examples=200, deadline=None)
     @given(pooled_inputs())
-    def test_matches_pooled_reference(self, inputs):
-        scenes, voxel = inputs
-        assert evaluate((keyed_scene(pred, gt, voxel) for pred, gt in scenes), voxel) == evaluate_reference(
-            scenes, voxel
-        )
+    def test_matches_pooled_reference(self, scenes):
+        assert evaluate(keyed_scene(pred, gt) for pred, gt in scenes) == evaluate_reference(scenes)
 
     @settings(max_examples=200, deadline=None)
     @given(eval_inputs(), st.data())
     def test_distinct_scores_one_scene_equals_list_order_oracle(self, inputs, data):
-        pred, gt, voxel = inputs
+        pred, gt = inputs
         scores = data.draw(st.lists(st.integers(0, 99), min_size=len(pred), max_size=len(pred), unique=True))
         pred = [ObjectCloud(c.points, c.label, s / 100) for c, s in zip(pred, scores)]
-        keyed, keyed_truth = keyed_scene(pred, gt, voxel)
-        assert evaluate([(keyed, keyed_truth)], voxel) == list_order_scene_report(keyed, keyed_truth, voxel)
+        keyed, keyed_truth = keyed_scene(pred, gt)
+        assert evaluate([(keyed, keyed_truth)]) == list_order_scene_report(keyed, keyed_truth)
 
     def test_no_scene_rejected(self):
         with pytest.raises(ValueError, match="no scenes to evaluate"):
-            evaluate(iter([]), 0.02)
+            evaluate(iter([]))
 
     def test_fragment_in_one_scene_outranks_true_positive_in_another(self):
         # scene A: the whole chair at 1.0 and a fragment of it at 0.9; scene B:
@@ -575,7 +553,7 @@ class TestPooled:
         fragment = ObjectCloud(chair.points[:20], "chair", 0.9)
         scene_a = ([chair, fragment], [chair_gt])
         scene_b = ([ObjectCloud(chair.points, "chair", 0.8), table], [chair_gt, table_gt])
-        report = evaluate([keyed_scene(*scene_a), keyed_scene(*scene_b)], 0.02)
+        report = evaluate([keyed_scene(*scene_a), keyed_scene(*scene_b)])
         assert astuple(report.per_class["chair"]) == pytest.approx((*[0.5 + 0.5 * 2 / 3] * 3, 2, 3, 2, 2))
         assert report.per_class["table"] == ClassRow(1.0, 1.0, 1.0, 1, 1, 1, 1)
         assert report.num_scenes == 2
@@ -589,14 +567,14 @@ class TestPooled:
         table, table_gt = _grid_instance("table", (5, 0, 0))
         stray = ObjectCloud(chair.points, "chair", 0.95)
         chair = ObjectCloud(chair.points, "chair", 0.9)
-        report = evaluate([keyed_scene([chair], [chair_gt]), keyed_scene([stray, table], [table_gt])], 0.02)
+        report = evaluate([keyed_scene([chair], [chair_gt]), keyed_scene([stray, table], [table_gt])])
         assert report.per_class["chair"] == ClassRow(0.5, 0.5, 0.5, 1, 2, 1, 1)
         assert report.map == pytest.approx(0.75)
 
     def test_label_without_gt_anywhere_left_out(self):
         chair, chair_gt = _grid_instance("chair", (0, 0, 0))
         lamp = ObjectCloud(chair.points, "lamp", 1.0)
-        report = evaluate([keyed_scene([chair, lamp], [chair_gt]), keyed_scene([lamp], [chair_gt])], 0.02)
+        report = evaluate([keyed_scene([chair, lamp], [chair_gt]), keyed_scene([lamp], [chair_gt])])
         assert sorted(report.per_class) == ["chair"]
         assert report.per_class["chair"] == ClassRow(0.5, 0.5, 0.5, 2, 1, 1, 1)
 
@@ -606,7 +584,7 @@ class TestPooled:
         chair, chair_gt = _grid_instance("chair", (0, 0, 0))
         table, table_gt = _grid_instance("table", (5, 0, 0))
         missed = ObjectCloud(chair.points + 10.0, "chair", 0.5)
-        report = evaluate([keyed_scene([chair], [chair_gt]), keyed_scene([table, missed], [chair_gt, table_gt])], 0.02)
+        report = evaluate([keyed_scene([chair], [chair_gt]), keyed_scene([table, missed], [chair_gt, table_gt])])
         text = format_report(report)
         assert text.splitlines()[0] == "# instance segmentation report (pooled over 2 scene(s))"
         rows = {line.split()[0]: line.split()[1:] for line in text.splitlines() if not line.startswith("#")}

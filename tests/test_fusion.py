@@ -29,37 +29,38 @@ from rgbdnav.types import (
     InstanceMask,
     ObjectCloud,
     PipelineConfig,
+    VOXEL_SIZE,
 )
 
-from conftest import VOXEL_SIZES, monte_carlo_iou, pool_clouds, voxel_pools
+from conftest import monte_carlo_iou, pool_clouds, voxel_pools
 
 corners = st.tuples(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))
 
 
-def voxel_downsample(points, voxel_size):
+def voxel_downsample(points):
     """First point per voxel, in input order, by the packed keys that fusion merges with."""
     p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    return p[np.sort(np.unique(voxel_keys(p, voxel_size), return_index=True)[1])]
+    return p[np.sort(np.unique(voxel_keys(p), return_index=True)[1])]
 
 
-def voxel_downsample_rowwise(points, voxel_size):
+def voxel_downsample_rowwise(points):
     """Reference: first point per voxel via a row-wise unique over integer cells."""
     p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if p.shape[0] == 0:
         return p
-    keys = np.floor(p / voxel_size).astype(np.int64)
+    keys = np.floor(p / VOXEL_SIZE).astype(np.int64)
     _, first = np.unique(keys, axis=0, return_index=True)
     return p[np.sort(first)]
 
 
-def voxel_min_points(clouds, voxel_size):
+def voxel_min_points(clouds):
     """Reference dedup, as a dict from integer cell to point: each cloud's first point per
     voxel in its own order, then across clouds the lexicographically smallest (x, y, z)."""
     table = {}
     for points in clouds:
         own = {}
         for p in np.asarray(points, dtype=np.float64).reshape(-1, 3):
-            own.setdefault(tuple(int(c) for c in np.floor(p / voxel_size)), tuple(p))
+            own.setdefault(tuple(int(c) for c in np.floor(p / VOXEL_SIZE)), tuple(p))
         for cell, p in own.items():
             table[cell] = min(table.get(cell, p), p)
     return table
@@ -70,11 +71,11 @@ def _cloud_of(table, label, score, frames):
     return ObjectCloud(np.array([table[cell] for cell in sorted(table)]), label, score, frames)
 
 
-def merge_instances_reference(views, merge_threshold, voxel_size):
+def merge_instances_reference(views, merge_threshold):
     """Reference fusion: ``iou_3d`` over every pair, components by depth-first search,
     voxel -> smallest point in a dict, passes to the fixpoint, then sorted canonically."""
     current = [
-        (voxel_min_points([c.points], voxel_size), c.label, c.score, c.source_frames)
+        (voxel_min_points([c.points]), c.label, c.score, c.source_frames)
         for view in views for c in view
     ]
     while True:
@@ -121,25 +122,24 @@ def run_scene_reference(views, config):
             else:
                 produced.append(cloud)
         per_view.append(produced)
-    return merge_instances(per_view, config.merge_threshold, config.voxel_size), dropped
+    return merge_instances(per_view, config.merge_threshold), dropped
 
 
 @st.composite
 def fusion_inputs(draw):
     """Views of same- and mixed-class instances drawn from one shared point pool,
     shifted along x by whole cells so that boxes overlap partly."""
-    voxel = draw(VOXEL_SIZES)
     span = draw(st.integers(1, 6))
-    pool = draw(voxel_pools(voxel, span=span, max_points=16))
+    pool = draw(voxel_pools(span=span, max_points=16))
     views = []
     for v in range(draw(st.integers(1, 5))):
         row = []
         for _ in range(draw(st.integers(0, 3))):
-            pts = draw(pool_clouds(pool)) + [draw(st.integers(0, 2 * span)) * voxel, 0.0, 0.0]
+            pts = draw(pool_clouds(pool)) + [draw(st.integers(0, 2 * span)) * VOXEL_SIZE, 0.0, 0.0]
             label = draw(st.sampled_from(["a", "a", "b"]))
             row.append(ObjectCloud(pts, label, draw(st.sampled_from([0.3, 0.6, 1.0])), frozenset({f"f{v}"})))
         views.append(row)
-    return views, draw(st.sampled_from([0.05, 0.3, 0.8])), voxel
+    return views, draw(st.sampled_from([0.05, 0.3, 0.8]))
 
 
 @st.composite
@@ -237,43 +237,36 @@ class TestIoU3D:
 class TestVoxelDownsample:
     def test_keeps_first_per_voxel(self):
         pts = np.array([[0.001, 0.001, 0.001], [0.002, 0.002, 0.002], [0.05, 0.0, 0.0]])
-        out = voxel_downsample(pts, 0.02)
+        out = voxel_downsample(pts)
         assert out.shape == (2, 3)
         assert np.array_equal(out[0], pts[0])
 
     def test_empty_input(self):
-        assert voxel_downsample(np.zeros((0, 3)), 0.02).shape == (0, 3)
+        assert voxel_downsample(np.zeros((0, 3))).shape == (0, 3)
 
     def test_negative_coordinates(self):
         pts = np.array([[-0.001, 0, 0], [0.001, 0, 0]])
-        assert np.unique(voxel_keys(pts, 0.02)).size == 2  # straddles the 0 boundary
+        assert np.unique(voxel_keys(pts)).size == 2  # straddles the 0 boundary
 
     @given(st.data())
     def test_matches_rowwise_reference(self, data):
-        voxel = data.draw(VOXEL_SIZES)
-        pool = data.draw(voxel_pools(voxel, span=data.draw(st.sampled_from([2, 50, 5000]))))
+        pool = data.draw(voxel_pools(span=data.draw(st.sampled_from([2, 50, 5000]))))
         pts = data.draw(pool_clouds(pool, max_points=60))
-        assert np.array_equal(voxel_downsample(pts, voxel), voxel_downsample_rowwise(pts, voxel))
+        assert np.array_equal(voxel_downsample(pts), voxel_downsample_rowwise(pts))
         # packed keys sort in (x, y, z) row order of the integer cells
-        cells = np.floor(pts / voxel).astype(np.int64)
-        keys = voxel_keys(pts, voxel)
+        cells = np.floor(pts / VOXEL_SIZE).astype(np.int64)
+        keys = voxel_keys(pts)
         assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort(cells.T[::-1]))
 
     def test_out_of_range_cell_raises(self):
-        inside = np.array([[-(2.0 ** 20), 2.0 ** 20 - 0.5, 0.0]])
-        assert voxel_keys(inside, 1.0).shape == (1,)
-        for bad in ([2.0 ** 20, 0.0, 0.0], [0.0, -(2.0 ** 20) - 0.5, 0.0], [0.0, 0.0, np.nan]):
-            with pytest.raises(ValueError, match=r"2\^20 cells"):
-                voxel_keys(np.array([bad]), 1.0)
-        with pytest.raises(ValueError, match=r"2\^20 cells"):
-            voxel_keys(np.array([[0.0, 0.0, 2.0 ** 20 * 0.02]]), 0.02)
-
-    @pytest.mark.parametrize("voxel", [0.0, -0.02, np.nan, np.inf])
-    def test_voxel_size_must_be_positive_and_finite(self, voxel):
-        with pytest.raises(ValueError, match="voxel_size must be"):
-            voxel_keys(np.zeros((1, 3)), voxel)
-        with pytest.raises(ValueError, match="voxel_size must be"):
-            PipelineConfig(voxel_size=voxel)
+        # cell indices pack in [-2^20, 2^20); each point sits half a cell inside or outside a limit,
+        # so the rounding of p / VOXEL_SIZE cannot move it across
+        limit, half = 2.0 ** 20 * VOXEL_SIZE, VOXEL_SIZE / 2
+        inside = np.array([[-limit + half, limit - half, 0.0]])
+        assert voxel_keys(inside).shape == (1,)
+        for bad in ([limit + half, 0.0, 0.0], [0.0, -limit - half, 0.0], [0.0, 0.0, np.nan]):
+            with pytest.raises(ValueError, match=r"2\^20 cells of the origin \(±20.97 km\)"):
+                voxel_keys(np.array([bad]))
 
 
 INT64 = np.iinfo(np.int64)
@@ -335,20 +328,20 @@ class TestSortedUnique:
 class TestMergeInstances:
     def test_identical_boxes_merge(self):
         views = [[_instance([0, 0, 0], [1, 1, 1], seed=1)], [_instance([0, 0, 0], [1, 1, 1], seed=2)]]
-        out = merge_instances(views, 0.8, 0.02)
+        out = merge_instances(views, 0.8)
         assert len(out) == 1
 
     def test_different_classes_stay_apart(self):
         views = [[_instance([0, 0, 0], [1, 1, 1], label="chair")],
                  [_instance([0, 0, 0], [1, 1, 1], label="table")]]
-        assert len(merge_instances(views, 0.8, 0.02)) == 2
+        assert len(merge_instances(views, 0.8)) == 2
 
     def test_score_is_max_and_frames_union(self):
         a = _instance([0, 0, 0], [1, 1, 1], score=0.4, seed=1)
         a = ObjectCloud(a.points, "chair", 0.4, frozenset({"f0"}))
         b = _instance([0, 0, 0], [1, 1, 1], score=0.9, seed=2)
         b = ObjectCloud(b.points, "chair", 0.9, frozenset({"f1"}))
-        out = merge_instances([[a], [b]], 0.8, 0.02)
+        out = merge_instances([[a], [b]], 0.8)
         cloud = out[0]
         assert cloud.score == 0.9
         assert cloud.source_frames == frozenset({"f0", "f1"})
@@ -361,7 +354,7 @@ class TestMergeInstances:
         for pair in itertools.combinations(insts, 2):
             assert iou_3d(pair[0].box, pair[1].box) > 0.9
         for order in itertools.permutations(insts):
-            out = merge_instances([list(order)], 0.8, 0.02)
+            out = merge_instances([list(order)], 0.8)
             assert len(out) == 1
 
     def test_idempotent(self):
@@ -373,8 +366,8 @@ class TestMergeInstances:
                 lo = rng.uniform(-2, 2, 3)
                 row.append(_instance(lo, lo + rng.uniform(0.4, 1.0, 3), label=f"c{k}", seed=10 * v + k))
             views.append(row)
-        once = merge_instances(views, 0.8, 0.02)
-        twice = merge_instances([once], 0.8, 0.02)
+        once = merge_instances(views, 0.8)
+        twice = merge_instances([once], 0.8)
         assert len(twice) == len(once)
         for ca, cb in zip(once, twice):
             assert ca.label == cb.label
@@ -390,7 +383,7 @@ class TestMergeInstances:
                 lo = rng.uniform(-1.5, 1.5, 3)
                 row.append(_instance(lo, lo + rng.uniform(0.3, 1.2, 3), label="chair", seed=int(rng.integers(1e6))))
             views.append(row)
-        out = merge_instances(views, 0.8, 0.02)
+        out = merge_instances(views, 0.8)
         for ca, cb in itertools.combinations(out, 2):
             if ca.label == cb.label:
                 assert iou_3d(ca.box, cb.box) <= 0.8
@@ -399,7 +392,7 @@ class TestMergeInstances:
         rng = np.random.default_rng(9)
         views = [[_instance(rng.uniform(-1, 1, 3), rng.uniform(1.2, 2, 3), seed=k)] for k in range(5)]
         n_in = sum(len(v) for v in views)
-        out = merge_instances(views, 0.8, 0.02)
+        out = merge_instances(views, 0.8)
         assert len(out) <= n_in
         all_inputs = np.vstack([c.points for view in views for c in view])
         for cloud in out:
@@ -408,9 +401,8 @@ class TestMergeInstances:
 
     @given(fusion_inputs())
     def test_matches_component_reference(self, inputs):
-        views, threshold, voxel = inputs
-        assert_same_instances(merge_instances(views, threshold, voxel),
-                              merge_instances_reference(views, threshold, voxel))
+        views, threshold = inputs
+        assert_same_instances(merge_instances(views, threshold), merge_instances_reference(views, threshold))
 
     def test_later_pass_merge_matches_reference(self):
         # a and b overlap (IoU 0.54 > 0.5); c overlaps each at IoU 0.5 exactly, so
@@ -423,9 +415,9 @@ class TestMergeInstances:
         assert iou_3d(insts[0].box, insts[2].box) == iou_3d(insts[1].box, insts[2].box) == 0.5
         for order in itertools.permutations(insts):
             views = [[inst] for inst in order]
-            got = merge_instances(views, 0.5, 0.02)
+            got = merge_instances(views, 0.5)
             assert len(got) == 1 and got[0].source_frames == frozenset({"f0", "f1", "f2"})
-            assert_same_instances(got, merge_instances_reference(views, 0.5, 0.02))
+            assert_same_instances(got, merge_instances_reference(views, 0.5))
 
     def test_arrival_joins_every_component_it_touches(self):
         # a and c share no edge (IoU 0.11); b overlaps each at IoU 0.43, so when b
@@ -437,14 +429,14 @@ class TestMergeInstances:
         assert iou_3d(insts[0].box, insts[2].box) < 0.3 < iou_3d(insts[0].box, insts[1].box)
         for order in itertools.permutations(insts):
             views = [[inst] for inst in order]
-            got = merge_instances(views, 0.3, 0.02)
+            got = merge_instances(views, 0.3)
             assert len(got) == 1 and got[0].source_frames == frozenset({"f0", "f1", "f2"})
-            assert_same_instances(got, merge_instances_reference(views, 0.3, 0.02))
+            assert_same_instances(got, merge_instances_reference(views, 0.3))
 
     def test_join_with_no_fresh_voxel(self):
         # every voxel of the smaller instance is held by the larger one
-        a = _cut(ObjectCloud(np.array([[0.001, 0.001, 0.001], [0.005, 0.0, 0.0], [0.05, 0.05, 0.05]]), "chair", 0.4, {"a"}), 0.02)
-        b = _cut(ObjectCloud(np.array([[0.051, 0.052, 0.053], [0.002, 0.003, 0.004]]), "chair", 0.9, {"b"}), 0.02)
+        a = _cut(ObjectCloud(np.array([[0.001, 0.001, 0.001], [0.005, 0.0, 0.0], [0.05, 0.05, 0.05]]), "chair", 0.4, {"a"}))
+        b = _cut(ObjectCloud(np.array([[0.051, 0.052, 0.053], [0.002, 0.003, 0.004]]), "chair", 0.9, {"b"}))
         assert np.array_equal(a[0].points, [[0.001, 0.001, 0.001], [0.05, 0.05, 0.05]])  # first point per voxel
         for first, second in ((a, b), (b, a)):
             joined, keys = _join(first, second)
@@ -457,8 +449,8 @@ class TestMergeInstances:
         held = np.array([[0.011, 0.005, 0.005], [0.031, 0.005, 0.005], [0.051, 0.005, 0.005]])
         later = held.copy()
         later[0, 0], later[1, 1], later[2, 2] = 0.001, 0.001, 0.001
-        a = _cut(ObjectCloud(held, "chair", 1.0, {"a"}), 0.02)
-        b = _cut(ObjectCloud(later, "chair", 1.0, {"b"}), 0.02)
+        a = _cut(ObjectCloud(held, "chair", 1.0, {"a"}))
+        b = _cut(ObjectCloud(later, "chair", 1.0, {"b"}))
         for first, second in ((a, b), (b, a)):
             assert np.array_equal(_join(first, second)[0].points, later)
 
@@ -469,23 +461,23 @@ class TestMergeInstances:
         a = np.round(rng.uniform(0.0, 0.1, size=(40, 3)), 2) + rng.uniform(0, 0.019, size=(40, 3))
         b = np.round(rng.uniform(0.0, 0.1, size=(40, 3)), 2) + offset + rng.uniform(0, 0.019, size=(40, 3))
         b = np.vstack([b, b[::3] + 0.001])
-        keys_a, keys_b = set(voxel_keys(a, 0.02)), set(voxel_keys(b, 0.02))
+        keys_a, keys_b = set(voxel_keys(a)), set(voxel_keys(b))
         assert (keys_a & keys_b == set()) == (offset == 10.0) and keys_b - keys_a
         c = b + 0.05
-        parts = [_cut(ObjectCloud(pts, "chair", s, {f}), 0.02) for pts, s, f in ((a, 0.4, "a"), (b, 0.9, "b"), (c, 0.1, "c"))]
+        parts = [_cut(ObjectCloud(pts, "chair", s, {f})) for pts, s, f in ((a, 0.4, "a"), (b, 0.9, "b"), (c, 0.1, "c"))]
         for n in (2, 3):
-            want = _cloud_of(voxel_min_points([a, b, c][:n], 0.02), "chair", 0.9, "abc"[:n])
+            want = _cloud_of(voxel_min_points([a, b, c][:n]), "chair", 0.9, "abc"[:n])
             for order in itertools.permutations(parts[:n]):
                 joined, keys = order[0]
                 for part in order[1:]:
                     joined, keys = _join((joined, keys), part)
                 assert joined.points.tobytes() == want.points.tobytes()
-                assert keys.tobytes() == np.unique(voxel_keys(want.points, 0.02)).tobytes()
+                assert keys.tobytes() == np.unique(voxel_keys(want.points)).tobytes()
                 assert joined.score == 0.9 and joined.source_frames == set("abc"[:n])
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
-            merge_instances([], 0.0, 0.02)
+            merge_instances([], 0.0)
 
 
 class TestOrderFree:
@@ -495,7 +487,7 @@ class TestOrderFree:
     def test_same_bytes_under_any_order_of_views_instances_and_frame_ids(self, inputs, data):
         """Hypothesis shuffles the views and the instances within each and renames the frames,
         and merge_instances must not move a byte of any instance or of the list order."""
-        views, threshold, voxel = inputs
+        views, threshold = inputs
         names = sorted({f for view in views for cloud in view for f in cloud.source_frames})
         rename = dict(zip(names, data.draw(st.permutations(names))))
 
@@ -503,16 +495,16 @@ class TestOrderFree:
             return ObjectCloud(cloud.points, cloud.label, cloud.score, {rename[f] for f in cloud.source_frames})
 
         shuffled = [data.draw(st.permutations([renamed(c) for c in view])) for view in data.draw(st.permutations(views))]
-        want = [renamed(c) for c in merge_instances(views, threshold, voxel)]
-        assert_same_instances(merge_instances(shuffled, threshold, voxel), want)
+        want = [renamed(c) for c in merge_instances(views, threshold)]
+        assert_same_instances(merge_instances(shuffled, threshold), want)
 
     @given(fusion_inputs())
     def test_fixpoint_and_idempotent(self, inputs):
-        views, threshold, voxel = inputs
-        fused = merge_instances(views, threshold, voxel)
+        views, threshold = inputs
+        fused = merge_instances(views, threshold)
         for a, b in itertools.combinations(fused, 2):
             assert a.label != b.label or iou_3d(a.box, b.box) <= threshold
-        assert_same_instances(merge_instances([fused], threshold, voxel), fused)
+        assert_same_instances(merge_instances([fused], threshold), fused)
 
 
 class TestRunScene:
@@ -540,7 +532,7 @@ class TestRunScene:
             got, stats = run_scene((view for view in views[:k]), config)
             clouds = [c for row in per_view[:k] for c in row]
             kept = [[c for c in row if c is not None] for row in per_view[:k]]
-            want = merge_instances(kept, config.merge_threshold, config.voxel_size)
+            want = merge_instances(kept, config.merge_threshold)
             assert (stats.views, stats.detections, stats.dropped) == (k, len(clouds), clouds.count(None))
             assert len(got) == len(want)
             for cg, cw in zip(got, want):

@@ -493,7 +493,7 @@ class TestRenderGtDetections:
         # the full-image path, bit for bit, under every kind of noise
         labels = scene_io.load_gt_labels(oracle_scene_dir)
         intr, _ = scene_io.load_intrinsics(oracle_scene_dir / "intrinsics.txt")
-        frame_id = scene_io.frame_ids(oracle_scene_dir)[frame]
+        frame_id = scene_io.list_frames(oracle_scene_dir)[0][frame]
         ids = scene_io.load_gt_ids(oracle_scene_dir, frame_id, intr, len(labels))
         noise = PerturbationConfig(seed, jitter, erode, drop, sigma)
         masks = render_gt_detections(frame_id, ids, labels, noise)

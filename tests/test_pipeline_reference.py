@@ -21,12 +21,10 @@ from rgbdnav.evaluation import KeyedPrediction, evaluate
 from rgbdnav.fusion import run_scene, voxel_keys
 from rgbdnav.types import Box3D, ObjectCloud, PipelineConfig
 
-from conftest import VOXEL_SIZES, full_image_bitmap, gt_points_reference_from_ids
+from conftest import full_image_bitmap, gt_points_reference_from_ids
 from test_evaluation import evaluate_reference
 from test_fusion import merge_instances_reference
 from test_projection import reconstruct_full_image_reference
-
-EVAL_VOXEL = 0.02
 
 
 @st.composite
@@ -57,7 +55,6 @@ def synth_inputs(draw):
         tau=draw(st.sampled_from([0.5, 1.0, 2.0])),
         kernel_size=draw(st.sampled_from([1, 3])),
         merge_threshold=draw(st.sampled_from([0.3, 0.8])),
-        voxel_size=draw(st.sampled_from([0.02, 0.05])),
     )
     return boxes, oracle.default_trajectory(draw(st.integers(3, 6))), intrinsics, noise, config
 
@@ -76,7 +73,7 @@ def detect_reference(scene_dir, config):
             det = mask.detection
             clouds.append(ObjectCloud(points, det.label, det.score, frozenset({view.frame.frame_id})))
         per_view.append(clouds)
-    return merge_instances_reference(per_view, config.merge_threshold, config.voxel_size), dropped
+    return merge_instances_reference(per_view, config.merge_threshold), dropped
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -87,8 +84,8 @@ def test_pipeline_matches_oracle_loops(inputs):
         scene_dir = Path(tmp) / "scene"
         oracle.make_synthetic_scene(boxes, trajectory, intrinsics, scene_dir, noise)
         got, stats = run_scene(scene_io.iter_views(scene_dir), config)
-        keyed = [KeyedPrediction.of(c, EVAL_VOXEL) for c in got]
-        report = evaluate([(keyed, scene_io.load_gt_instances(scene_dir, EVAL_VOXEL))], EVAL_VOXEL)
+        keyed = [KeyedPrediction.of(c) for c in got]
+        report = evaluate([(keyed, scene_io.load_gt_instances(scene_dir))])
         want, dropped = detect_reference(scene_dir, config)
         gt = gt_points_reference_from_ids(scene_dir)
     assert stats.dropped == dropped
@@ -99,18 +96,18 @@ def test_pipeline_matches_oracle_loops(inputs):
         assert (g.label, g.score, g.source_frames) == (w.label, w.score, w.source_frames)
         assert g.box.min_corner.tobytes() == w.box.min_corner.tobytes()
         assert g.box.max_corner.tobytes() == w.box.max_corner.tobytes()
-    assert report == evaluate_reference([(want, gt)], EVAL_VOXEL)
+    assert report == evaluate_reference([(want, gt)])
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(synth_inputs(), VOXEL_SIZES)
-def test_gt_keys_are_the_voxels_of_the_reference_points(inputs, voxel_size):
+@given(synth_inputs())
+def test_gt_keys_are_the_voxels_of_the_reference_points(inputs):
     boxes, trajectory, intrinsics, *_ = inputs
     with tempfile.TemporaryDirectory() as tmp:
         scene_dir = Path(tmp) / "scene"
         oracle.make_synthetic_scene(boxes, trajectory, intrinsics, scene_dir)
-        gt = scene_io.load_gt_instances(scene_dir, voxel_size)
+        gt = scene_io.load_gt_instances(scene_dir)
         reference = gt_points_reference_from_ids(scene_dir)
-    assert [(g.label, g.voxel_size) for g in gt] == [(r.label, voxel_size) for r in reference]
+    assert [g.label for g in gt] == [r.label for r in reference]
     for g, r in zip(gt, reference):
-        assert g.keys.tobytes() == np.unique(voxel_keys(r.points, voxel_size)).tobytes()
+        assert g.keys.tobytes() == np.unique(voxel_keys(r.points)).tobytes()

@@ -332,14 +332,21 @@ class TestLoadScene:
         with pytest.raises(SceneLayoutError, match="0000.mask.0.pgm"):
             list(scene_io.iter_views(root))
 
+    def test_names_outside_the_mask_pattern_are_not_mask_files(self, tmp_path):
+        # mask files are the names '<id>.mask.*.pgm' selects: none of these, as frames/ holds them
+        root = make_fixture_scene(tmp_path / "s")
+        for name in ("0001.mask.pgm", "0001.mask.1.pgm.bak", "0001.mask.1.PGM", "00011.mask.1.pgm"):
+            (root / "frames" / name).write_bytes(b"")
+        assert [len(v.masks) for v in scene_io.iter_views(root)] == [1, 1]
+
     def test_stray_mask_file_rejected(self, tmp_path, capsys):
         # a mask file no detection owns: frame 0001 holds masks 0 and 1 for its one detection
         root = make_fixture_scene(tmp_path / "s")
         _write_mask(root / "frames" / "0001.mask.1.pgm", [[255] * 3] * 2)
-        intr, depth_scale = scene_io.load_intrinsics(root / "intrinsics.txt")
-        assert len(scene_io.load_view(root, "0000", intr, depth_scale).masks) == 1
+        views = scene_io.iter_views(root)
+        assert len(next(views).masks) == 1  # frame 0000 is yielded before frame 0001 raises
         with pytest.raises(SceneValidationError) as err:
-            scene_io.load_view(root, "0001", intr, depth_scale)
+            next(views)
         assert str(err.value) == "frame 0001: 2 mask files for 1 detections"
         assert cli.main(["detect", str(root), str(tmp_path / "p")]) == 1
         captured = capsys.readouterr()
@@ -724,19 +731,18 @@ class TestGroundTruth:
                 if n == 0:  # the text round trip takes seconds on the bench layout
                     text = np.char.mod("%.9g", pts).astype(np.float64)
                     assert np.abs(text - pts).max() <= 5e-9
-                    assert np.array_equal(np.unique(fusion.voxel_keys(text, 0.02)), np.unique(fusion.voxel_keys(pts, 0.02)))
+                    assert np.array_equal(np.unique(fusion.voxel_keys(text)), np.unique(fusion.voxel_keys(pts)))
 
     def test_keys_are_the_voxels_of_the_reference_points(self, layout_scenes):
         # frame by frame keying leaves each instance the voxel set of all its
-        # points at once, bit for bit, whatever the grid
+        # points at once, bit for bit
         for s in layout_scenes:
             reference = gt_points_reference_from_ids(s.scene_dir)
-            for voxel_size in (0.02, 0.05):
-                gt = load_gt_instances(s.scene_dir, voxel_size)
-                assert [(g.label, g.voxel_size) for g in gt] == [(r.label, voxel_size) for r in reference]
-                for g, r in zip(gt, reference):
-                    want = np.unique(fusion.voxel_keys(r.points, voxel_size))
-                    assert g.keys.dtype == want.dtype and np.array_equal(g.keys, want)
+            gt = load_gt_instances(s.scene_dir)
+            assert [g.label for g in gt] == [r.label for r in reference]
+            for g, r in zip(gt, reference):
+                want = np.unique(fusion.voxel_keys(r.points))
+                assert g.keys.dtype == want.dtype and np.array_equal(g.keys, want)
 
     @settings(max_examples=60, deadline=None)
     @given(gt_scenes())
@@ -758,11 +764,10 @@ class TestGroundTruth:
                 write_pgm(root / "frames" / f"{f:04d}.depth.pgm", depth[f])
                 scene_io.write_pose(root / "frames" / f"{f:04d}.pose.txt", pose)
             reference = gt_points_reference_from_ids(root)
-            for voxel_size in (0.02, 0.05):
-                gt = load_gt_instances(root, voxel_size)
-                assert [g.label for g in gt] == labels
-                for g, r in zip(gt, reference):
-                    assert np.array_equal(g.keys, np.unique(fusion.voxel_keys(r.points, voxel_size)))
+            gt = load_gt_instances(root)
+            assert [g.label for g in gt] == labels
+            for g, r in zip(gt, reference):
+                assert np.array_equal(g.keys, np.unique(fusion.voxel_keys(r.points)))
 
     def test_points_back_project_id_pixels(self, tmp_path):
         # fx = fy = 10, cx = 2.5, cy = 1.5, depth 1.5 m, identity pose: pixel
