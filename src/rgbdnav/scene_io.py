@@ -29,6 +29,13 @@ raises its file-naming SceneError only where it is read. It streams the
 frames like :func:`iter_views` and holds each instance as the voxels it
 occupies (:class:`GroundTruth`, on ``types.VOXEL_SIZE``), not as points, so
 its memory does not grow with the number of views.
+
+Prediction layout (:func:`write_instances`, read back by :func:`iter_instances`)::
+
+    pred_dir/
+      boxes.json                  one record per instance k: label, score, min/max corner, num_points
+      cloud_<k>_<label>.ply       instance k's points (k zero-padded to 4 digits) as binary little-endian
+                                  PLY of double x/y/z: bit for bit, so its box equals boxes.json's
 """
 from __future__ import annotations
 
@@ -448,83 +455,52 @@ def write_detections(path: Path, detections: list[Detection2D]) -> None:
 # Point-cloud PLY
 # ---------------------------------------------------------------------------
 
-# Characters of PLY body parsed per step: a token list costs about 20x its text,
-# so parsing the body whole would make the largest cloud file eval's peak memory.
-_PLY_CHUNK_CHARS = 1 << 14
-# Points of PLY body formatted per step: the coordinates as Python floats cost
-# about 120 bytes a point, so formatting the body whole would make the largest
-# cloud detect's peak memory.
-_PLY_CHUNK_POINTS = 1 << 10
-
-
-def _parse_xyz(path: Path, text: str, start: int) -> np.ndarray:
-    """``x y z`` tokens of ``text[start:]`` as (N, 3) float64; a bad token or count names the file.
-
-    The text is split at line ends into chunks of about ``_PLY_CHUNK_CHARS``
-    characters, each parsed on its own, so no token list spans the whole body.
-    """
-    parts = []
-    while start < len(text):
-        end = text.find("\n", start + _PLY_CHUNK_CHARS)
-        end = len(text) if end < 0 else end
-        try:
-            parts.append(np.array(text[start:end].split(), dtype=np.float64))
-        except ValueError as e:
-            raise SceneValidationError(f"{path}: non-numeric coordinate: {e}") from e
-        start = end
-    coords = np.concatenate(parts) if parts else np.empty(0)
-    if coords.size % 3:
-        raise SceneValidationError(f"{path}: point rows must hold 3 coordinates each")
-    return coords.reshape(-1, 3)
+def _ply_header(count, comments: str = "") -> str:
+    """The header of a cloud PLY: binary little-endian, ``count`` vertices of double x/y/z."""
+    return (
+        f"ply\nformat binary_little_endian 1.0\n{comments}element vertex {count}\n"
+        "property double x\nproperty double y\nproperty double z\nend_header\n"
+    )
 
 
 def write_cloud_ply(cloud: ObjectCloud, path: Path) -> None:
-    """Write an ASCII PLY with one x/y/z vertex per point, each coordinate rounded to 1e-6 m.
+    """Write a binary little-endian PLY with one double x/y/z vertex per point.
 
-    The body is written in blocks of ``_PLY_CHUNK_POINTS`` points, each one
-    ``%`` format of all the block's coordinates at once: no Python step runs
-    per point, and only one block's coordinates are Python floats at a time.
+    The body is the points as one C-order ``<f8`` buffer, so every
+    coordinate reads back with its exact bits. Label and score are header
+    comments.
     """
-    header = (
-        "ply\nformat ascii 1.0\n"
-        f"comment label {cloud.label}\n"
-        f"comment score {cloud.score:.9g}\n"
-        f"element vertex {cloud.points.shape[0]}\n"
-        "property float x\nproperty float y\nproperty float z\nend_header\n"
-    )
-    with Path(path).open("w") as f:
-        f.write(header)
-        for start in range(0, len(cloud.points), _PLY_CHUNK_POINTS):
-            rows = cloud.points[start:start + _PLY_CHUNK_POINTS]
-            f.write("%.6f %.6f %.6f\n" * len(rows) % tuple(rows.ravel().tolist()))
+    comments = f"comment label {cloud.label}\ncomment score {cloud.score:.9g}\n"
+    with Path(path).open("wb") as f:
+        f.write(_ply_header(len(cloud.points), comments).encode())
+        f.write(np.ascontiguousarray(cloud.points, dtype="<f8"))
 
 
 def read_cloud_ply(path: Path) -> np.ndarray:
-    """Read the vertices of an ASCII PLY written by :func:`write_cloud_ply`; errors name the file."""
-    text = _read_text(path)
-    # the header is split into lines, the body is not: it is parsed in place
-    end = re.search(r"^[^\S\n]*end_header[^\S\n]*$", text, re.MULTILINE)
-    lines = text[:end.end() if end else len(text)].splitlines()
-    if not lines or lines[0].strip() != "ply":
-        raise SceneValidationError(f"{path}: not a PLY file")
-    count = None
-    props = []
-    for line in lines[1:]:
-        tokens = line.split()
-        if tokens[:2] == ["element", "vertex"]:
-            count = tokens[2] if len(tokens) > 2 else ""
-        elif tokens and tokens[0] == "property":
-            props.append(tokens[-1])
-    if count is None or end is None or not count.isdecimal():
-        raise SceneValidationError(f"{path}: malformed PLY header")
-    if int(count) == 0:
+    """The (N, 3) vertices of a PLY written by :func:`write_cloud_ply`; errors name the file.
+
+    Apart from its comments, the header must be the one :func:`write_cloud_ply`
+    writes, and the body must hold exactly 24 bytes per vertex. The points
+    come back as a read-only view of the file bytes: no copy is made.
+    """
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as e:
+        raise SceneLayoutError(f"cannot read {path}: {e}") from e
+    end = re.search(rb"^[^\S\n]*end_header[^\S\n]*\n", raw, re.MULTILINE)
+    lines = raw[:end.end() if end else len(raw)].decode(errors="replace").splitlines()
+    fields = [tokens for tokens in map(str.split, lines) if tokens[:1] != ["comment"]]
+    count = fields[2][-1] if len(fields) > 2 and fields[2] else ""  # N of "element vertex N"
+    if end is None or not count.isdecimal() or fields != [h.split() for h in _ply_header(count).splitlines()]:
+        raise SceneValidationError(
+            f"{path}: malformed PLY header: expected format binary_little_endian 1.0 and double x/y/z vertices"
+        )
+    n, body = int(count), len(raw) - end.end()
+    if n == 0:
         raise SceneValidationError(f"{path}: PLY holds no vertices")
-    if props != ["x", "y", "z"]:
-        raise SceneValidationError(f"{path}: expected x/y/z vertex properties, got {props}")
-    points = _parse_xyz(path, text, end.end())
-    if len(points) != int(count):
-        raise SceneValidationError(f"{path}: header promises {count} vertices, body holds {len(points)}")
-    return points
+    if body != 24 * n:
+        raise SceneValidationError(f"{path}: header promises {n} vertices ({24 * n} bytes), body holds {body} bytes")
+    return np.frombuffer(raw, "<f8", offset=end.end()).reshape(n, 3)  # a view of the file bytes
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +544,10 @@ def iter_instances(pred_dir: Path) -> Iterator[ObjectCloud]:
     """The instances of an instance set written by :func:`write_instances`, read one at a time.
 
     Label and score come from boxes.json, the points from each PLY; each box
-    is recomputed from the points, not read from the JSON corners. Instance
-    k is read and checked only when the iterator reaches it, and is not kept.
+    is recomputed from the points, not read from the JSON corners. pred_dir
+    is listed once. Instance k is read and checked only when the iterator
+    reaches it, and is not kept; a non-finite vertex raises
+    SceneValidationError naming its PLY.
     """
     pred_dir = Path(pred_dir)
     boxes_path = pred_dir / "boxes.json"
@@ -580,6 +558,10 @@ def iter_instances(pred_dir: Path) -> Iterator[ObjectCloud]:
     records = doc.get("instances") if isinstance(doc, dict) else None
     if not isinstance(records, list):
         raise SceneValidationError(f"{boxes_path}: no 'instances' list")
+    clouds: dict[str, list[str]] = {}  # the cloud_<k>_*.ply names of pred_dir, by their <k> text
+    for name in os.listdir(pred_dir):
+        if m := re.fullmatch(r"cloud_([^_]*)_.*\.ply", name, re.DOTALL):
+            clouds.setdefault(m[1], []).append(name)
     for k, rec in enumerate(records):
         try:
             label, score = rec["label"], float(rec["score"])
@@ -589,9 +571,15 @@ def iter_instances(pred_dir: Path) -> Iterator[ObjectCloud]:
             raise SceneValidationError(f"{boxes_path}: instance {k} needs a 'label' and a 'score' in [0, 1]") from e
         if not isinstance(label, str) or not label:
             raise SceneValidationError(f"{boxes_path}: instance {k}: 'label' must be a non-empty string, got {label!r}")
-        matches = sorted(pred_dir.glob(f"cloud_{k:04d}_*.ply"))
+        matches = clouds.get(f"{k:04d}", [])
         if len(matches) != 1:
             raise SceneLayoutError(
                 f"expected exactly one cloud file for instance {k} in {pred_dir}, found {len(matches)}"
             )
-        yield ObjectCloud(read_cloud_ply(matches[0]), label, score)
+        path = pred_dir / matches[0]
+        points = read_cloud_ply(path)
+        try:
+            cloud = ObjectCloud(points, label, score)
+        except ValueError as e:  # a non-finite vertex
+            raise SceneValidationError(f"{path}: {e}") from e
+        yield cloud

@@ -339,14 +339,23 @@ class TestEval:
             dirs = [scene, tmp_path / "p"]
         else:
             (ply,) = perfect_pred_dir.glob("cloud_0000_*.ply")
-            lines = ply.read_text().splitlines(keepends=True)
-            lines[lines.index("end_header\n") + 1] = "30000.000000 0.000000 0.000000\n"
-            ply.write_text("".join(lines))
+            points = scene_io.read_cloud_ply(ply).copy()
+            points[0] = [3e4, 0.0, 0.0]
+            scene_io.write_cloud_ply(ObjectCloud(points, "crate", 1.0), ply)
             dirs = [perfect_pred_dir, two_cube_scene]
         code, _, err = run_cli(capsys, command, *map(str, dirs))
         assert code == 1
         assert err.startswith(f"rgbdnav {command}: voxel coordinates must lie within ±2^20 cells")
         assert err.count("\n") == 1
+
+    def test_non_finite_vertex_names_file(self, capsys, two_cube_scene, perfect_pred_dir):
+        # one flipped byte of a binary body can make a coordinate NaN
+        (ply,) = perfect_pred_dir.glob("cloud_0000_*.ply")
+        ply.write_bytes(ply.read_bytes()[:-8] + np.float64(np.nan).tobytes())
+        code, out, err = run_cli(capsys, "eval", str(perfect_pred_dir), str(two_cube_scene))
+        assert code == 1
+        assert out == ""
+        assert err == f"rgbdnav eval: {ply}: non-finite coordinates in cloud 'crate'\n"
 
     def test_empty_ground_truth_names_labels_file(self, capsys, tmp_path):
         # no labels and all-background id images: the scene has no ground truth,
@@ -406,19 +415,23 @@ class TestEval:
         assert rows["all"] == ["91.7", "91.7", "91.7"]
 
 
+_UNDECODABLE = "cannot read {path}: 'utf-8' codec can't decode byte 0xff"
+
+
 @pytest.mark.parametrize(
-    "command, relpath",
+    "command, relpath, error",
     [
-        ("detect", "scene/intrinsics.txt"),
-        ("detect", "scene/frames/0003.pose.txt"),
-        ("eval", "scene/gt/labels.txt"),
-        ("eval", "pred/boxes.json"),
-        ("eval", "pred/cloud_0000_*.ply"),
+        ("detect", "scene/intrinsics.txt", _UNDECODABLE),
+        ("detect", "scene/frames/0003.pose.txt", _UNDECODABLE),
+        ("eval", "scene/gt/labels.txt", _UNDECODABLE),
+        ("eval", "pred/boxes.json", _UNDECODABLE),
+        ("eval", "pred/cloud_0000_*.ply", "{path}: malformed PLY header"),
     ],
     ids=["intrinsics", "pose", "gt_labels", "boxes_json", "cloud_ply"],
 )
-def test_undecodable_text_file_named(capsys, two_cube_scene, tmp_path, command, relpath):
-    # a byte that is not UTF-8 ends the run with one line naming the file
+def test_undecodable_text_file_named(capsys, two_cube_scene, tmp_path, command, relpath, error):
+    # a byte that is not UTF-8 ends the run with one line naming the file; a
+    # cloud PLY is binary, so there the byte corrupts the header's first line
     scene, pred = tmp_path / "scene", tmp_path / "pred"
     shutil.copytree(two_cube_scene, scene)
     assert run_cli(capsys, "detect", str(scene), str(pred))[0] == 0
@@ -427,7 +440,7 @@ def test_undecodable_text_file_named(capsys, two_cube_scene, tmp_path, command, 
     dirs = [scene, tmp_path / "again"] if command == "detect" else [pred, scene]
     code, _, err = run_cli(capsys, command, *map(str, dirs))
     assert code == 1
-    assert err.startswith(f"rgbdnav {command}: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+    assert err.startswith(f"rgbdnav {command}: " + error.format(path=path))
     assert err.count("\n") == 1
 
 

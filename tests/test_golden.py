@@ -44,11 +44,11 @@ GOLDEN = {
         "map": (100.0, 100.0, 100.0),
         "sha256": {
             "boxes.json": "572729b05667fbbe67bd544a9141776b8a07ec8cfc38c53f6da5a4e67460f86b",
-            "cloud_0000_box_a.ply": "9eeaf932a49773c2eec9b269b266e188e25734cc808c7fa5f100a164f7cc061a",
-            "cloud_0001_box_b.ply": "46119e75e9c48e2c1ed1dd6a311d9717ad0fe1aab29e63eb06d228339e86e7e2",
-            "cloud_0002_box_c.ply": "3bd8181747e794f35dfd0864756ae5042caff80d4ebe80a728b7bde1d4f66d11",
-            "cloud_0003_box_d.ply": "c05c771d4c0fe83677223450ac0140bd6ba67f9337cb1864c2e9f49a592c5227",
-            "cloud_0004_box_e.ply": "c733dccec1194f04254af41490ec932142c9551688c6e5c158db2c9af25e1b90",
+            "cloud_0000_box_a.ply": "238c9debb42c22d4eb2db255476358633e2329eab60352ac7906d93ce9b7af96",
+            "cloud_0001_box_b.ply": "8df39ca14915c926cbdfcae197ed37328381461dd7b3e5d53f7c88c50269ce02",
+            "cloud_0002_box_c.ply": "566d3c3bbd29ef18c19df9ca05b69a974e6c3501f973b169f50f1a4ae2bf53b4",
+            "cloud_0003_box_d.ply": "414a4d7f483e823a7f9c25a82a8eaa4864a7e831a017bfc94d4223ef322fd996",
+            "cloud_0004_box_e.ply": "8933401550273fa5270bd19ff5813d786a30f211c5c533c4d72ad17dd743ea14",
             "eval_report.txt": "1051aa644726ba0fa0ca07f0b0be97017151fe4c492ecd1f9e24fc27d8b5eaed",
         },
     },
@@ -58,14 +58,14 @@ GOLDEN = {
         "map": (93.0, 100.0, 100.0),
         "sha256": {
             "boxes.json": "9a010f1760441c403e612b67421b8837e0e6ed1f9ff562c1bcdb7e15c5238dc8",
-            "cloud_0000_box_a.ply": "6f31014cdbddd33d426b216d5ba55c4f1bcafe1dc5d0cfbbe8d94615bda15867",
-            "cloud_0001_box_a.ply": "db23b3a7748b8e9b088e17f976850d33ef3ff5a04b87697cee8d9d9665aab3a6",
-            "cloud_0002_box_b.ply": "2e70aca6713e6eef5711cab8c95ecec6f7aba9327368655c2a8d9a8da81ab07d",
-            "cloud_0003_box_b.ply": "e78125615323913e0a8ffd5adb93f8edf1edc26fa7c0dacdfd064bf527893e67",
-            "cloud_0004_box_c.ply": "87424db8d951b5c7b7dd721648f59377d4b4277bd6fbae02904f2342786defbb",
-            "cloud_0005_box_d.ply": "6124071e7617bf71380777f825572b0a60460fa6117e5c43ce37da3c35daea50",
-            "cloud_0006_box_d.ply": "178efd00b4c991cb19bbf15c723cfcf49eeb42dc69123923ef5c34209afffeed",
-            "cloud_0007_box_e.ply": "6264b1cc3f57d39ac8f1fd3d52f5d4c1813db8e307bc3efce2407d9c69ce8e9e",
+            "cloud_0000_box_a.ply": "4558b0c17186a7cfc4288bf80c81f8609da6ce1486d744fe4a9596d7e4be84a7",
+            "cloud_0001_box_a.ply": "e0019cde0046dc71ac24bcd539b7df1fb29e41adcf73085280b92b62c82093df",
+            "cloud_0002_box_b.ply": "ffdc4d615ae0890835b29d0cb157a58c9fc808cfd0aac6455f1b4c84e40cf1e8",
+            "cloud_0003_box_b.ply": "e34e834a5407e841347676829075deb36ae4b89d9b352ded5070f7036f49aabf",
+            "cloud_0004_box_c.ply": "85311eae9f468be89c2b6210894a5c57e7532c20ba13a30561dcfdc855356423",
+            "cloud_0005_box_d.ply": "a191601df106bfea328bd4c8bd1cae57cd6457f90cb7f1d4f8f65b68670162ca",
+            "cloud_0006_box_d.ply": "0a9ddeb19ad5298bab2e56eadba6eb00c8220b5e496f6a0405043c0bdc030e05",
+            "cloud_0007_box_e.ply": "b32ec5fbaafb452355b7c67e03931a15f9acc57e701221531f905c7cd90abcd6",
             "eval_report.txt": "15cc77baed677130143acf4d603b7cfc89e8524e46ea7dbec5a1493250aea291",
         },
     },
