@@ -9,8 +9,8 @@ from rgbdnav import navsim
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("out_dir", nargs="?", default="nav_runs")
-    parser.add_argument("--max-steps", type=int, default=4000)
-    parser.add_argument("--robot-radius", type=float, default=0.4)
+    parser.add_argument("--max-steps", type=int, default=navsim.MAX_STEPS)
+    parser.add_argument("--robot-radius", type=float, default=navsim.ROBOT_RADIUS)
     args = parser.parse_args()
 
     out_dir = Path(args.out_dir)

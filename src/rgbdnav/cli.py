@@ -74,9 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--world", help="world file (see navsim.save_world)")
     p.add_argument("--scenario", choices=sorted(navsim.SCENARIOS), help="built-in fixture world")
     p.add_argument("--start", type=float, nargs=3, metavar=("X", "Y", "THETA"),
-                   default=(0.0, 0.0, 0.0), help="start pose when --world is used")
-    p.add_argument("--max-steps", type=int, default=4000)
-    p.add_argument("--robot-radius", type=float, default=0.4)
+                   help="start pose; needs --world (default 0 0 0)")
+    p.add_argument("--max-steps", type=int, default=navsim.MAX_STEPS)
+    p.add_argument("--robot-radius", type=float, default=navsim.ROBOT_RADIUS)
     return parser
 
 
@@ -193,9 +193,11 @@ def cmd_synth(args) -> int:
 def cmd_navsim(args) -> int:
     if args.world and args.scenario:
         raise UsageError("give either --world or --scenario, not both")
+    if args.start is not None and not args.world:
+        raise UsageError("--start needs --world")
     if args.world:
         world = navsim.load_world(args.world)
-        x, y, theta = args.start
+        x, y, theta = args.start or (0.0, 0.0, 0.0)
         start = navsim.RobotState(np.array([x, y]), theta)
     else:
         world, start = navsim.SCENARIOS[args.scenario or "open"]()

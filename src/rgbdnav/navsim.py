@@ -6,6 +6,11 @@ detected 3D box centroid projected to the ground plane) provides the
 attraction. Steering is proportional to the force direction in the robot
 frame; linear speed saturates with the clearance to the nearest obstacle
 and gates to zero when the force points more than 90 degrees off heading.
+
+The platform is fixed: the drivetrain, the controller's gains and limits,
+and the rangefinder fan (61 rays over 270 degrees, 4 m range) are module
+constants. Only the step limit and the robot radius are arguments of
+:func:`run_navigation`.
 """
 from __future__ import annotations
 
@@ -21,6 +26,30 @@ from . import scene_io
 from .types import Box3D
 
 _TWO_PI = 2.0 * math.pi
+
+# Drivetrain: wheel radius and wheel base in meters, encoder ticks per wheel revolution.
+WHEEL_RADIUS = 0.17
+WHEEL_BASE = 0.60
+TICKS_PER_REV = 4096
+
+# Potential-field gains and limits (see apf_step), and the control period in seconds.
+REPULSE_GAIN = 0.12
+REPULSE_RANGE = 1.5
+ATTRACT_GAIN = 1.0
+V_MAX = 0.5
+D_SAFE = 0.8
+OMEGA_GAIN = 1.5
+DT = 0.05
+
+# Rangefinder fan. MAX_RANGE must exceed REPULSE_RANGE, or out-of-range rays
+# (reported at MAX_RANGE) would repel like phantom walls.
+FOV = 1.5 * math.pi
+N_RAYS = 61
+MAX_RANGE = 4.0
+
+# run_navigation's defaults: a collision is a clearance below ROBOT_RADIUS.
+ROBOT_RADIUS = 0.4
+MAX_STEPS = 4000
 
 
 def _finite_point(xy, name: str) -> np.ndarray:
@@ -60,20 +89,15 @@ Obstacle = Circle | Segment
 
 @dataclass(frozen=True)
 class RobotState:
-    """Planar pose plus drivetrain constants (meters, radians, encoder ticks)."""
+    """Planar pose (meters, radians)."""
 
     position: np.ndarray
     heading: float
-    wheel_radius: float = 0.17
-    wheel_base: float = 0.60
-    tick_per_rev: int = 4096
 
     def __post_init__(self):
         object.__setattr__(self, "position", _finite_point(self.position, "robot position"))
         if not math.isfinite(self.heading):
             raise ValueError(f"robot heading must be finite, got {self.heading}")
-        if not (self.wheel_radius > 0 and self.wheel_base > 0 and self.tick_per_rev > 0):
-            raise ValueError("wheel_radius, wheel_base and tick_per_rev must be positive")
 
 
 class ObstacleArrays(NamedTuple):
@@ -130,40 +154,6 @@ class WorldModel2D:
         return ObstacleArrays(starts, edges, radii, len(circles), rows)
 
 
-@dataclass(frozen=True)
-class ApfConfig:
-    """Potential-field gains and limits; everything here is tunable and positive."""
-
-    repulse_gain: float = 0.12
-    repulse_range: float = 1.5
-    attract_gain: float = 1.0
-    v_max: float = 0.5
-    d_safe: float = 0.8
-    omega_gain: float = 1.5
-    dt: float = 0.05
-
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    """Rangefinder fan geometry. max_range should exceed repulse_range, or
-    out-of-range rays (reported at max_range) would repel like phantom walls."""
-
-    fov: float = 1.5 * math.pi
-    n_rays: int = 61
-    max_range: float = 4.0
-
-    def __post_init__(self):
-        if not self.n_rays >= 1:
-            raise ValueError("n_rays must be >= 1")
-        if not (0 < self.fov <= _TWO_PI and self.max_range > 0):
-            raise ValueError("fov must be in (0, 2*pi] and max_range positive")
-
-
 @dataclass
 class Trajectory:
     """Per-step simulation record plus the run outcome."""
@@ -198,13 +188,13 @@ def box_ground_target(box: Box3D) -> np.ndarray:
 def odometry_update(state: RobotState, dticks_left: float, dticks_right: float) -> RobotState:
     """Advance the pose from encoder increments using the exact arc model.
 
-    Wheel arc length is 2*pi*wheel_radius*dticks/tick_per_rev. Equal wheel
+    Wheel arc length is 2*pi*WHEEL_RADIUS*dticks/TICKS_PER_REV. Equal wheel
     arcs move straight; otherwise the pose follows the circular arc of the
     unicycle with constant curvature over the interval.
     """
-    s_l = _TWO_PI * state.wheel_radius * dticks_left / state.tick_per_rev
-    s_r = _TWO_PI * state.wheel_radius * dticks_right / state.tick_per_rev
-    dtheta = (s_r - s_l) / state.wheel_base
+    s_l = _TWO_PI * WHEEL_RADIUS * dticks_left / TICKS_PER_REV
+    s_r = _TWO_PI * WHEEL_RADIUS * dticks_right / TICKS_PER_REV
+    dtheta = (s_r - s_l) / WHEEL_BASE
     s = 0.5 * (s_l + s_r)
     theta = state.heading
     x, y = state.position.tolist()
@@ -215,14 +205,14 @@ def odometry_update(state: RobotState, dticks_left: float, dticks_right: float) 
         rc = s / dtheta
         x += rc * (math.sin(theta + dtheta) - math.sin(theta))
         y += rc * (math.cos(theta) - math.cos(theta + dtheta))
-    return RobotState((x, y), theta + dtheta, state.wheel_radius, state.wheel_base, state.tick_per_rev)
+    return RobotState((x, y), theta + dtheta)
 
 
-def ticks_for_motion(state: RobotState, v: float, omega: float, dt: float) -> tuple[float, float]:
+def ticks_for_motion(v: float, omega: float, dt: float) -> tuple[float, float]:
     """Encoder increments equivalent to driving at (v, omega) for dt seconds."""
-    s_l = (v - 0.5 * omega * state.wheel_base) * dt
-    s_r = (v + 0.5 * omega * state.wheel_base) * dt
-    per_meter = state.tick_per_rev / (_TWO_PI * state.wheel_radius)
+    s_l = (v - 0.5 * omega * WHEEL_BASE) * dt
+    s_r = (v + 0.5 * omega * WHEEL_BASE) * dt
+    per_meter = TICKS_PER_REV / (_TWO_PI * WHEEL_RADIUS)
     return s_l * per_meter, s_r * per_meter
 
 
@@ -230,30 +220,20 @@ def ticks_for_motion(state: RobotState, v: float, omega: float, dt: float) -> tu
 # Sensing
 # ---------------------------------------------------------------------------
 
-def ray_offsets(fov: float, n_rays: int) -> np.ndarray:
-    """Ray angles relative to the heading; a single ray points straight ahead."""
-    if n_rays == 1:
-        return np.zeros(1)
-    return np.linspace(-fov / 2.0, fov / 2.0, n_rays)
+# Ray angles relative to the heading, and the unit ray directions in the
+# robot frame, shape (2, N_RAYS): rows cos, sin. Both are read-only.
+RAY_OFFSETS = np.linspace(-FOV / 2.0, FOV / 2.0, N_RAYS)
+_FAN = np.stack([np.cos(RAY_OFFSETS), np.sin(RAY_OFFSETS)])
+RAY_OFFSETS.setflags(write=False)
+_FAN.setflags(write=False)
 
 
-@functools.lru_cache(maxsize=16)
-def _fan(fov: float, n_rays: int) -> np.ndarray:
-    """Unit ray directions in the robot frame, shape (2, n_rays): rows cos, sin."""
-    offsets = ray_offsets(fov, n_rays)
-    fan = np.stack([np.cos(offsets), np.sin(offsets)])
-    fan.setflags(write=False)
-    return fan
-
-
-# v @ _CROSS @ fan[:, k] is the 2D cross product of ray direction k with v.
+# v @ _CROSS @ _FAN[:, k] is the 2D cross product of ray direction k with v.
 _CROSS = np.array(((0.0, -1.0), (1.0, 0.0)))
 
 
-def rangefinder_scan(
-    state: RobotState, world: WorldModel2D, fov: float, n_rays: int, max_range: float
-) -> np.ndarray:
-    """Nearest obstacle distance along each ray of the fan, capped at max_range.
+def rangefinder_scan(state: RobotState, world: WorldModel2D) -> np.ndarray:
+    """Nearest obstacle distance along each ray of the fan, capped at MAX_RANGE.
 
     The obstacles (``world.geometry``, built once per world) are rotated into
     the robot frame, where the fan's directions are fixed, and every circle,
@@ -262,35 +242,32 @@ def rangefinder_scan(
     per-obstacle test in the world frame the ranges agree to rounding
     (within 1e-9 m), except on rays that graze an obstacle exactly.
     """
-    if n_rays < 1:
-        raise ValueError("n_rays must be >= 1")
     g = world.geometry
     n = g.n_circles
-    fan = _fan(fov, n_rays)
     c, s = math.cos(state.heading), math.sin(state.heading)
     rot = np.array(((c, -s), (s, c)))  # v @ rot: world-frame row vector v in the robot frame
-    ranges = np.full(n_rays, max_range)
+    ranges = np.full(N_RAYS, MAX_RANGE)
     if n:
         oc = g.starts[:n] - state.position
-        b = oc @ rot @ fan  # (circle, ray): the centre's projection on the ray
+        b = oc @ rot @ _FAN  # (circle, ray): the centre's projection on the ray
         q = (oc * oc).sum(axis=1) - g.radii[:n] ** 2
         disc = b * b - q[:, None]
         root = np.sqrt(np.maximum(disc, 0.0))
         t_near = b - root
         t = np.where(t_near > 0, t_near, b + root)  # from inside, the far crossing
-        np.minimum.reduce(t, axis=0, out=ranges, where=(disc >= 0) & (t > 0), initial=max_range)
+        np.minimum.reduce(t, axis=0, out=ranges, where=(disc >= 0) & (t > 0), initial=MAX_RANGE)
     if len(g.radii) > n:
         ao = g.starts[n:] - state.position
         e = g.edges[n:]
         # (segment, ray) cross products d x e, ao x e and ao x d
-        d_x_e = e @ rot @ _CROSS @ fan
+        d_x_e = e @ rot @ _CROSS @ _FAN
         ao_x_e = (e @ _CROSS * ao).sum(axis=1)[:, None]
-        ao_x_d = -(ao @ rot @ _CROSS @ fan)
+        ao_x_d = -(ao @ rot @ _CROSS @ _FAN)
         with np.errstate(divide="ignore", invalid="ignore"):
             t = ao_x_e / d_x_e
             u = ao_x_d / d_x_e
         hit = (np.abs(d_x_e) > 1e-12) & (t > 0) & (u >= 0.0) & (u <= 1.0)
-        np.minimum(ranges, np.minimum.reduce(t, axis=0, where=hit, initial=max_range), out=ranges)
+        np.minimum(ranges, np.minimum.reduce(t, axis=0, where=hit, initial=MAX_RANGE), out=ranges)
     return ranges
 
 
@@ -314,22 +291,16 @@ def clearance(world: WorldModel2D, point: np.ndarray) -> float:
 # Control
 # ---------------------------------------------------------------------------
 
-def apf_step(
-    state: RobotState,
-    scan: np.ndarray,
-    world: WorldModel2D,
-    cfg: ApfConfig = ApfConfig(),
-    scan_cfg: ScanConfig = ScanConfig(),
-) -> tuple[float, float]:
+def apf_step(state: RobotState, scan: np.ndarray, world: WorldModel2D) -> tuple[float, float]:
     """One potential-field control step: returns (v, omega).
 
-    The force sums a unit attraction toward the target with repulsions of
-    magnitude repulse_gain * max(0, 1/r - 1/repulse_range) pointing back
-    along each in-range ray. It is summed in the robot frame, over the same
-    fan as :func:`rangefinder_scan`; against a world-frame sum only the
-    rounding differs (episodes keep their outcome and step count, final
-    poses agree within 1e-8 m). omega is proportional to the force bearing;
-    v saturates at v_max, scales with the nearest scan range inside d_safe,
+    The force sums an attraction of magnitude ATTRACT_GAIN toward the target
+    with repulsions of magnitude REPULSE_GAIN * max(0, 1/r - 1/REPULSE_RANGE)
+    pointing back along each in-range ray. It is summed in the robot frame,
+    over the same fan as :func:`rangefinder_scan`; against a world-frame sum
+    only the rounding differs (episodes keep their outcome and step count,
+    final poses agree within 1e-8 m). omega is proportional to the force bearing;
+    v saturates at V_MAX, scales with the nearest scan range inside D_SAFE,
     and is zero while the bearing exceeds 90 degrees.
     """
     x, y = state.position.tolist()
@@ -337,15 +308,15 @@ def apf_step(
     dx, dy = tx - x, ty - y
     dist = math.hypot(dx, dy)
     c, s = math.cos(state.heading), math.sin(state.heading)
-    ax, ay = (0.0, 0.0) if dist == 0 else (cfg.attract_gain * dx / dist, cfg.attract_gain * dy / dist)
-    mag = np.maximum(1.0 / scan - 1.0 / cfg.repulse_range, 0.0) * cfg.repulse_gain
-    rx, ry = (_fan(scan_cfg.fov, len(scan)) @ mag).tolist()
+    ax, ay = (0.0, 0.0) if dist == 0 else (ATTRACT_GAIN * dx / dist, ATTRACT_GAIN * dy / dist)
+    mag = np.maximum(1.0 / scan - 1.0 / REPULSE_RANGE, 0.0) * REPULSE_GAIN
+    rx, ry = (_FAN @ mag).tolist()
     fx = c * ax + s * ay - rx
     fy = c * ay - s * ax - ry
     err = 0.0 if fx == 0.0 and fy == 0.0 else wrap_angle(math.atan2(fy, fx))  # balanced: hold heading
-    omega = cfg.omega_gain * err
+    omega = OMEGA_GAIN * err
     d_min = float(scan.min())
-    v = 0.0 if abs(err) > math.pi / 2 else cfg.v_max * min(1.0, d_min / cfg.d_safe)
+    v = 0.0 if abs(err) > math.pi / 2 else V_MAX * min(1.0, d_min / D_SAFE)
     return v, omega
 
 
@@ -356,12 +327,7 @@ def _goal_reached(world: WorldModel2D, state: RobotState) -> bool:
 
 
 def run_navigation(
-    world: WorldModel2D,
-    start: RobotState,
-    cfg: ApfConfig = ApfConfig(),
-    max_steps: int = 4000,
-    robot_radius: float = 0.4,
-    scan_cfg: ScanConfig = ScanConfig(),
+    world: WorldModel2D, start: RobotState, max_steps: int = MAX_STEPS, robot_radius: float = ROBOT_RADIUS
 ) -> Trajectory:
     """Integrate the controller until the goal, a collision, or the step limit.
 
@@ -384,13 +350,13 @@ def run_navigation(
         if _goal_reached(world, state):
             outcome = "reached"
             break
-        scan = rangefinder_scan(state, world, scan_cfg.fov, scan_cfg.n_rays, scan_cfg.max_range)
-        v, omega = apf_step(state, scan, world, cfg, scan_cfg)
-        ticks_l, ticks_r = ticks_for_motion(state, v, omega, cfg.dt)
+        scan = rangefinder_scan(state, world)
+        v, omega = apf_step(state, scan, world)
+        ticks_l, ticks_r = ticks_for_motion(v, omega, DT)
         state = odometry_update(state, ticks_l, ticks_r)
         clear = clearance(world, state.position)
         min_clear = min(min_clear, clear)
-        times.append(step * cfg.dt)
+        times.append(step * DT)
         poses.append((*state.position.tolist(), state.heading))
         commands.append((v, omega))
         d_mins.append(float(scan.min()))
@@ -443,7 +409,7 @@ def load_world(path: Path) -> WorldModel2D:
     entries = scene_io.read_records(path, _world_entry)
     last = dict(entries)
     if "target" not in last:
-        raise ValueError(f"{path}: world file declares no target")
+        raise scene_io.SceneValidationError(f"{path}: world file declares no target")
     obstacles = [value for kind, value in entries if kind in ("circle", "segment")]
     try:
         return WorldModel2D(obstacles, last["target"], last.get("goal_radius", 0.3))
@@ -506,29 +472,23 @@ SCENARIOS = {
 }
 
 
-def sample_clear_world(
-    seed: int,
-    robot_radius: float = 0.4,
-    cfg: ApfConfig = ApfConfig(),
-    n_obstacles: int = 3,
-) -> tuple[WorldModel2D, RobotState]:
-    """Random circle field with every passage at least 2*(robot_radius + d_safe) wide.
+def sample_clear_world(seed: int) -> tuple[WorldModel2D, RobotState]:
+    """Random circle field with every passage at least 2*(ROBOT_RADIUS + D_SAFE) wide.
 
     Start is the origin heading +x; the target sits 7-8 m away. Circles are
     drawn one candidate at a time, and a candidate is kept only when it
     keeps the stated clearance margin from the start, the target and every
     circle kept before it, which is the precondition under which the
-    controller is expected to stay collision-free. Drawing stops at
-    ``n_obstacles`` circles or after 500 candidates, so a world may hold
-    fewer than ``n_obstacles`` circles.
+    controller is expected to stay collision-free. Drawing stops at three
+    circles or after 500 candidates, so a world may hold fewer than three.
     """
     rng = np.random.default_rng(seed)
-    margin = 2.0 * (robot_radius + cfg.d_safe)
+    margin = 2.0 * (ROBOT_RADIUS + D_SAFE)
     tx, ty = rng.uniform(7.0, 8.0), rng.uniform(-1.0, 1.0)
     kept: list[tuple[float, float, float]] = []
     attempts = 0
     # math.hypot on Python floats: np.linalg.norm on a 2-vector costs about 20 times as much
-    while len(kept) < n_obstacles and attempts < 500:
+    while len(kept) < 3 and attempts < 500:
         attempts += 1
         cx, cy = rng.uniform(1.5, 6.0), rng.uniform(-2.0, 2.0)
         r = rng.uniform(0.25, 0.45)

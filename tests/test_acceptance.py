@@ -261,16 +261,16 @@ def test_criterion_9_absolute_numbers_documented():
 def test_criterion_10_navigation():
     """Scenario fixtures and 100 clear random worlds all reach the goal safely."""
     with criterion(10, "navigation"):
-        robot_radius = 0.4
+        robot_radius = navsim.ROBOT_RADIUS
         for name, make in navsim.SCENARIOS.items():
             world, start = make()
-            traj = navsim.run_navigation(world, start, robot_radius=robot_radius)
+            traj = navsim.run_navigation(world, start)
             assert traj.outcome == "reached", f"scenario {name}: {traj.outcome}"
             assert traj.min_clearance > robot_radius, f"scenario {name}: clearance {traj.min_clearance}"
         reached = 0
         for seed in range(100):
-            world, start = navsim.sample_clear_world(seed, robot_radius=robot_radius)
-            traj = navsim.run_navigation(world, start, robot_radius=robot_radius)
+            world, start = navsim.sample_clear_world(seed)
+            traj = navsim.run_navigation(world, start)
             assert traj.outcome == "reached", f"seed {seed}: {traj.outcome}"
             assert traj.min_clearance > robot_radius, f"seed {seed}: clearance {traj.min_clearance}"
             reached += 1
@@ -283,7 +283,7 @@ def test_criterion_10_navigation():
             dt = float(rng.uniform(0.01, 0.2))
             theta = float(rng.uniform(-math.pi, math.pi))
             s0 = navsim.RobotState(rng.uniform(-3, 3, 2), theta)
-            tl, tr = navsim.ticks_for_motion(s0, v, omega, dt)
+            tl, tr = navsim.ticks_for_motion(v, omega, dt)
             s1 = navsim.odometry_update(s0, tl, tr)
             x, y, th = unicycle_arc(s0.position[0], s0.position[1], theta, v, omega, dt)
             assert abs(s1.position[0] - x) < 1e-9

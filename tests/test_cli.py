@@ -487,6 +487,7 @@ class TestNavsim:
         code, stdout, _ = run_cli(capsys, "navsim", str(out), "--world", str(world))
         assert code == 0
         assert "outcome: reached" in stdout
+        assert out.read_text().splitlines()[2].startswith("0,0,0,0,")  # no --start: the origin, heading +x
 
     def test_missing_world_file_one_line_error(self, capsys, tmp_path):
         world = tmp_path / "absent.txt"
@@ -525,6 +526,15 @@ class TestNavsim:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("scenario", [["--scenario", "open"], []], ids=["scenario", "default"])
+    def test_start_without_world_usage_error(self, capsys, tmp_path, scenario):
+        # a fixture brings its own start pose: --start would be ignored
+        out = tmp_path / "t.csv"
+        code, _, err = run_cli(capsys, "navsim", str(out), *scenario, "--start", "5", "5", "1")
+        assert code == 2
+        assert err == "rgbdnav navsim: --start needs --world\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [
@@ -544,6 +554,7 @@ class TestNavsim:
 
 class TestDefaults:
     def test_flag_defaults_match_named_constants(self):
+        from rgbdnav import navsim
         from rgbdnav.types import PipelineConfig
 
         args = build_parser().parse_args(["detect", "scene", "out"])
@@ -551,6 +562,8 @@ class TestDefaults:
         assert (args.tau, args.kernel_size, args.merge_threshold) == (
             defaults.tau, defaults.kernel_size, defaults.merge_threshold
         )
+        args = build_parser().parse_args(["navsim", "t.csv"])
+        assert (args.max_steps, args.robot_radius) == (navsim.MAX_STEPS, navsim.ROBOT_RADIUS)
 
     def test_option_strings_are_pinned(self):
         # every flag each subcommand takes: a new knob has to show up as an edit to this list

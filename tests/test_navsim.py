@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 
 from rgbdnav import navsim
 from rgbdnav.navsim import (
-    ApfConfig,
+    D_SAFE,
+    FOV,
+    MAX_RANGE,
+    N_RAYS,
+    RAY_OFFSETS,
+    V_MAX,
     Circle,
     RobotState,
-    ScanConfig,
     Segment,
     WorldModel2D,
     apf_step,
@@ -27,6 +31,7 @@ from rgbdnav.navsim import (
     ticks_for_motion,
     wrap_angle,
 )
+from rgbdnav.scene_io import SceneValidationError
 from rgbdnav.types import Box3D
 
 from conftest import unicycle_arc
@@ -70,17 +75,17 @@ def _ray_segment(origin, dirs, seg):
     return out
 
 
-def rangefinder_scan_reference(state, world, fov, n_rays, max_range):
-    angles = state.heading + navsim.ray_offsets(fov, n_rays)
+def rangefinder_scan_reference(state, world):
+    angles = state.heading + np.linspace(-FOV / 2, FOV / 2, N_RAYS)
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    ranges = np.full(n_rays, max_range)
+    ranges = np.full(N_RAYS, MAX_RANGE)
     for obs in world.obstacles:
         if isinstance(obs, Circle):
             t = _ray_circle(state.position, dirs, obs)
         else:
             t = _ray_segment(state.position, dirs, obs)
         ranges = np.minimum(ranges, t)
-    return np.minimum(ranges, max_range)
+    return np.minimum(ranges, MAX_RANGE)
 
 
 def point_obstacle_distance(point, obs):
@@ -102,7 +107,7 @@ def clearance_reference(world, point):
 
 @st.composite
 def scan_cases(draw):
-    """A random world, pose and fan. The structure comes from Hypothesis; the
+    """A random world and pose. The structure comes from Hypothesis; the
     coordinates come from a seeded generator, so no ray grazes an obstacle
     exactly (where a hit flips to a miss under a rounding difference)."""
     kind = draw(st.sampled_from(["circles", "segments", "both", "empty"]))
@@ -110,8 +115,6 @@ def scan_cases(draw):
     n_segments = draw(st.integers(1, 4)) if kind in ("segments", "both") else 0
     zero_length = n_segments > 0 and draw(st.booleans())
     near_circle = n_circles > 0 and draw(st.booleans())
-    n_rays = draw(st.one_of(st.just(1), st.integers(2, 91)))
-    fov = draw(st.floats(0.05, 2 * math.pi))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     obstacles = [Circle(rng.uniform(-4, 4, 2), float(rng.uniform(0.1, 1.0))) for _ in range(n_circles)]
     for k in range(n_segments):
@@ -123,7 +126,7 @@ def scan_cases(draw):
     if near_circle:  # within 1.5 radii of a circle's centre, so often inside it
         xy = obstacles[0].center + obstacles[0].radius * rng.uniform(-1.5, 1.5, 2)
     state = _state(*xy, float(rng.uniform(-10, 10)))
-    return world, state, fov, n_rays, float(rng.uniform(0.5, 10.0))
+    return world, state
 
 
 class TestOdometry:
@@ -144,8 +147,8 @@ class TestOdometry:
         # right wheel travels pi*b/2 while the left stands still: quarter
         # circle of radius b/2 around the left wheel
         s0 = _state()
-        b = s0.wheel_base
-        ticks = (math.pi * b / 2) * s0.tick_per_rev / (2 * math.pi * s0.wheel_radius)
+        b = navsim.WHEEL_BASE
+        ticks = (math.pi * b / 2) * navsim.TICKS_PER_REV / (2 * math.pi * navsim.WHEEL_RADIUS)
         s1 = odometry_update(s0, 0.0, ticks)
         assert s1.heading == pytest.approx(math.pi / 2, abs=1e-12)
         assert s1.position[0] == pytest.approx(b / 2, abs=1e-12)
@@ -161,46 +164,46 @@ class TestOdometry:
     )
     def test_matches_analytic_unicycle_arc(self, v, omega, theta, dt):
         s0 = _state(1.0, -2.0, theta)
-        tl, tr = ticks_for_motion(s0, v, omega, dt)
+        tl, tr = ticks_for_motion(v, omega, dt)
         s1 = odometry_update(s0, tl, tr)
         x, y, th = unicycle_arc(1.0, -2.0, theta, v, omega, dt)
         assert abs(s1.position[0] - x) < 1e-9
         assert abs(s1.position[1] - y) < 1e-9
         assert abs(s1.heading - th) < 1e-9
 
-    def test_invalid_state_rejected(self):
-        with pytest.raises(ValueError):
-            RobotState(np.zeros(2), 0.0, wheel_radius=0.0)
+
+CENTRE = N_RAYS // 2  # the ray along the heading
 
 
 class TestRangefinder:
     def test_empty_world_all_max_range(self):
         world = WorldModel2D([], np.array([5.0, 0.0]))
-        scan = rangefinder_scan(_state(), world, math.pi, 9, 4.0)
-        assert np.all(scan == 4.0)
+        scan = rangefinder_scan(_state(), world)
+        assert np.all(scan == MAX_RANGE)
 
     def test_wall_one_meter_ahead(self):
         world = WorldModel2D([Segment((1.0, -5.0), (1.0, 5.0))], np.array([0.5, 3.0]))
-        scan = rangefinder_scan(_state(), world, math.pi / 2, 5, 4.0)
-        assert scan[2] == pytest.approx(1.0)  # center ray
-        assert scan[0] > 1.0  # oblique rays hit farther along the wall
+        scan = rangefinder_scan(_state(), world)
+        assert scan[CENTRE] == pytest.approx(1.0)
+        assert scan[CENTRE + 5] > 1.0  # oblique rays hit farther along the wall
 
     def test_circle_offset_left_shortens_left_rays(self):
         world = WorldModel2D([Circle((1.5, 0.8), 0.4)], np.array([5.0, -3.0]))
-        scan = rangefinder_scan(_state(), world, math.pi, 31, 6.0)
-        left = scan[16:]   # positive angle offsets
-        right = scan[:15]
+        scan = rangefinder_scan(_state(), world)
+        left = scan[CENTRE + 1:]  # positive angle offsets
+        right = scan[:CENTRE]
         assert left.min() < right.min()
 
     def test_ray_circle_analytic_distance(self):
         world = WorldModel2D([Circle((2.0, 0.0), 0.5)], np.array([5.0, 3.0]))
-        scan = rangefinder_scan(_state(), world, math.pi / 4, 3, 10.0)
-        assert scan[1] == pytest.approx(1.5, abs=1e-9)
+        scan = rangefinder_scan(_state(), world)
+        assert scan[CENTRE] == pytest.approx(1.5, abs=1e-9)
 
     def test_single_ray_points_forward(self):
+        # the centre ray follows the heading, here +y
         world = WorldModel2D([Circle((0.0, 2.0), 0.5)], np.array([5.0, -3.0]))
-        scan = rangefinder_scan(_state(heading=math.pi / 2), world, math.pi, 1, 10.0)
-        assert scan[0] == pytest.approx(1.5, abs=1e-9)
+        scan = rangefinder_scan(_state(heading=math.pi / 2), world)
+        assert scan[CENTRE] == pytest.approx(1.5, abs=1e-9)
 
     def test_scan_soundness_against_marching_oracle(self):
         # each range must touch an obstacle boundary (or max_range) and the
@@ -216,14 +219,12 @@ class TestRangefinder:
             )
             if clearance(world, state.position) <= 0.01:
                 continue
-            n_rays, max_range = 15, 5.0
-            scan = rangefinder_scan(state, world, math.pi, n_rays, max_range)
-            offsets = navsim.ray_offsets(math.pi, n_rays)
-            for k in range(n_rays):
-                ang = state.heading + offsets[k]
+            scan = rangefinder_scan(state, world)
+            for k in range(N_RAYS):
+                ang = state.heading + RAY_OFFSETS[k]
                 direction = np.array([math.cos(ang), math.sin(ang)])
                 hit = state.position + scan[k] * direction
-                if scan[k] < max_range:
+                if scan[k] < MAX_RANGE:
                     assert abs(clearance(world, hit)) < 1e-9
                 for t in np.arange(0.005, scan[k] - 1e-6, 0.005):
                     assert clearance(world, state.position + t * direction) > -1e-9
@@ -232,15 +233,15 @@ class TestRangefinder:
 class TestAgainstReference:
     @given(scan_cases())
     def test_scan_matches_per_obstacle_reference(self, case):
-        world, state, fov, n_rays, max_range = case
-        scan = rangefinder_scan(state, world, fov, n_rays, max_range)
-        want = rangefinder_scan_reference(state, world, fov, n_rays, max_range)
-        assert scan.shape == want.shape == (n_rays,)
+        world, state = case
+        scan = rangefinder_scan(state, world)
+        want = rangefinder_scan_reference(state, world)
+        assert scan.shape == want.shape == (N_RAYS,)
         assert np.max(np.abs(scan - want)) <= 1e-9
 
     @given(scan_cases())
     def test_clearance_matches_per_obstacle_reference(self, case):
-        world, state, *_ = case
+        world, state = case
         segment_ends = [o.a for o in world.obstacles if isinstance(o, Segment)]
         for point in (state.position, world.target, *segment_ends):
             got, want = clearance(world, point), clearance_reference(world, point)
@@ -249,71 +250,67 @@ class TestAgainstReference:
     def test_zero_length_segment_is_a_point(self):
         world = WorldModel2D([Segment((1.0, 0.0), (1.0, 0.0))], np.array([5.0, 5.0]))
         assert clearance(world, np.array([1.0, 2.0])) == pytest.approx(2.0, abs=1e-12)
-        scan = rangefinder_scan(_state(), world, math.pi, 9, 4.0)
-        assert np.array_equal(scan, rangefinder_scan_reference(_state(), world, math.pi, 9, 4.0))
+        scan = rangefinder_scan(_state(), world)
+        assert np.array_equal(scan, rangefinder_scan_reference(_state(), world))
 
 
 class TestApfStep:
     def test_target_ahead_empty_world(self):
         world = WorldModel2D([], np.array([3.0, 0.0]))
-        cfg = ApfConfig()
-        scan = np.full(61, 4.0)
-        v, omega = apf_step(_state(), scan, world, cfg)
+        scan = np.full(N_RAYS, MAX_RANGE)
+        v, omega = apf_step(_state(), scan, world)
         assert omega == 0.0
-        assert v == cfg.v_max
+        assert v == V_MAX
 
     def test_target_behind_gates_velocity(self):
         world = WorldModel2D([], np.array([-3.0, 0.0]))
-        cfg = ApfConfig()
-        scan = np.full(61, 4.0)
-        v, omega = apf_step(_state(), scan, world, cfg)
+        scan = np.full(N_RAYS, MAX_RANGE)
+        v, omega = apf_step(_state(), scan, world)
         assert v == 0.0
         assert abs(omega) > 0.0
 
     def test_obstacle_at_half_safe_distance_halves_speed(self):
-        # symmetric setup: obstacle dead ahead, target beyond it, attraction
-        # strong enough to keep the force forward -> v = v_max/2 exactly and
-        # the lateral repulsion components cancel
-        cfg = ApfConfig(attract_gain=8.0)
-        world = WorldModel2D([Circle((cfg.d_safe / 2 + 0.3, 0.0), 0.3)], np.array([5.0, 0.0]))
-        scan_cfg = ScanConfig()
+        # symmetric setup: two circles behind the robot's flanks, nearest
+        # surface D_SAFE/2 away along the rays at +-117 degrees, target ahead.
+        # Their repulsions push forward and their lateral parts cancel, so the
+        # force points along the heading -> omega = 0 and v = V_MAX/2
+        bearing, dist = float(RAY_OFFSETS[-5]), D_SAFE / 2 + 0.3
+        circles = [Circle((dist * math.cos(b), dist * math.sin(b)), 0.3) for b in (bearing, -bearing)]
+        world = WorldModel2D(circles, np.array([5.0, 0.0]))
         state = _state()
-        scan = rangefinder_scan(state, world, scan_cfg.fov, scan_cfg.n_rays, scan_cfg.max_range)
-        assert scan.min() == pytest.approx(cfg.d_safe / 2)
-        v, omega = apf_step(state, scan, world, cfg, scan_cfg)
-        assert abs(omega) < 1e-9
-        assert v == pytest.approx(cfg.v_max / 2)
+        scan = rangefinder_scan(state, world)
+        assert scan.min() == pytest.approx(D_SAFE / 2)
+        v, omega = apf_step(state, scan, world)
+        assert omega == 0.0
+        assert abs(v - V_MAX / 2) <= 1e-15
 
     def test_repulsion_pushes_away_from_side_obstacle(self):
-        cfg = ApfConfig()
         world = WorldModel2D([Circle((1.0, 0.6), 0.3)], np.array([5.0, 0.0]))
-        scan_cfg = ScanConfig()
         state = _state()
-        scan = rangefinder_scan(state, world, scan_cfg.fov, scan_cfg.n_rays, scan_cfg.max_range)
-        _, omega = apf_step(state, scan, world, cfg, scan_cfg)
+        scan = rangefinder_scan(state, world)
+        _, omega = apf_step(state, scan, world)
         assert omega < 0.0  # obstacle on the left pushes the heading right
 
     def test_speed_non_decreasing_in_clearance(self):
-        cfg = ApfConfig()
         world = WorldModel2D([], np.array([10.0, 0.0]))
         speeds = []
         for d in (0.1, 0.3, 0.5, 0.7, 0.79):
-            scan = np.full(61, d)
-            v, _ = apf_step(_state(), scan, world, cfg)
+            scan = np.full(N_RAYS, d)
+            v, _ = apf_step(_state(), scan, world)
             speeds.append(v)
-            assert 0.0 <= v <= cfg.v_max
+            assert 0.0 <= v <= V_MAX
         assert speeds == sorted(speeds)
 
 
-def sample_clear_world_reference(seed, robot_radius=0.4, cfg=ApfConfig(), n_obstacles=3):
+def sample_clear_world_reference(seed, robot_radius):
     """The draw as first written, with np.linalg.norm on 2-vectors: same rng draws, same order."""
     rng = np.random.default_rng(seed)
-    margin = 2.0 * (robot_radius + cfg.d_safe)
+    margin = 2.0 * (robot_radius + D_SAFE)
     start = np.zeros(2)
     target = np.array([rng.uniform(7.0, 8.0), rng.uniform(-1.0, 1.0)])
     circles = []
     attempts = 0
-    while len(circles) < n_obstacles and attempts < 500:
+    while len(circles) < 3 and attempts < 500:
         attempts += 1
         c = np.array([rng.uniform(1.5, 6.0), rng.uniform(-2.0, 2.0)])
         r = rng.uniform(0.25, 0.45)
@@ -329,11 +326,12 @@ class TestSampleClearWorld:
     # seeds 0-199, and the SeedSequence([seed, j]) seeds a benchmark run at seeds 0-3 samples its worlds from
     SEEDS = list(range(200)) + [int(np.random.SeedSequence([s, j]).generate_state(1)[0]) for s in range(4) for j in range(30)]
 
-    @pytest.mark.parametrize("robot_radius", [0.3, 0.4])
+    # the radius sample_clear_world keeps its passages clear for
+    @pytest.mark.parametrize("robot_radius", [navsim.ROBOT_RADIUS])
     def test_matches_norm_reference(self, tmp_path, robot_radius):
         for seed in self.SEEDS:
             (world, start), (want, want_start) = (
-                sample_clear_world(seed, robot_radius), sample_clear_world_reference(seed, robot_radius)
+                sample_clear_world(seed), sample_clear_world_reference(seed, robot_radius)
             )
             save_world(world, tmp_path / "got.txt")
             save_world(want, tmp_path / "want.txt")
@@ -456,24 +454,16 @@ class TestNonFiniteRejected:
             lambda: Circle((NAN, 0.6), 0.3),
             lambda: Circle((INF, 0.6), 0.3),
             lambda: Segment((0.0, 0.0), (NAN, 1.0)),
-            lambda: RobotState(np.array([0.0, 0.0]), 0.0, wheel_radius=NAN),
-            lambda: RobotState(np.array([0.0, 0.0]), 0.0, wheel_base=NAN),
             lambda: RobotState(np.array([NAN, 0.0]), 0.0),
             lambda: RobotState(np.array([0.0, 0.0]), NAN),
             lambda: WorldModel2D([], np.array([1.0, 0.0]), goal_radius=NAN),
             lambda: WorldModel2D([], np.array([1.0, INF])),
-            lambda: ApfConfig(dt=NAN),
-            lambda: ApfConfig(v_max=NAN),
-            lambda: ScanConfig(max_range=NAN),
-            lambda: ScanConfig(fov=NAN),
             lambda: run_navigation(WorldModel2D([], np.array([1.0, 0.0])), _state(), max_steps=NAN),
             lambda: run_navigation(WorldModel2D([], np.array([1.0, 0.0])), _state(), robot_radius=NAN),
         ],
         ids=[
             "circle_radius_nan", "circle_radius_zero", "circle_centre_nan", "circle_centre_inf", "segment_nan",
-            "wheel_radius_nan", "wheel_base_nan", "start_nan", "heading_nan", "goal_radius_nan", "target_inf",
-            "apf_dt_nan", "apf_v_max_nan", "scan_max_range_nan", "scan_fov_nan", "max_steps_nan",
-            "robot_radius_nan",
+            "start_nan", "heading_nan", "goal_radius_nan", "target_inf", "max_steps_nan", "robot_radius_nan",
         ],
     )
     def test_rejected(self, build):
@@ -524,7 +514,7 @@ class TestWorldFiles:
 
     def test_missing_target_rejected(self, tmp_path):
         (tmp_path / "w.txt").write_text("circle 0 0 1\n")
-        with pytest.raises(ValueError, match="target"):
+        with pytest.raises(SceneValidationError, match="declares no target"):
             load_world(tmp_path / "w.txt")
 
     def test_trajectory_export(self, tmp_path):
