@@ -7,6 +7,13 @@ attraction. Steering is proportional to the force direction in the robot
 frame; linear speed saturates with the clearance to the nearest obstacle
 and gates to zero when the force points more than 90 degrees off heading.
 
+A step costs a few tens of microseconds, so its hot loops run in Python
+floats: the scan casts each circle only at the few rays of its angular
+window, and the controller sums repulsion only over the rays that repel.
+Trajectories match the earlier all-rays numpy version to rounding: over the
+132 benchmark episodes of seeds 0-3, 110 of 38,255 CSV rows differ, all in
+omega and by at most 1e-10 rad/s.
+
 The platform is fixed: the drivetrain, the controller's gains and limits,
 and the rangefinder fan (61 rays over 270 degrees, 4 m range) are module
 constants. Only the step limit and the robot radius are arguments of
@@ -33,6 +40,8 @@ WHEEL_BASE = 0.60
 TICKS_PER_REV = 4096
 
 # Potential-field gains and limits (see apf_step), and the control period in seconds.
+# D_SAFE must stay below REPULSE_RANGE: apf_step finds the nearest range among
+# the rays that repel.
 REPULSE_GAIN = 0.12
 REPULSE_RANGE = 1.5
 ATTRACT_GAIN = 1.0
@@ -55,8 +64,12 @@ MAX_STEPS = 4000
 def _finite_point(xy, name: str) -> np.ndarray:
     """A ground-plane point as a read-only float64 2-vector copy; a NaN or
     infinite coordinate raises ValueError."""
-    p = np.array(xy, dtype=np.float64).reshape(2)
-    x, y = p.tolist()
+    if type(xy) is tuple and len(xy) == 2 and type(xy[0]) is float and type(xy[1]) is float:
+        x, y = xy  # odometry_update's pose: checked as floats, one array built
+        p = np.array(xy)
+    else:
+        p = np.array(xy, dtype=np.float64).reshape(2)
+        x, y = p.tolist()
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"{name} must be finite, got ({x}, {y})")
     p.setflags(write=False)
@@ -101,19 +114,20 @@ class RobotState:
 
 
 class ObstacleArrays(NamedTuple):
-    """A world's obstacles as arrays, circles first, then segments.
+    """A world's obstacles as Python floats, plus its segments as arrays.
 
-    Row i of ``starts``/``edges``/``radii`` is the set of points within
-    ``radii[i]`` of the segment ``starts[i] + [0, 1] * edges[i]``: a circle
-    is a zero-length edge, a segment has radius 0. ``rows`` holds the same
-    numbers as Python floats, one tuple per obstacle, with 1 / |edge|^2
-    (0 for a zero-length edge) before the radius: over a few rows, a loop
-    of float arithmetic costs less than a dozen numpy calls.
+    ``rows`` holds one tuple per obstacle, circles first, then segments: the
+    obstacle is the set of points within ``radius`` of the segment from
+    (sx, sy) to (sx + ex, sy + ey), so a circle is a zero-length edge and a
+    segment has radius 0, and 1 / |edge|^2 (0 for a zero-length edge) comes
+    before the radius. Over a few rows, a loop of float arithmetic costs
+    less than a dozen numpy calls. ``starts`` and ``edges`` hold the
+    segments' rows again as arrays, for :func:`rangefinder_scan`'s one
+    broadcast over segments and rays.
     """
 
-    starts: np.ndarray  # (n, 2) circle centres, then segment starts
-    edges: np.ndarray  # (n, 2) zero for circles, b - a for segments
-    radii: np.ndarray  # (n,) circle radius, 0 for segments
+    starts: np.ndarray  # (m, 2) segment starts a
+    edges: np.ndarray  # (m, 2) segment edges b - a
     n_circles: int
     rows: tuple[tuple[float, float, float, float, float, float], ...]  # (sx, sy, ex, ey, inv_len2, radius)
 
@@ -143,15 +157,15 @@ class WorldModel2D:
         """The obstacles as arrays, built once per world."""
         circles = [o for o in self.obstacles if isinstance(o, Circle)]
         segments = [o for o in self.obstacles if isinstance(o, Segment)]
-        starts = np.array([c.center for c in circles] + [seg.a for seg in segments]).reshape(-1, 2)
-        edges = np.array([np.zeros(2) for _ in circles] + [seg.b - seg.a for seg in segments]).reshape(-1, 2)
-        len2 = (edges * edges).sum(axis=1)
-        inv_len2 = np.divide(1.0, len2, out=np.zeros_like(len2), where=len2 > 0)
-        radii = np.array([c.radius for c in circles] + [0.0] * len(segments))
-        for a in (starts, edges, radii):
+        starts = np.array([seg.a for seg in segments]).reshape(-1, 2)
+        edges = np.array([seg.b - seg.a for seg in segments]).reshape(-1, 2)
+        for a in (starts, edges):
             a.setflags(write=False)
-        rows = tuple(map(tuple, np.column_stack([starts, edges, inv_len2, radii]).tolist()))
-        return ObstacleArrays(starts, edges, radii, len(circles), rows)
+        rows = [(*c.center.tolist(), 0.0, 0.0, 0.0, float(c.radius)) for c in circles]
+        for (sx, sy), (ex, ey) in zip(starts.tolist(), edges.tolist()):
+            len2 = ex * ex + ey * ey
+            rows.append((sx, sy, ex, ey, 1.0 / len2 if len2 > 0 else 0.0, 0.0))
+        return ObstacleArrays(starts, edges, len(circles), tuple(rows))
 
 
 @dataclass
@@ -221,44 +235,83 @@ def ticks_for_motion(v: float, omega: float, dt: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 # Ray angles relative to the heading, and the unit ray directions in the
-# robot frame, shape (2, N_RAYS): rows cos, sin. Both are read-only.
+# robot frame, shape (2, N_RAYS): rows cos, sin. Both are read-only. _COS and
+# _SIN hold the same directions as Python floats, and _RAY_STEP is the angle
+# between neighbouring rays.
 RAY_OFFSETS = np.linspace(-FOV / 2.0, FOV / 2.0, N_RAYS)
 _FAN = np.stack([np.cos(RAY_OFFSETS), np.sin(RAY_OFFSETS)])
 RAY_OFFSETS.setflags(write=False)
 _FAN.setflags(write=False)
+_COS, _SIN = (tuple(row) for row in _FAN.tolist())
+_RAY_STEP = FOV / (N_RAYS - 1)
 
 
 # v @ _CROSS @ _FAN[:, k] is the 2D cross product of ray direction k with v.
 _CROSS = np.array(((0.0, -1.0), (1.0, 0.0)))
 
 
+def _circle_rays(bx: float, by: float, d2: float, radius: float) -> range:
+    """The rays that can hit a circle whose centre sits at (bx, by) in the
+    robot frame, d2 = bx^2 + by^2 away squared.
+
+    Seen from outside, the circle spans the bearings within asin(r / d) of
+    its centre's; those rays, and one more on each side to absorb rounding,
+    are cast. From inside or on the circle (d2 <= r^2), or when that window
+    crosses the back of the robot (bearing +-pi, in the fan's blind wedge),
+    the whole fan is.
+    """
+    if d2 <= radius * radius:
+        return range(N_RAYS)
+    d = math.sqrt(d2)
+    bearing = math.atan2(by, bx)
+    half = math.asin(min(radius / d, 1.0))
+    lo, hi = bearing - half, bearing + half
+    if lo < -math.pi or hi > math.pi:
+        return range(N_RAYS)
+    first = max(math.ceil((lo + FOV / 2.0) / _RAY_STEP) - 1, 0)
+    last = min(math.floor((hi + FOV / 2.0) / _RAY_STEP) + 1, N_RAYS - 1)
+    return range(first, last + 1)
+
+
 def rangefinder_scan(state: RobotState, world: WorldModel2D) -> np.ndarray:
     """Nearest obstacle distance along each ray of the fan, capped at MAX_RANGE.
 
-    The obstacles (``world.geometry``, built once per world) are rotated into
-    the robot frame, where the fan's directions are fixed, and every circle,
-    then every segment, is ray-tested against the whole fan in one
-    broadcast. A hit distance does not change under rotation; against a
-    per-obstacle test in the world frame the ranges agree to rounding
-    (within 1e-9 m), except on rays that graze an obstacle exactly.
+    The obstacles (``world.geometry``, built once per world) are moved into
+    the robot frame, where the fan's directions are fixed. Each circle is
+    cast in Python floats, and only at the rays of its angular window
+    (:func:`_circle_rays`); a circle whose near surface lies at MAX_RANGE or
+    beyond is skipped, since no hit on it could shorten a range. The
+    segments are ray-tested against the whole fan in one broadcast. A hit
+    distance does not change under rotation; against a per-obstacle test in
+    the world frame the ranges agree to rounding (within 1e-9 m), except on
+    rays that graze an obstacle exactly.
     """
     g = world.geometry
-    n = g.n_circles
     c, s = math.cos(state.heading), math.sin(state.heading)
-    rot = np.array(((c, -s), (s, c)))  # v @ rot: world-frame row vector v in the robot frame
-    ranges = np.full(N_RAYS, MAX_RANGE)
-    if n:
-        oc = g.starts[:n] - state.position
-        b = oc @ rot @ _FAN  # (circle, ray): the centre's projection on the ray
-        q = (oc * oc).sum(axis=1) - g.radii[:n] ** 2
-        disc = b * b - q[:, None]
-        root = np.sqrt(np.maximum(disc, 0.0))
-        t_near = b - root
-        t = np.where(t_near > 0, t_near, b + root)  # from inside, the far crossing
-        np.minimum.reduce(t, axis=0, out=ranges, where=(disc >= 0) & (t > 0), initial=MAX_RANGE)
-    if len(g.radii) > n:
-        ao = g.starts[n:] - state.position
-        e = g.edges[n:]
+    x, y = state.position.tolist()
+    ranges = [MAX_RANGE] * N_RAYS
+    for cx, cy, _, _, _, radius in g.rows[:g.n_circles]:
+        dx, dy = cx - x, cy - y
+        d2 = dx * dx + dy * dy
+        if d2 >= (MAX_RANGE + radius) ** 2:
+            continue
+        q = d2 - radius * radius
+        bx, by = dx * c + dy * s, dy * c - dx * s  # the centre in the robot frame
+        for k in _circle_rays(bx, by, d2, radius):
+            b = bx * _COS[k] + by * _SIN[k]  # the centre's projection on ray k
+            disc = b * b - q
+            if disc >= 0.0:
+                root = math.sqrt(disc)
+                t = b - root
+                if t <= 0.0:
+                    t = b + root  # from inside, the far crossing
+                if 0.0 < t < ranges[k]:
+                    ranges[k] = t
+    ranges = np.array(ranges)
+    if len(g.starts):
+        rot = np.array(((c, -s), (s, c)))  # v @ rot: world-frame row vector v in the robot frame
+        ao = g.starts - state.position
+        e = g.edges
         # (segment, ray) cross products d x e, ao x e and ao x d
         d_x_e = e @ rot @ _CROSS @ _FAN
         ao_x_e = (e @ _CROSS * ao).sum(axis=1)[:, None]
@@ -295,13 +348,15 @@ def apf_step(state: RobotState, scan: np.ndarray, world: WorldModel2D) -> tuple[
     """One potential-field control step: returns (v, omega).
 
     The force sums an attraction of magnitude ATTRACT_GAIN toward the target
-    with repulsions of magnitude REPULSE_GAIN * max(0, 1/r - 1/REPULSE_RANGE)
-    pointing back along each in-range ray. It is summed in the robot frame,
-    over the same fan as :func:`rangefinder_scan`; against a world-frame sum
-    only the rounding differs (episodes keep their outcome and step count,
-    final poses agree within 1e-8 m). omega is proportional to the force bearing;
-    v saturates at V_MAX, scales with the nearest scan range inside D_SAFE,
-    and is zero while the bearing exceeds 90 degrees.
+    with repulsions of magnitude REPULSE_GAIN * (1/r - 1/REPULSE_RANGE)
+    pointing back along each ray nearer than REPULSE_RANGE; the other rays
+    add nothing and are skipped. It is summed in the robot frame, in Python
+    floats, over the same fan as :func:`rangefinder_scan`; against a
+    world-frame sum over every ray only the rounding differs (episodes keep
+    their outcome and step count, final poses agree within 1e-8 m). omega is
+    proportional to the force bearing; v saturates at V_MAX, scales with the
+    nearest scan range inside D_SAFE, and is zero while the bearing exceeds
+    90 degrees.
     """
     x, y = state.position.tolist()
     tx, ty = world.target.tolist()
@@ -309,13 +364,20 @@ def apf_step(state: RobotState, scan: np.ndarray, world: WorldModel2D) -> tuple[
     dist = math.hypot(dx, dy)
     c, s = math.cos(state.heading), math.sin(state.heading)
     ax, ay = (0.0, 0.0) if dist == 0 else (ATTRACT_GAIN * dx / dist, ATTRACT_GAIN * dy / dist)
-    mag = np.maximum(1.0 / scan - 1.0 / REPULSE_RANGE, 0.0) * REPULSE_GAIN
-    rx, ry = (_FAN @ mag).tolist()
+    rx = ry = 0.0
+    # D_SAFE < REPULSE_RANGE, so the nearest range matters for v only when some ray repels
+    d_min = math.inf
+    for k, r in enumerate(scan.tolist()):
+        if r < REPULSE_RANGE:
+            mag = (1.0 / r - 1.0 / REPULSE_RANGE) * REPULSE_GAIN
+            rx += _COS[k] * mag
+            ry += _SIN[k] * mag
+            if r < d_min:
+                d_min = r
     fx = c * ax + s * ay - rx
     fy = c * ay - s * ax - ry
     err = 0.0 if fx == 0.0 and fy == 0.0 else wrap_angle(math.atan2(fy, fx))  # balanced: hold heading
     omega = OMEGA_GAIN * err
-    d_min = float(scan.min())
     v = 0.0 if abs(err) > math.pi / 2 else V_MAX * min(1.0, d_min / D_SAFE)
     return v, omega
 

@@ -146,7 +146,10 @@ def _footprint(box: Box3D, pose: CameraPose, intrinsics: CameraIntrinsics) -> tu
 
 
 def render_depth(
-    boxes: list[LabeledBox], pose: CameraPose, intrinsics: CameraIntrinsics
+    boxes: list[LabeledBox],
+    pose: CameraPose,
+    intrinsics: CameraIntrinsics,
+    footprints: list[tuple[slice, slice]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-surface z-depth per pixel (0 = none) plus the instance-id raster.
 
@@ -159,6 +162,8 @@ def render_depth(
     scratch sized to the largest window, so a frame's memory traffic scales
     with the footprints, not the image. A box whose footprint misses the
     image, or that lies wholly behind the camera, is skipped.
+    ``footprints``, when given, holds each box's :func:`_footprint` for this
+    pose, so a caller that needs them too computes them once.
     """
     if not boxes:
         raise ValueError("render_depth needs at least one box")
@@ -166,11 +171,12 @@ def render_depth(
     origin = pose.translation
     depth = np.zeros((h, w))
     ids = np.zeros((h, w), dtype=np.uint8 if len(boxes) <= 255 else np.uint16)
-    windows = []
-    for i, lb in enumerate(boxes):
-        rows, cols = _footprint(lb.box, pose, intrinsics)
-        if rows.start < rows.stop and cols.start < cols.stop:
-            windows.append((i, rows, cols))
+    if footprints is None:
+        footprints = [_footprint(lb.box, pose, intrinsics) for lb in boxes]
+    windows = [
+        (i, rows, cols) for i, (rows, cols) in enumerate(footprints)
+        if rows.start < rows.stop and cols.start < cols.stop
+    ]
     # every box's slab runs in the leading part of scratch sized for the largest window
     n_max = max(((rows.stop - rows.start) * (cols.stop - cols.start) for _, rows, cols in windows), default=0)
     scratch = np.empty((3, 3 * n_max))
@@ -251,7 +257,8 @@ def make_synthetic_scene(
     image = np.zeros((intrinsics.height, intrinsics.width), dtype=">u2")
     for i, pose in enumerate(trajectory):
         frame_id = f"{i:04d}"
-        depth, ids = render_depth(boxes, pose, intrinsics)
+        footprints = [_footprint(lb.box, pose, intrinsics) for lb in boxes]
+        depth, ids = render_depth(boxes, pose, intrinsics, footprints)
         # unowned pixels are 0 in both rasters, so only the owned ones are converted
         owned = np.flatnonzero(ids)
         quantized = np.round(depth.ravel()[owned] / depth_scale)
@@ -267,7 +274,7 @@ def make_synthetic_scene(
         scene_io.write_pose(frames_dir / f"{frame_id}.pose.txt", pose)
         scene_io.write_pgm(ids_dir / f"{frame_id}.pgm", ids, maxval=np.iinfo(ids.dtype).max)
         pixels += np.bincount(ids.ravel()[owned], minlength=len(boxes) + 1)[1:]
-        masks = render_gt_detections(frame_id, ids, labels, noise)
+        masks = render_gt_detections(frame_id, ids, labels, noise, footprints)
         scene_io.write_detections(frames_dir / f"{frame_id}.detections.txt", [m.detection for m in masks])
         for k, m in enumerate(masks):
             # a mask file is its bitmap over the box's window, as 0/255
@@ -308,6 +315,7 @@ def render_gt_detections(
     ids: np.ndarray,
     labels: list[str],
     noise: PerturbationConfig = PerturbationConfig(),
+    footprints: list[tuple[slice, slice]] | None = None,
 ) -> list[InstanceMask]:
     """Synthesize detector/mask outputs for one frame from its instance-id image.
 
@@ -317,20 +325,24 @@ def render_gt_detections(
     and ``frame_id`` may then drop, shrink, or jitter the survivors. Each
     label's morphology runs on its bounding rectangle, widened by the pixels
     dilation and jitter can add, so the final box always lies inside it.
+    With ``footprints`` (the windows :func:`render_depth` rendered ``ids``
+    over), label k is looked for only inside its box's window, the one
+    place it can be; without them, over the whole raster.
     """
     rng = np.random.default_rng([noise.seed, zlib.crc32(frame_id.encode())])
     height, width = ids.shape
     grow = max(-noise.mask_erode_px, 0) + noise.box_jitter_px
     masks: list[InstanceMask] = []
     for k, label in enumerate(labels):
-        extent = _extent(ids == k + 1)
+        rows, cols = footprints[k] if footprints is not None else (slice(0, height), slice(0, width))
+        extent = _extent(ids[rows, cols] == k + 1)
         if extent is None:
             continue
         if noise.drop_prob > 0 and rng.random() < noise.drop_prob:
             continue
         top, bottom, left, right = extent
-        top, bottom = max(top - grow, 0), min(bottom + grow, height)
-        left, right = max(left - grow, 0), min(right + grow, width)
+        top, bottom = max(rows.start + top - grow, 0), min(rows.start + bottom + grow, height)
+        left, right = max(cols.start + left - grow, 0), min(cols.start + right + grow, width)
         bitmap = ids[top:bottom, left:right] == k + 1
         if noise.mask_erode_px:
             # k one-pixel steps in one call: k 3x3 erosions with a zero border are one (2k+1)

@@ -230,6 +230,67 @@ class TestRangefinder:
                     assert clearance(world, state.position + t * direction) > -1e-9
 
 
+def _circle_at(state, bearing, dist, radius):
+    """A circle whose centre lies ``dist`` from the robot at ``bearing`` off its heading."""
+    a = state.heading + bearing
+    return Circle(state.position + dist * np.array([math.cos(a), math.sin(a)]), radius)
+
+
+class TestScanWindow:
+    # rangefinder_scan casts each circle only at the rays of its angular window;
+    # these are the cases where that window is easy to get wrong
+    POSES = [(0.0, 0.0, 0.0), (1.3, -0.7, 2.9), (-2.0, 1.1, -2.2)]
+
+    def _check(self, state, circle):
+        world = WorldModel2D([circle], np.array([50.0, 50.0]))
+        scan = rangefinder_scan(state, world)
+        want = rangefinder_scan_reference(state, world)
+        assert np.max(np.abs(scan - want)) <= 1e-9
+        return scan
+
+    @pytest.mark.parametrize("pose", POSES)
+    @pytest.mark.parametrize("bearing", [math.pi - 0.05, -math.pi + 0.05, math.pi])
+    def test_window_across_the_blind_wedge(self, pose, bearing):
+        # a small circle right behind: its window wraps past +-pi and no ray reaches it
+        scan = self._check(_state(*pose), _circle_at(_state(*pose), bearing, 2.0, 0.5))
+        assert np.all(scan == MAX_RANGE)
+
+    @pytest.mark.parametrize("pose", POSES)
+    @pytest.mark.parametrize("bearing", [math.pi - 0.05, -math.pi + 0.05, math.pi])
+    def test_wide_window_across_the_blind_wedge_reaches_both_fan_edges(self, pose, bearing):
+        # a large near circle behind spans more than the blind wedge, so the rays at both ends of the fan hit it
+        scan = self._check(_state(*pose), _circle_at(_state(*pose), bearing, 1.0, 0.9))
+        assert scan[0] < MAX_RANGE and scan[-1] < MAX_RANGE
+        assert np.all(scan[CENTRE - 10:CENTRE + 11] == MAX_RANGE)
+
+    @pytest.mark.parametrize("pose", POSES)
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_circle_straddling_a_fan_edge(self, pose, side):
+        # centred on the outermost ray at +-135 degrees: half its window lies outside the fan
+        scan = self._check(_state(*pose), _circle_at(_state(*pose), side * FOV / 2, 2.0, 0.4))
+        edge = -1 if side > 0 else 0
+        assert scan[edge] == pytest.approx(1.6, abs=1e-9)
+
+    @pytest.mark.parametrize("pose", POSES)
+    @pytest.mark.parametrize("offset", [(0.0, 0.0), (0.3, 0.2), (-0.6, 0.5)])
+    def test_robot_inside_the_circle(self, pose, offset):
+        # every ray leaves the circle through its far side
+        state = _state(*pose)
+        scan = self._check(state, Circle(state.position + np.array(offset), 1.0))
+        assert np.all(scan < MAX_RANGE)
+
+    @pytest.mark.parametrize("pose", POSES)
+    @pytest.mark.parametrize("gap, hit", [(-1e-3, True), (1e-3, False)])
+    def test_near_surface_at_max_range(self, pose, gap, hit):
+        # the near surface just inside MAX_RANGE shortens the centre ray; just beyond it, nothing
+        state = _state(*pose)
+        scan = self._check(state, _circle_at(state, 0.0, MAX_RANGE + 0.5 + gap, 0.5))
+        if hit:
+            assert scan[CENTRE] == pytest.approx(MAX_RANGE + gap, abs=1e-9)
+        else:
+            assert np.all(scan == MAX_RANGE)
+
+
 class TestAgainstReference:
     @given(scan_cases())
     def test_scan_matches_per_obstacle_reference(self, case):
@@ -426,6 +487,28 @@ class TestRunNavigation:
         assert traj.outcome == outcome
         assert len(traj.times) - 1 == steps
         assert np.max(np.abs(traj.poses[-1] - pose)) <= 1e-8
+
+    @pytest.mark.parametrize("key", ["open", "column", "offset", 0, 1])
+    def test_one_code_path(self, key):
+        # run_navigation is the hand-written loop over the public step functions, bit for bit
+        world, start = navsim.SCENARIOS[key]() if isinstance(key, str) else sample_clear_world(key)
+        state = start
+        poses, commands, d_mins = [(*state.position, state.heading)], [(0.0, 0.0)], [clearance(world, state.position)]
+        for _ in range(navsim.MAX_STEPS):
+            if math.dist(state.position, world.target) <= world.goal_radius:
+                break
+            scan = rangefinder_scan(state, world)
+            v, omega = apf_step(state, scan, world)
+            state = odometry_update(state, *ticks_for_motion(v, omega, navsim.DT))
+            poses.append((*state.position, state.heading))
+            commands.append((v, omega))
+            d_mins.append(scan.min())
+            if clearance(world, state.position) < navsim.ROBOT_RADIUS:
+                break
+        traj = run_navigation(world, start)
+        assert traj.outcome == "reached"
+        for got, want in ((traj.poses, poses), (traj.commands, commands), (traj.d_min, d_mins)):
+            assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
 
     def test_invalid_max_steps(self):
         world = WorldModel2D([], np.array([1.0, 0.0]))

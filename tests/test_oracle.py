@@ -329,6 +329,21 @@ class TestRenderDepth:
                 tracemalloc.stop()
         assert max(peaks) <= 3 * (depth.nbytes + ids.nbytes)
 
+    @pytest.mark.parametrize(
+        "noise", [PerturbationConfig(), PerturbationConfig(seed=3, mask_erode_px=-2, box_jitter_px=4, drop_prob=0.2)]
+    )
+    def test_footprints_find_the_masks_the_whole_raster_does(self, noise):
+        # a label's pixels lie inside its box's footprint window, so searching only there loses none
+        intr = oracle.default_intrinsics(640, 480, 580.0)
+        labels = [lb.label for lb in BENCH_LAYOUT]
+        for i, pose in enumerate(oracle.default_trajectory(20)):
+            footprints = [oracle._footprint(lb.box, pose, intr) for lb in BENCH_LAYOUT]
+            _, ids = render_depth(BENCH_LAYOUT, pose, intr, footprints)
+            got = render_gt_detections(f"{i:04d}", ids, labels, noise, footprints)
+            want = render_gt_detections(f"{i:04d}", ids, labels, noise)
+            assert [m.detection for m in got] == [m.detection for m in want]
+            assert all(np.array_equal(g.bitmap, w.bitmap) for g, w in zip(got, want))
+
 
 class TestMakeSyntheticScene:
     def test_empty_spec_rejected(self, tmp_path):
